@@ -109,7 +109,12 @@ def gpool(z, a_s: Adjacency, params: GPoolParams, k: int) -> GPoolResult:
 
 
 def prior_select(z, mask: SelectionMask) -> Tensor:
-    """Keep exactly the masked-in channels; features pass through unchanged."""
+    """Keep exactly the masked-in channels; features pass through unchanged.
+
+    Training and embedding pool prior selections batched, as a masked mean
+    over channels; this per-utterance form is the reference they are tested
+    against.
+    """
     z = _as_tensor(z)
     if z.ndim != 3:
         raise dc.ShapeError(f"expected (C, T, D), got {z.shape}")

@@ -24,13 +24,10 @@ from .chansel import DegenerateProjectionError
 from .diffcore import NonFiniteError
 from .graphs import (
     adjacency_to_json,
-    apply_noise_mask,
-    apply_orientation_mask,
     build_complete,
     build_knn,
-    build_prior,
     build_temporal_span,
-    adjacency_from_mask,
+    compose_prior,
 )
 from .scenesim import (
     SimConfig,
@@ -305,7 +302,12 @@ def cmd_train(args) -> int:
         from .stagg import load_checkpoint
 
         manifest, _ = load_checkpoint(ckpt_path)
-        if manifest.get("config") == model_config_to_json(cfg.model):
+        try:
+            # Round-trip: removed settings recorded at their no-op values still match.
+            trained_with = model_config_to_json(model_config_from_json(manifest["config"]))
+        except (KeyError, ValueError) as err:
+            raise DataError(f"cannot read the config of checkpoint {ckpt_path}: {err}") from err
+        if trained_with == model_config_to_json(cfg.model):
             _say(args.quiet, f"checkpoint {ckpt_path} already matches config; nothing to do")
             return 0
         raise DataError(f"existing checkpoint {ckpt_path} was trained with a different config")
@@ -415,13 +417,7 @@ def cmd_graph(args) -> int:
         if scene is None:
             raise ConfigError("prior graph needs --scene")
         try:
-            adjacency, mask = build_prior(scene, args.rho)
-            if args.orientation:
-                mask = apply_orientation_mask(mask, scene)
-            if args.noise_rho is not None:
-                mask = apply_noise_mask(mask, scene, args.noise_rho)
-            if args.orientation or args.noise_rho is not None:
-                adjacency = adjacency_from_mask(mask)
+            adjacency, mask = compose_prior(scene, args.rho, args.orientation, args.noise_rho)
         except ValueError as err:
             raise ConfigError(str(err)) from err
         mask_doc = {"selected_indices": [int(i) for i in mask.indices()],

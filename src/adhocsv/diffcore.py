@@ -7,12 +7,11 @@ graph is the minimum needed by the aggregation, selection and training
 code; this is deliberately not a general autodiff engine.
 
 Shapes: kernels accept an optional leading batch axis (written ``...``).
-The batched forms are what the spatial/temporal modules use internally;
-they are defined so that the batched result equals stacking the unbatched
-results slice by slice.
+The batched forms are what the aggregation stack runs on; they are
+defined so that the batched result equals stacking the unbatched results
+slice by slice.
 
-All arithmetic is float64 by default (gradient checks need the headroom);
-float32 can be enabled for production paths via :func:`set_default_dtype`.
+All arithmetic is float64 (gradient checks need the headroom).
 """
 
 from __future__ import annotations
@@ -26,10 +25,8 @@ __all__ = [
     "ShapeError",
     "EmptyNeighborhoodError",
     "NonFiniteError",
-    "set_default_dtype",
     "set_checked",
     "add",
-    "sub",
     "mul",
     "div",
     "scale",
@@ -40,7 +37,6 @@ __all__ = [
     "concat",
     "stack_rows",
     "take_rows",
-    "sqrt",
     "sum_axis",
     "mean_axis",
     "l2_norm",
@@ -64,17 +60,7 @@ class NonFiniteError(FloatingPointError):
     """A NaN or Inf appeared where only finite values are allowed."""
 
 
-_DEFAULT_DTYPE = np.float64
 _CHECK_FINITE = True
-
-
-def set_default_dtype(dtype) -> None:
-    """Set the dtype used for newly constructed tensors (float32 or float64)."""
-    global _DEFAULT_DTYPE
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError(f"unsupported dtype {dtype}")
-    _DEFAULT_DTYPE = dtype.type
 
 
 def set_checked(flag: bool) -> None:
@@ -95,7 +81,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _vjp=None):
-        arr = np.asarray(data, dtype=_DEFAULT_DTYPE)
+        arr = np.asarray(data, dtype=np.float64)
         if _CHECK_FINITE and not np.all(np.isfinite(arr)):
             raise NonFiniteError("tensor holds NaN or Inf")
         self.data = arr
@@ -238,16 +224,6 @@ def add(a, b) -> Tensor:
 
     def vjp(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-
-    return Tensor(out_data, _parents=(a, b), _vjp=vjp)
-
-
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out_data = a.data - b.data
-
-    def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
 
     return Tensor(out_data, _parents=(a, b), _vjp=vjp)
 
@@ -404,16 +380,6 @@ def mean_axis(a, axis, keepdims: bool = False) -> Tensor:
     axis_t = axis if isinstance(axis, tuple) else (axis,)
     n = int(np.prod([a.shape[ax] for ax in axis_t]))
     return scale(sum_axis(a, axis_t, keepdims=keepdims), 1.0 / n)
-
-
-def sqrt(x) -> Tensor:
-    x = _as_tensor(x)
-    out_data = np.sqrt(x.data)
-
-    def vjp(g):
-        return (g / (2.0 * out_data),)
-
-    return Tensor(out_data, _parents=(x,), _vjp=vjp)
 
 
 def l2_norm(v) -> Tensor:

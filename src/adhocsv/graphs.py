@@ -25,6 +25,7 @@ __all__ = [
     "build_temporal_span",
     "build_knn",
     "build_prior",
+    "compose_prior",
     "adjacency_from_mask",
     "apply_orientation_mask",
     "apply_noise_mask",
@@ -194,6 +195,24 @@ def apply_noise_mask(mask: SelectionMask, scene: "Scene", rho_noise: float = 0.2
     if not selected.any():
         selected = _nearest_fallback(_speaker_distances(scene), "noise mask")
     return SelectionMask(selected=selected)
+
+
+def compose_prior(scene: "Scene", rho: float, orientation: bool = False,
+                  rho_noise: float | None = None) -> tuple[Adjacency, SelectionMask]:
+    """Prior selection, optionally narrowed by the orientation and noise masks.
+
+    Runs :func:`build_prior`, then :func:`apply_orientation_mask` when
+    ``orientation`` is set and :func:`apply_noise_mask` when ``rho_noise``
+    is given; the adjacency is rebuilt from the final mask.
+    """
+    adjacency, mask = build_prior(scene, rho)
+    if orientation:
+        mask = apply_orientation_mask(mask, scene)
+    if rho_noise is not None:
+        mask = apply_noise_mask(mask, scene, rho_noise)
+    if orientation or rho_noise is not None:
+        adjacency = adjacency_from_mask(mask)
+    return adjacency, mask
 
 
 def neighbors(a: Adjacency, v: int) -> list[int]:

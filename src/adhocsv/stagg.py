@@ -1,11 +1,13 @@
 """Graph-based spatial-temporal aggregation.
 
-The block transforms a C x T x D frame tensor by alternating a temporal
-pass (one graph over the frames of each channel, shared weights across
-channels) and a spatial pass (one graph over the channels of each frame,
-shared weights across frames).  Two interchangeable mechanisms are
+The stack transforms a batch of B x C x T x D frame tensors.  Each block
+runs a temporal pass (one graph over the frames of each channel, shared
+weights across channels) and then a spatial pass (one graph over the
+channels of each frame, shared weights across frames; every utterance
+brings its own channel graph).  Two interchangeable mechanisms are
 provided: masked multi-head self-attention ("sam") and an additive
-attention aggregation with LeakyReLU edge scores ("gcn").
+attention aggregation with LeakyReLU edge scores ("gcn"); :func:`st_stack`
+is the one place that picks between them.
 
 Output width equals input width (head dim = D / heads), so blocks stack
 without projections.  There are no residuals or inter-block
@@ -17,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,13 +32,10 @@ __all__ = [
     "AggParams",
     "BlockParams",
     "GraphSpec",
-    "StackConfig",
     "init_agg_params",
     "init_stack_params",
     "sam_agg",
     "gcn_agg",
-    "temporal_module",
-    "spatial_module",
     "st_stack",
     "build_graph",
     "save_checkpoint",
@@ -107,20 +106,6 @@ class BlockParams:
         return self.temporal.parameters() + self.spatial.parameters()
 
 
-@dataclass(frozen=True)
-class StackConfig:
-    n_blocks: int = 2
-    mechanism: str = "gcn"
-    temporal_graph: GraphSpec = field(default_factory=GraphSpec)
-    spatial_graph: GraphSpec = field(default_factory=GraphSpec)
-
-    def __post_init__(self):
-        if self.n_blocks < 1:
-            raise ValueError("stack needs at least one block")
-        if self.mechanism not in MECHANISMS:
-            raise ValueError(f"unknown mechanism {self.mechanism!r}")
-
-
 def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     bound = 1.0 / math.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape)
@@ -133,17 +118,8 @@ def init_agg_params(
     rng: np.random.Generator,
     prefix: str,
     leaky_slope: float = 0.2,
-    warm_start: bool = False,
 ) -> AggParams:
-    """Seeded uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) initialization.
-
-    With ``warm_start`` the module starts out computing exactly the plain
-    neighborhood average of its input (the single-channel behavior the
-    second training stage warm-starts from): the value/key output path
-    (wv or wr) begins at the per-head slice of the identity, and the
-    attention-score path starts at zero (gcn) or scaled down (sam) so the
-    masked softmax begins uniform.
-    """
+    """Seeded uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) initialization."""
     if mechanism not in MECHANISMS:
         raise ValueError(f"unknown mechanism {mechanism!r}")
     if d_in % n_heads != 0:
@@ -152,42 +128,35 @@ def init_agg_params(
     heads = []
     for m in range(n_heads):
         tag = f"{prefix}.head{m}"
-
-        def value_init():
-            if warm_start:
-                return np.eye(d_in)[:, m * d_head:(m + 1) * d_head].copy()
-            return _uniform(rng, (d_in, d_head), d_in)
-
         if mechanism == "sam":
-            # Zeroing both wq and wk would freeze their gradients; a small
-            # random scale keeps the scores near zero but trainable.
-            score_scale = 0.05 if warm_start else 1.0
             head = {
-                "wq": Parameter(f"{tag}.wq", score_scale * _uniform(rng, (d_in, d_head), d_in)),
-                "wk": Parameter(f"{tag}.wk", score_scale * _uniform(rng, (d_in, d_head), d_in)),
-                "wv": Parameter(f"{tag}.wv", value_init()),
+                "wq": Parameter(f"{tag}.wq", _uniform(rng, (d_in, d_head), d_in)),
+                "wk": Parameter(f"{tag}.wk", _uniform(rng, (d_in, d_head), d_in)),
+                "wv": Parameter(f"{tag}.wv", _uniform(rng, (d_in, d_head), d_in)),
             }
         else:
-            beta0 = np.zeros(2 * d_head) if warm_start else _uniform(rng, (2 * d_head,), 2 * d_head)
+            # beta is drawn before wl and wr; the draw order fixes what a seed yields.
+            beta0 = _uniform(rng, (2 * d_head,), 2 * d_head)
             head = {
                 "wl": Parameter(f"{tag}.wl", _uniform(rng, (d_in, d_head), d_in)),
-                "wr": Parameter(f"{tag}.wr", value_init()),
+                "wr": Parameter(f"{tag}.wr", _uniform(rng, (d_in, d_head), d_in)),
                 "beta": Parameter(f"{tag}.beta", beta0),
             }
         heads.append(head)
     return AggParams(mechanism, d_in, n_heads, d_head, heads, leaky_slope)
 
 
-def init_stack_params(cfg: StackConfig, d: int, n_heads: int, rng: np.random.Generator,
-                      leaky_slope: float = 0.2, warm_start: bool = False) -> list[BlockParams]:
+def init_stack_params(mechanism: str, n_blocks: int, d: int, n_heads: int,
+                      rng: np.random.Generator, leaky_slope: float = 0.2) -> list[BlockParams]:
     """Unshared parameters for every temporal/spatial module in the stack."""
+    if n_blocks < 1:
+        raise ValueError("stack needs at least one block")
     blocks = []
-    for b in range(cfg.n_blocks):
+    for b in range(n_blocks):
         blocks.append(BlockParams(
-            temporal=init_agg_params(cfg.mechanism, d, n_heads, rng, f"block{b}.temporal",
-                                     leaky_slope, warm_start),
-            spatial=init_agg_params(cfg.mechanism, d, n_heads, rng, f"block{b}.spatial",
-                                    leaky_slope, warm_start),
+            temporal=init_agg_params(mechanism, d, n_heads, rng, f"block{b}.temporal",
+                                     leaky_slope),
+            spatial=init_agg_params(mechanism, d, n_heads, rng, f"block{b}.spatial", leaky_slope),
         ))
     return blocks
 
@@ -279,40 +248,6 @@ def gcn_agg(x, a, params: AggParams, with_weights: bool = False):
     return (out, weights) if with_weights else out
 
 
-def _aggregate(x, a: Adjacency, params: AggParams):
-    return sam_agg(x, a, params) if params.mechanism == "sam" else gcn_agg(x, a, params)
-
-
-def temporal_module(x, a_t: Adjacency, params: AggParams) -> Tensor:
-    """Aggregate over frames, one graph per channel, shared weights.
-
-    ``x``: (C, T, D).  Equivalent to running the aggregation on each
-    channel's T x D slice and restacking.
-    """
-    x = _as_tensor(x)
-    if x.ndim != 3:
-        raise dc.ShapeError(f"temporal module expects (C, T, D), got {x.shape}")
-    if a_t.n != x.shape[1]:
-        raise dc.ShapeError(f"temporal graph has {a_t.n} nodes, input has {x.shape[1]} frames")
-    return _aggregate(x, a_t, params)
-
-
-def spatial_module(y, a_s: Adjacency, params: AggParams) -> Tensor:
-    """Aggregate over channels, one graph per frame, shared weights.
-
-    ``y``: (C, T, D).  Equivalent to running the aggregation on each
-    frame's C x D slice and restacking.
-    """
-    y = _as_tensor(y)
-    if y.ndim != 3:
-        raise dc.ShapeError(f"spatial module expects (C, T, D), got {y.shape}")
-    if a_s.n != y.shape[0]:
-        raise dc.ShapeError(f"spatial graph has {a_s.n} nodes, input has {y.shape[0]} channels")
-    by_frame = dc.transpose(y, (1, 0, 2))
-    out = _aggregate(by_frame, a_s, params)
-    return dc.transpose(out, (1, 0, 2))
-
-
 def build_graph(spec: GraphSpec, n: int, positions=None) -> Adjacency:
     """Materialize a GraphSpec for n nodes (positions needed for knn)."""
     if spec.kind == "complete":
@@ -326,29 +261,32 @@ def build_graph(spec: GraphSpec, n: int, positions=None) -> Adjacency:
     raise ValueError(f"unknown graph spec kind {spec.kind!r}")
 
 
-def st_stack(x, cfg: StackConfig, params: list[BlockParams],
-             a_temporal: Adjacency | None = None,
-             a_spatial: Adjacency | None = None) -> Tensor:
-    """Alternate temporal and spatial modules cfg.n_blocks times.
+def st_stack(x, blocks: list[BlockParams], a_temporal: Adjacency, spatial_mask) -> Tensor:
+    """Run the aggregation blocks over a batch of utterances.
 
-    Adjacencies default to the ones named by cfg's graph specs; pass
-    ``a_spatial`` explicitly for geometry-derived graphs (knn, prior).
+    ``x``: (B, C, T, D).  Each block aggregates over frames with
+    ``a_temporal`` (one T-node graph shared by every channel), then over
+    channels with ``spatial_mask``, a boolean (B, C, C) array holding one
+    channel graph per utterance, shared by all its frames.  Every block
+    computes the same result as running each channel's (T, D) slice and
+    then each frame's (C, D) slice through the aggregation on its own.
     Output shape equals input shape.
     """
     x = _as_tensor(x)
-    if x.ndim != 3:
-        raise dc.ShapeError(f"stack expects (C, T, D), got {x.shape}")
-    if len(params) != cfg.n_blocks:
-        raise ValueError(f"stack of {cfg.n_blocks} blocks got {len(params)} parameter sets")
-    c, t, _ = x.shape
-    if a_temporal is None:
-        a_temporal = build_graph(cfg.temporal_graph, t)
-    if a_spatial is None:
-        a_spatial = build_graph(cfg.spatial_graph, c)
+    if x.ndim != 4:
+        raise dc.ShapeError(f"stack expects (B, C, T, D), got {x.shape}")
+    b, c = x.shape[:2]
+    spatial_mask = np.asarray(spatial_mask, dtype=bool)
+    if spatial_mask.shape != (b, c, c):
+        raise dc.ShapeError(f"spatial mask must be {(b, c, c)}, got {spatial_mask.shape}")
+    per_frame = spatial_mask[:, None, :, :]  # broadcasts over the frame axis
     out = x
-    for block in params:
-        out = temporal_module(out, a_temporal, block.temporal)
-        out = spatial_module(out, a_spatial, block.spatial)
+    for block in blocks:
+        agg = sam_agg if block.temporal.mechanism == "sam" else gcn_agg
+        out = agg(out, a_temporal, block.temporal)
+        out = dc.transpose(out, (0, 2, 1, 3))  # (B, T, C, D)
+        out = agg(out, per_frame, block.spatial)
+        out = dc.transpose(out, (0, 2, 1, 3))
     return out
 
 

@@ -2,7 +2,9 @@
 
 The trainable system = spatial-temporal aggregation stack, optional
 channel selection, average pooling, and a linear softmax classifier over
-speakers.  Frame-level features are frozen inputs.  Verification scores
+speakers.  Frame-level features are frozen inputs.  One batched forward
+pass computes the embeddings: training runs it on batches of same-shape
+utterances, :func:`embed` on one utterance at a time.  Verification scores
 utterance-embedding pairs with cosine similarity and reports the equal
 error rate from a full threshold sweep.
 """
@@ -17,28 +19,18 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import diffcore as dc
-from .chansel import GPoolParams, gpool, init_gpool_params, prior_select, utterance_pool
+from .chansel import GPoolParams, gpool, init_gpool_params, utterance_pool
 from .diffcore import NonFiniteError, Parameter, ParamSet, Tensor
-from .graphs import (
-    Adjacency,
-    SelectionMask,
-    adjacency_from_mask,
-    apply_noise_mask,
-    apply_orientation_mask,
-    build_knn,
-    build_prior,
-)
+from .graphs import build_knn, compose_prior
 from .scenesim import Scene
 from .stagg import (
     BlockParams,
     FrameTensor,
     GraphSpec,
-    StackConfig,
     build_graph,
-    gcn_agg,
+    gcn_agg,  # noqa: F401 - perfbench/tests/test_tracing.py traces it through this module
     init_stack_params,
     load_checkpoint,
-    sam_agg,
     save_checkpoint,
     st_stack,
 )
@@ -81,7 +73,7 @@ class ProtocolError(ValueError):
 
 
 class DegenerateTaskError(ValueError):
-    """The training task is ill-posed (fewer than two speakers)."""
+    """The training task is ill-posed (fewer than two speakers, or ragged shapes)."""
 
 
 class MissingPriorError(ValueError):
@@ -96,7 +88,6 @@ class SelectionConfig:
     orientation: bool = False
     noise: bool = False
     rho_noise: float = 0.2
-    pool_all: bool = False  # prior only: restrict the graph but pool every channel
 
     def __post_init__(self):
         if self.kind not in SELECTION_KINDS:
@@ -117,16 +108,11 @@ class ModelConfig:
     temporal_graph: GraphSpec = field(default_factory=GraphSpec)
     spatial_graph: GraphSpec = field(default_factory=GraphSpec)
     leaky_slope: float = 0.2
-    warm_start: bool = False  # value-path identity init (mirrors stage-1 warm start)
-    head: str = "linear"  # "linear" or "cosine" (normalized, fixed-scale) classifier
-    head_scale: float = 10.0  # logit scale for the cosine head
     seed: int = 0
 
     def __post_init__(self):
         if self.mechanism not in MECHANISMS:
             raise ValueError(f"unknown mechanism {self.mechanism!r}")
-        if self.head not in ("linear", "cosine"):
-            raise ValueError(f"unknown head {self.head!r}")
         if self.mechanism == "mean" and self.selection.kind != "none":
             raise ValueError("the mean baseline pools all channels; selection must be 'none'")
         if self.mechanism != "mean" and self.d % self.heads != 0:
@@ -154,24 +140,14 @@ class Model:
         params.add(head_b)
         self.params = params
 
-    @property
-    def stack_cfg(self) -> StackConfig:
-        return StackConfig(
-            n_blocks=self.cfg.n_blocks,
-            mechanism=self.cfg.mechanism,
-            temporal_graph=self.cfg.temporal_graph,
-            spatial_graph=self.cfg.spatial_graph,
-        )
-
     @classmethod
     def init(cls, cfg: ModelConfig, n_speakers: int) -> "Model":
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
         if cfg.mechanism == "mean":
             blocks: list[BlockParams] = []
         else:
-            blocks = init_stack_params(
-                StackConfig(cfg.n_blocks, cfg.mechanism, cfg.temporal_graph, cfg.spatial_graph),
-                cfg.d, cfg.heads, rng, cfg.leaky_slope, cfg.warm_start)
+            blocks = init_stack_params(cfg.mechanism, cfg.n_blocks, cfg.d, cfg.heads, rng,
+                                       cfg.leaky_slope)
         gp = init_gpool_params(cfg.d, rng) if cfg.selection.kind == "gpool" else None
         bound = 1.0 / math.sqrt(cfg.d)
         head_w = Parameter("head.w", rng.uniform(-bound, bound, size=(cfg.d, n_speakers)))
@@ -185,10 +161,6 @@ class TrainHyper:
     momentum: float = 0.9
     batch_size: int = 8
     epochs: int = 30
-    grad_clip: float | None = None  # global gradient-norm ceiling; None disables
-    weight_decay: float = 0.0  # L2 coefficient added to gradients
-    stack_lr_scale: float = 1.0  # lr multiplier for non-classifier parameters
-    tail_average: int = 0  # average the final N epochs' parameters (0 disables)
 
 
 @dataclass(frozen=True)
@@ -212,24 +184,14 @@ def subsample_channels(utt: Utterance, k: int, rng: np.random.Generator) -> Utte
     )
 
 
-def _prior_mask(scene: Scene, sel: SelectionConfig) -> tuple[Adjacency, SelectionMask]:
-    adjacency, mask = build_prior(scene, sel.rho)
-    if sel.orientation:
-        mask = apply_orientation_mask(mask, scene)
-    if sel.noise:
-        mask = apply_noise_mask(mask, scene, sel.rho_noise)
-    if sel.orientation or sel.noise:
-        adjacency = adjacency_from_mask(mask)
-    return adjacency, mask
-
-
 def _spatial_adjacency(model: Model, c: int, scene: Scene | None):
     """Spatial graph for one utterance plus the prior mask when configured."""
     cfg = model.cfg
-    if cfg.selection.kind == "prior":
+    sel = cfg.selection
+    if sel.kind == "prior":
         if scene is None:
             raise MissingPriorError("prior channel selection needs the utterance's scene")
-        return _prior_mask(scene, cfg.selection)
+        return compose_prior(scene, sel.rho, sel.orientation, sel.rho_noise if sel.noise else None)
     if cfg.spatial_graph.kind == "knn":
         if scene is None:
             raise MissingPriorError("knn spatial graph needs the utterance's scene")
@@ -237,115 +199,60 @@ def _spatial_adjacency(model: Model, c: int, scene: Scene | None):
     return build_graph(cfg.spatial_graph, c), None
 
 
-def _dispatch(x, a, params):
-    return sam_agg(x, a, params) if params.mechanism == "sam" else gcn_agg(x, a, params)
+def _forward(model: Model, x: np.ndarray, scenes: list[Scene | None]):
+    """Differentiable embeddings of a batch of same-shape utterances.
 
-
-def _head_logits(model: Model, embs):
-    """Classifier logits for a (B, D) batch of embeddings.
-
-    The linear head is an affine map.  The cosine head normalizes both the
-    embeddings and the class weights so cross-entropy directly optimizes
-    the angular geometry that cosine scoring evaluates.
-    """
-    if model.cfg.head == "linear":
-        return dc.add(dc.matmul(embs, model.head_w), model.head_b)
-    row = dc.sqrt(dc.sum_axis(dc.mul(embs, embs), axis=-1, keepdims=True))
-    col = dc.sqrt(dc.sum_axis(dc.mul(model.head_w, model.head_w), axis=0, keepdims=True))
-    cosines = dc.matmul(dc.div(embs, row), dc.div(model.head_w, col))
-    return dc.scale(cosines, model.cfg.head_scale)
-
-
-def _embed_batch(model: Model, utts: list[Utterance]):
-    """Differentiable embeddings for a batch of same-shape utterances.
-
-    Equivalent to stacking :func:`_embed_tensor` results; one kernel graph
-    serves the whole batch (per-utterance spatial masks ride along a batch
-    axis), which is what makes training cheap.  Returns a (B, D) tensor.
+    ``x`` is (B, C, T, D) with one scene (or None) per utterance.  Builds
+    each utterance's graphs, runs the aggregation stack, applies the
+    configured channel selection and average-pools.  Returns the (B, D)
+    embedding tensor and one selection-info dict per utterance.
     """
     cfg = model.cfg
-    xs = np.stack([u.features.data for u in utts])  # (B, C, T, D)
-    if cfg.mechanism == "mean":
-        return dc.mean_axis(Tensor(xs), axis=(1, 2))
-
-    b, c, t, _ = xs.shape
-    adjacencies, sel_masks = [], []
-    for u in utts:
-        a_sp, m = _spatial_adjacency(model, c, u.scene)
-        adjacencies.append(a_sp)
-        sel_masks.append(m)
-    spatial_mask = np.stack([a.entries for a in adjacencies])[:, None, :, :]  # (B, 1, C, C)
-    a_temporal = build_graph(cfg.temporal_graph, t)
-
-    out = Tensor(xs)
-    for block in model.blocks:
-        out = _dispatch(out, a_temporal, block.temporal)
-        out = dc.transpose(out, (0, 2, 1, 3))  # (B, T, C, D)
-        out = _dispatch(out, spatial_mask, block.spatial)
-        out = dc.transpose(out, (0, 2, 1, 3))
-
     sel = cfg.selection
-    if sel.kind == "none" or (sel.kind == "prior" and sel.pool_all):
-        return dc.mean_axis(out, axis=(1, 2))
+    if x.ndim != 4:
+        raise dc.ShapeError(f"forward pass expects (B, C, T, D), got {x.shape}")
+    b, c, t, _ = x.shape
+    out = Tensor(x)
+    if cfg.mechanism != "mean":
+        adjacencies, sel_masks = zip(*(_spatial_adjacency(model, c, scene) for scene in scenes))
+        spatial_mask = np.stack([a.entries for a in adjacencies])
+        out = st_stack(out, model.blocks, build_graph(cfg.temporal_graph, t), spatial_mask)
+
+    if sel.kind == "none":  # always the case for the mean baseline
+        infos = [{"mechanism": "none", "selected_indices": list(range(c)), "gates": None}
+                 for _ in range(b)]
+        return dc.mean_axis(out, axis=(1, 2)), infos
     if sel.kind == "prior":
         keep = np.stack([m.selected for m in sel_masks]).astype(np.float64)  # (B, C)
         counts = keep.sum(axis=1) * t
         summed = dc.sum_axis(dc.mul(out, Tensor(keep[:, :, None, None])), axis=(1, 2))
-        return dc.div(summed, Tensor(counts[:, None]))
+        infos = [{"mechanism": "prior", "selected_indices": [int(i) for i in m.indices()],
+                  "gates": None} for m in sel_masks]
+        return dc.div(summed, Tensor(counts[:, None])), infos
     # gpool: the channel choice is per utterance, so finish slice by slice
     k = sel.k if sel.k is not None else math.ceil(c / 2)
-    pooled = []
+    pooled, infos = [], []
     for i in range(b):
         z = dc.reshape(dc.take_rows(out, np.array([i])), (c, t, cfg.d))
         result = gpool(z, adjacencies[i], model.gpool, k)
         pooled.append(utterance_pool(result.features))
-    return dc.stack_rows(pooled)
-
-
-def _embed_tensor(model: Model, x: np.ndarray, scene: Scene | None):
-    """Differentiable forward pass to one utterance embedding.
-
-    Returns (embedding tensor (D,), selection info dict).
-    """
-    cfg = model.cfg
-    if cfg.mechanism == "mean":
-        per_channel = dc.mean_axis(Tensor(x), axis=1)
-        emb = dc.mean_axis(per_channel, axis=0)
-        return emb, {"mechanism": "none", "selected_indices": list(range(x.shape[0])), "gates": None}
-
-    c = x.shape[0]
-    a_spatial, mask = _spatial_adjacency(model, c, scene)
-    z = st_stack(Tensor(x), model.stack_cfg, model.blocks, a_spatial=a_spatial)
-    sel = cfg.selection
-    if sel.kind == "gpool":
-        k = sel.k if sel.k is not None else math.ceil(c / 2)
-        result = gpool(z, a_spatial, model.gpool, k)
-        info = {"mechanism": "gpool",
-                "selected_indices": [int(i) for i in result.indices],
-                "gates": [float(g) for g in result.gates]}
-        return utterance_pool(result.features), info
-    if sel.kind == "prior":
-        z_hat = z if sel.pool_all else prior_select(z, mask)
-        info = {"mechanism": "prior",
-                "selected_indices": [int(i) for i in mask.indices()],
-                "gates": None}
-        return utterance_pool(z_hat), info
-    info = {"mechanism": "none", "selected_indices": list(range(c)), "gates": None}
-    return utterance_pool(z), info
+        infos.append({"mechanism": "gpool", "selected_indices": [int(j) for j in result.indices],
+                      "gates": [float(g) for g in result.gates]})
+    return dc.stack_rows(pooled), infos
 
 
 def embed(model: Model, x, scene: Scene | None = None) -> np.ndarray:
     """Utterance-level embedding as a plain (D,) array."""
     data = x.data if isinstance(x, FrameTensor) else np.asarray(x, dtype=np.float64)
-    emb, _ = _embed_tensor(model, data, scene)
-    return np.array(emb.data)
+    embs, _ = _forward(model, data[None], [scene])
+    return np.array(embs.data[0])
 
 
 def embed_with_info(model: Model, x, scene: Scene | None = None):
     """Embedding plus the channel-selection report for this utterance."""
     data = x.data if isinstance(x, FrameTensor) else np.asarray(x, dtype=np.float64)
-    emb, info = _embed_tensor(model, data, scene)
-    return np.array(emb.data), info
+    embs, infos = _forward(model, data[None], [scene])
+    return np.array(embs.data[0]), infos[0]
 
 
 def train_second_stage(dataset: list[Utterance], cfg: ModelConfig,
@@ -361,15 +268,15 @@ def train_second_stage(dataset: list[Utterance], cfg: ModelConfig,
     speakers = sorted({u.speaker for u in dataset})
     if len(speakers) < 2:
         raise DegenerateTaskError("training needs at least two speakers")
+    shapes = sorted({u.features.data.shape for u in dataset})
+    if len(shapes) > 1:
+        raise DegenerateTaskError(
+            f"training utterances must share one (channels, frames, dims) shape, got {shapes}")
     label_of = {spk: i for i, spk in enumerate(speakers)}
 
     model = Model.init(cfg, n_speakers=len(speakers))
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
     velocity = {p.name: np.zeros_like(p.data) for p in model.params}
-    lr_of = {p.name: hyper.lr * (1.0 if p.name.startswith("head.") else hyper.stack_lr_scale)
-             for p in model.params}
-    tail_sum = {p.name: np.zeros_like(p.data) for p in model.params}
-    tail_count = 0
     curve: list[float] = []
     for epoch in range(hyper.epochs):
         order = shuffle_rng.permutation(len(dataset))
@@ -378,8 +285,9 @@ def train_second_stage(dataset: list[Utterance], cfg: ModelConfig,
             batch = [dataset[i] for i in order[start:start + hyper.batch_size]]
             model.params.zero_grad()
             try:
-                embs = _embed_batch(model, batch)
-                logits = _head_logits(model, embs)
+                x = np.stack([u.features.data for u in batch])
+                embs, _ = _forward(model, x, [u.scene for u in batch])
+                logits = dc.add(dc.matmul(embs, model.head_w), model.head_b)
                 labels = np.array([label_of[u.speaker] for u in batch])
                 loss = dc.softmax_cross_entropy(logits, labels)
             except NonFiniteError as err:
@@ -387,31 +295,13 @@ def train_second_stage(dataset: list[Utterance], cfg: ModelConfig,
                     f"training diverged at epoch {epoch}, step {start // hyper.batch_size}: {err}"
                 ) from err
             loss.backward()
-            if hyper.weight_decay:
-                for p in model.params:
-                    p.grad += hyper.weight_decay * p.data
-            if hyper.grad_clip is not None:
-                total = math.sqrt(sum(float(np.sum(p.grad * p.grad)) for p in model.params))
-                if total > hyper.grad_clip:
-                    factor = hyper.grad_clip / total
-                    for p in model.params:
-                        p.grad *= factor
             for p in model.params:
                 v = velocity[p.name]
                 v *= hyper.momentum
                 v += p.grad
-                p.data -= lr_of[p.name] * v
+                p.data -= hyper.lr * v
             batch_losses.append(loss.item())
         curve.append(float(np.mean(batch_losses)))
-        if hyper.tail_average and epoch >= hyper.epochs - hyper.tail_average:
-            for p in model.params:
-                tail_sum[p.name] += p.data
-            tail_count += 1
-    if tail_count:
-        # Polyak-style tail average: the last epochs wander around one
-        # basin; their mean is a steadier operating point than the endpoint.
-        for p in model.params:
-            p.data = tail_sum[p.name] / tail_count
     return model, curve
 
 
@@ -569,24 +459,35 @@ def model_config_to_json(cfg: ModelConfig) -> dict:
             "orientation": cfg.selection.orientation,
             "noise": cfg.selection.noise,
             "rho_noise": cfg.selection.rho_noise,
-            "pool_all": cfg.selection.pool_all,
         },
         "temporal_graph": {"kind": cfg.temporal_graph.kind, "delta": cfg.temporal_graph.delta,
                            "k": cfg.temporal_graph.k},
         "spatial_graph": {"kind": cfg.spatial_graph.kind, "delta": cfg.spatial_graph.delta,
                           "k": cfg.spatial_graph.k},
         "leaky_slope": cfg.leaky_slope,
-        "warm_start": cfg.warm_start,
-        "head": cfg.head,
-        "head_scale": cfg.head_scale,
         "seed": cfg.seed,
     }
+
+
+# Settings that older checkpoints record.  They load only at the value
+# that made them a no-op, because the model no longer implements them.
+_REMOVED_SETTINGS = {"warm_start": False, "head": "linear", "head_scale": 10.0}
+_REMOVED_SELECTION_SETTINGS = {"pool_all": False}
+
+
+def _reject_removed(doc: dict, removed: dict, where: str) -> None:
+    for key, no_op in removed.items():
+        if key in doc and doc[key] != no_op:
+            raise ValueError(f"{where}{key}={doc[key]!r} is no longer supported "
+                             f"(only {no_op!r} loads)")
 
 
 def model_config_from_json(doc: dict) -> ModelConfig:
     sel = doc.get("selection", {})
     tg = doc.get("temporal_graph", {})
     sg = doc.get("spatial_graph", {})
+    _reject_removed(doc, _REMOVED_SETTINGS, "")
+    _reject_removed(sel, _REMOVED_SELECTION_SETTINGS, "selection.")
     return ModelConfig(
         mechanism=doc.get("mechanism", "gcn"),
         n_blocks=int(doc.get("n_blocks", 2)),
@@ -599,16 +500,12 @@ def model_config_from_json(doc: dict) -> ModelConfig:
             orientation=bool(sel.get("orientation", False)),
             noise=bool(sel.get("noise", False)),
             rho_noise=float(sel.get("rho_noise", 0.2)),
-            pool_all=bool(sel.get("pool_all", False)),
         ),
         temporal_graph=GraphSpec(kind=tg.get("kind", "complete"), delta=int(tg.get("delta", 1)),
                                  k=int(tg.get("k", 4))),
         spatial_graph=GraphSpec(kind=sg.get("kind", "complete"), delta=int(sg.get("delta", 1)),
                                 k=int(sg.get("k", 4))),
         leaky_slope=float(doc.get("leaky_slope", 0.2)),
-        warm_start=bool(doc.get("warm_start", False)),
-        head=doc.get("head", "linear"),
-        head_scale=float(doc.get("head_scale", 10.0)),
         seed=int(doc.get("seed", 0)),
     )
 

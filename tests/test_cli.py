@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 from adhocsv.cli import main
-from adhocsv.scenesim import Scene, read_features, save_scene
-from adhocsv.stagg import load_checkpoint
-from adhocsv.trainer import read_trials_csv
+from adhocsv.graphs import build_prior
+from adhocsv.scenesim import (Scene, SimConfig, read_features, sample_scene, save_scene,
+                              write_features)
+from adhocsv.stagg import FrameTensor, load_checkpoint, save_checkpoint
+from adhocsv.trainer import (Model, ModelConfig, SelectionConfig, embed_with_info, load_model,
+                             model_config_to_json, read_trials_csv)
 
 TINY_CONFIG = {
     "seed": 7,
@@ -197,6 +200,43 @@ class TestTrainEval:
         assert len(selection) == 8
         assert all(s["mechanism"] == "none" for s in selection)
 
+    def test_ragged_training_set_is_data_error(self, tmp_path, config_path, dataset, capsys):
+        manifest = json.loads(open(os.path.join(dataset, "manifest.json")).read())
+        entry = next(e for e in manifest["utterances"] if e["split"] == "train")
+        path = os.path.join(dataset, entry["features"])
+        write_features(path, FrameTensor(read_features(path).data[:2]))
+        assert main(["train", "--config", config_path, "--data", dataset,
+                     "--out", str(tmp_path / "run"), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert "(2, 6, 8)" in err and "(4, 6, 8)" in err
+
+    def test_eval_rejects_removed_setting(self, tmp_path, config_path, dataset, capsys):
+        run = tmp_path / "run"
+        main(["train", "--config", config_path, "--data", dataset, "--out", str(run), "--quiet"])
+        model = load_model(run / "model.ckpt")
+        config = model_config_to_json(model.cfg)
+        config["selection"]["pool_all"] = True
+        save_checkpoint(run / "model.ckpt", model.params,
+                        meta={"config": config, "n_speakers": model.n_speakers})
+        assert main(["eval", "--config", config_path, "--ckpt", str(run / "model.ckpt"),
+                     "--data", dataset, "--out", str(tmp_path / "e"), "--quiet"]) == 3
+        assert "pool_all" in capsys.readouterr().err
+
+    def test_resume_accepts_removed_settings_at_no_op_values(self, tmp_path, config_path,
+                                                            dataset):
+        run = tmp_path / "run"
+        main(["train", "--config", config_path, "--data", dataset, "--out", str(run), "--quiet"])
+        model = load_model(run / "model.ckpt")
+        config = model_config_to_json(model.cfg)
+        config.update(warm_start=False, head="linear", head_scale=10.0)
+        config["selection"]["pool_all"] = False
+        save_checkpoint(run / "model.ckpt", model.params,
+                        meta={"config": config, "n_speakers": model.n_speakers})
+        before = (run / "model.ckpt").read_bytes()
+        assert main(["train", "--config", config_path, "--data", dataset,
+                     "--out", str(run), "--resume", "--quiet"]) == 0
+        assert (run / "model.ckpt").read_bytes() == before
+
     def test_eval_missing_checkpoint(self, tmp_path, config_path, dataset):
         assert main(["eval", "--config", config_path, "--ckpt", str(tmp_path / "nope.ckpt"),
                      "--data", dataset, "--out", str(tmp_path / "e"), "--quiet"]) == 3
@@ -247,6 +287,21 @@ class TestGraphCommand:
         mask = apply_noise_mask(mask, scene, 0.2)
         assert doc["mask"]["selected_indices"] == [int(i) for i in mask.indices()]
         assert 0 not in doc["mask"]["selected_indices"]
+
+    def test_prior_mask_matches_embed_selection(self, tmp_path, capsys):
+        scene = sample_scene(np.random.default_rng(7), SimConfig(n_nodes=10, d=8, t=3))
+        path = tmp_path / "scene.json"
+        save_scene(path, scene)
+        assert main(["graph", "--kind", "prior", "--scene", str(path), "--rho", "0.7",
+                     "--orientation", "--noise-rho", "0.3"]) == 0
+        selected = json.loads(capsys.readouterr().out)["mask"]["selected_indices"]
+        cfg = ModelConfig(mechanism="gcn", n_blocks=1, heads=2, d=8, selection=SelectionConfig(
+            kind="prior", rho=0.7, orientation=True, noise=True, rho_noise=0.3))
+        x = FrameTensor(np.random.default_rng(8).standard_normal((10, 3, 8)))
+        _, info = embed_with_info(Model.init(cfg, n_speakers=2), x, scene)
+        assert info["selected_indices"] == selected
+        # Both masks narrow this scene's selection, so the composition is exercised.
+        assert selected != build_prior(scene, 0.7)[1].indices().tolist()
 
     def test_knn_graph(self, tmp_path, capsys):
         scene = line_scene_file(tmp_path, [1.0, 2.0, 3.0, 4.0])

@@ -11,17 +11,13 @@ from adhocsv.graphs import build_complete, build_temporal_span
 from adhocsv.stagg import (
     AggParams,
     FrameTensor,
-    GraphSpec,
-    StackConfig,
     gcn_agg,
     init_agg_params,
     init_stack_params,
     load_checkpoint,
     sam_agg,
     save_checkpoint,
-    spatial_module,
     st_stack,
-    temporal_module,
 )
 
 
@@ -250,14 +246,26 @@ class TestGcnAgg:
         assert err < 1e-5
 
 
+def per_frame_agg(agg, y, a_s, params):
+    """Spatial pass over a (C, T, D) tensor: one aggregation per frame."""
+    by_frame = dc.transpose(Tensor(y), (1, 0, 2))
+    return dc.transpose(agg(by_frame, a_s, params), (1, 0, 2))
+
+
+def all_channels(b, c):
+    return np.ones((b, c, c), dtype=bool)
+
+
 class TestModules:
+    """Leading axes of the aggregations are independent slices."""
+
     def test_temporal_equals_per_channel_loop(self):
         rng = np.random.default_rng(12)
         c, t, d = 3, 4, 8
         x = rng.standard_normal((c, t, d))
         a_t = build_temporal_span(t, 1)
         params = init_agg_params("sam", d, 2, rng, "t")
-        joint = temporal_module(Tensor(x), a_t, params).data
+        joint = sam_agg(Tensor(x), a_t, params).data
         for ch in range(c):
             single = sam_agg(Tensor(x[ch]), a_t, params).data
             assert np.max(np.abs(joint[ch] - single)) < 1e-12
@@ -268,7 +276,7 @@ class TestModules:
         slice_ = rng.standard_normal((t, d))
         x = np.stack([slice_, slice_])
         params = init_agg_params("gcn", d, 2, rng, "t")
-        out = temporal_module(Tensor(x), build_complete(t), params).data
+        out = gcn_agg(Tensor(x), build_complete(t), params).data
         assert np.allclose(out[0], out[1], atol=1e-12)
 
     def test_spatial_equals_per_frame_loop(self):
@@ -277,7 +285,7 @@ class TestModules:
         y = rng.standard_normal((c, t, d))
         a_s = build_complete(c)
         params = init_agg_params("gcn", d, 2, rng, "s")
-        joint = spatial_module(Tensor(y), a_s, params).data
+        joint = per_frame_agg(gcn_agg, y, a_s, params).data
         for fr in range(t):
             single = gcn_agg(Tensor(y[:, fr, :]), a_s, params).data
             assert np.max(np.abs(joint[:, fr, :] - single)) < 1e-12
@@ -288,7 +296,7 @@ class TestModules:
         y = rng.standard_normal((c, 1, d))
         a_s = build_complete(c)
         params = init_agg_params("sam", d, 2, rng, "s")
-        joint = spatial_module(Tensor(y), a_s, params).data
+        joint = per_frame_agg(sam_agg, y, a_s, params).data
         single = sam_agg(Tensor(y[:, 0, :]), a_s, params).data
         assert np.max(np.abs(joint[:, 0, :] - single)) < 1e-12
 
@@ -303,8 +311,8 @@ class TestModules:
 
         permuted_adj = Adjacency(n=c, entries=adj.entries[np.ix_(perm, perm)],
                                  symmetric=adj.symmetric)
-        base = spatial_module(Tensor(y), adj, params).data
-        permuted = spatial_module(Tensor(y[perm]), permuted_adj, params).data
+        base = per_frame_agg(gcn_agg, y, adj, params).data
+        permuted = per_frame_agg(gcn_agg, y[perm], permuted_adj, params).data
         assert np.max(np.abs(permuted - base[perm])) < 1e-10
 
     def test_temporal_permutation_equivariance(self):
@@ -318,8 +326,8 @@ class TestModules:
 
         permuted_adj = Adjacency(n=t, entries=adj.entries[np.ix_(perm, perm)],
                                  symmetric=adj.symmetric)
-        base = temporal_module(Tensor(x), adj, params).data
-        permuted = temporal_module(Tensor(x[:, perm, :]), permuted_adj, params).data
+        base = sam_agg(Tensor(x), adj, params).data
+        permuted = sam_agg(Tensor(x[:, perm, :]), permuted_adj, params).data
         assert np.max(np.abs(permuted - base[:, perm, :])) < 1e-10
 
 
@@ -328,55 +336,85 @@ class TestStack:
         rng = np.random.default_rng(18)
         c, t, d = 3, 4, 8
         x = rng.standard_normal((c, t, d))
-        cfg = StackConfig(n_blocks=1, mechanism="sam")
-        blocks = init_stack_params(cfg, d, 2, rng)
-        stacked = st_stack(Tensor(x), cfg, blocks).data
-        manual = spatial_module(
-            temporal_module(Tensor(x), build_complete(t), blocks[0].temporal),
-            build_complete(c), blocks[0].spatial).data
-        assert np.max(np.abs(stacked - manual)) < 1e-12
+        blocks = init_stack_params("sam", 1, d, 2, rng)
+        stacked = st_stack(Tensor(x[None]), blocks, build_complete(t), all_channels(1, c)).data
+        temporal = np.stack([sam_agg(Tensor(x[ch]), build_complete(t), blocks[0].temporal).data
+                             for ch in range(c)])
+        manual = np.stack([sam_agg(Tensor(temporal[:, fr]), build_complete(c),
+                                   blocks[0].spatial).data for fr in range(t)], axis=1)
+        assert np.max(np.abs(stacked[0] - manual)) < 1e-12
 
     def test_two_blocks_preserve_shape(self):
         rng = np.random.default_rng(19)
-        c, t, d = 8, 10, 16
-        x = rng.standard_normal((c, t, d))
-        cfg = StackConfig(n_blocks=2, mechanism="gcn")
-        blocks = init_stack_params(cfg, d, 4, rng)
-        out = st_stack(Tensor(x), cfg, blocks)
-        assert out.shape == (c, t, d)
+        b, c, t, d = 2, 8, 10, 16
+        x = rng.standard_normal((b, c, t, d))
+        blocks = init_stack_params("gcn", 2, d, 4, rng)
+        out = st_stack(Tensor(x), blocks, build_complete(t), all_channels(b, c))
+        assert out.shape == (b, c, t, d)
 
     def test_matches_manual_composition(self):
         rng = np.random.default_rng(20)
         c, t, d = 4, 5, 8
         x = rng.standard_normal((c, t, d))
-        cfg = StackConfig(n_blocks=2, mechanism="gcn",
-                          temporal_graph=GraphSpec(kind="span", delta=1))
-        blocks = init_stack_params(cfg, d, 2, rng)
-        stacked = st_stack(Tensor(x), cfg, blocks).data
+        blocks = init_stack_params("gcn", 2, d, 2, rng)
         a_t = build_temporal_span(t, 1)
         a_s = build_complete(c)
+        stacked = st_stack(Tensor(x[None]), blocks, a_t, all_channels(1, c)).data
         cur = Tensor(x)
         for block in blocks:
-            cur = spatial_module(temporal_module(cur, a_t, block.temporal), a_s, block.spatial)
-        assert np.max(np.abs(stacked - cur.data)) < 1e-12
+            cur = dc.transpose(gcn_agg(cur, a_t, block.temporal), (1, 0, 2))
+            cur = dc.transpose(gcn_agg(cur, a_s, block.spatial), (1, 0, 2))
+        assert np.max(np.abs(stacked[0] - cur.data)) < 1e-12
 
-    def test_block_count_mismatch(self):
+    @pytest.mark.parametrize("mechanism", ["sam", "gcn"])
+    def test_batch_equals_each_utterance_alone(self, mechanism):
+        rng = np.random.default_rng(25)
+        b, c, t, d = 3, 5, 4, 8
+        x = rng.standard_normal((b, c, t, d))
+        masks = np.stack([random_mask(rng, c).entries for _ in range(b)])
+        a_t = build_temporal_span(t, 1)
+        blocks = init_stack_params(mechanism, 2, d, 2, rng)
+        joint = st_stack(Tensor(x), blocks, a_t, masks).data
+        for i in range(b):
+            alone = st_stack(Tensor(x[i:i + 1]), blocks, a_t, masks[i:i + 1]).data
+            assert np.max(np.abs(joint[i] - alone[0])) < 1e-12
+
+    def test_block_count_mismatch(self, tmp_path):
+        from adhocsv.trainer import Model, ModelConfig, load_model, model_config_to_json
+
         rng = np.random.default_rng(21)
-        cfg = StackConfig(n_blocks=2, mechanism="sam")
-        blocks = init_stack_params(StackConfig(n_blocks=1, mechanism="sam"), 4, 2, rng)
         with pytest.raises(ValueError):
-            st_stack(Tensor(rng.standard_normal((2, 3, 4))), cfg, blocks)
+            init_stack_params("sam", 0, 4, 2, rng)
+        one_block = Model.init(ModelConfig(mechanism="sam", n_blocks=1, heads=2, d=4), 2)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, one_block.params, meta={
+            "config": model_config_to_json(ModelConfig(mechanism="sam", n_blocks=2, heads=2, d=4)),
+            "n_speakers": 2})
+        with pytest.raises(ValueError, match="block1"):
+            load_model(path)
+
+    def test_shape_errors(self):
+        rng = np.random.default_rng(27)
+        blocks = init_stack_params("gcn", 1, 4, 2, rng)
+        x = Tensor(rng.standard_normal((2, 3, 5, 4)))
+        with pytest.raises(dc.ShapeError):
+            st_stack(Tensor(rng.standard_normal((3, 5, 4))), blocks, build_complete(5),
+                     all_channels(1, 3))
+        with pytest.raises(dc.ShapeError):
+            st_stack(x, blocks, build_complete(5), all_channels(1, 3))
+        with pytest.raises(dc.ShapeError):
+            st_stack(x, blocks, build_complete(4), all_channels(2, 3))
 
     def test_stack_gradients(self):
         rng = np.random.default_rng(22)
-        c, t, d = 2, 3, 4
-        x = rng.standard_normal((c, t, d))
-        cfg = StackConfig(n_blocks=1, mechanism="sam")
-        blocks = init_stack_params(cfg, d, 2, rng)
-        leaves = [x] + [p for b in blocks for p in b.parameters()]
+        b, c, t, d = 2, 2, 3, 4
+        x = rng.standard_normal((b, c, t, d))
+        blocks = init_stack_params("sam", 1, d, 2, rng)
+        masks = np.stack([random_mask(rng, c).entries for _ in range(b)])
+        leaves = [x] + [p for blk in blocks for p in blk.parameters()]
 
         def fn(xt, *ps):
-            return st_stack(xt, cfg, blocks)
+            return st_stack(xt, blocks, build_temporal_span(t, 1), masks)
 
         err = vjp_check(fn, leaves, rng=rng)
         assert err < 1e-5
@@ -397,8 +435,7 @@ class TestFrameTensor:
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(23)
-        cfg = StackConfig(n_blocks=1, mechanism="gcn")
-        blocks = init_stack_params(cfg, 8, 2, rng)
+        blocks = init_stack_params("gcn", 1, 8, 2, rng)
         params = ParamSet(p for b in blocks for p in b.parameters())
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, params, meta={"seed": 3, "config": {"mechanism": "gcn"}})

@@ -1,5 +1,7 @@
 """Training loop, embedding composition, scoring and EER behavior."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,9 @@ from hypothesis import strategies as st
 from adhocsv import diffcore as dc
 from adhocsv.chansel import prior_select, utterance_pool
 from adhocsv.diffcore import Tensor
-from adhocsv.graphs import SelectionMask
+from adhocsv.graphs import SelectionMask, build_complete, compose_prior
 from adhocsv.scenesim import SimConfig, make_codebook, sample_scene, synth_features
-from adhocsv.stagg import FrameTensor, GraphSpec, st_stack
+from adhocsv.stagg import FrameTensor, GraphSpec, save_checkpoint, st_stack
 from adhocsv.trainer import (
     DegenerateTaskError,
     MissingPriorError,
@@ -22,6 +24,7 @@ from adhocsv.trainer import (
     Trial,
     TrialSet,
     Utterance,
+    _forward,
     compute_eer,
     cosine_score,
     eer_from_scores,
@@ -31,6 +34,7 @@ from adhocsv.trainer import (
     evaluate,
     generate_trials,
     load_model,
+    model_config_to_json,
     read_trials_csv,
     save_model,
     subsample_channels,
@@ -60,6 +64,12 @@ def sweep_eer_oracle(tar, non):
             t = d1 / (d1 - d2)
             return far1 + t * (far2 - far1), th1 + t * (th2 - th1)
     raise AssertionError("no crossing found")
+
+
+SEED_CHECKPOINT = Path(__file__).parent / "data" / "seed_gcn_gpool.ckpt"
+SEED_EMBEDDING = np.array([
+    0.0335410289825484, -0.010554743908178517, 0.019718635200737352, 0.11365693349580103,
+    -0.012693176372146397, -0.012267316453707183, -0.03699145546461838, 0.04944154501705522])
 
 
 def toy_dataset(n_speakers=2, per_speaker=8, c=4, t=10, d=16, noise=0.05, seed=0):
@@ -158,7 +168,8 @@ class TestEmbed:
         cfg = ModelConfig(mechanism="gcn", n_blocks=1, heads=2, d=8, seed=3)
         model = Model.init(cfg, n_speakers=2)
         via_embed = embed(model, FrameTensor(x))
-        z = st_stack(Tensor(x), model.stack_cfg, model.blocks)
+        z = st_stack(Tensor(x[None]), model.blocks, build_complete(5), np.ones((1, 4, 4), bool))
+        z = z.data[0]
         via_mask = utterance_pool(prior_select(z, SelectionMask(np.ones(4, dtype=bool)))).data
         assert np.allclose(via_embed, via_mask, atol=1e-12)
 
@@ -167,7 +178,8 @@ class TestEmbed:
         x = rng.standard_normal((3, 4, 8))
         cfg = ModelConfig(mechanism="sam", n_blocks=2, heads=2, d=8, seed=4)
         model = Model.init(cfg, n_speakers=2)
-        manual = utterance_pool(st_stack(Tensor(x), model.stack_cfg, model.blocks)).data
+        z = st_stack(Tensor(x[None]), model.blocks, build_complete(4), np.ones((1, 3, 3), bool))
+        manual = utterance_pool(z.data[0]).data
         assert np.allclose(embed(model, FrameTensor(x)), manual, atol=1e-12)
 
     def test_channel_permutation_invariance_with_complete_graph(self):
@@ -215,6 +227,53 @@ class TestEmbed:
             ModelConfig(mechanism="mean", selection=SelectionConfig(kind="gpool"))
 
 
+PARITY_CASES = [(m, s, g) for m in ("sam", "gcn") for s in ("none", "prior", "gpool")
+                for g in ("complete", "span")] + [("mean", "none", "complete")]
+
+
+@pytest.mark.parametrize("mechanism,selection,temporal", PARITY_CASES)
+def test_batch_forward_matches_each_utterance_alone(mechanism, selection, temporal):
+    rng = np.random.default_rng(30)
+    b, c, t, d = 4, 5, 6, 8
+    sim = SimConfig(n_nodes=c, t=t, d=d)
+    scenes = [sample_scene(rng, sim) for _ in range(b)]
+    xs = rng.standard_normal((b, c, t, d))
+    cfg = ModelConfig(mechanism=mechanism, n_blocks=2, heads=2, d=d,
+                      selection=SelectionConfig(kind=selection),
+                      temporal_graph=GraphSpec(kind=temporal, delta=1), seed=31)
+    model = Model.init(cfg, n_speakers=2)
+    embs, infos = _forward(model, xs, scenes)
+    assert embs.shape == (b, d)
+    for i in range(b):
+        alone, info = embed_with_info(model, FrameTensor(xs[i]), scenes[i])
+        assert np.max(np.abs(embs.data[i] - alone)) <= 1e-12
+        assert infos[i]["mechanism"] == info["mechanism"]
+        assert infos[i]["selected_indices"] == info["selected_indices"]
+        if info["gates"] is None:
+            assert infos[i]["gates"] is None
+        else:
+            assert np.max(np.abs(np.subtract(infos[i]["gates"], info["gates"]))) <= 1e-12
+
+
+def test_batched_prior_pooling_matches_per_utterance_reference():
+    rng = np.random.default_rng(32)
+    b, c, t, d = 4, 6, 3, 8
+    sim = SimConfig(n_nodes=c, t=t, d=d)
+    scenes = [sample_scene(rng, sim) for _ in range(b)]
+    xs = rng.standard_normal((b, c, t, d))
+    cfg = ModelConfig(mechanism="gcn", n_blocks=1, heads=2, d=d,
+                      selection=SelectionConfig(kind="prior", rho=0.7), seed=32)
+    model = Model.init(cfg, n_speakers=2)
+    embs, infos = _forward(model, xs, scenes)
+    priors = [compose_prior(scene, 0.7) for scene in scenes]
+    z = st_stack(Tensor(xs), model.blocks, build_complete(t),
+                 np.stack([a.entries for a, _ in priors])).data
+    for i, (_, mask) in enumerate(priors):
+        assert infos[i]["selected_indices"] == mask.indices().tolist()
+        reference = utterance_pool(prior_select(z[i], mask)).data
+        assert np.max(np.abs(embs.data[i] - reference)) <= 1e-12
+
+
 class TestTraining:
     def test_zero_learning_rate_freezes_parameters(self):
         dataset = toy_dataset(c=2, t=3, d=8)
@@ -251,6 +310,13 @@ class TestTraining:
         dataset = toy_dataset(n_speakers=1, per_speaker=4, c=2, t=2, d=8)
         cfg = ModelConfig(mechanism="gcn", n_blocks=1, heads=2, d=8)
         with pytest.raises(DegenerateTaskError):
+            train_second_stage(dataset, cfg, TrainHyper(epochs=1))
+
+    @pytest.mark.parametrize("mechanism", ["gcn", "mean"])
+    def test_ragged_training_set_rejected(self, mechanism):
+        dataset = toy_dataset(c=3, t=4, d=8) + toy_dataset(c=2, t=4, d=8, seed=1)[:1]
+        cfg = ModelConfig(mechanism=mechanism, n_blocks=1, heads=2, d=8)
+        with pytest.raises(DegenerateTaskError, match=r"\(2, 4, 8\).*\(3, 4, 8\)"):
             train_second_stage(dataset, cfg, TrainHyper(epochs=1))
 
     def test_mean_baseline_trains_only_head(self):
@@ -343,6 +409,29 @@ class TestModelIO:
         assert np.array_equal(embed(model, x), embed(again, x))
         assert again.cfg == model.cfg
         assert again.n_speakers == model.n_speakers
+
+    def test_seed_checkpoint_loads_and_embeds_identically(self):
+        # Written before the removed settings were deleted: its config still
+        # records warm_start, head, head_scale and selection.pool_all at
+        # their defaults.  The expected embedding was computed by that code.
+        model = load_model(SEED_CHECKPOINT)
+        assert model.cfg == ModelConfig(mechanism="gcn", n_blocks=1, heads=2, d=8,
+                                        selection=SelectionConfig(kind="gpool"), seed=41)
+        x = FrameTensor(np.random.default_rng(40).standard_normal((5, 6, 8)))
+        assert np.array_equal(embed(model, x), SEED_EMBEDDING)
+
+    @pytest.mark.parametrize("section,key,value", [
+        (None, "head", "cosine"), (None, "head_scale", 30.0), (None, "warm_start", True),
+        ("selection", "pool_all", True),
+    ])
+    def test_removed_setting_rejected(self, tmp_path, section, key, value):
+        model = Model.init(ModelConfig(mechanism="gcn", n_blocks=1, heads=2, d=8), n_speakers=2)
+        config = model_config_to_json(model.cfg)
+        (config if section is None else config[section])[key] = value
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model.params, meta={"config": config, "n_speakers": 2})
+        with pytest.raises(ValueError, match=key):
+            load_model(path)
 
     def test_gpool_params_round_trip(self, tmp_path):
         cfg = ModelConfig(mechanism="gcn", n_blocks=1, heads=2, d=8,
