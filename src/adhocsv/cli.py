@@ -301,7 +301,10 @@ def cmd_train(args) -> int:
     if args.resume and os.path.exists(ckpt_path):
         from .stagg import load_checkpoint
 
-        manifest, _ = load_checkpoint(ckpt_path)
+        try:
+            manifest, _ = load_checkpoint(ckpt_path)
+        except ValueError as err:
+            raise DataError(f"cannot load checkpoint {ckpt_path}: {err}") from err
         try:
             # Round-trip: removed settings recorded at their no-op values still match.
             trained_with = model_config_to_json(model_config_from_json(manifest["config"]))

@@ -36,6 +36,7 @@ __all__ = [
     "reshape",
     "concat",
     "stack_rows",
+    "windows",
     "take_rows",
     "sum_axis",
     "mean_axis",
@@ -344,6 +345,42 @@ def stack_rows(tensors) -> Tensor:
     return Tensor(out_data, _parents=tuple(tensors), _vjp=vjp)
 
 
+def windows(a, size: int, step: int, offset: int, count: int) -> Tensor:
+    """Overlapping row windows: (..., N, D) -> (..., count, size, D).
+
+    Window i holds rows ``i * step - offset + [0, size)`` of ``a``; rows
+    outside [0, N) read as zeros.  The VJP adds each window's cotangent
+    back onto the rows it was read from (overlap-add) in ceil(size / step)
+    strided adds, so a plain crop (count 1) should pass ``step >= size``.
+    """
+    a = _as_tensor(a)
+    if a.ndim < 2:
+        raise ShapeError("windows input must be (..., N, D)")
+    if size < 1 or step < 1 or count < 1 or offset < 0:
+        raise ValueError(f"windows needs size, step, count >= 1 and offset >= 0, "
+                         f"got {size}, {step}, {count}, {offset}")
+    lead, n, d = a.shape[:-2], a.shape[-2], a.shape[-1]
+    pieces = -(-size // step)
+    padded_len = max(offset + n, (count + pieces - 1) * step)
+    padded = np.zeros(lead + (padded_len, d))
+    padded[..., offset:offset + n, :] = a.data
+    # np.take keeps the result C-ordered; indexing padded[..., idx, :] would
+    # put the window axes outermost in memory and slow every later matmul.
+    out_data = np.take(padded, (np.arange(count) * step)[:, None] + np.arange(size), axis=-2)
+
+    def vjp(g):
+        gpad = np.zeros(lead + (padded_len, d))
+        for k in range(pieces):
+            # Piece k of every window: window i's rows k*step + [0, width) land on
+            # padded rows (i + k)*step + [0, width), one disjoint step-row slot per i.
+            width = min(step, size - k * step)
+            slots = gpad[..., k * step:(k + count) * step, :].reshape(lead + (count, step, d))
+            slots[..., :width, :] += g[..., k * step:k * step + width, :]
+        return (gpad[..., offset:offset + n, :],)
+
+    return Tensor(out_data, _parents=(a,), _vjp=vjp)
+
+
 def take_rows(a, idx) -> Tensor:
     """Select rows along axis 0; gradients scatter-add back."""
     a = _as_tensor(a)
@@ -428,9 +465,17 @@ def sigmoid(x) -> Tensor:
 def masked_softmax(logits, mask) -> Tensor:
     """Row-wise softmax over masked-in entries only.
 
-    ``logits`` has shape (..., N, N); ``mask`` is a boolean (N, N) array
-    (an adjacency) shared across any leading batch axes, or a batched
-    boolean array broadcastable to the logits shape (one mask per slice).
+    ``logits`` has shape (..., R, K): R query rows scored against K keys.
+    ``mask`` is a boolean array whose last two axes are (R, K) and that
+    broadcasts to the logits shape without adding axes.  The shapes in use:
+
+    - (N, N): one adjacency shared across all leading batch axes;
+    - (B, 1, N, N) and the like: one graph per batch slice, broadcast
+      over the axes of size 1 (the per-utterance spatial graphs);
+    - (nb, R, K): the block layout of a banded graph, block b's R query
+      rows against the K rows of its key window (``stagg``), shared
+      across the axes before the block axis.
+
     Masked-out entries of the result are exactly zero; each row sums to
     one over its masked-in entries.  Stabilized by subtracting the
     per-row max over masked-in entries, so masked-out logits never

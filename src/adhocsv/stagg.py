@@ -12,12 +12,33 @@ is the one place that picks between them.
 Output width equals input width (head dim = D / heads), so blocks stack
 without projections.  There are no residuals or inter-block
 nonlinearities; blocks are plain compositions with unshared parameters.
+
+Each aggregation call computes its attention in one of two layouts; the
+mechanisms' equations are the same in both, and so are the results up to
+rounding.
+
+- Dense: every node's query meets every node's key, an (..., N, N)
+  attention masked by the graph.  Complete graphs, batched masks (the
+  per-utterance spatial graphs) and short sequences use it.
+- Block: when the mask is one (N, N) graph whose masked-in entries all lie
+  within a bandwidth delta = max |i - j| of the diagonal (a span graph)
+  and 2 * (4 delta + 1) <= N, queries are cut into blocks of 2 delta + 1
+  rows, keys and values into overlapping windows of 4 delta + 1 rows
+  (:func:`diffcore.windows`), and each block attends only to its window:
+  (..., nb, 2 delta + 1, 4 delta + 1) with nb = ceil(N / (2 delta + 1)).
+  The block mask is gathered from the graph itself, so any banded graph
+  (symmetric or not) keeps its exact edges.  Query rows padded past N see
+  only themselves and are cropped from the output.  Past the threshold
+  the block layout computes at most about half the dense entries.
+
+``with_weights=True`` returns dense (..., N, N) weights in either layout.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -175,6 +196,74 @@ def _mask_of(a) -> np.ndarray:
     return a.entries if isinstance(a, Adjacency) else np.asarray(a, dtype=bool)
 
 
+class _Layout:
+    """Where one aggregation call computes its attention (see the module docstring).
+
+    ``mask`` is the aggregation's boolean mask; in the block layout it is
+    replaced by the (nb, 2 delta + 1, 4 delta + 1) block mask.
+    """
+
+    def __init__(self, mask: np.ndarray):
+        self.n = mask.shape[-1]
+        self.mask = mask
+        self.blocked = False
+        if mask.ndim != 2 or mask.shape[0] != self.n or not mask.any():
+            return
+        rows, cols = np.nonzero(mask)
+        delta = int(np.abs(rows - cols).max())
+        self.block, self.window = 2 * delta + 1, 4 * delta + 1
+        if 2 * self.window > self.n:
+            return
+        self.blocked = True
+        self.delta = delta
+        self.count = -(-self.n // self.block)
+        # Block b's query row r is frame b*block + r; its window column c is
+        # frame b*block - delta + c.
+        qi = np.arange(self.count * self.block).reshape(self.count, self.block, 1)
+        ki = (np.arange(self.count) * self.block - delta)[:, None, None] + np.arange(self.window)
+        qi, ki = np.broadcast_arrays(qi, ki)
+        self._inside = (qi < self.n) & (ki >= 0) & (ki < self.n)
+        self._rows, self._cols = qi[self._inside], ki[self._inside]
+        self.mask = np.zeros(qi.shape, dtype=bool)
+        self.mask[self._inside] = mask[self._rows, self._cols]
+        self.mask |= (qi >= self.n) & (ki == qi)  # padded query rows see only themselves
+
+    def queries(self, t: Tensor) -> Tensor:
+        """(..., N, d) rows as queries: (..., nb, 2 delta + 1, d) in the block layout."""
+        if not self.blocked:
+            return t
+        return dc.windows(t, self.block, self.block, 0, self.count)
+
+    def keys(self, t: Tensor) -> Tensor:
+        """(..., N, d) rows as keys/values: (..., nb, 4 delta + 1, d) in the block layout."""
+        if not self.blocked:
+            return t
+        return dc.windows(t, self.window, self.block, self.delta, self.count)
+
+    def key_row(self, s: Tensor) -> Tensor:
+        """(..., N) per-key scores as a row: (..., 1, N), or (..., nb, 1, 4 delta + 1)."""
+        if not self.blocked:
+            return dc.reshape(s, s.shape[:-1] + (1, self.n))
+        windowed = self.keys(dc.reshape(s, s.shape + (1,)))
+        return dc.reshape(windowed, windowed.shape[:-2] + (1, self.window))
+
+    def crop(self, out: Tensor) -> Tensor:
+        """Aggregated query rows back to (..., N, d)."""
+        if not self.blocked:
+            return out
+        lead, d = out.shape[:-3], out.shape[-1]
+        flat = dc.reshape(out, lead + (self.count * self.block, d))
+        return dc.reshape(dc.windows(flat, self.n, self.n, 0, 1), lead + (self.n, d))
+
+    def dense_weights(self, attn: Tensor) -> Tensor:
+        """Attention weights as (..., N, N); block-layout weights come back as a constant."""
+        if not self.blocked:
+            return attn
+        dense = np.zeros(attn.shape[:-3] + (self.n, self.n))
+        dense[..., self._rows, self._cols] = attn.data[..., self._inside]
+        return Tensor(dense)
+
+
 def _check_agg_inputs(x: Tensor, mask: np.ndarray, params: AggParams, mechanism: str) -> None:
     if params.mechanism != mechanism:
         raise ValueError(f"params carry mechanism {params.mechanism!r}, expected {mechanism!r}")
@@ -196,23 +285,25 @@ def sam_agg(x, a, params: AggParams, with_weights: bool = False):
 
     ``x``: (..., N, D); leading axes are independent batch slices.
     ``a``: an Adjacency, or a boolean mask array broadcastable over the
-    batch axes (one graph per slice).
+    batch axes (one graph per slice).  A single banded graph runs in the
+    block layout (see the module docstring).
     """
     x = _as_tensor(x)
     mask = _mask_of(a)
     _check_agg_inputs(x, mask, params, "sam")
+    layout = _Layout(mask)
     inv_sqrt_d = 1.0 / math.sqrt(params.d_head)
     outs, weights = [], []
     for head in params.heads:
-        q = dc.matmul(x, head["wq"])
-        k = dc.matmul(x, head["wk"])
-        v = dc.matmul(x, head["wv"])
+        q = layout.queries(dc.matmul(x, head["wq"]))
+        k = layout.keys(dc.matmul(x, head["wk"]))
+        v = layout.keys(dc.matmul(x, head["wv"]))
         scores = dc.scale(dc.matmul(q, _swap_last(k)), inv_sqrt_d)
-        attn = dc.masked_softmax(scores, mask)
+        attn = dc.masked_softmax(scores, layout.mask)
         outs.append(dc.matmul(attn, v))
         weights.append(attn)
-    out = dc.concat(outs, axis=-1)
-    return (out, weights) if with_weights else out
+    out = layout.crop(dc.concat(outs, axis=-1))
+    return (out, [layout.dense_weights(w) for w in weights]) if with_weights else out
 
 
 def gcn_agg(x, a, params: AggParams, with_weights: bool = False):
@@ -228,6 +319,7 @@ def gcn_agg(x, a, params: AggParams, with_weights: bool = False):
     x = _as_tensor(x)
     mask = _mask_of(a)
     _check_agg_inputs(x, mask, params, "gcn")
+    layout = _Layout(mask)
     d = params.d_head
     outs, weights = [], []
     for head in params.heads:
@@ -239,13 +331,12 @@ def gcn_agg(x, a, params: AggParams, with_weights: bool = False):
         # because LeakyReLU acts elementwise on the two halves independently.
         s_l = dc.matvec(dc.leaky_relu(gl, params.leaky_slope), beta_l)
         s_r = dc.matvec(dc.leaky_relu(gr, params.leaky_slope), beta_r)
-        col = dc.reshape(s_l, s_l.shape + (1,))
-        row = dc.reshape(s_r, s_r.shape[:-1] + (1, s_r.shape[-1]))
-        attn = dc.masked_softmax(dc.add(col, row), mask)
-        outs.append(dc.matmul(attn, gr))
+        col = layout.queries(dc.reshape(s_l, s_l.shape + (1,)))
+        attn = dc.masked_softmax(dc.add(col, layout.key_row(s_r)), layout.mask)
+        outs.append(dc.matmul(attn, layout.keys(gr)))
         weights.append(attn)
-    out = dc.concat(outs, axis=-1)
-    return (out, weights) if with_weights else out
+    out = layout.crop(dc.concat(outs, axis=-1))
+    return (out, [layout.dense_weights(w) for w in weights]) if with_weights else out
 
 
 def build_graph(spec: GraphSpec, n: int, positions=None) -> Adjacency:
@@ -310,20 +401,47 @@ def save_checkpoint(path, params: ParamSet, meta: dict | None = None) -> None:
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a checkpoint; returns (manifest, name -> float64 array)."""
+    """Read a checkpoint; returns (manifest, name -> float64 array).
+
+    Every length the file declares (header, parameter shapes) is checked
+    against the bytes actually left in it before anything is read, so a
+    corrupt or hostile file raises ``ValueError`` naming it, never a
+    ``MemoryError``.
+    """
     with open(path, "rb") as f:
+        left = os.fstat(f.fileno()).st_size
+        if left < 8:
+            raise ValueError(f"{path}: too short for a checkpoint header ({left} bytes)")
         (header_len,) = struct.unpack("<Q", f.read(8))
-        manifest = json.loads(f.read(header_len).decode("utf-8"))
-        if manifest.get("format") != "adhocsv-checkpoint":
+        left -= 8
+        if header_len > left:
+            raise ValueError(f"{path}: header claims {header_len} bytes, file has {left} left")
+        try:
+            manifest = json.loads(f.read(header_len).decode("utf-8"))
+        except ValueError as err:
+            raise ValueError(f"{path}: header is not a JSON manifest ({err})") from err
+        left -= header_len
+        if not isinstance(manifest, dict) or manifest.get("format") != "adhocsv-checkpoint":
             raise ValueError(f"{path}: not a checkpoint file")
+        if manifest.get("version") != 1:
+            raise ValueError(f"{path}: unsupported checkpoint version {manifest.get('version')!r}")
+        entries = manifest.get("params")
+        if not isinstance(entries, list):
+            raise ValueError(f"{path}: manifest has no parameter list")
         values: dict[str, np.ndarray] = {}
-        for entry in manifest["params"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = f.read(count * 8)
-            if len(raw) != count * 8:
-                raise ValueError(f"{path}: truncated blob for {entry['name']!r}")
-            values[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
-        if f.read(1):
+        for entry in entries:
+            name = entry.get("name") if isinstance(entry, dict) else None
+            shape = entry.get("shape") if isinstance(entry, dict) else None
+            if (not isinstance(name, str) or not isinstance(shape, list)
+                    or not all(isinstance(n, int) and n >= 0 for n in shape)):
+                raise ValueError(f"{path}: malformed parameter entry {entry!r}")
+            nbytes = 8 * math.prod(shape)
+            if nbytes > left:
+                raise ValueError(f"{path}: truncated blob for {name!r} "
+                                 f"({nbytes} bytes declared, {left} left)")
+            raw = f.read(nbytes)
+            left -= nbytes
+            values[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+        if left:
             raise ValueError(f"{path}: trailing bytes after last parameter")
     return manifest, values

@@ -521,6 +521,9 @@ def save_model(path, model: Model) -> None:
 
 def load_model(path) -> Model:
     manifest, values = load_checkpoint(path)
+    missing = [key for key in ("config", "n_speakers") if key not in manifest]
+    if missing:
+        raise ValueError(f"{path}: checkpoint manifest lacks {missing}")
     cfg = model_config_from_json(manifest["config"])
     model = Model.init(cfg, n_speakers=int(manifest["n_speakers"]))
     missing = [p.name for p in model.params if p.name not in values]

@@ -38,6 +38,26 @@ TINY_CONFIG = {
 }
 
 
+def checkpoint_bytes(manifest: dict, header_len: int | None = None, blobs: bytes = b"") -> bytes:
+    header = json.dumps(manifest).encode("utf-8")
+    length = len(header) if header_len is None else header_len
+    return length.to_bytes(8, "little") + header + blobs
+
+
+_CKPT = {"format": "adhocsv-checkpoint", "version": 1}
+
+# Each is a file that eval and train --resume must refuse as a data error naming it.
+CORRUPT_CHECKPOINTS = {
+    "short": b"\x10\x00\x00",
+    "huge_header": checkpoint_bytes(_CKPT | {"params": []}, header_len=10**12),
+    "huge_param": checkpoint_bytes(_CKPT | {"params": [{"name": "w", "shape": [10**7, 10**6]}]},
+                                   blobs=bytes(64)),
+    "not_a_checkpoint": checkpoint_bytes({"format": "something-else", "params": []}),
+    "bad_shape": checkpoint_bytes(_CKPT | {"params": [{"name": "w", "shape": [-1, 2]}]}),
+    "no_config": checkpoint_bytes(_CKPT | {"params": []}),
+}
+
+
 @pytest.fixture()
 def config_path(tmp_path):
     path = tmp_path / "config.json"
@@ -50,7 +70,8 @@ def tree_bytes(root):
     for dirpath, _, files in os.walk(root):
         for name in files:
             full = os.path.join(dirpath, name)
-            out[os.path.relpath(full, root)] = open(full, "rb").read()
+            with open(full, "rb") as f:
+                out[os.path.relpath(full, root)] = f.read()
     return out
 
 
@@ -201,7 +222,8 @@ class TestTrainEval:
         assert all(s["mechanism"] == "none" for s in selection)
 
     def test_ragged_training_set_is_data_error(self, tmp_path, config_path, dataset, capsys):
-        manifest = json.loads(open(os.path.join(dataset, "manifest.json")).read())
+        with open(os.path.join(dataset, "manifest.json"), encoding="utf-8") as f:
+            manifest = json.load(f)
         entry = next(e for e in manifest["utterances"] if e["split"] == "train")
         path = os.path.join(dataset, entry["features"])
         write_features(path, FrameTensor(read_features(path).data[:2]))
@@ -236,6 +258,21 @@ class TestTrainEval:
         assert main(["train", "--config", config_path, "--data", dataset,
                      "--out", str(run), "--resume", "--quiet"]) == 0
         assert (run / "model.ckpt").read_bytes() == before
+
+    @pytest.mark.parametrize("blob", sorted(CORRUPT_CHECKPOINTS))
+    def test_corrupt_checkpoint_is_data_error(self, tmp_path, config_path, dataset, capsys,
+                                              blob):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(CORRUPT_CHECKPOINTS[blob])
+        assert main(["eval", "--config", config_path, "--ckpt", str(path),
+                     "--data", dataset, "--out", str(tmp_path / "e"), "--quiet"]) == 3
+        assert "bad.ckpt" in capsys.readouterr().err
+        run = tmp_path / "run"
+        run.mkdir()
+        path.replace(run / "model.ckpt")
+        assert main(["train", "--config", config_path, "--data", dataset,
+                     "--out", str(run), "--resume", "--quiet"]) == 3
+        assert "model.ckpt" in capsys.readouterr().err
 
     def test_eval_missing_checkpoint(self, tmp_path, config_path, dataset):
         assert main(["eval", "--config", config_path, "--ckpt", str(tmp_path / "nope.ckpt"),

@@ -296,6 +296,53 @@ class TestPlumbingKernels:
         assert err < 1e-7
 
 
+def loop_windows(a, size, step, offset, count):
+    """Window i holds rows i*step - offset + [0, size), zero outside the input."""
+    out = np.zeros(a.shape[:-2] + (count, size, a.shape[-1]))
+    for i in range(count):
+        for j in range(size):
+            row = i * step - offset + j
+            if 0 <= row < a.shape[-2]:
+                out[..., i, j, :] = a[..., row, :]
+    return out
+
+
+class TestWindows:
+    # (n, size, step, offset, count): overlapping key windows of a span
+    # graph with N not a multiple of the block size, delta = 0, query
+    # blocks, a count-1 crop, and windows with gaps between them.
+    CASES = [(7, 5, 3, 1, 3), (10, 9, 5, 2, 2), (4, 1, 1, 0, 4), (9, 3, 3, 0, 3),
+             (12, 9, 9, 0, 1), (6, 2, 3, 0, 2)]
+
+    @pytest.mark.parametrize("n, size, step, offset, count", CASES)
+    def test_matches_loop_oracle(self, n, size, step, offset, count):
+        a = np.random.default_rng(n).standard_normal((2, 3, n, 4))
+        out = dc.windows(Tensor(a), size, step, offset, count)
+        assert np.array_equal(out.data, loop_windows(a, size, step, offset, count))
+        assert out.data.flags.c_contiguous  # strided windows slow every matmul that reads them
+
+    @pytest.mark.parametrize("n, size, step, offset, count", CASES)
+    def test_gradient_is_overlap_add(self, n, size, step, offset, count):
+        rng = np.random.default_rng(30 + n)
+        err = vjp_check(lambda t: dc.windows(t, size, step, offset, count),
+                        [rng.standard_normal((2, n, 3))], rng=rng)
+        assert err < 1e-8
+
+    def test_overlap_counts_rows_read_twice(self):
+        x = Tensor(np.zeros((5, 1)), requires_grad=True)
+        dc.windows(x, 3, 2, 1, 3).backward(np.ones((3, 3, 1)))
+        # windows read rows -1..1, 1..3, 3..5: rows 1 and 3 twice, the rest once
+        assert np.array_equal(x.grad[:, 0], [1.0, 2.0, 1.0, 2.0, 1.0])
+
+    def test_rejects_bad_arguments(self):
+        x = Tensor(np.zeros((5, 2)))
+        with pytest.raises(dc.ShapeError):
+            dc.windows(Tensor(np.zeros(5)), 2, 2, 0, 2)
+        for size, step, offset, count in ((0, 1, 0, 1), (2, 0, 0, 1), (2, 1, -1, 1), (2, 1, 0, 0)):
+            with pytest.raises(ValueError):
+                dc.windows(x, size, step, offset, count)
+
+
 class TestPurity:
     def test_kernels_do_not_mutate_inputs(self):
         rng = np.random.default_rng(22)

@@ -1,5 +1,6 @@
 """Aggregation mechanisms against loop-level reference implementations."""
 
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from adhocsv import diffcore as dc
 from adhocsv.diffcore import Parameter, ParamSet, Tensor, vjp_check
-from adhocsv.graphs import build_complete, build_temporal_span
+from adhocsv.graphs import Adjacency, build_complete, build_temporal_span
 from adhocsv.stagg import (
     AggParams,
     FrameTensor,
@@ -246,6 +247,117 @@ class TestGcnAgg:
         assert err < 1e-5
 
 
+def run_agg(agg, x, mask, params):
+    """[output, input gradient, *parameter gradients, *weights] of one call."""
+    xt = Tensor(x, requires_grad=True)
+    out, weights = agg(xt, mask, params, with_weights=True)
+    out.backward(np.random.default_rng(0).standard_normal(out.shape))
+    grads = [p.grad.copy() for p in params.parameters()]
+    for p in params.parameters():
+        p.zero_grad()
+    return [out.data, xt.grad, *grads, *(w.data for w in weights)]
+
+
+def softmax_mask_shapes(monkeypatch):
+    """Record the mask shape of every masked_softmax call."""
+    shapes = []
+    real = dc.masked_softmax
+
+    def spy(logits, mask):
+        shapes.append(np.shape(mask))
+        return real(logits, mask)
+
+    monkeypatch.setattr(dc, "masked_softmax", spy)
+    return shapes
+
+
+def trailing_band(t, delta):
+    """Asymmetric banded graph: frame i sees frames i - delta .. i."""
+    idx = np.arange(t)
+    diff = idx[:, None] - idx[None, :]
+    return Adjacency(n=t, entries=(diff >= 0) & (diff <= delta), symmetric=delta == 0)
+
+
+class TestBlockLayout:
+    """A single banded graph runs block-local; a batched copy of its mask runs dense."""
+
+    # (t, delta, blocked): 2 * (4 delta + 1) <= t picks the block layout.
+    CASES = [(9, 0, True), (1, 0, False), (10, 1, True), (9, 1, False), (26, 3, True),
+             (25, 3, False), (40, 3, True)]
+
+    @pytest.mark.parametrize("mechanism", ["sam", "gcn"])
+    @pytest.mark.parametrize("t, delta, blocked", CASES)
+    def test_matches_dense(self, monkeypatch, mechanism, t, delta, blocked):
+        rng = np.random.default_rng(40 + t + delta)
+        d = 8
+        x = rng.standard_normal((2, 3, t, d))
+        params = init_agg_params(mechanism, d, 2, rng, "block0.temporal")
+        agg = sam_agg if mechanism == "sam" else gcn_agg
+        adj = build_temporal_span(t, delta)
+        shapes = softmax_mask_shapes(monkeypatch)
+        local = run_agg(agg, x, adj, params)
+        dense = run_agg(agg, x, adj.entries[None], params)
+        n_blocks = -(-t // (2 * delta + 1))
+        expected = (n_blocks, 2 * delta + 1, 4 * delta + 1) if blocked else (t, t)
+        assert shapes[0] == expected and shapes[-1] == (1, t, t)
+        for a, b in zip(local, dense, strict=True):
+            assert a.shape == b.shape and np.max(np.abs(a - b)) <= 1e-12
+
+    @pytest.mark.parametrize("mechanism", ["sam", "gcn"])
+    def test_asymmetric_band_follows_the_mask(self, monkeypatch, mechanism):
+        rng = np.random.default_rng(41)
+        t, d, delta = 23, 4, 2
+        x = rng.standard_normal((t, d))
+        params = init_agg_params(mechanism, d, 2, rng, "block0.temporal")
+        agg = sam_agg if mechanism == "sam" else gcn_agg
+        adj = trailing_band(t, delta)
+        shapes = softmax_mask_shapes(monkeypatch)
+        out, weights = agg(Tensor(x), adj, params, with_weights=True)
+        assert shapes[0] == (5, 5, 9)
+        if mechanism == "sam":
+            ref = reference_masked_attention(x, adj.entries, head_arrays(params))
+        else:
+            ref = reference_additive_attention(x, adj.entries, head_arrays(params), 0.2)
+        assert np.max(np.abs(out.data - ref)) < 1e-10
+        for w in weights:
+            assert w.shape == (t, t)
+            assert np.all(w.data[~adj.entries] == 0.0)
+            assert np.allclose(w.data.sum(axis=1), 1.0)
+
+    def test_weights_are_dense_in_both_layouts(self):
+        rng = np.random.default_rng(42)
+        t, d = 31, 4
+        x = rng.standard_normal((3, t, d))
+        params = init_agg_params("gcn", d, 2, rng, "t")
+        adj = build_temporal_span(t, 2)
+        _, local = gcn_agg(Tensor(x), adj, params, with_weights=True)
+        _, dense = gcn_agg(Tensor(x), adj.entries[None], params, with_weights=True)
+        for a, b in zip(local, dense):
+            assert a.shape == b.shape == (3, t, t)
+            assert np.max(np.abs(a.data - b.data)) <= 1e-15
+            assert np.all(a.data[:, ~adj.entries] == 0.0)
+
+    @pytest.mark.parametrize("mechanism", ["sam", "gcn"])
+    def test_stack_with_span_graph_matches_dense(self, mechanism):
+        rng = np.random.default_rng(43)
+        b, c, t, d = 2, 3, 24, 8
+        x = rng.standard_normal((b, c, t, d))
+        blocks = init_stack_params(mechanism, 2, d, 2, rng)
+        masks = np.stack([random_mask(rng, c).entries for _ in range(b)])
+        a_t = build_temporal_span(t, 2)
+        leaves = [p for blk in blocks for p in blk.parameters()]
+        results = []
+        for temporal in (a_t, a_t.entries[None, None]):
+            xt = Tensor(x, requires_grad=True)
+            out = st_stack(xt, blocks, temporal, masks)
+            out.backward(np.random.default_rng(0).standard_normal(out.shape))
+            results.append([out.data, xt.grad] + [p.grad.copy() for p in leaves])
+            for p in leaves:
+                p.zero_grad()
+        for a, b_ in zip(*results):
+            assert np.max(np.abs(a - b_)) <= 1e-12
+
+
 def per_frame_agg(agg, y, a_s, params):
     """Spatial pass over a (C, T, D) tensor: one aggregation per frame."""
     by_frame = dc.transpose(Tensor(y), (1, 0, 2))
@@ -449,7 +561,30 @@ class TestCheckpoint:
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"\x10\x00\x00\x00\x00\x00\x00\x00" + b"{" + b"x" * 15)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="bad.ckpt"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("header_len, manifest, tail", [
+        (10**12, {"params": []}, b""),
+        (None, {"params": [{"name": "w", "shape": [10**7, 10**6]}]}, bytes(64)),
+        (None, {"params": [{"name": "w", "shape": [2, 2]}]}, bytes(24)),
+        (None, {"params": [{"name": "w", "shape": [2, 2.5]}]}, bytes(40)),
+        (None, {"params": "w"}, b""),
+        (None, {"params": [], "version": 2}, b""),
+    ], ids=["huge_header", "huge_param", "truncated_param", "fractional_shape", "params_not_a_list",
+            "unknown_version"])
+    def test_declared_sizes_are_bounded_by_the_file(self, tmp_path, header_len, manifest, tail):
+        header = json.dumps({"format": "adhocsv-checkpoint", "version": 1, **manifest}).encode()
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes((header_len or len(header)).to_bytes(8, "little") + header + tail)
+        with pytest.raises(ValueError, match="bad.ckpt"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("size", [0, 3, 7])
+    def test_rejects_file_shorter_than_header_length(self, tmp_path, size):
+        path = tmp_path / "short.ckpt"
+        path.write_bytes(bytes(size))
+        with pytest.raises(ValueError, match="short.ckpt"):
             load_checkpoint(path)
 
     def test_byte_identical_saves(self, tmp_path):
