@@ -83,7 +83,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _vjp=None):
         arr = np.asarray(data, dtype=np.float64)
-        if _CHECK_FINITE and not np.all(np.isfinite(arr)):
+        if _CHECK_FINITE and not np.isfinite(arr).all():
             raise NonFiniteError("tensor holds NaN or Inf")
         self.data = arr
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)

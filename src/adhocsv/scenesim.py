@@ -12,6 +12,7 @@ directly at the feature level.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -38,6 +39,7 @@ WALL_MARGIN = 0.1  # meters; "strictly inside" made concrete
 
 FEATURE_MAGIC = b"ADHC"
 FEATURE_VERSION = 1
+FEATURE_HEADER_BYTES = 20  # magic, then u32 version, C, T, D
 
 
 @dataclass(frozen=True)
@@ -242,15 +244,30 @@ def write_features(path, ft: FrameTensor) -> None:
 
 
 def read_features(path) -> FrameTensor:
+    """Read a feature file written by :func:`write_features`.
+
+    The header and the C * T * D payload it declares are checked against
+    the file's size before anything is read, so a corrupt or hostile file
+    raises ``ValueError`` naming it, never a ``MemoryError``.
+    """
     with open(path, "rb") as f:
+        left = os.fstat(f.fileno()).st_size
+        if left < FEATURE_HEADER_BYTES:
+            raise ValueError(f"{path}: too short for a feature header ({left} bytes)")
         magic = f.read(4)
         if magic != FEATURE_MAGIC:
             raise ValueError(f"{path}: bad feature-file magic {magic!r}")
         version, c, t, d = struct.unpack("<IIII", f.read(16))
         if version != FEATURE_VERSION:
             raise ValueError(f"{path}: unsupported feature version {version}")
-        raw = f.read(c * t * d * 4)
-        if len(raw) != c * t * d * 4:
-            raise ValueError(f"{path}: truncated feature data")
-        data = np.frombuffer(raw, dtype="<f4").reshape(c, t, d).astype(np.float64)
+        if min(c, t, d) < 1:
+            raise ValueError(f"{path}: feature dims must be positive, got {(c, t, d)}")
+        left -= FEATURE_HEADER_BYTES
+        nbytes = c * t * d * 4
+        if nbytes > left:
+            raise ValueError(f"{path}: truncated feature data "
+                             f"({nbytes} bytes declared, {left} left)")
+        if nbytes < left:
+            raise ValueError(f"{path}: trailing bytes after the feature data")
+        data = np.frombuffer(f.read(nbytes), dtype="<f4").reshape(c, t, d).astype(np.float64)
     return FrameTensor(data)

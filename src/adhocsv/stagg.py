@@ -19,7 +19,8 @@ rounding.
 
 - Dense: every node's query meets every node's key, an (..., N, N)
   attention masked by the graph.  Complete graphs, batched masks (the
-  per-utterance spatial graphs) and short sequences use it.
+  per-utterance spatial graphs, and the per-utterance temporal graphs of
+  a frame-padded batch) and short sequences use it.
 - Block: when the mask is one (N, N) graph whose masked-in entries all lie
   within a bandwidth delta = max |i - j| of the diagonal (a span graph)
   and 2 * (4 delta + 1) <= N, queries are cut into blocks of 2 delta + 1
@@ -352,16 +353,21 @@ def build_graph(spec: GraphSpec, n: int, positions=None) -> Adjacency:
     raise ValueError(f"unknown graph spec kind {spec.kind!r}")
 
 
-def st_stack(x, blocks: list[BlockParams], a_temporal: Adjacency, spatial_mask) -> Tensor:
+def st_stack(x, blocks: list[BlockParams], a_temporal: Adjacency | np.ndarray,
+             spatial_mask) -> Tensor:
     """Run the aggregation blocks over a batch of utterances.
 
     ``x``: (B, C, T, D).  Each block aggregates over frames with
-    ``a_temporal`` (one T-node graph shared by every channel), then over
-    channels with ``spatial_mask``, a boolean (B, C, C) array holding one
-    channel graph per utterance, shared by all its frames.  Every block
-    computes the same result as running each channel's (T, D) slice and
-    then each frame's (C, D) slice through the aggregation on its own.
-    Output shape equals input shape.
+    ``a_temporal``, then over channels with ``spatial_mask``, a boolean
+    (B, C, C) array holding one channel graph per utterance, shared by all
+    its frames.  ``a_temporal`` is either one T-node Adjacency shared by
+    every utterance (a banded one runs in the block layout) or a boolean
+    (B, 1, T, T) mask holding one frame graph per utterance, shared by its
+    channels; with it, utterances zero-padded to T frames run in one batch
+    when each padded frame sees only itself and no valid frame sees a
+    padded one.  Every block computes the same result as running each
+    channel's (T, D) slice and then each frame's (C, D) slice through the
+    aggregation on its own.  Output shape equals input shape.
     """
     x = _as_tensor(x)
     if x.ndim != 4:

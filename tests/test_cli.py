@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -55,6 +56,15 @@ CORRUPT_CHECKPOINTS = {
     "not_a_checkpoint": checkpoint_bytes({"format": "something-else", "params": []}),
     "bad_shape": checkpoint_bytes(_CKPT | {"params": [{"name": "w", "shape": [-1, 2]}]}),
     "no_config": checkpoint_bytes(_CKPT | {"params": []}),
+}
+
+
+# Each is a feature file that train and eval must refuse as a data error naming it.
+CORRUPT_FEATURE_FILES = {
+    "3_bytes": b"ADH",
+    "19_bytes": b"ADHC" + bytes(15),
+    "huge_dims": b"ADHC" + struct.pack("<IIII", 1, 100000, 100000, 1000) + bytes(16),
+    "truncated": b"ADHC" + struct.pack("<IIII", 1, 4, 6, 8) + bytes(4 * 4 * 6 * 8 - 4),
 }
 
 
@@ -273,6 +283,25 @@ class TestTrainEval:
         assert main(["train", "--config", config_path, "--data", dataset,
                      "--out", str(run), "--resume", "--quiet"]) == 3
         assert "model.ckpt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("blob", sorted(CORRUPT_FEATURE_FILES))
+    def test_corrupt_feature_file_is_data_error(self, tmp_path, config_path, dataset, capsys,
+                                                blob):
+        with open(os.path.join(dataset, "manifest.json"), encoding="utf-8") as f:
+            manifest = json.load(f)
+        run = tmp_path / "run"
+        assert main(["train", "--config", config_path, "--data", dataset,
+                     "--out", str(run), "--quiet"]) == 0
+        for split, command in (("test", ["eval", "--ckpt", str(run / "model.ckpt")]),
+                               ("train", ["train"])):
+            entry = next(e for e in manifest["utterances"] if e["split"] == split)
+            path = os.path.join(dataset, entry["features"])
+            with open(path, "wb") as f:
+                f.write(CORRUPT_FEATURE_FILES[blob])
+            capsys.readouterr()
+            assert main(command + ["--config", config_path, "--data", dataset,
+                                   "--out", str(tmp_path / split), "--quiet"]) == 3
+            assert os.path.basename(path) in capsys.readouterr().err
 
     def test_eval_missing_checkpoint(self, tmp_path, config_path, dataset):
         assert main(["eval", "--config", config_path, "--ckpt", str(tmp_path / "nope.ckpt"),

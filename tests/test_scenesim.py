@@ -1,5 +1,7 @@
 """Scene sampling bounds, determinism, and feature-corruption behavior."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -213,6 +215,38 @@ class TestSerialization:
         path.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(ValueError):
             read_features(path)
+
+
+def feature_bytes(c, t, d, payload=None, version=1) -> bytes:
+    header = b"ADHC" + struct.pack("<IIII", version, c, t, d)
+    return header + (bytes(4 * c * t * d) if payload is None else payload)
+
+
+# Each is a feature file read_features must refuse with a ValueError naming it.
+CORRUPT_FEATURES = {
+    "empty": b"",
+    "3_bytes": b"ADH",
+    "19_bytes": feature_bytes(1, 1, 1)[:19],
+    "huge_dims": feature_bytes(100000, 100000, 1000, payload=bytes(16)),  # 36 bytes in all
+    "truncated": feature_bytes(2, 3, 4)[:-4],
+    "trailing": feature_bytes(2, 3, 4) + b"\x00",
+    "zero_dims": feature_bytes(2, 0, 4),
+    "bad_version": feature_bytes(1, 1, 1, version=2),
+}
+
+
+class TestFeatureFileBounds:
+    @pytest.mark.parametrize("name", sorted(CORRUPT_FEATURES))
+    def test_corrupt_file_is_value_error_naming_it(self, tmp_path, name):
+        path = tmp_path / "bad.adhc"
+        path.write_bytes(CORRUPT_FEATURES[name])
+        with pytest.raises(ValueError, match="bad.adhc"):
+            read_features(path)
+
+    def test_exact_payload_reads(self, tmp_path):
+        path = tmp_path / "f.adhc"
+        path.write_bytes(feature_bytes(2, 3, 4, payload=np.arange(24, dtype="<f4").tobytes()))
+        assert np.array_equal(read_features(path).data.ravel(), np.arange(24.0))
 
 
 class TestSceneValidation:

@@ -491,6 +491,32 @@ class TestStack:
             alone = st_stack(Tensor(x[i:i + 1]), blocks, a_t, masks[i:i + 1]).data
             assert np.max(np.abs(joint[i] - alone[0])) < 1e-12
 
+    @pytest.mark.parametrize("mechanism", ["sam", "gcn"])
+    @pytest.mark.parametrize("kind", ["complete", "span"])
+    def test_padded_temporal_masks_match_each_utterance_alone(self, mechanism, kind):
+        # Utterance i holds frames[i] frames zero-padded to t; its temporal graph
+        # fills the top-left frames[i] x frames[i] corner and padded frames see
+        # only themselves.
+        rng = np.random.default_rng(26)
+        frames, c, t, d = [1, 4, 7, 12], 3, 12, 8
+        x = np.zeros((len(frames), c, t, d))
+        mask = np.zeros((len(frames), 1, t, t), dtype=bool)
+        mask[:, 0, np.arange(t), np.arange(t)] = True
+        alone_graphs = []
+        for i, n in enumerate(frames):
+            x[i, :, :n] = rng.standard_normal((c, n, d))
+            graph = build_complete(n) if kind == "complete" else build_temporal_span(n, 1)
+            mask[i, 0, :n, :n] = graph.entries
+            alone_graphs.append(graph)
+        spatial = np.stack([random_mask(rng, c).entries for _ in frames])
+        blocks = init_stack_params(mechanism, 2, d, 2, rng)
+        joint = st_stack(Tensor(x), blocks, mask, spatial).data
+        for i, n in enumerate(frames):
+            alone = st_stack(Tensor(x[i:i + 1, :, :n]), blocks, alone_graphs[i],
+                             spatial[i:i + 1]).data
+            assert np.max(np.abs(joint[i, :, :n] - alone[0])) <= 1e-12
+            assert np.all(joint[i, :, n:] == 0.0)  # zero padding stays exactly zero
+
     def test_block_count_mismatch(self, tmp_path):
         from adhocsv.trainer import Model, ModelConfig, load_model, model_config_to_json
 

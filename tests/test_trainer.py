@@ -1,5 +1,6 @@
 """Training loop, embedding composition, scoring and EER behavior."""
 
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adhocsv import diffcore as dc
+from adhocsv import trainer
 from adhocsv.chansel import prior_select, utterance_pool
 from adhocsv.diffcore import Tensor
 from adhocsv.graphs import SelectionMask, build_complete, compose_prior
@@ -274,6 +276,149 @@ def test_batched_prior_pooling_matches_per_utterance_reference():
         assert np.max(np.abs(embs.data[i] - reference)) <= 1e-12
 
 
+@pytest.mark.parametrize("selection", ["none", "prior", "gpool"])
+def test_equal_frame_counts_take_the_unpadded_path_bit_for_bit(selection):
+    rng = np.random.default_rng(33)
+    b, c, t, d = 3, 5, 12, 8
+    sim = SimConfig(n_nodes=c, t=t, d=d)
+    scenes = [sample_scene(rng, sim) for _ in range(b)]
+    xs = rng.standard_normal((b, c, t, d))
+    cfg = ModelConfig(mechanism="gcn", n_blocks=2, heads=2, d=d,
+                      selection=SelectionConfig(kind=selection),
+                      temporal_graph=GraphSpec(kind="span", delta=1), seed=33)
+    model = Model.init(cfg, n_speakers=2)
+    shared, shared_infos = _forward(model, xs, scenes)
+    counted, counted_infos = _forward(model, xs, scenes, [t] * b)
+    assert counted.data.tobytes() == shared.data.tobytes()
+    assert counted_infos == shared_infos
+
+
+def test_forward_rejects_bad_frame_counts():
+    model = Model.init(ModelConfig(mechanism="gcn", n_blocks=1, heads=2, d=8), n_speakers=2)
+    xs = np.zeros((2, 3, 4, 8))
+    for frames in ([4], [0, 4], [4, 5]):
+        with pytest.raises(dc.ShapeError):
+            _forward(model, xs, [None, None], frames)
+
+
+def ragged_utterances(shapes, d=8, n_speakers=3, seed=34):
+    """Utterances with the given (channels, frames), scenes and cycling speakers."""
+    rng = np.random.default_rng(seed)
+    codebook = make_codebook(n_speakers, d, seed=seed)
+    utts = {}
+    for i, (c, t) in enumerate(shapes):
+        sim = SimConfig(n_nodes=c, t=t, d=d, n_speakers=n_speakers, snr_range_db=(-5.0, 5.0))
+        scene = sample_scene(rng, sim)
+        utts[f"r{i}"] = Utterance(f"r{i}", i % n_speakers,
+                                  synth_features(scene, i % n_speakers, codebook, rng, sim), scene)
+    return utts
+
+
+def all_pair_trials(utts):
+    ids = sorted(utts)
+    return TrialSet([Trial(a, b, "target" if utts[a].speaker == utts[b].speaker else "nontarget")
+                     for i, a in enumerate(ids) for b in ids[i + 1:]])
+
+
+# Ragged channel and frame counts, C = 1 and T = 1 among them.  Channel
+# groups of 1, 3 and 4 hold several frame counts each, and T = 12 runs the
+# span graph block-local when an utterance is embedded alone.
+RAGGED_SHAPES = [(4, 12), (4, 1), (4, 7), (4, 12), (1, 5), (1, 1), (1, 9), (3, 2), (3, 10),
+                 (3, 6), (2, 3)]
+
+
+@pytest.mark.parametrize("mechanism,selection,temporal", PARITY_CASES)
+def test_padded_batch_matches_each_utterance_alone(mechanism, selection, temporal):
+    cfg = ModelConfig(mechanism=mechanism, n_blocks=2, heads=2, d=8,
+                      selection=SelectionConfig(kind=selection),
+                      temporal_graph=GraphSpec(kind=temporal, delta=1), seed=35)
+    model = Model.init(cfg, n_speakers=3)
+    utts = ragged_utterances(RAGGED_SHAPES)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # prior fallbacks on one- and two-channel arrays
+        alone = {k: embed_with_info(model, u.features, u.scene) for k, u in utts.items()}
+        # One padded batch per channel count, through the forward pass itself.
+        for c in sorted({u.features.c for u in utts.values()}):
+            group = [k for k, u in utts.items() if u.features.c == c]
+            frames = [utts[k].features.t for k in group]
+            x = np.zeros((len(group), c, max(frames), 8))
+            for i, k in enumerate(group):
+                x[i, :, :frames[i]] = utts[k].features.data
+            embs, infos = _forward(model, x, [utts[k].scene for k in group], frames)
+            for i, k in enumerate(group):
+                assert np.max(np.abs(embs.data[i] - alone[k][0])) <= 1e-12
+                assert infos[i]["selected_indices"] == alone[k][1]["selected_indices"]
+        trials = all_pair_trials(utts)
+        report = evaluate(model, utts, trials)
+    expected = [cosine_score(alone[t.enroll_id][0], alone[t.test_id][0]) for t in trials.trials]
+    assert np.max(np.abs(np.subtract(report.scores, expected))) <= 1e-12
+    assert report.eer == eer_from_scores(*trials.with_scores(expected).split_scores())[0]
+
+
+class TestBatchedEvaluate:
+    CFG = ModelConfig(mechanism="gcn", n_blocks=1, heads=2, d=8,
+                      selection=SelectionConfig(kind="gpool"), seed=36)
+
+    def _spy_forward(self, monkeypatch):
+        shapes = []
+
+        def spy(model, x, scenes, frames=None):
+            shapes.append(x.shape)
+            return _forward(model, x, scenes, frames)
+
+        monkeypatch.setattr(trainer, "_forward", spy)
+        return shapes
+
+    def test_trial_order_does_not_change_a_score(self):
+        model = Model.init(self.CFG, n_speakers=3)
+        utts = ragged_utterances(RAGGED_SHAPES)
+        trials = all_pair_trials(utts)
+        order = np.random.default_rng(37).permutation(len(trials.trials))
+        shuffled = TrialSet([trials.trials[i] for i in order])
+        base = evaluate(model, utts, trials).scores
+        again = evaluate(model, utts, shuffled).scores
+        assert [again[j] for j in np.argsort(order)] == list(base)
+
+    def test_unknown_id_raises_before_any_embedding(self, monkeypatch):
+        model = Model.init(self.CFG, n_speakers=3)
+        utts = ragged_utterances(RAGGED_SHAPES)
+        shapes = self._spy_forward(monkeypatch)
+        trials = TrialSet(all_pair_trials(utts).trials + [Trial("r0", "nope", "nontarget")])
+        with pytest.raises(KeyError, match="nope"):
+            evaluate(model, utts, trials)
+        assert shapes == []
+
+    def test_batches_stay_within_the_budget(self, monkeypatch):
+        model = Model.init(self.CFG, n_speakers=3)
+        utts = ragged_utterances([(4, t) for t in range(1, 41)])
+        shapes = self._spy_forward(monkeypatch)
+        evaluate(model, utts, all_pair_trials(utts))
+        assert sum(b for b, *_ in shapes) == len(utts)
+        assert 1 < len(shapes) < len(utts)
+        for b, c, t, _ in shapes:
+            assert b * c * t * (t + c) <= trainer.EVAL_BATCH_ENTRIES
+
+    def test_feature_dim_mismatch_is_shape_error(self):
+        model = Model.init(self.CFG, n_speakers=3)
+        utts = ragged_utterances([(4, 5), (4, 6)])
+        utts["r1"] = Utterance("r1", 1, FrameTensor(np.ones((4, 6, 4))))
+        with pytest.raises(dc.ShapeError):
+            evaluate(model, utts, TrialSet([Trial("r0", "r1", "nontarget")]))
+
+    def test_utterance_over_the_budget_runs_alone(self, monkeypatch):
+        model = Model.init(self.CFG, n_speakers=3)
+        # 16 channels of 64 frames: 16 * 64 * 80 entries, over the budget on their own.
+        utts = ragged_utterances([(16, 64), (16, 64), (16, 3), (16, 64)])
+        assert 16 * 64 * 80 > trainer.EVAL_BATCH_ENTRIES
+        shapes = self._spy_forward(monkeypatch)
+        report = evaluate(model, utts, all_pair_trials(utts))
+        assert shapes == [(1, 16, 3, 8)] + [(1, 16, 64, 8)] * 3
+        alone = {k: embed(model, u.features, u.scene) for k, u in utts.items()}
+        expected = [cosine_score(alone[t.enroll_id], alone[t.test_id])
+                    for t in all_pair_trials(utts).trials]
+        assert np.max(np.abs(np.subtract(report.scores, expected))) <= 1e-12
+
+
 class TestTraining:
     def test_zero_learning_rate_freezes_parameters(self):
         dataset = toy_dataset(c=2, t=3, d=8)
@@ -484,3 +629,18 @@ class TestChannelOps:
         for r in rows:
             assert 0.0 <= r["eer"] <= 1.0
             assert np.isfinite(r["distance"])
+
+    def test_per_node_matches_single_channel_embeddings(self):
+        utts = ragged_utterances([(3, t) for t in (1, 4, 9, 9, 2, 6)], seed=38)
+        trials = all_pair_trials(utts)
+        cfg = ModelConfig(mechanism="sam", n_blocks=1, heads=2, d=8,
+                          selection=SelectionConfig(kind="prior"), seed=38)
+        model = Model.init(cfg, n_speakers=3)
+        rows = eval_per_node(model, utts, trials)
+        for node, row in enumerate(rows):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                alone = {k: embed(model, FrameTensor(u.features.data[node:node + 1]),
+                                  u.scene.subset([node])) for k, u in utts.items()}
+            scores = [cosine_score(alone[t.enroll_id], alone[t.test_id]) for t in trials.trials]
+            assert row["eer"] == eer_from_scores(*trials.with_scores(scores).split_scores())[0]
