@@ -22,13 +22,7 @@ import numpy as np
 
 from .chansel import DegenerateProjectionError
 from .diffcore import NonFiniteError
-from .graphs import (
-    adjacency_to_json,
-    build_complete,
-    build_knn,
-    build_temporal_span,
-    compose_prior,
-)
+from .graphs import adjacency_to_json, compose_prior
 from .scenesim import (
     SimConfig,
     load_scene,
@@ -39,6 +33,7 @@ from .scenesim import (
     synth_features,
     write_features,
 )
+from .stagg import GraphSpec, build_graph
 from .trainer import (
     DegenerateTaskError,
     MissingPriorError,
@@ -404,19 +399,7 @@ def cmd_graph(args) -> int:
             raise DataError(f"malformed scene: {err}") from err
 
     mask_doc = None
-    if args.kind == "complete":
-        if args.n is None:
-            raise ConfigError("complete graph needs --n")
-        adjacency = build_complete(args.n)
-    elif args.kind == "span":
-        if args.n is None:
-            raise ConfigError("span graph needs --n (frame count)")
-        adjacency = build_temporal_span(args.n, args.delta)
-    elif args.kind == "knn":
-        if scene is None:
-            raise ConfigError("knn graph needs --scene")
-        adjacency = build_knn(scene.node_pos, args.k)
-    elif args.kind == "prior":
+    if args.kind == "prior":
         if scene is None:
             raise ConfigError("prior graph needs --scene")
         try:
@@ -426,8 +409,19 @@ def cmd_graph(args) -> int:
         mask_doc = {"selected_indices": [int(i) for i in mask.indices()],
                     "bits": "".join("1" if x else "0" for x in mask.selected),
                     "k": mask.k}
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown graph kind {args.kind!r}")
+    else:
+        if args.kind == "knn":
+            if scene is None:
+                raise ConfigError("knn graph needs --scene")
+            n, positions = scene.n_nodes, scene.node_pos
+        else:
+            if args.n is None:
+                raise ConfigError(f"{args.kind} graph needs --n (node or frame count)")
+            n, positions = args.n, None
+        try:
+            adjacency = build_graph(GraphSpec(args.kind, args.delta, args.k), n, positions)
+        except ValueError as err:
+            raise ConfigError(str(err)) from err
 
     doc = {"adjacency": adjacency_to_json(adjacency), "mask": mask_doc}
     if args.out is not None:

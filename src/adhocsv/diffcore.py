@@ -465,9 +465,11 @@ def sigmoid(x) -> Tensor:
 def masked_softmax(logits, mask) -> Tensor:
     """Row-wise softmax over masked-in entries only.
 
-    ``logits`` has shape (..., R, K): R query rows scored against K keys.
+    ``logits`` has shape (..., R, K): R query rows scored against K keys,
+    or (..., 1, K): one score row shared by every query row of the mask.
     ``mask`` is a boolean array whose last two axes are (R, K) and that
-    broadcasts to the logits shape without adding axes.  The shapes in use:
+    broadcasts to (..., R, K) without adding axes.  The result is
+    (..., R, K).  The shapes in use:
 
     - (N, N): one adjacency shared across all leading batch axes;
     - (B, 1, N, N) and the like: one graph per batch slice, broadcast
@@ -485,25 +487,27 @@ def masked_softmax(logits, mask) -> Tensor:
     mask = np.asarray(mask)
     if mask.dtype != np.bool_:
         mask = mask.astype(bool)
-    if logits.ndim < 2 or mask.shape[-2:] != logits.shape[-2:]:
+    if (logits.ndim < 2 or mask.ndim < 2 or mask.shape[-1] != logits.shape[-1]
+            or logits.shape[-2] not in (1, mask.shape[-2])):
         raise ShapeError(f"mask shape {mask.shape} does not match logits {logits.shape}")
+    shape = logits.shape[:-2] + mask.shape[-2:]
     try:
-        mask = np.broadcast_to(mask, np.broadcast_shapes(mask.shape, logits.shape))
-        if mask.shape != logits.shape and mask.ndim > logits.ndim:
+        if mask.ndim > len(shape) or np.broadcast_shapes(mask.shape, shape) != shape:
             raise ValueError
     except ValueError:
         raise ShapeError(f"mask shape {mask.shape} does not broadcast over logits {logits.shape}")
     if not mask.any(axis=-1).all():
         raise EmptyNeighborhoodError("mask has a row with no neighbors")
 
-    masked = np.where(mask, logits.data, -np.inf)
-    rowmax = masked.max(axis=-1, keepdims=True)
-    expd = np.exp(masked - rowmax)  # exp(-inf) is exactly 0 for masked-out entries
-    out_data = expd / expd.sum(axis=-1, keepdims=True)
+    out_data = np.where(mask, logits.data, -np.inf)
+    out_data -= out_data.max(axis=-1, keepdims=True)
+    np.exp(out_data, out=out_data)  # exp(-inf) is exactly 0 for masked-out entries
+    out_data /= out_data.sum(axis=-1, keepdims=True)
 
     def vjp(g):
-        inner = (g * out_data).sum(axis=-1, keepdims=True)
-        return (out_data * (g - inner),)
+        grad = g - (g * out_data).sum(axis=-1, keepdims=True)
+        grad *= out_data
+        return (_unbroadcast(grad, logits.shape),)
 
     return Tensor(out_data, _parents=(logits,), _vjp=vjp)
 

@@ -9,6 +9,13 @@ provided: masked multi-head self-attention ("sam") and an additive
 attention aggregation with LeakyReLU edge scores ("gcn"); :func:`st_stack`
 is the one place that picks between them.
 
+gcn's attention is static: the paper's score beta . LeakyReLU([W_l h_i ||
+W_r h_j]) for edge (i, j) splits into a term of node i plus a term of key
+j, because LeakyReLU acts on each half on its own, and the softmax over
+each node's neighbors cancels the node's own term.  So a gcn head scores
+edge (i, j) from key j alone and holds no query weights (Brody et al.,
+arXiv:2105.14491, call this static attention).
+
 Output width equals input width (head dim = D / heads), so blocks stack
 without projections.  There are no residuals or inter-block
 nonlinearities; blocks are plain compositions with unshared parameters.
@@ -65,6 +72,7 @@ __all__ = [
 ]
 
 MECHANISMS = ("sam", "gcn")
+GRAPH_KINDS = ("complete", "span", "knn")
 
 
 @dataclass(frozen=True)
@@ -102,6 +110,14 @@ class GraphSpec:
     kind: str = "complete"
     delta: int = 1
     k: int = 4
+
+    def __post_init__(self):
+        if self.kind not in GRAPH_KINDS:
+            raise ValueError(f"unknown graph kind {self.kind!r}; expected one of {GRAPH_KINDS}")
+        if self.delta < 0:
+            raise ValueError(f"graph delta must be nonnegative, got {self.delta}")
+        if self.k < 0:
+            raise ValueError(f"graph k must be nonnegative, got {self.k}")
 
 
 @dataclass
@@ -157,12 +173,14 @@ def init_agg_params(
                 "wv": Parameter(f"{tag}.wv", _uniform(rng, (d_in, d_head), d_in)),
             }
         else:
-            # beta is drawn before wl and wr; the draw order fixes what a seed yields.
-            beta0 = _uniform(rng, (2 * d_head,), 2 * d_head)
+            # The query half of beta and the query weights are drawn and dropped
+            # (the softmax cancels them), so a seed yields the same wr and key
+            # half of beta as the full score's parameters would.
+            beta = _uniform(rng, (2 * d_head,), 2 * d_head)[d_head:]
+            _uniform(rng, (d_in, d_head), d_in)
             head = {
-                "wl": Parameter(f"{tag}.wl", _uniform(rng, (d_in, d_head), d_in)),
                 "wr": Parameter(f"{tag}.wr", _uniform(rng, (d_in, d_head), d_in)),
-                "beta": Parameter(f"{tag}.beta", beta0),
+                "beta": Parameter(f"{tag}.beta", beta),
             }
         heads.append(head)
     return AggParams(mechanism, d_in, n_heads, d_head, heads, leaky_slope)
@@ -308,12 +326,13 @@ def sam_agg(x, a, params: AggParams, with_weights: bool = False):
 
 
 def gcn_agg(x, a, params: AggParams, with_weights: bool = False):
-    """Additive-attention graph aggregation.
+    """Additive-attention graph aggregation with static scores.
 
-    Per head: the input is projected to query (g_l) and key (g_r) spaces;
-    the edge score for (i, j) is beta . LeakyReLU(concat(g_l[i], g_r[j])),
+    Per head: the input is projected to g = x W_r; edge (i, j) is scored
+    from key j alone, s_j = beta . LeakyReLU(g[j]) (the node's own term of
+    the paper's score cancels in the softmax, see the module docstring),
     normalized over each node's neighbors; the node output is the
-    attention-weighted sum of its neighbors' g_r rows.
+    attention-weighted sum of its neighbors' g rows.
 
     ``a`` as in :func:`sam_agg`.
     """
@@ -321,20 +340,12 @@ def gcn_agg(x, a, params: AggParams, with_weights: bool = False):
     mask = _mask_of(a)
     _check_agg_inputs(x, mask, params, "gcn")
     layout = _Layout(mask)
-    d = params.d_head
     outs, weights = [], []
     for head in params.heads:
-        gl = dc.matmul(x, head["wl"])
-        gr = dc.matmul(x, head["wr"])
-        beta_l = dc.take_rows(head["beta"], np.arange(d))
-        beta_r = dc.take_rows(head["beta"], np.arange(d, 2 * d))
-        # beta . LeakyReLU(concat(a_i, b_j)) splits into a row term + column term
-        # because LeakyReLU acts elementwise on the two halves independently.
-        s_l = dc.matvec(dc.leaky_relu(gl, params.leaky_slope), beta_l)
-        s_r = dc.matvec(dc.leaky_relu(gr, params.leaky_slope), beta_r)
-        col = layout.queries(dc.reshape(s_l, s_l.shape + (1,)))
-        attn = dc.masked_softmax(dc.add(col, layout.key_row(s_r)), layout.mask)
-        outs.append(dc.matmul(attn, layout.keys(gr)))
+        g = dc.matmul(x, head["wr"])
+        s = dc.matvec(dc.leaky_relu(g, params.leaky_slope), head["beta"])
+        attn = dc.masked_softmax(layout.key_row(s), layout.mask)
+        outs.append(dc.matmul(attn, layout.keys(g)))
         weights.append(attn)
     out = layout.crop(dc.concat(outs, axis=-1))
     return (out, [layout.dense_weights(w) for w in weights]) if with_weights else out
@@ -346,11 +357,9 @@ def build_graph(spec: GraphSpec, n: int, positions=None) -> Adjacency:
         return build_complete(n)
     if spec.kind == "span":
         return build_temporal_span(n, spec.delta)
-    if spec.kind == "knn":
-        if positions is None:
-            raise ValueError("knn graph spec needs node positions")
-        return build_knn(positions, spec.k)
-    raise ValueError(f"unknown graph spec kind {spec.kind!r}")
+    if positions is None:
+        raise ValueError("knn graph spec needs node positions")
+    return build_knn(positions, spec.k)
 
 
 def st_stack(x, blocks: list[BlockParams], a_temporal: Adjacency | np.ndarray,

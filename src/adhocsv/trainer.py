@@ -23,7 +23,7 @@ import numpy as np
 from . import diffcore as dc
 from .chansel import GPoolParams, gpool, init_gpool_params, utterance_pool
 from .diffcore import NonFiniteError, Parameter, ParamSet, Tensor
-from .graphs import build_knn, compose_prior
+from .graphs import compose_prior
 from .scenesim import Scene
 from .stagg import (
     BlockParams,
@@ -119,6 +119,8 @@ class ModelConfig:
             raise ValueError("the mean baseline pools all channels; selection must be 'none'")
         if self.mechanism != "mean" and self.d % self.heads != 0:
             raise ValueError(f"d={self.d} must split evenly over {self.heads} heads")
+        if self.temporal_graph.kind == "knn":
+            raise ValueError("the temporal graph cannot be knn: frames have no positions")
 
 
 class Model:
@@ -194,11 +196,9 @@ def _spatial_adjacency(model: Model, c: int, scene: Scene | None):
         if scene is None:
             raise MissingPriorError("prior channel selection needs the utterance's scene")
         return compose_prior(scene, sel.rho, sel.orientation, sel.rho_noise if sel.noise else None)
-    if cfg.spatial_graph.kind == "knn":
-        if scene is None:
-            raise MissingPriorError("knn spatial graph needs the utterance's scene")
-        return build_knn(scene.node_pos, cfg.spatial_graph.k), None
-    return build_graph(cfg.spatial_graph, c), None
+    if cfg.spatial_graph.kind == "knn" and scene is None:
+        raise MissingPriorError("knn spatial graph needs the utterance's scene")
+    return build_graph(cfg.spatial_graph, c, None if scene is None else scene.node_pos), None
 
 
 def _padded_temporal_masks(spec: GraphSpec, frames: np.ndarray, t: int) -> np.ndarray:
@@ -483,6 +483,21 @@ def _embed_all(model: Model, utterances: dict[str, Utterance]) -> dict[str, np.n
     return embs
 
 
+def _cosine_scores(embs: dict[str, np.ndarray], trials: list[Trial]) -> np.ndarray:
+    """:func:`cosine_score` of every trial, normalising each embedding once."""
+    if not trials:
+        return np.zeros(0)
+    index = {utt_id: i for i, utt_id in enumerate(embs)}
+    vectors = np.stack(list(embs.values()))
+    norms = np.linalg.norm(vectors, axis=1, keepdims=True)
+    if not norms.all():
+        raise ValueError("cosine score undefined for a zero embedding")
+    unit = vectors / norms
+    enroll = unit[[index[t.enroll_id] for t in trials]]
+    test = unit[[index[t.test_id] for t in trials]]
+    return np.einsum("ij,ij->i", enroll, test)
+
+
 def evaluate(model: Model, utterances: dict[str, Utterance], trials: TrialSet) -> EvalReport:
     """Embed, score with cosine similarity, and compute the EER.
 
@@ -495,12 +510,11 @@ def evaluate(model: Model, utterances: dict[str, Utterance], trials: TrialSet) -
             if utt_id not in utterances:
                 raise KeyError(f"trial references unknown utterance {utt_id!r}")
             referenced[utt_id] = utterances[utt_id]
-    embs = _embed_all(model, referenced)
-    scores = [cosine_score(embs[t.enroll_id], embs[t.test_id]) for t in trials.trials]
+    scores = _cosine_scores(_embed_all(model, referenced), trials.trials)
     scored = trials.with_scores(scores)
     eer, threshold = compute_eer(scored)
     return EvalReport(eer=eer, threshold=threshold, n_trials=len(trials.trials),
-                      scores=tuple(scores))
+                      scores=tuple(scores.tolist()))
 
 
 def generate_trials(utterances: list[Utterance], n_target: int, n_nontarget: int,
@@ -619,12 +633,29 @@ def save_model(path, model: Model) -> None:
     save_checkpoint(path, model.params, meta)
 
 
+def _drop_gcn_query_side(path, values: dict[str, np.ndarray]) -> None:
+    """Read gcn heads written when they still held a query side.
+
+    Such a head holds ``{head}.wl`` and a 2 * d_head ``{head}.beta`` whose
+    first half scores the query node; the softmax cancels both, so the
+    query weights and that half are dropped.
+    """
+    for name in [n for n in values if n.endswith(".wl")]:
+        head = name[:-len(".wl")]
+        wl, beta = values.pop(name), values.get(f"{head}.beta")
+        if wl.ndim != 2 or beta is None or beta.shape != (2 * wl.shape[1],):
+            raise ValueError(f"{path}: {name!r} comes without a beta of twice its width")
+        values[f"{head}.beta"] = beta[wl.shape[1]:]
+
+
 def load_model(path) -> Model:
     manifest, values = load_checkpoint(path)
     missing = [key for key in ("config", "n_speakers") if key not in manifest]
     if missing:
         raise ValueError(f"{path}: checkpoint manifest lacks {missing}")
     cfg = model_config_from_json(manifest["config"])
+    if cfg.mechanism == "gcn":
+        _drop_gcn_query_side(path, values)
     model = Model.init(cfg, n_speakers=int(manifest["n_speakers"]))
     missing = [p.name for p in model.params if p.name not in values]
     extra = [name for name in values if name not in model.params]

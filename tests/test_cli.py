@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from adhocsv.cli import main
+from adhocsv.cli import ConfigError, load_experiment_config, main
 from adhocsv.graphs import build_prior
 from adhocsv.scenesim import (Scene, SimConfig, read_features, sample_scene, save_scene,
                               write_features)
@@ -143,6 +143,52 @@ class TestSimulate:
                      "--seed", "99", "--quiet"]) == 0
         assert main(["simulate", "--config", config_path, "--out", str(out2), "--quiet"]) == 0
         assert tree_bytes(out1) != tree_bytes(out2)
+
+
+class TestGraphSpecConfig:
+    @pytest.mark.parametrize("section, spec", [
+        ("temporal_graph", {"kind": "bogus"}),
+        ("temporal_graph", {"kind": "span", "delta": -1}),
+        ("spatial_graph", {"kind": "knn", "k": -1}),
+        ("temporal_graph", {"kind": "knn"}),
+    ], ids=["unknown_kind", "negative_delta", "negative_k", "knn_over_frames"])
+    def test_bad_graph_is_config_error_before_data_is_read(self, tmp_path, capsys, section,
+                                                           spec):
+        cfg = json.loads(json.dumps(TINY_CONFIG))
+        cfg["model"][section] = spec
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(ConfigError, match="invalid model section"):
+            load_experiment_config(path)
+        # The data directory does not exist: reading it first would be exit 3.
+        assert main(["train", "--config", str(path), "--data", str(tmp_path / "absent"),
+                     "--out", str(tmp_path / "run"), "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.filterwarnings("ignore:.*falling back to the nearest channel")
+@pytest.mark.parametrize("model", [
+    {"mechanism": "gcn", "n_blocks": 1, "heads": 2, "selection": {"kind": "gpool"}},
+    {"mechanism": "sam", "n_blocks": 1, "heads": 2, "selection": {"kind": "prior"}},
+    {"mechanism": "mean"},
+], ids=["gcn_gpool", "sam_prior", "mean"])
+@pytest.mark.parametrize("n_nodes, t", [(1, 6), (4, 1)], ids=["one_channel", "one_frame"])
+def test_single_channel_or_frame_runs_end_to_end(tmp_path, capsys, model, n_nodes, t):
+    cfg = json.loads(json.dumps(TINY_CONFIG))
+    cfg["sim"].update(n_nodes=n_nodes, t=t)
+    cfg["model"] = model
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    data, run, out = (str(tmp_path / name) for name in ("data", "run", "eval"))
+    common = ["--config", str(config), "--quiet"]
+    assert main(["simulate", *common, "--out", data]) == 0
+    assert main(["train", *common, "--data", data, "--out", run]) == 0
+    assert main(["eval", *common, "--ckpt", os.path.join(run, "model.ckpt"), "--data", data,
+                 "--out", out, "--per-node", "--dump-selection"]) == 0
+    with open(os.path.join(out, "report.json"), encoding="utf-8") as f:
+        assert 0.0 <= json.load(f)["eer"] <= 1.0
+    with open(os.path.join(out, "per_node.csv"), encoding="utf-8") as f:
+        assert len(f.read().strip().splitlines()) == 1 + n_nodes
 
 
 class TestTrainEval:
@@ -384,6 +430,16 @@ class TestGraphCommand:
 
     def test_missing_scene_is_config_error(self):
         assert main(["graph", "--kind", "prior", "--rho", "0.5"]) == 2
+
+    @pytest.mark.parametrize("args", [
+        ["--kind", "span", "--n", "5", "--delta", "-1"],
+        ["--kind", "complete", "--n", "0"],
+        ["--kind", "knn", "--k", "5", "--scene", None],
+    ], ids=["negative_delta", "no_nodes", "k_over_node_count"])
+    def test_out_of_range_argument_is_config_error(self, tmp_path, capsys, args):
+        args = [line_scene_file(tmp_path, [1.0]) if a is None else a for a in args]
+        assert main(["graph", *args]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
 
 
 class TestReportCommand:

@@ -183,6 +183,45 @@ class TestMaskedSoftmax:
                         [rng.standard_normal((4, 4))], rng=rng)
         assert err < 1e-6
 
+    def test_empty_row_in_one_batch_slice_raises(self):
+        mask = np.ones((3, 1, 4, 4), dtype=bool)
+        mask[1, 0, 2, :] = False
+        with pytest.raises(EmptyNeighborhoodError):
+            dc.masked_softmax(Tensor(np.zeros((3, 2, 4, 4))), mask)
+
+    # (shared score rows, mask): one graph for all slices, one per batch slice
+    # (broadcast over the channel axis), and the block layout's (nb, R, K).
+    SHARED_ROW_CASES = [((2, 3, 1, 5), (5, 5)), ((2, 3, 1, 4), (2, 1, 4, 4)),
+                        ((2, 4, 1, 7), (4, 3, 7))]
+
+    @pytest.mark.parametrize("logits_shape, mask_shape", SHARED_ROW_CASES)
+    def test_shared_score_row_equals_tiled_rows(self, logits_shape, mask_shape):
+        rng = np.random.default_rng(16)
+        logits = rng.standard_normal(logits_shape) * 3
+        mask = rng.random(mask_shape) < 0.5
+        mask[..., 0] = True
+        tiled = np.repeat(logits, mask_shape[-2], axis=-2)
+        out = dc.masked_softmax(Tensor(logits), mask).data
+        assert out.shape == tiled.shape
+        assert np.array_equal(out, dc.masked_softmax(Tensor(tiled), mask).data)
+
+    @pytest.mark.parametrize("logits_shape, mask_shape", SHARED_ROW_CASES)
+    def test_shared_score_row_gradient(self, logits_shape, mask_shape):
+        rng = np.random.default_rng(17)
+        mask = rng.random(mask_shape) < 0.5
+        mask[..., 0] = True
+        err = vjp_check(lambda l: dc.masked_softmax(l, mask),
+                        [rng.standard_normal(logits_shape)], rng=rng)
+        assert err < 1e-6
+
+    @pytest.mark.parametrize("logits_shape, mask_shape", [
+        ((4, 2, 5), (4, 3, 5)), ((2, 5), (3, 5)), ((1, 4), (3, 5)), ((2, 1, 3), (3, 3, 3)),
+        ((3, 3), (3,)),
+    ])
+    def test_mismatched_shapes_raise(self, logits_shape, mask_shape):
+        with pytest.raises(dc.ShapeError):
+            dc.masked_softmax(Tensor(np.zeros(logits_shape)), np.ones(mask_shape, dtype=bool))
+
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2 ** 30))
     @settings(max_examples=30, deadline=None)
     def test_rows_stochastic_over_neighbors(self, n, seed):

@@ -8,10 +8,12 @@ import pytest
 
 from adhocsv import diffcore as dc
 from adhocsv.diffcore import Parameter, ParamSet, Tensor, vjp_check
-from adhocsv.graphs import Adjacency, build_complete, build_temporal_span
+from adhocsv.graphs import Adjacency, build_complete, build_knn, build_temporal_span
 from adhocsv.stagg import (
     AggParams,
     FrameTensor,
+    GraphSpec,
+    build_graph,
     gcn_agg,
     init_agg_params,
     init_stack_params,
@@ -83,9 +85,18 @@ def reference_unmasked_mha(x, heads):
 
 
 def head_arrays(params):
+    """Per-head arrays for the loop references.
+
+    A gcn head holds only the key side (wr and the key half of beta).  It is
+    padded with a random query side (wl and the query half of beta), which
+    the reference scores with and the softmax must cancel.
+    """
     if params.mechanism == "sam":
         return [(h["wq"].data, h["wk"].data, h["wv"].data) for h in params.heads]
-    return [(h["wl"].data, h["wr"].data, h["beta"].data) for h in params.heads]
+    rng = np.random.default_rng(100)
+    return [(rng.standard_normal(h["wr"].shape), h["wr"].data,
+             np.concatenate([rng.standard_normal(h["beta"].shape), h["beta"].data]))
+            for h in params.heads]
 
 
 def random_mask(rng, n):
@@ -111,9 +122,8 @@ def make_gcn_params(weights, slope=0.2):
     d_in = weights[0][0].shape[0]
     d_head = weights[0][0].shape[1]
     heads = [
-        {"wl": Parameter(f"h{m}.wl", wl), "wr": Parameter(f"h{m}.wr", wr),
-         "beta": Parameter(f"h{m}.beta", beta)}
-        for m, (wl, wr, beta) in enumerate(weights)
+        {"wr": Parameter(f"h{m}.wr", wr), "beta": Parameter(f"h{m}.beta", beta)}
+        for m, (wr, beta) in enumerate(weights)
     ]
     return AggParams("gcn", d_in, len(heads), d_head, heads, slope)
 
@@ -191,8 +201,7 @@ class TestGcnAgg:
         d = 3
         rng = np.random.default_rng(7)
         x = rng.standard_normal((1, d))
-        params = make_gcn_params([(rng.standard_normal((d, d)), np.eye(d),
-                                   rng.standard_normal(2 * d))])
+        params = make_gcn_params([(np.eye(d), rng.standard_normal(d))])
         out = gcn_agg(Tensor(x), build_complete(1), params)
         assert np.allclose(out.data, x, atol=1e-12)
 
@@ -200,8 +209,8 @@ class TestGcnAgg:
         rng = np.random.default_rng(8)
         n, d = 4, 4
         x = rng.standard_normal((n, d))
-        wl, wr = rng.standard_normal((d, d)), rng.standard_normal((d, d))
-        params = make_gcn_params([(wl, wr, np.zeros(2 * d))])
+        wr = rng.standard_normal((d, d))
+        params = make_gcn_params([(wr, np.zeros(d))])
         out = gcn_agg(Tensor(x), build_complete(n), params).data
         gr = x @ wr
         assert np.allclose(out, np.tile(gr.mean(axis=0), (n, 1)), atol=1e-12)
@@ -233,10 +242,7 @@ class TestGcnAgg:
         while True:
             x = rng.standard_normal((n, d))
             params = init_agg_params("gcn", d, m, rng, "t")
-            margins = [
-                min(np.abs(x @ h["wl"].data).min(), np.abs(x @ h["wr"].data).min())
-                for h in params.heads
-            ]
+            margins = [np.abs(x @ h["wr"].data).min() for h in params.heads]
             if min(margins) > 1e-3:
                 break
 
@@ -245,6 +251,18 @@ class TestGcnAgg:
 
         err = vjp_check(fn, [x] + params.parameters(), rng=rng)
         assert err < 1e-5
+
+    def test_every_block_parameter_gets_a_gradient(self):
+        # No parameter is cancelled by the softmax: each one moves the output.
+        rng = np.random.default_rng(44)
+        b, c, t, d = 2, 5, 6, 8
+        x = rng.standard_normal((b, c, t, d))
+        blocks = init_stack_params("gcn", 1, d, 2, rng)
+        spatial = np.stack([random_mask(rng, c).entries for _ in range(b)])
+        out = st_stack(Tensor(x), blocks, random_mask(rng, t), spatial)
+        out.backward(rng.standard_normal(out.shape))
+        for p in blocks[0].parameters():
+            assert np.max(np.abs(p.grad)) > 1e-8, p.name
 
 
 def run_agg(agg, x, mask, params):
@@ -556,6 +574,24 @@ class TestStack:
 
         err = vjp_check(fn, leaves, rng=rng)
         assert err < 1e-5
+
+
+class TestGraphSpec:
+    @pytest.mark.parametrize("kwargs", [{"kind": "bogus"}, {"kind": "span", "delta": -1},
+                                        {"kind": "knn", "k": -1}, {"kind": "complete", "k": -2}])
+    def test_rejects_out_of_range_fields(self, kwargs):
+        with pytest.raises(ValueError):
+            GraphSpec(**kwargs)
+
+    def test_builds_each_kind(self):
+        pos = np.array([[0.0, 0, 0], [1.0, 0, 0], [3.0, 0, 0]])
+        assert build_graph(GraphSpec("complete"), 3).entries.all()
+        assert np.array_equal(build_graph(GraphSpec("span", delta=0), 3).entries,
+                              build_temporal_span(3, 0).entries)
+        assert np.array_equal(build_graph(GraphSpec("knn", k=1), 3, pos).entries,
+                              build_knn(pos, 1).entries)
+        with pytest.raises(ValueError, match="positions"):
+            build_graph(GraphSpec("knn", k=1), 3)
 
 
 class TestFrameTensor:

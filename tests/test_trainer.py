@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from adhocsv import diffcore as dc
 from adhocsv import trainer
 from adhocsv.chansel import prior_select, utterance_pool
-from adhocsv.diffcore import Tensor
+from adhocsv.diffcore import Parameter, ParamSet, Tensor
 from adhocsv.graphs import SelectionMask, build_complete, compose_prior
 from adhocsv.scenesim import SimConfig, make_codebook, sample_scene, synth_features
-from adhocsv.stagg import FrameTensor, GraphSpec, save_checkpoint, st_stack
+from adhocsv.stagg import FrameTensor, GraphSpec, load_checkpoint, save_checkpoint, st_stack
 from adhocsv.trainer import (
     DegenerateTaskError,
     MissingPriorError,
@@ -227,6 +227,10 @@ class TestEmbed:
     def test_mean_with_selection_rejected(self):
         with pytest.raises(ValueError):
             ModelConfig(mechanism="mean", selection=SelectionConfig(kind="gpool"))
+
+    def test_knn_temporal_graph_rejected(self):
+        with pytest.raises(ValueError, match="temporal"):
+            ModelConfig(temporal_graph=GraphSpec(kind="knn"))
 
 
 PARITY_CASES = [(m, s, g) for m in ("sam", "gcn") for s in ("none", "prior", "gpool")
@@ -500,6 +504,21 @@ class TestEvaluate:
         shuffled = TrialSet(trials.trials[::-1])
         assert evaluate(model, utts, trials).eer == evaluate(model, utts, shuffled).eer
 
+    def test_scores_match_cosine_score_per_trial(self):
+        utts = ragged_utterances(RAGGED_SHAPES, seed=39)
+        trials = all_pair_trials(utts)
+        model = Model.init(ModelConfig(mechanism="gcn", n_blocks=1, heads=2, d=8, seed=39), 3)
+        embs = trainer._embed_all(model, utts)
+        report = evaluate(model, utts, trials)
+        expected = [cosine_score(embs[t.enroll_id], embs[t.test_id]) for t in trials.trials]
+        assert np.max(np.abs(np.array(report.scores) - expected)) <= 1e-12
+
+    def test_zero_embedding_raises(self):
+        model, utts, trials = self._noise_free_setup()
+        utts["s2_0"] = Utterance("s2_0", 2, FrameTensor(np.zeros((2, 3, 8))))
+        with pytest.raises(ValueError, match="zero embedding"):
+            evaluate(model, utts, trials)
+
     def test_unknown_utterance(self):
         model, utts, _ = self._noise_free_setup()
         with pytest.raises(KeyError):
@@ -558,12 +577,45 @@ class TestModelIO:
     def test_seed_checkpoint_loads_and_embeds_identically(self):
         # Written before the removed settings were deleted: its config still
         # records warm_start, head, head_scale and selection.pool_all at
-        # their defaults.  The expected embedding was computed by that code.
+        # their defaults.  The expected embedding was computed by that code,
+        # whose softmax added and then subtracted the query term of the gcn
+        # score; without that term the result moves by rounding only.
         model = load_model(SEED_CHECKPOINT)
         assert model.cfg == ModelConfig(mechanism="gcn", n_blocks=1, heads=2, d=8,
                                         selection=SelectionConfig(kind="gpool"), seed=41)
         x = FrameTensor(np.random.default_rng(40).standard_normal((5, 6, 8)))
-        assert np.array_equal(embed(model, x), SEED_EMBEDDING)
+        assert np.max(np.abs(embed(model, x) - SEED_EMBEDDING)) <= 1e-15
+
+    def test_seed_checkpoint_drops_the_gcn_query_side(self):
+        # Its gcn heads still hold wl and a beta of twice the head width.  It
+        # holds an untrained model, so it also pins the draws of Model.init.
+        _, blobs = load_checkpoint(SEED_CHECKPOINT)
+        model = load_model(SEED_CHECKPOINT)
+        fresh = Model.init(model.cfg, model.n_speakers)
+        assert all(np.array_equal(p.data, fresh.params[p.name].data) for p in model.params)
+        assert set(blobs) - set(model.params.names()) == {
+            f"block0.{axis}.head{m}.wl" for axis in ("temporal", "spatial") for m in range(2)}
+        for p in model.params:
+            blob = blobs[p.name]
+            if p.name.endswith(".beta"):
+                assert blob.shape == (8,)
+                blob = blob[4:]
+            assert np.array_equal(p.data, blob), p.name
+
+    # A gcn head whose beta lacks the query half, and a sam head with a gcn
+    # query side, which sam must not read as one.
+    @pytest.mark.parametrize("mechanism, beta_width", [("gcn", 4), ("gcn", 6), ("sam", 8)])
+    def test_query_side_without_its_beta_half_rejected(self, tmp_path, mechanism, beta_width):
+        model = Model.init(ModelConfig(mechanism=mechanism, n_blocks=1, heads=2, d=8), 2)
+        head = "block0.spatial.head1"
+        params = [p for p in model.params if p.name != f"{head}.beta"]
+        params.append(Parameter(f"{head}.wl", np.ones((8, 4))))
+        params.append(Parameter(f"{head}.beta", np.ones(beta_width)))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, ParamSet(params),
+                        meta={"config": model_config_to_json(model.cfg), "n_speakers": 2})
+        with pytest.raises(ValueError, match=f"{head}.wl"):
+            load_model(path)
 
     @pytest.mark.parametrize("section,key,value", [
         (None, "head", "cosine"), (None, "head_scale", 30.0), (None, "warm_start", True),
