@@ -1,38 +1,43 @@
 """Channel selection and utterance pooling.
 
-Two selection routes: gpool scores channels with a learned projection and
-keeps the top K (gated by a sigmoid of their scores); prior selection
-keeps the channels a geometry-derived mask declares useful, features
-untouched.  Either way the surviving channels are average-pooled over
-channels and frames into one utterance-level embedding.
+Every selection kind ends in one weighted mean over channels and frames:
+
+    emb_b = sum_{c,t} keep_bc * gate_bc * valid_bt * z_bctd / (sum_c keep_bc * frames_b)
+
+``keep`` is a 0/1 (B, C) choice of channels: all of them without
+selection, the channels a geometry-derived mask declares useful for prior
+selection, and the top k by a learned score for gpool.  ``gate`` is 1,
+except for gpool, which gates each channel by the sigmoid of its score.
+``valid`` drops the zero-padded frames past each utterance's frame count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Parameter, Tensor
-from .graphs import Adjacency, SelectionMask
 
 __all__ = [
     "GPoolParams",
-    "GPoolResult",
     "DegenerateProjectionError",
+    "ChannelBudgetError",
     "init_gpool_params",
     "channel_scores",
-    "gpool",
-    "prior_select",
-    "utterance_pool",
+    "gpool_weights",
+    "weighted_pool",
 ]
 
 
 class DegenerateProjectionError(ValueError):
     """The gpool projection vector has zero norm."""
+
+
+class ChannelBudgetError(ValueError):
+    """gpool is asked to keep more channels than the array has (or none)."""
 
 
 @dataclass
@@ -54,79 +59,74 @@ def init_gpool_params(d: int, rng: np.random.Generator, name: str = "gpool.p") -
     return GPoolParams(p=Parameter(name, rng.uniform(-bound, bound, size=d)))
 
 
-class GPoolResult(NamedTuple):
-    features: Tensor  # (K, T, D), rows gated by sigmoid scores
-    adjacency: Adjacency  # K x K restriction of the spatial graph
-    indices: np.ndarray  # selected channels, ascending
-    gates: np.ndarray  # sigmoid(q[indices]) snapshot
-
-
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def channel_scores(z, params: GPoolParams) -> Tensor:
-    """Per-channel scores q = mean_t(Z) p / ||p||, shape (C,).
+def _check_batch(z: Tensor, frames: np.ndarray) -> None:
+    if z.ndim != 4:
+        raise dc.ShapeError(f"expected (B, C, T, D), got {z.shape}")
+    b, _, t, _ = z.shape
+    if frames.shape != (b,) or frames.min() < 1 or frames.max() > t:
+        raise dc.ShapeError(f"need {b} frame counts in [1, {t}], got {frames.tolist()}")
 
-    Scores come from the time-averaged features so one channel set serves
-    the whole utterance.
+
+def _valid_frames(frames: np.ndarray, t: int) -> np.ndarray:
+    """(B, 1, T, 1) 0/1 weights of the frames before each utterance's count."""
+    return (np.arange(t) < frames[:, None])[:, None, :, None]
+
+
+def channel_scores(z, frames, params: GPoolParams) -> Tensor:
+    """Per-channel scores q = mean_t(Z) p / ||p||, shape (B, C).
+
+    The mean runs over each utterance's first ``frames[b]`` frames, so one
+    channel set serves the whole utterance and padding never scores.  Each
+    channel's score is its own row reduction, so equal channels score
+    exactly equal wherever they sit in the batch.
     """
     z = _as_tensor(z)
-    if z.ndim != 3:
-        raise dc.ShapeError(f"expected (C, T, D), got {z.shape}")
+    frames = np.asarray(frames, dtype=np.intp)
+    _check_batch(z, frames)
     if float(np.linalg.norm(params.p.data)) == 0.0:
         raise DegenerateProjectionError("gpool projection has zero norm")
-    zbar = dc.mean_axis(z, axis=1)  # (C, D)
-    return dc.div(dc.matvec(zbar, params.p), dc.l2_norm(params.p))
+    summed = dc.sum_axis(dc.mul(z, _valid_frames(frames, z.shape[2])), axis=2)
+    zbar = dc.div(summed, frames[:, None, None])  # (B, C, D)
+    return dc.div(dc.sum_axis(dc.mul(zbar, params.p), -1), dc.l2_norm(params.p))
 
 
-def gpool(z, a_s: Adjacency, params: GPoolParams, k: int) -> GPoolResult:
-    """Keep the k channels with the largest scores, gated by sigmoid(q).
+def gpool_weights(z, frames, params: GPoolParams, k: int) -> tuple[np.ndarray, Tensor]:
+    """gpool's channel choice for a batch: keep (B, C) and gate (B, C).
 
-    Ties break toward the lower channel index; selected channels are
-    returned in ascending index order.  Gradients flow through the gate
-    values and the selected rows; the index choice itself is treated as
+    ``keep`` marks each utterance's k channels with the largest scores;
+    ties break toward the lower channel index.  ``gate`` is sigmoid(q) for
+    every channel; :func:`weighted_pool` reads it only where ``keep`` is 1.
+    Gradients flow through the gates; the choice itself is treated as
     constant (subgradient at ties).
     """
-    z = _as_tensor(z)
-    c = z.shape[0]
+    q = channel_scores(z, frames, params)
+    c = q.shape[1]
     if not 1 <= k <= c:
-        raise ValueError(f"k must lie in [1, {c}], got {k}")
-    if a_s.n != c:
-        raise dc.ShapeError(f"spatial graph has {a_s.n} nodes, input has {c} channels")
-    q = channel_scores(z, params)
-    order = np.argsort(-q.data, kind="stable")  # stable: ties keep lower index first
-    idx = np.sort(order[:k])
-    gates = dc.sigmoid(dc.take_rows(q, idx))
-    selected = dc.take_rows(z, idx)
-    gated = dc.mul(selected, dc.reshape(gates, (k, 1, 1)))
-    return GPoolResult(
-        features=gated,
-        adjacency=a_s.restrict(idx),
-        indices=idx,
-        gates=np.array(gates.data),
-    )
+        raise ChannelBudgetError(f"gpool keeps k={k} channels, but the array has C={c}")
+    order = np.argsort(-q.data, axis=1, kind="stable")  # stable: ties keep lower index first
+    keep = np.zeros(q.shape)
+    np.put_along_axis(keep, order[:, :k], 1.0, axis=1)
+    return keep, dc.sigmoid(q)
 
 
-def prior_select(z, mask: SelectionMask) -> Tensor:
-    """Keep exactly the masked-in channels; features pass through unchanged.
+def weighted_pool(z, keep, gate, frames) -> Tensor:
+    """The utterance embeddings (B, D): z's mean over kept channels and valid frames.
 
-    Training and embedding pool prior selections batched, as a masked mean
-    over channels; this per-utterance form is the reference they are tested
-    against.
+    ``keep`` is a 0/1 (B, C) array and ``gate`` either 1 or a (B, C)
+    tensor; see the module docstring for the formula.
     """
     z = _as_tensor(z)
-    if z.ndim != 3:
-        raise dc.ShapeError(f"expected (C, T, D), got {z.shape}")
-    if mask.selected.shape[0] != z.shape[0]:
-        raise dc.ShapeError(
-            f"mask covers {mask.selected.shape[0]} channels, input has {z.shape[0]}")
-    return dc.take_rows(z, mask.indices())
-
-
-def utterance_pool(z_hat) -> Tensor:
-    """Average over channels and frames: (K, T, D) -> (D,)."""
-    z_hat = _as_tensor(z_hat)
-    if z_hat.ndim != 3:
-        raise dc.ShapeError(f"expected (K, T, D), got {z_hat.shape}")
-    return dc.mean_axis(z_hat, axis=(0, 1))
+    keep = np.asarray(keep, dtype=np.float64)
+    frames = np.asarray(frames, dtype=np.intp)
+    _check_batch(z, frames)
+    b, c, t, _ = z.shape
+    if keep.shape != (b, c) or not keep.any(axis=1).all():
+        raise dc.ShapeError(f"keep must be (B, C) = {(b, c)} with a kept channel per row, "
+                            f"got {keep.shape}")
+    channel_w = dc.reshape(dc.mul(keep, gate), (b, c, 1, 1))
+    summed = dc.sum_axis(dc.mul(z, dc.mul(channel_w, _valid_frames(frames, t))), axis=(1, 2))
+    return dc.div(summed, (keep.sum(axis=1) * frames)[:, None])

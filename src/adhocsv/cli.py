@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chansel import DegenerateProjectionError
+from .chansel import ChannelBudgetError, DegenerateProjectionError
 from .diffcore import NonFiniteError
 from .graphs import adjacency_to_json, compose_prior
 from .scenesim import (
@@ -524,7 +524,8 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (DataError, ProtocolError, DegenerateTaskError, MissingPriorError) as err:
+    except (DataError, ProtocolError, DegenerateTaskError, MissingPriorError,
+            ChannelBudgetError) as err:
         print(f"data error: {err}", file=sys.stderr)
         return 3
     except (NonFiniteError, DegenerateProjectionError, FloatingPointError) as err:

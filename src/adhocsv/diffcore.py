@@ -25,7 +25,6 @@ __all__ = [
     "ShapeError",
     "EmptyNeighborhoodError",
     "NonFiniteError",
-    "set_checked",
     "add",
     "mul",
     "div",
@@ -35,9 +34,7 @@ __all__ = [
     "transpose",
     "reshape",
     "concat",
-    "stack_rows",
     "windows",
-    "take_rows",
     "sum_axis",
     "mean_axis",
     "l2_norm",
@@ -61,15 +58,6 @@ class NonFiniteError(FloatingPointError):
     """A NaN or Inf appeared where only finite values are allowed."""
 
 
-_CHECK_FINITE = True
-
-
-def set_checked(flag: bool) -> None:
-    """Toggle finiteness validation at tensor construction."""
-    global _CHECK_FINITE
-    _CHECK_FINITE = bool(flag)
-
-
 class Tensor:
     """A dense array node in the kernel graph.
 
@@ -83,7 +71,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _vjp=None):
         arr = np.asarray(data, dtype=np.float64)
-        if _CHECK_FINITE and not np.isfinite(arr).all():
+        if not np.isfinite(arr).all():
             raise NonFiniteError("tensor holds NaN or Inf")
         self.data = arr
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
@@ -332,19 +320,6 @@ def concat(tensors, axis: int = -1) -> Tensor:
     return Tensor(out_data, _parents=tuple(tensors), _vjp=vjp)
 
 
-def stack_rows(tensors) -> Tensor:
-    """Stack equally shaped tensors along a new leading axis."""
-    tensors = [_as_tensor(t) for t in tensors]
-    if not tensors:
-        raise ShapeError("stack_rows needs at least one tensor")
-    out_data = np.stack([t.data for t in tensors], axis=0)
-
-    def vjp(g):
-        return tuple(g[i] for i in range(len(tensors)))
-
-    return Tensor(out_data, _parents=tuple(tensors), _vjp=vjp)
-
-
 def windows(a, size: int, step: int, offset: int, count: int) -> Tensor:
     """Overlapping row windows: (..., N, D) -> (..., count, size, D).
 
@@ -377,24 +352,6 @@ def windows(a, size: int, step: int, offset: int, count: int) -> Tensor:
             slots = gpad[..., k * step:(k + count) * step, :].reshape(lead + (count, step, d))
             slots[..., :width, :] += g[..., k * step:k * step + width, :]
         return (gpad[..., offset:offset + n, :],)
-
-    return Tensor(out_data, _parents=(a,), _vjp=vjp)
-
-
-def take_rows(a, idx) -> Tensor:
-    """Select rows along axis 0; gradients scatter-add back."""
-    a = _as_tensor(a)
-    idx = np.asarray(idx, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ShapeError("take_rows expects a 1-D index list")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
-        raise IndexError("take_rows index out of range")
-    out_data = a.data[idx]
-
-    def vjp(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
-        return (ga,)
 
     return Tensor(out_data, _parents=(a,), _vjp=vjp)
 

@@ -31,7 +31,6 @@ __all__ = [
     "apply_noise_mask",
     "neighbors",
     "adjacency_to_json",
-    "adjacency_from_json",
 ]
 
 
@@ -51,12 +50,6 @@ class Adjacency:
             raise ValueError("adjacency diagonal must be all ones (self-loop policy)")
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
-
-    def restrict(self, idx) -> "Adjacency":
-        """Subgraph on the given node indices (order preserved)."""
-        idx = np.asarray(idx, dtype=np.intp)
-        sub = self.entries[np.ix_(idx, idx)].copy()
-        return Adjacency(n=len(idx), entries=sub, symmetric=bool(np.array_equal(sub, sub.T)))
 
 
 @dataclass(frozen=True)
@@ -224,12 +217,3 @@ def neighbors(a: Adjacency, v: int) -> list[int]:
 
 def adjacency_to_json(a: Adjacency) -> dict:
     return {"n": a.n, "rows": ["".join("1" if x else "0" for x in row) for row in a.entries]}
-
-
-def adjacency_from_json(doc: dict) -> Adjacency:
-    n = int(doc["n"])
-    rows = doc["rows"]
-    if len(rows) != n or any(len(r) != n or set(r) - {"0", "1"} for r in rows):
-        raise ValueError("malformed adjacency document")
-    entries = np.array([[c == "1" for c in r] for r in rows], dtype=bool)
-    return Adjacency(n=n, entries=entries, symmetric=bool(np.array_equal(entries, entries.T)))

@@ -1,13 +1,13 @@
 """Second-stage training and verification scoring.
 
 The trainable system = spatial-temporal aggregation stack, optional
-channel selection, average pooling, and a linear softmax classifier over
-speakers.  Frame-level features are frozen inputs.  One batched forward
-pass computes the embeddings: training runs it on batches of same-shape
-utterances, :func:`embed` on one utterance, and :func:`evaluate` on
-batches of utterances with equal channel counts whose frame counts differ,
-zero-padded on the frame axis and masked so that padding changes no
-embedding.  Verification scores utterance-embedding pairs with cosine
+channel selection pooled as one weighted mean over channels and frames,
+and a linear softmax classifier over speakers.  Frame-level features are
+frozen inputs.  One batched forward pass computes the embeddings:
+training runs it on batches of same-shape utterances, :func:`embed` on
+one utterance, and :func:`evaluate` on batches of utterances with equal
+channel counts whose frame counts differ, zero-padded on the frame axis
+and masked so that padding changes no embedding.  Verification scores utterance-embedding pairs with cosine
 similarity and reports the equal error rate from a full threshold sweep.
 """
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import diffcore as dc
-from .chansel import GPoolParams, gpool, init_gpool_params, utterance_pool
+from .chansel import GPoolParams, gpool_weights, init_gpool_params, weighted_pool
 from .diffcore import NonFiniteError, Parameter, ParamSet, Tensor
 from .graphs import compose_prior
 from .scenesim import Scene
@@ -215,29 +215,23 @@ def _padded_temporal_masks(spec: GraphSpec, frames: np.ndarray, t: int) -> np.nd
     return mask
 
 
-def _masked_mean(out: Tensor, weights: np.ndarray, counts: np.ndarray) -> Tensor:
-    """Per-utterance mean of (B, C, T, D) rows weighted 0/1 by ``weights`` over ``counts`` rows."""
-    summed = dc.sum_axis(dc.mul(out, Tensor(weights)), axis=(1, 2))
-    return dc.div(summed, Tensor(counts[:, None]))
-
-
 def _forward(model: Model, x: np.ndarray, scenes: list[Scene | None],
              frames: list[int] | None = None):
     """Differentiable embeddings of a batch of utterances with equal channel counts.
 
     ``x`` is (B, C, T, D) with one scene (or None) per utterance.  Builds
-    each utterance's graphs, runs the aggregation stack, applies the
-    configured channel selection and average-pools.  Returns the (B, D)
-    embedding tensor and one selection-info dict per utterance.
+    each utterance's graphs, runs the aggregation stack, picks the
+    configured channels and gates and pools them in one weighted mean
+    (:func:`chansel.weighted_pool`).  Returns the (B, D) embedding tensor
+    and one selection-info dict per utterance.
 
     ``frames`` gives each utterance's valid frame count; its frames past
     that count are zero padding.  None, or every count equal to T, runs
     one temporal graph shared by the whole batch.  Otherwise each
     utterance's temporal graph is built at its own length inside a
-    (B, 1, T, T) mask whose padded frames see only themselves, pooling
-    weights the padded frames out and gpool crops them before scoring
-    channels, so every embedding equals its utterance's unpadded one up
-    to rounding.
+    (B, 1, T, T) mask whose padded frames see only themselves, and gpool
+    scoring and pooling weight the padded frames out, so every embedding
+    equals its utterance's unpadded one up to rounding.
     """
     cfg = model.cfg
     sel = cfg.selection
@@ -247,44 +241,27 @@ def _forward(model: Model, x: np.ndarray, scenes: list[Scene | None],
     frames = np.full(b, t) if frames is None else np.asarray(frames, dtype=np.intp)
     if frames.shape != (b,) or frames.min() < 1 or frames.max() > t:
         raise dc.ShapeError(f"need {b} frame counts in [1, {t}], got {frames.tolist()}")
-    ragged = bool((frames < t).any())
-    # 0/1 weights over (B, 1, T, 1) that drop padded frames from the pooling
-    frame_weights = (np.arange(t) < frames[:, None])[:, None, :, None] if ragged else 1.0
     out = Tensor(x)
     if cfg.mechanism != "mean":
         adjacencies, sel_masks = zip(*(_spatial_adjacency(model, c, scene) for scene in scenes))
         spatial_mask = np.stack([a.entries for a in adjacencies])
-        if ragged:
+        if (frames < t).any():
             a_temporal = _padded_temporal_masks(cfg.temporal_graph, frames, t)
         else:
             a_temporal = build_graph(cfg.temporal_graph, t)
         out = st_stack(out, model.blocks, a_temporal, spatial_mask)
 
-    if sel.kind == "none":  # always the case for the mean baseline
-        infos = [{"mechanism": "none", "selected_indices": list(range(c)), "gates": None}
-                 for _ in range(b)]
-        if not ragged:
-            return dc.mean_axis(out, axis=(1, 2)), infos
-        return _masked_mean(out, frame_weights, c * frames), infos
+    keep, gate = np.ones((b, c)), 1.0  # no selection: every channel, ungated
     if sel.kind == "prior":
-        keep = np.stack([m.selected for m in sel_masks]).astype(np.float64)  # (B, C)
-        infos = [{"mechanism": "prior", "selected_indices": [int(i) for i in m.indices()],
-                  "gates": None} for m in sel_masks]
-        weights = keep[:, :, None, None] * frame_weights
-        return _masked_mean(out, weights, keep.sum(axis=1) * frames), infos
-    # gpool: the channel choice is per utterance, so finish slice by slice
-    k = sel.k if sel.k is not None else math.ceil(c / 2)
-    pooled, infos = [], []
-    for i in range(b):
-        z = dc.reshape(dc.take_rows(out, np.array([i])), (c, t, cfg.d))
-        n = int(frames[i])
-        if n < t:  # crop the padding so the channel scores average valid frames only
-            z = dc.reshape(dc.windows(z, n, n, 0, 1), (c, n, cfg.d))
-        result = gpool(z, adjacencies[i], model.gpool, k)
-        pooled.append(utterance_pool(result.features))
-        infos.append({"mechanism": "gpool", "selected_indices": [int(j) for j in result.indices],
-                      "gates": [float(g) for g in result.gates]})
-    return dc.stack_rows(pooled), infos
+        keep = np.stack([m.selected for m in sel_masks]).astype(np.float64)
+    elif sel.kind == "gpool":
+        k = sel.k if sel.k is not None else math.ceil(c / 2)
+        keep, gate = gpool_weights(out, frames, model.gpool, k)
+    gates = gate.data if sel.kind == "gpool" else None
+    infos = [{"mechanism": sel.kind, "selected_indices": np.flatnonzero(keep[i]).tolist(),
+              "gates": None if gates is None else gates[i, keep[i] > 0].tolist()}
+             for i in range(b)]
+    return weighted_pool(out, keep, gate, frames), infos
 
 
 def embed(model: Model, x, scene: Scene | None = None) -> np.ndarray:

@@ -5,81 +5,112 @@ import pytest
 
 from adhocsv import diffcore as dc
 from adhocsv.chansel import (
+    ChannelBudgetError,
     DegenerateProjectionError,
     GPoolParams,
     channel_scores,
-    gpool,
+    gpool_weights,
     init_gpool_params,
-    prior_select,
-    utterance_pool,
+    weighted_pool,
 )
 from adhocsv.diffcore import Parameter, Tensor, vjp_check
-from adhocsv.graphs import SelectionMask, build_complete
 
 
 def gp(vec, name="p"):
     return GPoolParams(p=Parameter(name, np.asarray(vec, dtype=float)))
 
 
+def gpool_one(z, params, k):
+    """gpool on one (C, T, D) utterance: selected indices, their gates, the embedding."""
+    z = Tensor(np.asarray(z, dtype=float)[None])
+    frames = [z.shape[2]]
+    keep, gate = gpool_weights(z, frames, params, k)
+    idx = np.flatnonzero(keep[0])
+    return idx, gate.data[0, idx], weighted_pool(z, keep, gate, frames).data[0]
+
+
+def pool_one(z, selected=None):
+    """weighted_pool of one (C, T, D) utterance over the selected channels (default all)."""
+    z = np.asarray(z, dtype=float)
+    keep = np.ones((1, z.shape[0])) if selected is None else np.asarray(selected, float)[None]
+    return weighted_pool(Tensor(z[None]), keep, 1.0, [z.shape[1]]).data[0]
+
+
 class TestGPool:
     def test_hand_evaluated_gates(self):
         # p = [1, 0]; rows score 3, 1, 2; k = 2 keeps channels 0 and 2,
-        # gated to 3*sigmoid(3) and 2*sigmoid(2).
+        # gated to 3*sigmoid(3) and 2*sigmoid(2) and averaged.
         z = np.array([[[3.0, 0.0]], [[1.0, 0.0]], [[2.0, 0.0]]])  # (C=3, T=1, D=2)
-        result = gpool(Tensor(z), build_complete(3), gp([1.0, 0.0]), k=2)
-        assert result.indices.tolist() == [0, 2]
-        out = result.features.data
-        assert abs(out[0, 0, 0] - 2.857722) < 1e-6
-        assert abs(out[1, 0, 0] - 1.761594) < 1e-6
-        assert np.allclose(out[:, :, 1], 0.0)
+        idx, gates, emb = gpool_one(z, gp([1.0, 0.0]), k=2)
+        assert idx.tolist() == [0, 2]
+        assert abs(3.0 * gates[0] - 2.857722) < 1e-6
+        assert abs(2.0 * gates[1] - 1.761594) < 1e-6
+        assert abs(emb[0] - (2.857722 + 1.761594) / 2) < 1e-6
+        assert emb[1] == 0.0
 
     def test_k_one_keeps_unique_max(self):
         z = np.array([[[0.0]], [[5.0]], [[1.0]]])
-        result = gpool(Tensor(z), build_complete(3), gp([1.0]), k=1)
-        assert result.indices.tolist() == [1]
-        assert result.adjacency.n == 1
-        assert np.array_equal(result.adjacency.entries, [[True]])
+        idx, _, _ = gpool_one(z, gp([1.0]), k=1)
+        assert idx.tolist() == [1]
 
     def test_tie_breaks_to_lower_index(self):
         z = np.array([[[2.0]], [[1.0]], [[2.0]]])  # channels 0 and 2 tie
-        result = gpool(Tensor(z), build_complete(3), gp([1.0]), k=1)
-        assert result.indices.tolist() == [0]
+        idx, _, _ = gpool_one(z, gp([1.0]), k=1)
+        assert idx.tolist() == [0]
+
+    def test_identical_channels_keep_the_first_k(self):
+        # Identical channels must score exactly equal, wherever they sit in the
+        # batch, so that the tie rule alone picks the first k.  A BLAS
+        # matrix-vector product can round equal rows differently by their
+        # position (three identical channels, k = 2, kept [0, 2]).
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            c, t, d = int(rng.integers(2, 17)), int(rng.integers(1, 6)), int(rng.integers(1, 33))
+            k = int(rng.integers(1, c + 1))
+            rows = rng.standard_normal((2, 1, t, d))
+            z = np.repeat(rows, c, axis=1)  # two utterances, each with c identical channels
+            keep, gate = gpool_weights(Tensor(z), [t, t], gp(rng.standard_normal(d)), k)
+            assert keep.tolist() == [[1.0] * k + [0.0] * (c - k)] * 2
+            assert np.all(gate.data == gate.data[:, :1])
 
     def test_scores_from_time_average(self):
         rng = np.random.default_rng(0)
         z = rng.standard_normal((4, 6, 3))
         p = gp(rng.standard_normal(3))
-        q = channel_scores(Tensor(z), p).data
+        q = channel_scores(Tensor(z[None]), [6], p).data[0]
         expected = z.mean(axis=1) @ p.p.data / np.linalg.norm(p.p.data)
         assert np.allclose(q, expected, atol=1e-12)
+
+    def test_scores_average_valid_frames_only(self):
+        rng = np.random.default_rng(13)
+        z = rng.standard_normal((2, 4, 6, 3))
+        z[1, :, 4:] = 1e6  # padding past the second utterance's 4 frames
+        p = gp(rng.standard_normal(3))
+        q = channel_scores(Tensor(z), [6, 4], p).data
+        for i, n in enumerate((6, 4)):
+            expected = z[i, :, :n].mean(axis=1) @ p.p.data / np.linalg.norm(p.p.data)
+            assert np.allclose(q[i], expected, atol=1e-12)
 
     def test_selection_invariant_under_positive_scaling(self):
         rng = np.random.default_rng(1)
         z = rng.standard_normal((6, 4, 5))
         base = rng.standard_normal(5)
-        reference = gpool(Tensor(z), build_complete(6), gp(base), k=3).indices
+        reference, _, _ = gpool_one(z, gp(base), k=3)
         for c in (0.5, 2.0, 173.25):
-            scaled = gpool(Tensor(z), build_complete(6), gp(c * base), k=3).indices
+            scaled, _, _ = gpool_one(z, gp(c * base), k=3)
             assert np.array_equal(scaled, reference)
-            order_ref = np.argsort(channel_scores(Tensor(z), gp(base)).data, kind="stable")
-            order_scaled = np.argsort(channel_scores(Tensor(z), gp(c * base)).data, kind="stable")
+            order_ref = np.argsort(channel_scores(Tensor(z[None]), [4], gp(base)).data[0],
+                                   kind="stable")
+            order_scaled = np.argsort(channel_scores(Tensor(z[None]), [4], gp(c * base)).data[0],
+                                      kind="stable")
             assert np.array_equal(order_ref, order_scaled)
 
     def test_gates_strictly_attenuate(self):
         rng = np.random.default_rng(2)
         z = rng.standard_normal((5, 3, 4))
-        result = gpool(Tensor(z), build_complete(5), gp(rng.standard_normal(4)), k=3)
-        assert np.all(result.gates > 0.0) and np.all(result.gates < 1.0)
-        assert np.allclose(result.features.data, z[result.indices] * result.gates[:, None, None])
-
-    def test_adjacency_restricted_to_selection(self):
-        from adhocsv.graphs import build_temporal_span
-
-        z = np.array([[[3.0]], [[1.0]], [[2.0]], [[0.5]]])
-        a = build_temporal_span(4, 1)  # chain graph stands in for a sparse spatial graph
-        result = gpool(Tensor(z), a, gp([1.0]), k=2)
-        assert result.indices.tolist() == [0, 2]
-        assert np.array_equal(result.adjacency.entries, np.eye(2, dtype=bool))
+        idx, gates, emb = gpool_one(z, gp(rng.standard_normal(4)), k=3)
+        assert np.all(gates > 0.0) and np.all(gates < 1.0)
+        assert np.allclose(emb, (z[idx] * gates[:, None, None]).mean(axis=(0, 1)), atol=1e-12)
 
     def test_matches_full_sort_oracle(self):
         rng = np.random.default_rng(3)
@@ -88,22 +119,26 @@ class TestGPool:
             z = rng.standard_normal((c, 4, 6))
             p = rng.standard_normal(6)
             k = int(rng.integers(1, c + 1))
-            result = gpool(Tensor(z), build_complete(c), gp(p), k=k)
+            idx, _, _ = gpool_one(z, gp(p), k=k)
             q = z.mean(axis=1) @ (p / np.linalg.norm(p))
             oracle = sorted(sorted(range(c), key=lambda i: (-q[i], i))[:k])
-            assert result.indices.tolist() == oracle
+            assert idx.tolist() == oracle
 
     def test_zero_projection_rejected(self):
         z = np.zeros((2, 1, 3))
         with pytest.raises(DegenerateProjectionError):
-            gpool(Tensor(z), build_complete(2), gp([0.0, 0.0, 0.0]), k=1)
+            gpool_one(z, gp([0.0, 0.0, 0.0]), k=1)
 
     def test_k_out_of_range(self):
         z = np.zeros((2, 1, 3))
         params = gp([1.0, 0.0, 0.0])
         for bad in (0, 3):
             with pytest.raises(ValueError):
-                gpool(Tensor(z), build_complete(2), params, k=bad)
+                gpool_one(z, params, k=bad)
+
+    def test_k_over_channel_count_names_both(self):
+        with pytest.raises(ChannelBudgetError, match=r"k=4 .* C=2"):
+            gpool_weights(Tensor(np.zeros((3, 2, 1, 3))), [1, 1, 1], gp([1.0, 0.0, 0.0]), 4)
 
     def test_gradients_at_stable_topk(self):
         rng = np.random.default_rng(4)
@@ -118,25 +153,49 @@ class TestGPool:
         params = gp(p)
 
         def fn(zt, pt):
-            return gpool(zt, build_complete(c), params, k=k).features
+            keep, gate = gpool_weights(zt, [t], params, k)
+            return weighted_pool(zt, keep, gate, [t])
+
+        err = vjp_check(fn, [z[None], params.p], rng=rng)
+        assert err < 1e-5
+
+    def test_batched_gradients_at_stable_topk(self):
+        # Two utterances, the second padded past 2 of its 3 frames.
+        rng = np.random.default_rng(14)
+        b, c, t, d, k, frames = 2, 4, 3, 4, 2, [3, 2]
+        while True:
+            z = rng.standard_normal((b, c, t, d))
+            p = rng.standard_normal(d)
+            gaps = []
+            for i, n in enumerate(frames):
+                ranked = np.sort(z[i, :, :n].mean(axis=1) @ (p / np.linalg.norm(p)))[::-1]
+                gaps.append(ranked[k - 1] - ranked[k])
+            if min(gaps) > 1e-2:  # both top-k sets stable under FD perturbation
+                break
+        params = gp(p)
+
+        def fn(zt, pt):
+            keep, gate = gpool_weights(zt, frames, params, k)
+            return weighted_pool(zt, keep, gate, frames)
 
         err = vjp_check(fn, [z, params.p], rng=rng)
         assert err < 1e-5
 
 
 class TestPriorSelect:
+    """Prior selection is weighted_pool with the mask as ``keep`` and no gate."""
+
     def test_all_true_is_identity(self):
         rng = np.random.default_rng(5)
         z = rng.standard_normal((4, 3, 2))
-        out = prior_select(Tensor(z), SelectionMask(np.ones(4, dtype=bool)))
-        assert np.array_equal(out.data, z)
+        assert np.allclose(pool_one(z, np.ones(4)), z.mean(axis=(0, 1)), atol=1e-12)
 
     def test_single_channel(self):
         rng = np.random.default_rng(6)
         z = rng.standard_normal((4, 5, 2))
-        out = prior_select(Tensor(z), SelectionMask(np.array([True, False, False, False])))
-        assert out.shape == (1, 5, 2)
-        assert np.array_equal(out.data[0], z[0])
+        out = pool_one(z, [1.0, 0.0, 0.0, 0.0])
+        assert out.shape == (2,)
+        assert np.allclose(out, z[0].mean(axis=0), atol=1e-12)
 
     def test_matches_row_filter_oracle(self):
         rng = np.random.default_rng(7)
@@ -146,32 +205,33 @@ class TestPriorSelect:
             selected = rng.random(c) < 0.5
             if not selected.any():
                 selected[int(rng.integers(c))] = True
-            out = prior_select(Tensor(z), SelectionMask(selected)).data
-            oracle = np.stack([z[i] for i in range(c) if selected[i]])
-            assert np.array_equal(out, oracle)
+            oracle = np.stack([z[i] for i in range(c) if selected[i]]).mean(axis=(0, 1))
+            assert np.allclose(pool_one(z, selected), oracle, atol=1e-12)
 
     def test_mask_size_mismatch(self):
         z = np.zeros((3, 2, 2))
         with pytest.raises(dc.ShapeError):
-            prior_select(Tensor(z), SelectionMask(np.array([True, False])))
+            pool_one(z, [1.0, 0.0])
+
+    def test_empty_selection_rejected(self):
+        with pytest.raises(dc.ShapeError):
+            pool_one(np.zeros((3, 2, 2)), [0.0, 0.0, 0.0])
 
 
 class TestUtterancePool:
     def test_constant_rows(self):
         r = np.array([1.5, -2.0, 0.25])
         z = np.tile(r, (4, 6, 1))
-        out = utterance_pool(Tensor(z))
-        assert np.allclose(out.data, r, atol=1e-12)
+        assert np.allclose(pool_one(z), r, atol=1e-12)
 
     def test_two_row_average(self):
         z = np.array([[[1.0, 0.0]], [[0.0, 1.0]]])
-        out = utterance_pool(Tensor(z))
-        assert np.allclose(out.data, [0.5, 0.5])
+        assert np.allclose(pool_one(z), [0.5, 0.5])
 
     def test_matches_loop_sum_oracle(self):
         rng = np.random.default_rng(8)
         z = rng.standard_normal((3, 5, 4))
-        out = utterance_pool(Tensor(z)).data
+        out = pool_one(z)
         acc = np.zeros(4)
         for kk in range(3):
             for tt in range(5):
@@ -182,13 +242,22 @@ class TestUtterancePool:
         rng = np.random.default_rng(9)
         z = rng.standard_normal((6, 4, 3))
         selected = np.array([True, False, True, True, False, False])
-        pooled = utterance_pool(prior_select(Tensor(z), SelectionMask(selected))).data
         oracle = z[selected].reshape(-1, 3).mean(axis=0)
-        assert np.allclose(pooled, oracle, atol=1e-12)
+        assert np.allclose(pool_one(z, selected), oracle, atol=1e-12)
+
+    def test_padded_frames_are_weighted_out(self):
+        rng = np.random.default_rng(15)
+        z = rng.standard_normal((2, 3, 5, 4))
+        z[0, :, 2:] = 1e6  # padding past the first utterance's 2 frames
+        keep = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
+        out = weighted_pool(Tensor(z), keep, 1.0, [2, 5]).data
+        assert np.allclose(out[0], z[0, [0, 2], :2].mean(axis=(0, 1)), atol=1e-12)
+        assert np.allclose(out[1], z[1].mean(axis=(0, 1)), atol=1e-12)
 
     def test_gradient(self):
         rng = np.random.default_rng(10)
-        err = vjp_check(lambda zt: utterance_pool(zt), [rng.standard_normal((2, 3, 4))], rng=rng)
+        err = vjp_check(lambda zt: weighted_pool(zt, np.ones((1, 2)), 1.0, [3]),
+                        [rng.standard_normal((1, 2, 3, 4))], rng=rng)
         assert err < 1e-8
 
 

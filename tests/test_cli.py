@@ -263,6 +263,27 @@ class TestTrainEval:
                          "--channels", "9", "--quiet"])
         assert too_many == 3
 
+    def test_gpool_budget_over_channel_count_is_data_error(self, tmp_path, dataset, capsys):
+        cfg = json.loads(json.dumps(TINY_CONFIG))
+        cfg["model"]["selection"] = {"kind": "gpool", "k": 4}
+        config = tmp_path / "gpool.json"
+        config.write_text(json.dumps(cfg))
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--data", dataset,
+                     "--out", str(run), "--quiet"]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config), "--ckpt", str(run / "model.ckpt"),
+                     "--data", dataset, "--out", str(tmp_path / "e"), "--channels", "2",
+                     "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert "k=4" in err and "C=2" in err and "Traceback" not in err
+        cfg["model"]["selection"]["k"] = 9  # the scenes have 4 nodes
+        config.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(config), "--data", dataset,
+                     "--out", str(tmp_path / "run9"), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert "k=9" in err and "C=4" in err
+
     def test_eval_per_node_and_selection_dump(self, tmp_path, config_path, dataset):
         run = tmp_path / "run"
         main(["train", "--config", config_path, "--data", dataset, "--out", str(run), "--quiet"])

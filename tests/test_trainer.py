@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from adhocsv import diffcore as dc
 from adhocsv import trainer
-from adhocsv.chansel import prior_select, utterance_pool
+from adhocsv.chansel import ChannelBudgetError
 from adhocsv.diffcore import Parameter, ParamSet, Tensor
-from adhocsv.graphs import SelectionMask, build_complete, compose_prior
+from adhocsv.graphs import build_complete, compose_prior
 from adhocsv.scenesim import SimConfig, make_codebook, sample_scene, synth_features
 from adhocsv.stagg import FrameTensor, GraphSpec, load_checkpoint, save_checkpoint, st_stack
 from adhocsv.trainer import (
@@ -171,8 +171,7 @@ class TestEmbed:
         model = Model.init(cfg, n_speakers=2)
         via_embed = embed(model, FrameTensor(x))
         z = st_stack(Tensor(x[None]), model.blocks, build_complete(5), np.ones((1, 4, 4), bool))
-        z = z.data[0]
-        via_mask = utterance_pool(prior_select(z, SelectionMask(np.ones(4, dtype=bool)))).data
+        via_mask = z.data[0].mean(axis=(0, 1))
         assert np.allclose(via_embed, via_mask, atol=1e-12)
 
     def test_matches_manual_composition(self):
@@ -181,7 +180,7 @@ class TestEmbed:
         cfg = ModelConfig(mechanism="sam", n_blocks=2, heads=2, d=8, seed=4)
         model = Model.init(cfg, n_speakers=2)
         z = st_stack(Tensor(x[None]), model.blocks, build_complete(4), np.ones((1, 3, 3), bool))
-        manual = utterance_pool(z.data[0]).data
+        manual = z.data[0].mean(axis=(0, 1))
         assert np.allclose(embed(model, FrameTensor(x)), manual, atol=1e-12)
 
     def test_channel_permutation_invariance_with_complete_graph(self):
@@ -223,6 +222,16 @@ class TestEmbed:
         _, info = embed_with_info(model, FrameTensor(x))
         assert len(info["selected_indices"]) == 3  # ceil(5 / 2)
         assert info["gates"] is not None and len(info["gates"]) == 3
+
+    def test_gpool_budget_over_channel_count_rejected(self):
+        cfg = ModelConfig(mechanism="gcn", n_blocks=1, heads=2, d=8,
+                          selection=SelectionConfig(kind="gpool", k=4), seed=9)
+        model = Model.init(cfg, n_speakers=2)
+        with pytest.raises(ChannelBudgetError, match=r"k=4 .* C=2"):
+            embed(model, FrameTensor(np.zeros((2, 3, 8))))
+        data = toy_dataset(c=3, d=8)
+        with pytest.raises(ChannelBudgetError, match=r"k=4 .* C=3"):
+            train_second_stage(data, cfg, TrainHyper(epochs=1))
 
     def test_mean_with_selection_rejected(self):
         with pytest.raises(ValueError):
@@ -276,7 +285,7 @@ def test_batched_prior_pooling_matches_per_utterance_reference():
                  np.stack([a.entries for a, _ in priors])).data
     for i, (_, mask) in enumerate(priors):
         assert infos[i]["selected_indices"] == mask.indices().tolist()
-        reference = utterance_pool(prior_select(z[i], mask)).data
+        reference = z[i][mask.selected].mean(axis=(0, 1))
         assert np.max(np.abs(embs.data[i] - reference)) <= 1e-12
 
 
