@@ -34,12 +34,13 @@ __all__ = [
     "transpose",
     "reshape",
     "concat",
-    "windows",
     "sum_axis",
     "mean_axis",
     "l2_norm",
     "leaky_relu",
     "sigmoid",
+    "exp",
+    "check_mask",
     "masked_softmax",
     "softmax_cross_entropy",
     "vjp_check",
@@ -51,7 +52,7 @@ class ShapeError(ValueError):
 
 
 class EmptyNeighborhoodError(ValueError):
-    """A softmax row has no masked-in entries to normalize over."""
+    """A neighbor-mask row has no masked-in entries to normalize over."""
 
 
 class NonFiniteError(FloatingPointError):
@@ -253,7 +254,8 @@ def matmul(a, b) -> Tensor:
     """Matrix product ``a @ b`` with shapes (..., N, P) x (..., P, Q).
 
     A 2-D operand is shared across the other operand's batch axes; its
-    gradient sums over those axes.
+    gradient sums over those axes.  An operand that needs no gradient (a
+    constant such as a graph mask) gets none, so its product is never formed.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
@@ -263,8 +265,11 @@ def matmul(a, b) -> Tensor:
     out_data = np.matmul(a.data, b.data)
 
     def vjp(g):
-        ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
-        gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+        ga = gb = None
+        if a.requires_grad:
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
+        if b.requires_grad:
+            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
         return ga, gb
 
     return Tensor(out_data, _parents=(a, b), _vjp=vjp)
@@ -318,42 +323,6 @@ def concat(tensors, axis: int = -1) -> Tensor:
         return tuple(np.split(g, splits, axis=axis))
 
     return Tensor(out_data, _parents=tuple(tensors), _vjp=vjp)
-
-
-def windows(a, size: int, step: int, offset: int, count: int) -> Tensor:
-    """Overlapping row windows: (..., N, D) -> (..., count, size, D).
-
-    Window i holds rows ``i * step - offset + [0, size)`` of ``a``; rows
-    outside [0, N) read as zeros.  The VJP adds each window's cotangent
-    back onto the rows it was read from (overlap-add) in ceil(size / step)
-    strided adds, so a plain crop (count 1) should pass ``step >= size``.
-    """
-    a = _as_tensor(a)
-    if a.ndim < 2:
-        raise ShapeError("windows input must be (..., N, D)")
-    if size < 1 or step < 1 or count < 1 or offset < 0:
-        raise ValueError(f"windows needs size, step, count >= 1 and offset >= 0, "
-                         f"got {size}, {step}, {count}, {offset}")
-    lead, n, d = a.shape[:-2], a.shape[-2], a.shape[-1]
-    pieces = -(-size // step)
-    padded_len = max(offset + n, (count + pieces - 1) * step)
-    padded = np.zeros(lead + (padded_len, d))
-    padded[..., offset:offset + n, :] = a.data
-    # np.take keeps the result C-ordered; indexing padded[..., idx, :] would
-    # put the window axes outermost in memory and slow every later matmul.
-    out_data = np.take(padded, (np.arange(count) * step)[:, None] + np.arange(size), axis=-2)
-
-    def vjp(g):
-        gpad = np.zeros(lead + (padded_len, d))
-        for k in range(pieces):
-            # Piece k of every window: window i's rows k*step + [0, width) land on
-            # padded rows (i + k)*step + [0, width), one disjoint step-row slot per i.
-            width = min(step, size - k * step)
-            slots = gpad[..., k * step:(k + count) * step, :].reshape(lead + (count, step, d))
-            slots[..., :width, :] += g[..., k * step:k * step + width, :]
-        return (gpad[..., offset:offset + n, :],)
-
-    return Tensor(out_data, _parents=(a,), _vjp=vjp)
 
 
 def sum_axis(a, axis, keepdims: bool = False) -> Tensor:
@@ -419,42 +388,55 @@ def sigmoid(x) -> Tensor:
     return Tensor(out_data, _parents=(x,), _vjp=vjp)
 
 
+def exp(x) -> Tensor:
+    """Elementwise e**x; an overflow to Inf raises ``NonFiniteError``."""
+    x = _as_tensor(x)
+    with np.errstate(over="ignore"):  # the Tensor below raises on Inf
+        out_data = np.exp(x.data)
+
+    def vjp(g):
+        return (g * out_data,)
+
+    return Tensor(out_data, _parents=(x,), _vjp=vjp)
+
+
+def check_mask(mask, shape) -> np.ndarray:
+    """A boolean neighbor mask, checked against the (..., R, K) array it masks.
+
+    ``mask``'s last two axes must be (R, K), and it must broadcast to
+    ``shape`` without adding axes: one (R, K) graph shared across all
+    leading batch axes, or one graph per batch slice broadcast over the
+    axes of size 1, such as a (B, 1, N, N) mask holding the per-utterance
+    spatial graphs.  Raises ``ShapeError`` for any other mask and
+    ``EmptyNeighborhoodError`` when a row has no masked-in entry.
+    """
+    mask = np.asarray(mask)
+    if mask.dtype != np.bool_:
+        mask = mask.astype(bool)
+    shape = tuple(shape)
+    try:
+        if (mask.ndim < 2 or mask.ndim > len(shape) or mask.shape[-2:] != shape[-2:]
+                or np.broadcast_shapes(mask.shape, shape) != shape):
+            raise ValueError
+    except ValueError:
+        raise ShapeError(f"mask shape {mask.shape} does not broadcast over {shape}") from None
+    if not mask.any(axis=-1).all():
+        raise EmptyNeighborhoodError("mask has a row with no neighbors")
+    return mask
+
+
 def masked_softmax(logits, mask) -> Tensor:
     """Row-wise softmax over masked-in entries only.
 
-    ``logits`` has shape (..., R, K): R query rows scored against K keys,
-    or (..., 1, K): one score row shared by every query row of the mask.
-    ``mask`` is a boolean array whose last two axes are (R, K) and that
-    broadcasts to (..., R, K) without adding axes.  The result is
-    (..., R, K).  The shapes in use:
-
-    - (N, N): one adjacency shared across all leading batch axes;
-    - (B, 1, N, N) and the like: one graph per batch slice, broadcast
-      over the axes of size 1 (the per-utterance spatial graphs);
-    - (nb, R, K): the block layout of a banded graph, block b's R query
-      rows against the K rows of its key window (``stagg``), shared
-      across the axes before the block axis.
-
+    ``logits`` has shape (..., R, K): R query rows scored against K keys.
+    ``mask`` is a boolean neighbor mask over them (see :func:`check_mask`).
     Masked-out entries of the result are exactly zero; each row sums to
     one over its masked-in entries.  Stabilized by subtracting the
     per-row max over masked-in entries, so masked-out logits never
     contaminate the result.
     """
     logits = _as_tensor(logits)
-    mask = np.asarray(mask)
-    if mask.dtype != np.bool_:
-        mask = mask.astype(bool)
-    if (logits.ndim < 2 or mask.ndim < 2 or mask.shape[-1] != logits.shape[-1]
-            or logits.shape[-2] not in (1, mask.shape[-2])):
-        raise ShapeError(f"mask shape {mask.shape} does not match logits {logits.shape}")
-    shape = logits.shape[:-2] + mask.shape[-2:]
-    try:
-        if mask.ndim > len(shape) or np.broadcast_shapes(mask.shape, shape) != shape:
-            raise ValueError
-    except ValueError:
-        raise ShapeError(f"mask shape {mask.shape} does not broadcast over logits {logits.shape}")
-    if not mask.any(axis=-1).all():
-        raise EmptyNeighborhoodError("mask has a row with no neighbors")
+    mask = check_mask(mask, logits.shape)
 
     out_data = np.where(mask, logits.data, -np.inf)
     out_data -= out_data.max(axis=-1, keepdims=True)
@@ -464,7 +446,7 @@ def masked_softmax(logits, mask) -> Tensor:
     def vjp(g):
         grad = g - (g * out_data).sum(axis=-1, keepdims=True)
         grad *= out_data
-        return (_unbroadcast(grad, logits.shape),)
+        return (grad,)
 
     return Tensor(out_data, _parents=(logits,), _vjp=vjp)
 

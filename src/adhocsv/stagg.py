@@ -14,32 +14,17 @@ W_r h_j]) for edge (i, j) splits into a term of node i plus a term of key
 j, because LeakyReLU acts on each half on its own, and the softmax over
 each node's neighbors cancels the node's own term.  So a gcn head scores
 edge (i, j) from key j alone and holds no query weights (Brody et al.,
-arXiv:2105.14491, call this static attention).
+arXiv:2105.14491, call this static attention).  Its softmax is then a
+masked, normalized pool: with w_j = exp(s_j - max s), node i's output is
+sum_j M_ij w_j g_j / sum_j M_ij w_j, two products with the mask M and no
+(..., N, N) attention.  One consequence: on a complete graph every node
+of a slice has the same neighbors and so gets the same output, so one
+gcn block on complete temporal and spatial graphs maps every channel and
+frame of an utterance to one vector.
 
 Output width equals input width (head dim = D / heads), so blocks stack
 without projections.  There are no residuals or inter-block
 nonlinearities; blocks are plain compositions with unshared parameters.
-
-Each aggregation call computes its attention in one of two layouts; the
-mechanisms' equations are the same in both, and so are the results up to
-rounding.
-
-- Dense: every node's query meets every node's key, an (..., N, N)
-  attention masked by the graph.  Complete graphs, batched masks (the
-  per-utterance spatial graphs, and the per-utterance temporal graphs of
-  a frame-padded batch) and short sequences use it.
-- Block: when the mask is one (N, N) graph whose masked-in entries all lie
-  within a bandwidth delta = max |i - j| of the diagonal (a span graph)
-  and 2 * (4 delta + 1) <= N, queries are cut into blocks of 2 delta + 1
-  rows, keys and values into overlapping windows of 4 delta + 1 rows
-  (:func:`diffcore.windows`), and each block attends only to its window:
-  (..., nb, 2 delta + 1, 4 delta + 1) with nb = ceil(N / (2 delta + 1)).
-  The block mask is gathered from the graph itself, so any banded graph
-  (symmetric or not) keeps its exact edges.  Query rows padded past N see
-  only themselves and are cropped from the output.  Past the threshold
-  the block layout computes at most about half the dense entries.
-
-``with_weights=True`` returns dense (..., N, N) weights in either layout.
 """
 
 from __future__ import annotations
@@ -210,88 +195,16 @@ def _swap_last(t: Tensor) -> Tensor:
     return dc.transpose(t, axes)
 
 
-def _mask_of(a) -> np.ndarray:
-    """Boolean mask from an Adjacency or a (batched) boolean array."""
-    return a.entries if isinstance(a, Adjacency) else np.asarray(a, dtype=bool)
-
-
-class _Layout:
-    """Where one aggregation call computes its attention (see the module docstring).
-
-    ``mask`` is the aggregation's boolean mask; in the block layout it is
-    replaced by the (nb, 2 delta + 1, 4 delta + 1) block mask.
-    """
-
-    def __init__(self, mask: np.ndarray):
-        self.n = mask.shape[-1]
-        self.mask = mask
-        self.blocked = False
-        if mask.ndim != 2 or mask.shape[0] != self.n or not mask.any():
-            return
-        rows, cols = np.nonzero(mask)
-        delta = int(np.abs(rows - cols).max())
-        self.block, self.window = 2 * delta + 1, 4 * delta + 1
-        if 2 * self.window > self.n:
-            return
-        self.blocked = True
-        self.delta = delta
-        self.count = -(-self.n // self.block)
-        # Block b's query row r is frame b*block + r; its window column c is
-        # frame b*block - delta + c.
-        qi = np.arange(self.count * self.block).reshape(self.count, self.block, 1)
-        ki = (np.arange(self.count) * self.block - delta)[:, None, None] + np.arange(self.window)
-        qi, ki = np.broadcast_arrays(qi, ki)
-        self._inside = (qi < self.n) & (ki >= 0) & (ki < self.n)
-        self._rows, self._cols = qi[self._inside], ki[self._inside]
-        self.mask = np.zeros(qi.shape, dtype=bool)
-        self.mask[self._inside] = mask[self._rows, self._cols]
-        self.mask |= (qi >= self.n) & (ki == qi)  # padded query rows see only themselves
-
-    def queries(self, t: Tensor) -> Tensor:
-        """(..., N, d) rows as queries: (..., nb, 2 delta + 1, d) in the block layout."""
-        if not self.blocked:
-            return t
-        return dc.windows(t, self.block, self.block, 0, self.count)
-
-    def keys(self, t: Tensor) -> Tensor:
-        """(..., N, d) rows as keys/values: (..., nb, 4 delta + 1, d) in the block layout."""
-        if not self.blocked:
-            return t
-        return dc.windows(t, self.window, self.block, self.delta, self.count)
-
-    def key_row(self, s: Tensor) -> Tensor:
-        """(..., N) per-key scores as a row: (..., 1, N), or (..., nb, 1, 4 delta + 1)."""
-        if not self.blocked:
-            return dc.reshape(s, s.shape[:-1] + (1, self.n))
-        windowed = self.keys(dc.reshape(s, s.shape + (1,)))
-        return dc.reshape(windowed, windowed.shape[:-2] + (1, self.window))
-
-    def crop(self, out: Tensor) -> Tensor:
-        """Aggregated query rows back to (..., N, d)."""
-        if not self.blocked:
-            return out
-        lead, d = out.shape[:-3], out.shape[-1]
-        flat = dc.reshape(out, lead + (self.count * self.block, d))
-        return dc.reshape(dc.windows(flat, self.n, self.n, 0, 1), lead + (self.n, d))
-
-    def dense_weights(self, attn: Tensor) -> Tensor:
-        """Attention weights as (..., N, N); block-layout weights come back as a constant."""
-        if not self.blocked:
-            return attn
-        dense = np.zeros(attn.shape[:-3] + (self.n, self.n))
-        dense[..., self._rows, self._cols] = attn.data[..., self._inside]
-        return Tensor(dense)
-
-
-def _check_agg_inputs(x: Tensor, mask: np.ndarray, params: AggParams, mechanism: str) -> None:
+def _checked_mask(x: Tensor, a, params: AggParams, mechanism: str) -> np.ndarray:
+    """The boolean mask of an Adjacency or (batched) mask array, checked against x."""
     if params.mechanism != mechanism:
         raise ValueError(f"params carry mechanism {params.mechanism!r}, expected {mechanism!r}")
     if x.ndim < 2:
         raise dc.ShapeError("aggregation input must be (..., N, D)")
     if x.shape[-1] != params.d_in:
         raise dc.ShapeError(f"input dim {x.shape[-1]} != parameter dim {params.d_in}")
-    if x.shape[-2] != mask.shape[-1]:
-        raise dc.ShapeError(f"adjacency is over {mask.shape[-1]} nodes, input has {x.shape[-2]}")
+    n = x.shape[-2]
+    return dc.check_mask(a.entries if isinstance(a, Adjacency) else a, x.shape[:-2] + (n, n))
 
 
 def sam_agg(x, a, params: AggParams, with_weights: bool = False):
@@ -304,51 +217,58 @@ def sam_agg(x, a, params: AggParams, with_weights: bool = False):
 
     ``x``: (..., N, D); leading axes are independent batch slices.
     ``a``: an Adjacency, or a boolean mask array broadcastable over the
-    batch axes (one graph per slice).  A single banded graph runs in the
-    block layout (see the module docstring).
+    batch axes (one graph per slice; see :func:`diffcore.check_mask`).
     """
     x = _as_tensor(x)
-    mask = _mask_of(a)
-    _check_agg_inputs(x, mask, params, "sam")
-    layout = _Layout(mask)
+    mask = _checked_mask(x, a, params, "sam")
     inv_sqrt_d = 1.0 / math.sqrt(params.d_head)
     outs, weights = [], []
     for head in params.heads:
-        q = layout.queries(dc.matmul(x, head["wq"]))
-        k = layout.keys(dc.matmul(x, head["wk"]))
-        v = layout.keys(dc.matmul(x, head["wv"]))
-        scores = dc.scale(dc.matmul(q, _swap_last(k)), inv_sqrt_d)
-        attn = dc.masked_softmax(scores, layout.mask)
+        q = dc.matmul(x, head["wq"])
+        k = dc.matmul(x, head["wk"])
+        v = dc.matmul(x, head["wv"])
+        attn = dc.masked_softmax(dc.scale(dc.matmul(q, _swap_last(k)), inv_sqrt_d), mask)
         outs.append(dc.matmul(attn, v))
         weights.append(attn)
-    out = layout.crop(dc.concat(outs, axis=-1))
-    return (out, [layout.dense_weights(w) for w in weights]) if with_weights else out
+    out = dc.concat(outs, axis=-1)
+    return (out, weights) if with_weights else out
 
 
 def gcn_agg(x, a, params: AggParams, with_weights: bool = False):
-    """Additive-attention graph aggregation with static scores.
+    """Additive-attention graph aggregation with static scores, as one masked pool.
 
-    Per head: the input is projected to g = x W_r; edge (i, j) is scored
-    from key j alone, s_j = beta . LeakyReLU(g[j]) (the node's own term of
-    the paper's score cancels in the softmax, see the module docstring),
-    normalized over each node's neighbors; the node output is the
-    attention-weighted sum of its neighbors' g rows.
+    All heads at once: g = x [W_r,0 | ... | W_r,H-1]; node j's score for
+    head h is s_jh = beta_h . LeakyReLU(g_j) over head h's dims, and
+    w = exp(s - max s), the max taken per batch slice and head and held
+    constant.  Node i's head-h output is sum_j M_ij w_jh g_jh / sum_j M_ij
+    w_jh, the softmax-weighted sum of its neighbors' g rows (see the
+    module docstring).
 
-    ``a`` as in :func:`sam_agg`.
+    ``a`` as in :func:`sam_agg`.  A row whose neighbors all score more
+    than about 708 below the max underflows to a zero denominator and
+    raises ``NonFiniteError``.  ``with_weights=True`` also returns each
+    head's (..., N, N) weights M_ij w_jh / sum_j M_ij w_jh as a constant.
     """
     x = _as_tensor(x)
-    mask = _mask_of(a)
-    _check_agg_inputs(x, mask, params, "gcn")
-    layout = _Layout(mask)
-    outs, weights = [], []
-    for head in params.heads:
-        g = dc.matmul(x, head["wr"])
-        s = dc.matvec(dc.leaky_relu(g, params.leaky_slope), head["beta"])
-        attn = dc.masked_softmax(layout.key_row(s), layout.mask)
-        outs.append(dc.matmul(attn, layout.keys(g)))
-        weights.append(attn)
-    out = layout.crop(dc.concat(outs, axis=-1))
-    return (out, [layout.dense_weights(w) for w in weights]) if with_weights else out
+    mask = _checked_mask(x, a, params, "gcn")
+    lead, n, h, d_head = x.shape[:-2], x.shape[-2], params.n_heads, params.d_head
+    split, flat, per_head = lead + (n, h, d_head), lead + (n, h * d_head), lead + (n, h, 1)
+    g = dc.reshape(dc.matmul(x, dc.concat([hd["wr"] for hd in params.heads], axis=-1)), split)
+    beta = dc.reshape(dc.concat([hd["beta"] for hd in params.heads]), (h, d_head))
+    s = dc.sum_axis(dc.mul(dc.leaky_relu(g, params.leaky_slope), beta), -1)  # (..., N, H)
+    w = dc.exp(dc.add(s, -s.data.max(axis=-2, keepdims=True)))
+    m = Tensor(mask.astype(np.float64))
+    num = dc.matmul(m, dc.reshape(dc.mul(g, dc.reshape(w, per_head)), flat))
+    den = dc.matmul(m, w)
+    if den.data.min() < np.finfo(np.float64).tiny:
+        raise dc.NonFiniteError("gcn: a node's neighbors all score too far below the max "
+                                "of its slice; their weights underflow to zero")
+    out = dc.reshape(dc.div(dc.reshape(num, split), dc.reshape(den, per_head)), flat)
+    if not with_weights:
+        return out
+    weights = [Tensor(m.data * w.data[..., None, :, i] / den.data[..., :, i, None])
+               for i in range(h)]
+    return out, weights
 
 
 def build_graph(spec: GraphSpec, n: int, positions=None) -> Adjacency:
@@ -370,13 +290,13 @@ def st_stack(x, blocks: list[BlockParams], a_temporal: Adjacency | np.ndarray,
     ``a_temporal``, then over channels with ``spatial_mask``, a boolean
     (B, C, C) array holding one channel graph per utterance, shared by all
     its frames.  ``a_temporal`` is either one T-node Adjacency shared by
-    every utterance (a banded one runs in the block layout) or a boolean
-    (B, 1, T, T) mask holding one frame graph per utterance, shared by its
-    channels; with it, utterances zero-padded to T frames run in one batch
-    when each padded frame sees only itself and no valid frame sees a
-    padded one.  Every block computes the same result as running each
-    channel's (T, D) slice and then each frame's (C, D) slice through the
-    aggregation on its own.  Output shape equals input shape.
+    every utterance or a boolean (B, 1, T, T) mask holding one frame graph
+    per utterance, shared by its channels; with it, utterances zero-padded
+    to T frames run in one batch when each padded frame sees only itself
+    and no valid frame sees a padded one.  Every block computes the same
+    result as running each channel's (T, D) slice and then each frame's
+    (C, D) slice through the aggregation on its own.  Output shape equals
+    input shape.
     """
     x = _as_tensor(x)
     if x.ndim != 4:

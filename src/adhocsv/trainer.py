@@ -7,15 +7,15 @@ frozen inputs.  One batched forward pass computes the embeddings:
 training runs it on batches of same-shape utterances, :func:`embed` on
 one utterance, and :func:`evaluate` on batches of utterances with equal
 channel counts whose frame counts differ, zero-padded on the frame axis
-and masked so that padding changes no embedding.  Verification scores utterance-embedding pairs with cosine
-similarity and reports the equal error rate from a full threshold sweep.
+and masked so that padding changes no embedding.  Verification scores
+utterance-embedding pairs with cosine similarity and reports the equal
+error rate from a full threshold sweep.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -204,9 +204,8 @@ def _spatial_adjacency(model: Model, c: int, scene: Scene | None):
 def _padded_temporal_masks(spec: GraphSpec, frames: np.ndarray, t: int) -> np.ndarray:
     """(B, 1, T, T) temporal masks: utterance i's graph over its first frames[i] frames.
 
-    Padded frames see only themselves, the rule ``stagg._Layout`` uses for
-    padded query blocks: every row keeps a neighbor and no valid frame
-    attends to padding.
+    Padded frames see only themselves, so every row keeps a neighbor and no
+    valid frame attends to padding.
     """
     mask = np.zeros((len(frames), 1, t, t), dtype=bool)
     mask[:, 0, np.arange(t), np.arange(t)] = True
@@ -407,19 +406,19 @@ class EvalReport:
     scores: tuple[float, ...]
 
 
-# Upper bound on the padded attention entries B * C * T * (T + C) of one
-# evaluation batch.  The temporal pass scores B * C * T * T entries per head
-# and the spatial pass B * T * C * C; counting only the temporal ones would
-# let batches of many-channel, short utterances grow without bound in the
-# spatial pass.  A batch's recorded graph holds every head's arrays of every
-# block until its embeddings are read out, so the budget bounds the memory
-# of evaluation.  Measured on 400 arrays of 4-16 channels and 10-40 frames
-# with a trained 2-block, 4-head gcn + gpool model (d = 16), one BLAS thread
-# on a 2-core x86_64 machine: against 65536,
-# budgets of 16384 and 32768 ran 28% and 10% slower and 131072 ran 5%
-# faster, while peak RSS, 62 MiB after training, reached 63, 70 and 84 MiB
-# at 32768, 65536 and 131072.  An utterance over the budget on its own runs
-# as a batch of one.
+# Upper bound on the padded mask entries B * C * T * (T + C) of one
+# evaluation batch.  The temporal pass masks B * C * T * T entries and the
+# spatial pass B * T * C * C; counting only the temporal ones would let
+# batches of many-channel, short utterances grow without bound in the
+# spatial pass.  A batch's recorded graph holds every block's arrays until
+# its embeddings are read out, so the budget bounds the memory of
+# evaluation.  Measured on 400 arrays of 4-16 channels and 10-40 frames
+# with a trained 2-block, 4-head gcn + gpool model (d = 16), one BLAS
+# thread on a 2-core x86_64 machine: peak RSS, 54 MiB after training,
+# reached 61, 64 and 71 MiB at budgets of 32768, 65536 and 131072; 16384
+# ran slowest, and 32768 to 131072 ran within the machine's timing noise
+# of each other.  An utterance over the budget on its own runs as a batch
+# of one.
 EVAL_BATCH_ENTRIES = 65536
 
 
@@ -649,15 +648,20 @@ def eval_per_node(model: Model, utterances: dict[str, Utterance],
                   trials: TrialSet) -> list[dict]:
     """Single-channel EER per node index, with mean node geometry.
 
+    Each channel is scored on its own without channel selection, by a
+    model that shares the trained blocks and head: one channel is always
+    kept, and gpool's gate only scales the embedding, which the cosine
+    score ignores.  A single channel's spatial graph is its self-loop
+    whatever the configured kind, so the complete one stands in for it.
     Coordinates and speaker distance are averaged over the evaluated
     utterances' scenes (exact when all utterances share one geometry).
-    Prior-selection fallback warnings are expected for single-channel
-    inputs and suppressed here.
     """
     n_channels = {u.features.c for u in utterances.values()}
     if len(n_channels) != 1:
         raise ProtocolError("per-node analysis needs a uniform channel count")
     c = n_channels.pop()
+    single = Model(replace(model.cfg, selection=SelectionConfig(), spatial_graph=GraphSpec()),
+                   model.n_speakers, model.blocks, None, model.head_w, model.head_b)
     rows = []
     for node in range(c):
         sub = {}
@@ -667,9 +671,7 @@ def eval_per_node(model: Model, utterances: dict[str, Utterance],
                 features=FrameTensor(u.features.data[node:node + 1]),
                 scene=None if u.scene is None else u.scene.subset([node]),
             )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            report = evaluate(model, sub, trials)
+        report = evaluate(single, sub, trials)
         scenes = [u.scene for u in utterances.values() if u.scene is not None]
         if scenes:
             pos = np.mean([s.node_pos[node] for s in scenes], axis=0)

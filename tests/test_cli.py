@@ -298,6 +298,20 @@ class TestTrainEval:
         assert len(selection) == 8
         assert all(s["mechanism"] == "none" for s in selection)
 
+    def test_eval_per_node_with_gpool_budget_above_one(self, tmp_path, dataset):
+        cfg = json.loads(json.dumps(TINY_CONFIG))
+        cfg["model"]["selection"] = {"kind": "gpool", "k": 2}
+        config = tmp_path / "gpool.json"
+        config.write_text(json.dumps(cfg))
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--data", dataset,
+                     "--out", str(run), "--quiet"]) == 0
+        out = tmp_path / "eval"
+        assert main(["eval", "--config", str(config), "--ckpt", str(run / "model.ckpt"),
+                     "--data", dataset, "--out", str(out), "--per-node", "--quiet"]) == 0
+        lines = (out / "per_node.csv").read_text().strip().splitlines()
+        assert len(lines) == 1 + 4  # header + one row per node
+
     def test_ragged_training_set_is_data_error(self, tmp_path, config_path, dataset, capsys):
         with open(os.path.join(dataset, "manifest.json"), encoding="utf-8") as f:
             manifest = json.load(f)

@@ -252,6 +252,30 @@ class TestGcnAgg:
         err = vjp_check(fn, [x] + params.parameters(), rng=rng)
         assert err < 1e-5
 
+    def test_mask_not_broadcasting_over_the_batch_raises(self):
+        rng = np.random.default_rng(45)
+        params = init_agg_params("gcn", 4, 2, rng, "t")
+        with pytest.raises(dc.ShapeError):
+            gcn_agg(Tensor(rng.standard_normal((2, 5, 4))), np.ones((3, 5, 5), dtype=bool), params)
+
+    def test_empty_row_in_one_batch_slice_raises(self):
+        rng = np.random.default_rng(46)
+        params = init_agg_params("gcn", 4, 2, rng, "t")
+        mask = np.ones((3, 1, 5, 5), dtype=bool)
+        mask[1, 0, 2, :] = False
+        with pytest.raises(dc.EmptyNeighborhoodError):
+            gcn_agg(Tensor(rng.standard_normal((3, 2, 5, 4))), mask, params)
+
+    def test_underflowing_neighborhood_raises(self):
+        # Node 0 scores 900 above every other node, so the weights of nodes
+        # 1..5 underflow to zero and nodes 2..5, which do not see node 0 on
+        # a delta = 1 span graph, are left with no weight at all.
+        x = np.zeros((6, 2))
+        x[0, 0] = 1.0
+        params = make_gcn_params([(np.eye(2), np.array([900.0, 1.0]))])
+        with pytest.raises(dc.NonFiniteError, match="gcn"):
+            gcn_agg(Tensor(x), build_temporal_span(6, 1), params)
+
     def test_every_block_parameter_gets_a_gradient(self):
         # No parameter is cancelled by the softmax: each one moves the output.
         rng = np.random.default_rng(44)
@@ -276,19 +300,6 @@ def run_agg(agg, x, mask, params):
     return [out.data, xt.grad, *grads, *(w.data for w in weights)]
 
 
-def softmax_mask_shapes(monkeypatch):
-    """Record the mask shape of every masked_softmax call."""
-    shapes = []
-    real = dc.masked_softmax
-
-    def spy(logits, mask):
-        shapes.append(np.shape(mask))
-        return real(logits, mask)
-
-    monkeypatch.setattr(dc, "masked_softmax", spy)
-    return shapes
-
-
 def trailing_band(t, delta):
     """Asymmetric banded graph: frame i sees frames i - delta .. i."""
     idx = np.arange(t)
@@ -297,41 +308,36 @@ def trailing_band(t, delta):
 
 
 class TestBlockLayout:
-    """A single banded graph runs block-local; a batched copy of its mask runs dense."""
+    """A single banded graph shared by every slice equals a batched copy of its mask."""
 
-    # (t, delta, blocked): 2 * (4 delta + 1) <= t picks the block layout.
+    # (t, delta, blocked): blocked marks 2 * (4 delta + 1) <= t, the span graphs
+    # an earlier block-local attention layout ran on.
     CASES = [(9, 0, True), (1, 0, False), (10, 1, True), (9, 1, False), (26, 3, True),
              (25, 3, False), (40, 3, True)]
 
     @pytest.mark.parametrize("mechanism", ["sam", "gcn"])
     @pytest.mark.parametrize("t, delta, blocked", CASES)
-    def test_matches_dense(self, monkeypatch, mechanism, t, delta, blocked):
+    def test_matches_dense(self, mechanism, t, delta, blocked):
         rng = np.random.default_rng(40 + t + delta)
         d = 8
         x = rng.standard_normal((2, 3, t, d))
         params = init_agg_params(mechanism, d, 2, rng, "block0.temporal")
         agg = sam_agg if mechanism == "sam" else gcn_agg
         adj = build_temporal_span(t, delta)
-        shapes = softmax_mask_shapes(monkeypatch)
         local = run_agg(agg, x, adj, params)
         dense = run_agg(agg, x, adj.entries[None], params)
-        n_blocks = -(-t // (2 * delta + 1))
-        expected = (n_blocks, 2 * delta + 1, 4 * delta + 1) if blocked else (t, t)
-        assert shapes[0] == expected and shapes[-1] == (1, t, t)
         for a, b in zip(local, dense, strict=True):
             assert a.shape == b.shape and np.max(np.abs(a - b)) <= 1e-12
 
     @pytest.mark.parametrize("mechanism", ["sam", "gcn"])
-    def test_asymmetric_band_follows_the_mask(self, monkeypatch, mechanism):
+    def test_asymmetric_band_follows_the_mask(self, mechanism):
         rng = np.random.default_rng(41)
         t, d, delta = 23, 4, 2
         x = rng.standard_normal((t, d))
         params = init_agg_params(mechanism, d, 2, rng, "block0.temporal")
         agg = sam_agg if mechanism == "sam" else gcn_agg
         adj = trailing_band(t, delta)
-        shapes = softmax_mask_shapes(monkeypatch)
         out, weights = agg(Tensor(x), adj, params, with_weights=True)
-        assert shapes[0] == (5, 5, 9)
         if mechanism == "sam":
             ref = reference_masked_attention(x, adj.entries, head_arrays(params))
         else:

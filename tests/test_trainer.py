@@ -334,8 +334,7 @@ def all_pair_trials(utts):
 
 
 # Ragged channel and frame counts, C = 1 and T = 1 among them.  Channel
-# groups of 1, 3 and 4 hold several frame counts each, and T = 12 runs the
-# span graph block-local when an utterance is embedded alone.
+# groups of 1, 3 and 4 hold several frame counts each.
 RAGGED_SHAPES = [(4, 12), (4, 1), (4, 7), (4, 12), (1, 5), (1, 1), (1, 9), (3, 2), (3, 10),
                  (3, 6), (2, 3)]
 
@@ -690,6 +689,40 @@ class TestChannelOps:
         for r in rows:
             assert 0.0 <= r["eer"] <= 1.0
             assert np.isfinite(r["distance"])
+
+    @pytest.mark.parametrize("selection", [{"kind": "none"}, {"kind": "prior"},
+                                           {"kind": "gpool"}, {"kind": "gpool", "k": 2}],
+                             ids=["none", "prior", "gpool", "gpool_k2"])
+    def test_per_node_scores_each_channel_without_selection(self, selection):
+        # The reference evaluates single-channel copies with the model itself,
+        # or for k = 2, which a single channel cannot meet, with the same
+        # parameters and k unset, which keeps and gates the one channel.
+        utts = ragged_utterances([(3, t) for t in (1, 4, 9, 9, 2, 6)], seed=39)
+        trials = all_pair_trials(utts)
+        cfg = ModelConfig(mechanism="gcn", n_blocks=1, heads=2, d=8,
+                          selection=SelectionConfig(**selection), seed=39)
+        model = Model.init(cfg, n_speakers=3)
+        reference = Model.init(ModelConfig(mechanism="gcn", n_blocks=1, heads=2, d=8,
+                                           selection=SelectionConfig(kind=selection["kind"]),
+                                           seed=39), n_speakers=3)
+        rows = eval_per_node(model, utts, trials)
+        assert [r["node"] for r in rows] == [0, 1, 2]
+        for node, row in enumerate(rows):
+            sub = {k: Utterance(k, u.speaker, FrameTensor(u.features.data[node:node + 1]),
+                                u.scene.subset([node])) for k, u in utts.items()}
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # prior fallbacks on one channel
+                assert row["eer"] == evaluate(reference, sub, trials).eer
+
+    def test_per_node_runs_on_a_knn_spatial_graph(self):
+        # No knn graph with k >= 1 exists over one channel; its self-loop is the
+        # whole spatial graph, as it is for the complete one.
+        utts = ragged_utterances([(3, t) for t in (1, 4, 9, 9, 2, 6)], seed=39)
+        trials = all_pair_trials(utts)
+        knn, complete = (Model.init(ModelConfig(mechanism="gcn", n_blocks=1, heads=2, d=8,
+                                                spatial_graph=spec, seed=39), n_speakers=3)
+                         for spec in (GraphSpec("knn", k=2), GraphSpec()))
+        assert eval_per_node(knn, utts, trials) == eval_per_node(complete, utts, trials)
 
     def test_per_node_matches_single_channel_embeddings(self):
         utts = ragged_utterances([(3, t) for t in (1, 4, 9, 9, 2, 6)], seed=38)
