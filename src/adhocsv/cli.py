@@ -5,6 +5,14 @@ construction from a scene), train (second-stage training), eval
 (verification report), report (aggregate eval reports).  Every command is
 deterministic given (config, seed); outputs are written atomically.
 
+Config keys: a top-level ``seed`` and sections ``model``, ``train`` and
+``eval`` whose keys are the fields, with the defaults, of ModelConfig,
+TrainHyper and EvalSpec (``model.d`` defaults to ``sim.d``, and
+``train.channels`` subsamples training channels).  ``sim`` keys name
+SimConfig fields, except the pairs ``t60``, ``snr_db`` and
+``room.{width,length,height}`` (its ``*_range`` fields), ``noise_source``
+(``with_noise_source``) and ``n_train``/``n_test``/``shared_scene``.
+
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
 """
 
@@ -16,7 +24,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -42,6 +50,7 @@ from .trainer import (
     TrainHyper,
     TrialSet,
     Utterance,
+    config_from_json,
     eval_per_node,
     evaluate,
     generate_trials,
@@ -66,11 +75,19 @@ class DataError(Exception):
     """Missing or malformed data artifacts."""
 
 
+def _check_budget(channels, where: str) -> None:
+    if channels is not None and (not isinstance(channels, int) or channels < 1):
+        raise ConfigError(f"{where} must be a positive channel count, got {channels!r}")
+
+
 @dataclass(frozen=True)
 class EvalSpec:
     n_target: int = 100
     n_nontarget: int = 100
-    channels: int | None = None
+    channels: int | None = None  # subsample this many channels; None keeps all
+
+    def __post_init__(self):
+        _check_budget(self.channels, "config.eval.channels")
 
 
 @dataclass(frozen=True)
@@ -85,18 +102,45 @@ class ExperimentConfig:
     train_channels: int | None
     eval: EvalSpec = field(default_factory=EvalSpec)
 
+    def __post_init__(self):
+        _check_budget(self.train_channels, "config.train.channels")
 
-def _check_keys(doc: dict, allowed: set[str], where: str) -> None:
+
+def _check_keys(doc, allowed: set[str], where: str) -> None:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be an object, got {type(doc).__name__}")
     unknown = sorted(set(doc) - allowed)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {unknown}")
 
 
-def _pair(doc, key, default, where):
-    value = doc.get(key, default)
+def _int(doc: dict, key: str, default: int, where: str) -> int:
+    try:
+        return int(doc.get(key, default))
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{where}.{key}: {err}") from err
+
+
+def _pair(doc: dict, key: str, where: str) -> tuple[float, float]:
+    value = doc[key]
     if (not isinstance(value, (list, tuple))) or len(value) != 2:
         raise ConfigError(f"{where}.{key} must be a [low, high] pair")
-    return float(value[0]), float(value[1])
+    try:
+        return float(value[0]), float(value[1])
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{where}.{key}: {err}") from err
+
+
+def _read(cls, doc, section: str):
+    try:
+        return config_from_json(cls, doc, f"config.{section}")
+    except ValueError as err:
+        raise ConfigError(f"invalid {section} section: {err}") from err
+
+
+# JSON names of SimConfig fields; its other fields keep their names.
+_SIM_NAMES = {"t60": "t60_range", "snr_db": "snr_range_db", "noise_source": "with_noise_source"}
+_SIM_SCALARS = {"n_nodes", "t", "d", "n_speakers", "base_sigma", "noise_source"}
 
 
 def load_experiment_config(path, seed_override: int | None = None) -> ExperimentConfig:
@@ -110,78 +154,39 @@ def load_experiment_config(path, seed_override: int | None = None) -> Experiment
         raise ConfigError(f"config is not valid JSON: {err}") from err
 
     _check_keys(doc, {"seed", "sim", "model", "train", "eval"}, "config")
-    seed = int(doc.get("seed", 0)) if seed_override is None else int(seed_override)
+    seed = _int(doc, "seed", 0, "config") if seed_override is None else int(seed_override)
 
-    sim_doc = dict(doc.get("sim", {}))
-    _check_keys(sim_doc, {"n_speakers", "n_train", "n_test", "n_nodes", "t", "d", "room",
-                          "t60", "snr_db", "noise_source", "shared_scene", "base_sigma"},
-                "config.sim")
-    room = dict(sim_doc.get("room", {}))
+    sim_doc = doc.get("sim", {})
+    _check_keys(sim_doc, _SIM_SCALARS | {"t60", "snr_db", "room", "n_train", "n_test",
+                                         "shared_scene"}, "config.sim")
+    room = sim_doc.get("room", {})
     _check_keys(room, {"width", "length", "height"}, "config.sim.room")
-    try:
-        sim = SimConfig(
-            n_nodes=int(sim_doc.get("n_nodes", 40)),
-            width_range=_pair(room, "width", (8.0, 10.0), "config.sim.room"),
-            length_range=_pair(room, "length", (12.0, 14.0), "config.sim.room"),
-            height_range=_pair(room, "height", (3.0, 5.0), "config.sim.room"),
-            t60_range=_pair(sim_doc, "t60", (0.2, 0.5), "config.sim"),
-            snr_range_db=_pair(sim_doc, "snr_db", (-5.0, 20.0), "config.sim"),
-            with_noise_source=bool(sim_doc.get("noise_source", True)),
-            d=int(sim_doc.get("d", 16)),
-            t=int(sim_doc.get("t", 20)),
-            n_speakers=int(sim_doc.get("n_speakers", 20)),
-            seed=seed,
-            base_sigma=float(sim_doc.get("base_sigma", 0.2)),
-        )
-    except ValueError as err:
-        raise ConfigError(f"invalid sim section: {err}") from err
+    sim_fields = {_SIM_NAMES.get(key, key): sim_doc[key] for key in _SIM_SCALARS & set(sim_doc)}
+    sim_fields.update({_SIM_NAMES[key]: _pair(sim_doc, key, "config.sim")
+                       for key in ("t60", "snr_db") if key in sim_doc})
+    sim_fields.update({f"{key}_range": _pair(room, key, "config.sim.room") for key in room})
+    sim = _read(SimConfig, sim_fields, "sim")
 
-    model_doc = dict(doc.get("model", {}))
-    _check_keys(model_doc, {"mechanism", "n_blocks", "heads", "d", "selection",
-                            "temporal_graph", "spatial_graph", "leaky_slope"}, "config.model")
-    _check_keys(dict(model_doc.get("selection", {})),
-                {"kind", "k", "rho", "orientation", "noise", "rho_noise"}, "config.model.selection")
-    for g in ("temporal_graph", "spatial_graph"):
-        _check_keys(dict(model_doc.get(g, {})), {"kind", "delta", "k"}, f"config.model.{g}")
-    model_doc.setdefault("d", sim.d)
-    model_doc["seed"] = seed
-    try:
-        model = model_config_from_json(model_doc)
-    except ValueError as err:
-        raise ConfigError(f"invalid model section: {err}") from err
+    model_doc = doc.get("model", {})
+    _check_keys(model_doc, {f.name for f in fields(ModelConfig)} - {"seed"}, "config.model")
+    model = _read(ModelConfig, {"d": sim.d, **model_doc, "seed": seed}, "model")
     if model.d != sim.d:
         raise ConfigError(f"model.d={model.d} must equal sim.d={sim.d}")
 
-    train_doc = dict(doc.get("train", {}))
-    _check_keys(train_doc, {"lr", "momentum", "batch_size", "epochs", "channels"}, "config.train")
-    hyper = TrainHyper(
-        lr=float(train_doc.get("lr", 1e-2)),
-        momentum=float(train_doc.get("momentum", 0.9)),
-        batch_size=int(train_doc.get("batch_size", 8)),
-        epochs=int(train_doc.get("epochs", 30)),
-    )
-    train_channels = train_doc.get("channels")
-    if train_channels is not None:
-        train_channels = int(train_channels)
-
-    eval_doc = dict(doc.get("eval", {}))
-    _check_keys(eval_doc, {"n_target", "n_nontarget", "channels"}, "config.eval")
-    eval_spec = EvalSpec(
-        n_target=int(eval_doc.get("n_target", 100)),
-        n_nontarget=int(eval_doc.get("n_nontarget", 100)),
-        channels=None if eval_doc.get("channels") is None else int(eval_doc["channels"]),
-    )
+    train_doc = doc.get("train", {})
+    _check_keys(train_doc, {f.name for f in fields(TrainHyper)} | {"channels"}, "config.train")
+    hyper = _read(TrainHyper, {k: v for k, v in train_doc.items() if k != "channels"}, "train")
 
     return ExperimentConfig(
         seed=seed,
         sim=sim,
-        n_train=int(sim_doc.get("n_train", 64)),
-        n_test=int(sim_doc.get("n_test", 32)),
+        n_train=_int(sim_doc, "n_train", 64, "config.sim"),
+        n_test=_int(sim_doc, "n_test", 32, "config.sim"),
         shared_scene=bool(sim_doc.get("shared_scene", False)),
         model=model,
         train=hyper,
-        train_channels=train_channels,
-        eval=eval_spec,
+        train_channels=train_doc.get("channels"),
+        eval=_read(EvalSpec, doc.get("eval", {}), "eval"),
     )
 
 
@@ -331,6 +336,7 @@ def cmd_eval(args) -> int:
     cfg = load_experiment_config(args.config, args.seed)
     if args.out is None:
         raise ConfigError("eval needs --out DIR")
+    _check_budget(args.channels, "--channels")
     os.makedirs(args.out, exist_ok=True)
     try:
         model = load_model(args.ckpt)

@@ -30,7 +30,6 @@ __all__ = [
     "div",
     "scale",
     "matmul",
-    "matvec",
     "transpose",
     "reshape",
     "concat",
@@ -259,7 +258,7 @@ def matmul(a, b) -> Tensor:
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError("matmul operands must be at least 2-D (use matvec for vectors)")
+        raise ShapeError("matmul operands must be at least 2-D")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dims disagree: {a.shape} x {b.shape}")
     out_data = np.matmul(a.data, b.data)
@@ -273,21 +272,6 @@ def matmul(a, b) -> Tensor:
         return ga, gb
 
     return Tensor(out_data, _parents=(a, b), _vjp=vjp)
-
-
-def matvec(a, v) -> Tensor:
-    """Product (..., N, P) x (P,) -> (..., N)."""
-    a, v = _as_tensor(a), _as_tensor(v)
-    if v.ndim != 1 or a.ndim < 2 or a.shape[-1] != v.shape[0]:
-        raise ShapeError(f"matvec shapes disagree: {a.shape} x {v.shape}")
-    out_data = np.matmul(a.data, v.data)
-
-    def vjp(g):
-        ga = g[..., None] * v.data
-        gv = (a.data * g[..., None]).reshape(-1, v.shape[0]).sum(axis=0)
-        return ga, gv
-
-    return Tensor(out_data, _parents=(a, v), _vjp=vjp)
 
 
 def transpose(a, axes) -> Tensor:

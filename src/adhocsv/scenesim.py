@@ -102,7 +102,6 @@ class SimConfig:
     d: int = 16
     t: int = 20
     n_speakers: int = 20
-    seed: int = 0
     base_sigma: float = 0.2  # distance gain is base_sigma + distance ratio
 
     def __post_init__(self):

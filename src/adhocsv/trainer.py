@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -60,6 +60,7 @@ __all__ = [
     "subsample_channels",
     "read_trials_csv",
     "write_trials_csv",
+    "config_from_json",
     "model_config_to_json",
     "model_config_from_json",
     "save_model",
@@ -96,8 +97,8 @@ class SelectionConfig:
             raise ValueError(f"unknown selection kind {self.kind!r}")
         if self.kind == "prior" and not 0.0 < self.rho <= 1.0:
             raise ValueError(f"rho must lie in (0, 1], got {self.rho}")
-        if self.k is not None and self.k < 1:
-            raise ValueError("gpool k must be positive")
+        if self.k is not None and (not isinstance(self.k, int) or self.k < 1):
+            raise ValueError(f"gpool k must be a positive channel count, got {self.k!r}")
 
 
 @dataclass(frozen=True)
@@ -117,6 +118,8 @@ class ModelConfig:
             raise ValueError(f"unknown mechanism {self.mechanism!r}")
         if self.mechanism == "mean" and self.selection.kind != "none":
             raise ValueError("the mean baseline pools all channels; selection must be 'none'")
+        if self.mechanism != "mean" and min(self.n_blocks, self.heads) < 1:
+            raise ValueError(f"n_blocks={self.n_blocks} and heads={self.heads} must be positive")
         if self.mechanism != "mean" and self.d % self.heads != 0:
             raise ValueError(f"d={self.d} must split evenly over {self.heads} heads")
         if self.temporal_graph.kind == "knn":
@@ -165,6 +168,10 @@ class TrainHyper:
     momentum: float = 0.9
     batch_size: int = 8
     epochs: int = 30
+
+    def __post_init__(self):
+        if self.batch_size < 1 or self.epochs < 1:
+            raise ValueError(f"batch_size={self.batch_size} and epochs={self.epochs} must be positive")
 
 
 @dataclass(frozen=True)
@@ -230,7 +237,12 @@ def _forward(model: Model, x: np.ndarray, scenes: list[Scene | None],
     utterance's temporal graph is built at its own length inside a
     (B, 1, T, T) mask whose padded frames see only themselves, and gpool
     scoring and pooling weight the padded frames out, so every embedding
-    equals its utterance's unpadded one up to rounding.
+    equals its utterance's unpadded one up to rounding.  The mask alone
+    gives bit-identical outputs; unpadded batches, every training batch
+    among them, keep the shared graph for memory only.  Building the mask
+    for them too raised the train-paper benchmark's peak RSS from 961 to
+    963 MiB and left verify-ragged's unchanged (2-core x86_64, one BLAS
+    thread).
     """
     cfg = model.cfg
     sel = cfg.selection
@@ -536,27 +548,38 @@ def read_trials_csv(path) -> TrialSet:
     return TrialSet(trials=trials)
 
 
+def config_from_json(cls, doc, where: str):
+    """Build the config dataclass ``cls`` from the JSON object ``doc`` found at ``where``.
+
+    Keys are field names and missing ones keep their defaults.  A dataclass
+    default is read recursively, a None default takes the value as given,
+    and any other value is converted to its default's type.  Every failure,
+    ``cls``'s own checks included, is a ValueError naming the key path.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be an object, got {type(doc).__name__}")
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown keys in {where}: {unknown}")
+    defaults = cls()
+    values = {}
+    for key, value in doc.items():
+        default = getattr(defaults, key)
+        if is_dataclass(default):
+            values[key] = config_from_json(type(default), value, f"{where}.{key}")
+            continue
+        try:
+            values[key] = value if default is None else type(default)(value)
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"{where}.{key}: {err}") from err
+    try:
+        return cls(**values)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{where}: {err}") from err
+
+
 def model_config_to_json(cfg: ModelConfig) -> dict:
-    return {
-        "mechanism": cfg.mechanism,
-        "n_blocks": cfg.n_blocks,
-        "heads": cfg.heads,
-        "d": cfg.d,
-        "selection": {
-            "kind": cfg.selection.kind,
-            "k": cfg.selection.k,
-            "rho": cfg.selection.rho,
-            "orientation": cfg.selection.orientation,
-            "noise": cfg.selection.noise,
-            "rho_noise": cfg.selection.rho_noise,
-        },
-        "temporal_graph": {"kind": cfg.temporal_graph.kind, "delta": cfg.temporal_graph.delta,
-                           "k": cfg.temporal_graph.k},
-        "spatial_graph": {"kind": cfg.spatial_graph.kind, "delta": cfg.spatial_graph.delta,
-                          "k": cfg.spatial_graph.k},
-        "leaky_slope": cfg.leaky_slope,
-        "seed": cfg.seed,
-    }
+    return asdict(cfg)
 
 
 # Settings that older checkpoints record.  They load only at the value
@@ -565,39 +588,23 @@ _REMOVED_SETTINGS = {"warm_start": False, "head": "linear", "head_scale": 10.0}
 _REMOVED_SELECTION_SETTINGS = {"pool_all": False}
 
 
-def _reject_removed(doc: dict, removed: dict, where: str) -> None:
+def _drop_removed(doc, removed: dict, where: str):
+    if not isinstance(doc, dict):
+        return doc  # config_from_json names the malformed section
     for key, no_op in removed.items():
         if key in doc and doc[key] != no_op:
-            raise ValueError(f"{where}{key}={doc[key]!r} is no longer supported "
+            raise ValueError(f"{where}.{key}={doc[key]!r} is no longer supported "
                              f"(only {no_op!r} loads)")
+    return {key: value for key, value in doc.items() if key not in removed}
 
 
-def model_config_from_json(doc: dict) -> ModelConfig:
-    sel = doc.get("selection", {})
-    tg = doc.get("temporal_graph", {})
-    sg = doc.get("spatial_graph", {})
-    _reject_removed(doc, _REMOVED_SETTINGS, "")
-    _reject_removed(sel, _REMOVED_SELECTION_SETTINGS, "selection.")
-    return ModelConfig(
-        mechanism=doc.get("mechanism", "gcn"),
-        n_blocks=int(doc.get("n_blocks", 2)),
-        heads=int(doc.get("heads", 4)),
-        d=int(doc.get("d", 16)),
-        selection=SelectionConfig(
-            kind=sel.get("kind", "none"),
-            k=sel.get("k"),
-            rho=float(sel.get("rho", 0.6)),
-            orientation=bool(sel.get("orientation", False)),
-            noise=bool(sel.get("noise", False)),
-            rho_noise=float(sel.get("rho_noise", 0.2)),
-        ),
-        temporal_graph=GraphSpec(kind=tg.get("kind", "complete"), delta=int(tg.get("delta", 1)),
-                                 k=int(tg.get("k", 4))),
-        spatial_graph=GraphSpec(kind=sg.get("kind", "complete"), delta=int(sg.get("delta", 1)),
-                                k=int(sg.get("k", 4))),
-        leaky_slope=float(doc.get("leaky_slope", 0.2)),
-        seed=int(doc.get("seed", 0)),
-    )
+def model_config_from_json(doc) -> ModelConfig:
+    """Read a checkpoint's model config, dropping removed settings at their no-op values."""
+    doc = _drop_removed(doc, _REMOVED_SETTINGS, "config")
+    if isinstance(doc, dict) and "selection" in doc:
+        doc = {**doc, "selection": _drop_removed(doc["selection"], _REMOVED_SELECTION_SETTINGS,
+                                                 "config.selection")}
+    return config_from_json(ModelConfig, doc, "config")
 
 
 def save_model(path, model: Model) -> None:

@@ -7,13 +7,13 @@ import struct
 import numpy as np
 import pytest
 
-from adhocsv.cli import ConfigError, load_experiment_config, main
+from adhocsv.cli import ConfigError, EvalSpec, load_experiment_config, main
 from adhocsv.graphs import build_prior
 from adhocsv.scenesim import (Scene, SimConfig, read_features, sample_scene, save_scene,
                               write_features)
 from adhocsv.stagg import FrameTensor, load_checkpoint, save_checkpoint
-from adhocsv.trainer import (Model, ModelConfig, SelectionConfig, embed_with_info, load_model,
-                             model_config_to_json, read_trials_csv)
+from adhocsv.trainer import (Model, ModelConfig, SelectionConfig, TrainHyper, embed_with_info,
+                             load_model, model_config_to_json, read_trials_csv)
 
 TINY_CONFIG = {
     "seed": 7,
@@ -164,6 +164,76 @@ class TestGraphSpecConfig:
         assert main(["train", "--config", str(path), "--data", str(tmp_path / "absent"),
                      "--out", str(tmp_path / "run"), "--quiet"]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+
+def edited_config(tmp_path, path, value):
+    """TINY_CONFIG with the value at key path ``path`` replaced, written to a file."""
+    cfg = json.loads(json.dumps(TINY_CONFIG))
+    section = cfg
+    for key in path[:-1]:
+        section = section.setdefault(key, {})
+    section[path[-1]] = value
+    out = tmp_path / "config.json"
+    out.write_text(json.dumps(cfg))
+    return out
+
+
+class TestConfigErrors:
+    # Each edit must be a config error that names its key.
+    @pytest.mark.parametrize("path, value, named", [
+        (("train", "epochs"), 0, "epochs=0"),
+        (("train", "batch_size"), 0, "batch_size=0"),
+        (("train", "lr"), "fast", "config.train.lr"),
+        (("train", "channels"), 0, "config.train.channels"),
+        (("train", "channels"), "abc", "config.train.channels"),
+        (("eval", "channels"), 0, "config.eval.channels"),
+        (("eval", "channels"), "abc", "config.eval.channels"),
+        (("model", "heads"), 0, "heads=0"),
+        (("model", "n_blocks"), 0, "n_blocks=0"),
+        (("seed",), "x", "config.seed"),
+        (("model",), [1, 2], "config.model must be an object"),
+        (("model", "selection"), "gpool", "config.model.selection must be an object"),
+        (("model", "selection", "k"), 2.5, "gpool k must be a positive channel count, got 2.5"),
+        (("sim", "room"), "big", "config.sim.room must be an object"),
+        (("sim", "n_train"), "x", "config.sim.n_train"),
+    ], ids=["epochs_zero", "batch_size_zero", "lr_string", "train_channels_zero",
+            "train_channels_string", "eval_channels_zero", "eval_channels_string", "heads_zero",
+            "n_blocks_zero", "seed_string", "model_list", "selection_string", "gpool_k_fraction",
+            "room_string", "n_train_string"])
+    def test_malformed_value_exits_2_before_data_is_read(self, tmp_path, capsys, path, value,
+                                                          named):
+        config = edited_config(tmp_path, path, value)
+        # The data directory does not exist: reading it first would be exit 3.
+        assert main(["train", "--config", str(config), "--data", str(tmp_path / "absent"),
+                     "--out", str(tmp_path / "run"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err
+
+    def test_channels_flag_below_one_exits_2(self, tmp_path, config_path, capsys):
+        assert main(["eval", "--config", config_path, "--ckpt", str(tmp_path / "absent.ckpt"),
+                     "--data", str(tmp_path / "absent"), "--out", str(tmp_path / "e"),
+                     "--channels", "0", "--quiet"]) == 2
+        assert "--channels" in capsys.readouterr().err
+
+    # Keys outside the dataclass fields, the model seed (set by the top-level
+    # seed) and settings the model no longer implements are all refused.
+    @pytest.mark.parametrize("path", [
+        ("sim", "typo"), ("sim", "room", "typo"), ("sim", "seed"), ("model", "typo"),
+        ("model", "seed"), ("model", "warm_start"), ("model", "selection", "pool_all"),
+        ("model", "selection", "typo"), ("model", "temporal_graph", "typo"),
+        ("train", "typo"), ("eval", "typo"),
+    ], ids=lambda path: ".".join(path))
+    def test_unknown_key_rejected(self, tmp_path, path):
+        config = edited_config(tmp_path, path, False)
+        with pytest.raises(ConfigError, match=f"unknown keys in config.{'.'.join(path[:-1])}"):
+            load_experiment_config(config)
+
+    def test_empty_sections_load_the_dataclass_defaults(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"sim": {}, "model": {}, "train": {}, "eval": {}}))
+        cfg = load_experiment_config(path)
+        assert (cfg.sim, cfg.model, cfg.train, cfg.eval) == (
+            SimConfig(), ModelConfig(), TrainHyper(), EvalSpec())
 
 
 @pytest.mark.filterwarnings("ignore:.*falling back to the nearest channel")
@@ -349,6 +419,23 @@ class TestTrainEval:
         assert main(["train", "--config", config_path, "--data", dataset,
                      "--out", str(run), "--resume", "--quiet"]) == 0
         assert (run / "model.ckpt").read_bytes() == before
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda config: [config], "config must be an object"),
+        (lambda config: config | {"selection": "gpool"}, "config.selection must be an object"),
+        (lambda config: config | {"typo": 1}, "unknown keys in config: ['typo']"),
+    ], ids=["config_list", "selection_string", "unknown_key"])
+    def test_malformed_checkpoint_config_is_data_error(self, tmp_path, config_path, capsys, edit,
+                                                       named):
+        model = Model.init(ModelConfig(n_blocks=1, heads=2, d=8), n_speakers=4)
+        path = tmp_path / "bad.ckpt"
+        save_checkpoint(path, model.params,
+                        meta={"config": edit(model_config_to_json(model.cfg)), "n_speakers": 4})
+        # The checkpoint is read before the (absent) data directory.
+        assert main(["eval", "--config", config_path, "--ckpt", str(path),
+                     "--data", str(tmp_path / "absent"), "--out", str(tmp_path / "e"),
+                     "--quiet"]) == 3
+        assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize("blob", sorted(CORRUPT_CHECKPOINTS))
     def test_corrupt_checkpoint_is_data_error(self, tmp_path, config_path, dataset, capsys,

@@ -1,5 +1,7 @@
 """Training loop, embedding composition, scoring and EER behavior."""
 
+import json
+import re
 import warnings
 from pathlib import Path
 
@@ -36,6 +38,7 @@ from adhocsv.trainer import (
     evaluate,
     generate_trials,
     load_model,
+    model_config_from_json,
     model_config_to_json,
     read_trials_csv,
     save_model,
@@ -636,6 +639,49 @@ class TestModelIO:
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, model.params, meta={"config": config, "n_speakers": 2})
         with pytest.raises(ValueError, match=key):
+            load_model(path)
+
+    @pytest.mark.parametrize("selection", [
+        SelectionConfig(), SelectionConfig(kind="prior", rho=0.5, orientation=True, noise=True),
+        SelectionConfig(kind="gpool"), SelectionConfig(kind="gpool", k=3),
+    ], ids=["none", "prior", "gpool", "gpool_k3"])
+    @pytest.mark.parametrize("spatial", [GraphSpec(), GraphSpec("span", delta=2),
+                                         GraphSpec("knn", k=3)], ids=lambda g: g.kind)
+    def test_config_json_round_trip(self, selection, spatial):
+        cfg = ModelConfig(n_blocks=1, heads=2, d=8, selection=selection,
+                          temporal_graph=GraphSpec("span", delta=1), spatial_graph=spatial, seed=3)
+        assert model_config_from_json(model_config_to_json(cfg)) == cfg
+
+    def test_config_json_layout(self):
+        # Checkpoints record this layout; its key order fixes their bytes.
+        cfg = ModelConfig(mechanism="sam", n_blocks=3, heads=2, d=8,
+                          selection=SelectionConfig(kind="gpool", k=2, rho=0.5, orientation=True,
+                                                    noise=True, rho_noise=0.3),
+                          temporal_graph=GraphSpec("span", delta=2),
+                          spatial_graph=GraphSpec("knn", k=3), leaky_slope=0.1, seed=5)
+        expected = {
+            "mechanism": "sam", "n_blocks": 3, "heads": 2, "d": 8,
+            "selection": {"kind": "gpool", "k": 2, "rho": 0.5, "orientation": True,
+                          "noise": True, "rho_noise": 0.3},
+            "temporal_graph": {"kind": "span", "delta": 2, "k": 4},
+            "spatial_graph": {"kind": "knn", "delta": 1, "k": 3},
+            "leaky_slope": 0.1, "seed": 5,
+        }
+        assert json.dumps(model_config_to_json(cfg)) == json.dumps(expected)
+
+    # A config that is not an object, a section that is not one, and a key
+    # that is neither a field nor a removed setting.
+    @pytest.mark.parametrize("config, named", [
+        ([1, 2], "config must be an object"),
+        ({"selection": "gpool"}, "config.selection must be an object"),
+        ({"temporal_graph": {"kind": "span", "width": 3}}, "config.temporal_graph: ['width']"),
+        ({"heads": "two"}, "config.heads"),
+    ], ids=["config_list", "selection_string", "unknown_key", "heads_string"])
+    def test_malformed_config_rejected(self, tmp_path, config, named):
+        model = Model.init(ModelConfig(mechanism="gcn", n_blocks=1, heads=2, d=8), n_speakers=2)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model.params, meta={"config": config, "n_speakers": 2})
+        with pytest.raises(ValueError, match=re.escape(named)):
             load_model(path)
 
     def test_gpool_params_round_trip(self, tmp_path):
