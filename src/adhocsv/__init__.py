@@ -8,11 +8,12 @@ Subpackages:
 - ``chansel``: gpool and prior channel selection, utterance pooling
 - ``scenesim``: scene sampling and synthetic frame-level features
 - ``trainer``: second-stage training, cosine scoring, EER
-- ``cli``: the ``adhocsv`` command
+- ``cli``: the ``adhocsv`` command; not imported here, so that
+  ``python -m adhocsv.cli`` loads it once, as ``__main__``
 """
 
-from . import chansel, cli, diffcore, graphs, scenesim, stagg, trainer
+from . import chansel, diffcore, graphs, scenesim, stagg, trainer
 
 __version__ = "0.1.0"
 
-__all__ = ["chansel", "cli", "diffcore", "graphs", "scenesim", "stagg", "trainer", "__version__"]
+__all__ = ["chansel", "diffcore", "graphs", "scenesim", "stagg", "trainer", "__version__"]

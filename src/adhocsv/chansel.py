@@ -1,14 +1,15 @@
 """Channel selection and utterance pooling.
 
-Every selection kind ends in one weighted mean over channels and frames:
+Every selection kind ends in one weighted mean over channels:
 
-    emb_b = sum_{c,t} keep_bc * gate_bc * valid_bt * z_bctd / (sum_c keep_bc * frames_b)
+    emb_b = sum_c keep_bc * gate_bc * zbar_bcd / sum_c keep_bc
 
+``zbar`` is (B, C, D): each channel's mean over its utterance's valid
+frames, which the caller computes, so nothing here sees a frame.
 ``keep`` is a 0/1 (B, C) choice of channels: all of them without
 selection, the channels a geometry-derived mask declares useful for prior
 selection, and the top k by a learned score for gpool.  ``gate`` is 1,
 except for gpool, which gates each channel by the sigmoid of its score.
-``valid`` drops the zero-padded frames past each utterance's frame count.
 """
 
 from __future__ import annotations
@@ -59,43 +60,27 @@ def init_gpool_params(d: int, rng: np.random.Generator, name: str = "gpool.p") -
     return GPoolParams(p=Parameter(name, rng.uniform(-bound, bound, size=d)))
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+def _frame_means(zbar) -> Tensor:
+    zbar = zbar if isinstance(zbar, Tensor) else Tensor(zbar)
+    if zbar.ndim != 3:
+        raise dc.ShapeError(f"expected (B, C, D) frame means, got {zbar.shape}")
+    return zbar
 
 
-def _check_batch(z: Tensor, frames: np.ndarray) -> None:
-    if z.ndim != 4:
-        raise dc.ShapeError(f"expected (B, C, T, D), got {z.shape}")
-    b, _, t, _ = z.shape
-    if frames.shape != (b,) or frames.min() < 1 or frames.max() > t:
-        raise dc.ShapeError(f"need {b} frame counts in [1, {t}], got {frames.tolist()}")
+def channel_scores(zbar, params: GPoolParams) -> Tensor:
+    """Per-channel scores q = zbar p / ||p||, shape (B, C), of frame means zbar (B, C, D).
 
-
-def _valid_frames(frames: np.ndarray, t: int) -> np.ndarray:
-    """(B, 1, T, 1) 0/1 weights of the frames before each utterance's count."""
-    return (np.arange(t) < frames[:, None])[:, None, :, None]
-
-
-def channel_scores(z, frames, params: GPoolParams) -> Tensor:
-    """Per-channel scores q = mean_t(Z) p / ||p||, shape (B, C).
-
-    The mean runs over each utterance's first ``frames[b]`` frames, so one
-    channel set serves the whole utterance and padding never scores.  Each
-    channel's score is its own row reduction, so equal channels score
+    Each channel's score is its own row reduction, so equal channels score
     exactly equal wherever they sit in the batch.
     """
-    z = _as_tensor(z)
-    frames = np.asarray(frames, dtype=np.intp)
-    _check_batch(z, frames)
+    zbar = _frame_means(zbar)
     if float(np.linalg.norm(params.p.data)) == 0.0:
         raise DegenerateProjectionError("gpool projection has zero norm")
-    summed = dc.sum_axis(dc.mul(z, _valid_frames(frames, z.shape[2])), axis=2)
-    zbar = dc.div(summed, frames[:, None, None])  # (B, C, D)
     return dc.div(dc.sum_axis(dc.mul(zbar, params.p), -1), dc.l2_norm(params.p))
 
 
-def gpool_weights(z, frames, params: GPoolParams, k: int) -> tuple[np.ndarray, Tensor]:
-    """gpool's channel choice for a batch: keep (B, C) and gate (B, C).
+def gpool_weights(zbar, params: GPoolParams, k: int) -> tuple[np.ndarray, Tensor]:
+    """gpool's channel choice for a batch of frame means: keep (B, C) and gate (B, C).
 
     ``keep`` marks each utterance's k channels with the largest scores;
     ties break toward the lower channel index.  ``gate`` is sigmoid(q) for
@@ -103,7 +88,7 @@ def gpool_weights(z, frames, params: GPoolParams, k: int) -> tuple[np.ndarray, T
     Gradients flow through the gates; the choice itself is treated as
     constant (subgradient at ties).
     """
-    q = channel_scores(z, frames, params)
+    q = channel_scores(zbar, params)
     c = q.shape[1]
     if not 1 <= k <= c:
         raise ChannelBudgetError(f"gpool keeps k={k} channels, but the array has C={c}")
@@ -113,20 +98,18 @@ def gpool_weights(z, frames, params: GPoolParams, k: int) -> tuple[np.ndarray, T
     return keep, dc.sigmoid(q)
 
 
-def weighted_pool(z, keep, gate, frames) -> Tensor:
-    """The utterance embeddings (B, D): z's mean over kept channels and valid frames.
+def weighted_pool(zbar, keep, gate) -> Tensor:
+    """The utterance embeddings (B, D): the gated mean of the kept channels' frame means.
 
-    ``keep`` is a 0/1 (B, C) array and ``gate`` either 1 or a (B, C)
-    tensor; see the module docstring for the formula.
+    ``zbar`` is (B, C, D), ``keep`` a 0/1 (B, C) array and ``gate`` either
+    1 or a (B, C) tensor; see the module docstring for the formula.
     """
-    z = _as_tensor(z)
+    zbar = _frame_means(zbar)
     keep = np.asarray(keep, dtype=np.float64)
-    frames = np.asarray(frames, dtype=np.intp)
-    _check_batch(z, frames)
-    b, c, t, _ = z.shape
+    b, c, _ = zbar.shape
     if keep.shape != (b, c) or not keep.any(axis=1).all():
         raise dc.ShapeError(f"keep must be (B, C) = {(b, c)} with a kept channel per row, "
                             f"got {keep.shape}")
-    channel_w = dc.reshape(dc.mul(keep, gate), (b, c, 1, 1))
-    summed = dc.sum_axis(dc.mul(z, dc.mul(channel_w, _valid_frames(frames, t))), axis=(1, 2))
-    return dc.div(summed, (keep.sum(axis=1) * frames)[:, None])
+    channel_w = dc.reshape(dc.mul(keep, gate), (b, c, 1))
+    summed = dc.sum_axis(dc.mul(zbar, channel_w), axis=1)
+    return dc.div(summed, keep.sum(axis=1)[:, None])

@@ -51,6 +51,7 @@ from .trainer import (
     TrialSet,
     Utterance,
     config_from_json,
+    config_value,
     eval_per_node,
     evaluate,
     generate_trials,
@@ -76,7 +77,7 @@ class DataError(Exception):
 
 
 def _check_budget(channels, where: str) -> None:
-    if channels is not None and (not isinstance(channels, int) or channels < 1):
+    if channels is not None and (type(channels) is not int or channels < 1):
         raise ConfigError(f"{where} must be a positive channel count, got {channels!r}")
 
 
@@ -114,21 +115,20 @@ def _check_keys(doc, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {unknown}")
 
 
-def _int(doc: dict, key: str, default: int, where: str) -> int:
+def _value(doc: dict, key: str, default, where: str):
+    """``doc[key]`` (``default`` when absent) read with :func:`trainer.config_value`."""
     try:
-        return int(doc.get(key, default))
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"{where}.{key}: {err}") from err
+        return config_value(doc.get(key, default), default, f"{where}.{key}")
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
 
 
 def _pair(doc: dict, key: str, where: str) -> tuple[float, float]:
     value = doc[key]
     if (not isinstance(value, (list, tuple))) or len(value) != 2:
         raise ConfigError(f"{where}.{key} must be a [low, high] pair")
-    try:
-        return float(value[0]), float(value[1])
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"{where}.{key}: {err}") from err
+    pair = dict(zip(("low", "high"), value))
+    return _value(pair, "low", 0.0, f"{where}.{key}"), _value(pair, "high", 0.0, f"{where}.{key}")
 
 
 def _read(cls, doc, section: str):
@@ -154,7 +154,7 @@ def load_experiment_config(path, seed_override: int | None = None) -> Experiment
         raise ConfigError(f"config is not valid JSON: {err}") from err
 
     _check_keys(doc, {"seed", "sim", "model", "train", "eval"}, "config")
-    seed = _int(doc, "seed", 0, "config") if seed_override is None else int(seed_override)
+    seed = _value(doc, "seed", 0, "config") if seed_override is None else int(seed_override)
 
     sim_doc = doc.get("sim", {})
     _check_keys(sim_doc, _SIM_SCALARS | {"t60", "snr_db", "room", "n_train", "n_test",
@@ -180,9 +180,9 @@ def load_experiment_config(path, seed_override: int | None = None) -> Experiment
     return ExperimentConfig(
         seed=seed,
         sim=sim,
-        n_train=_int(sim_doc, "n_train", 64, "config.sim"),
-        n_test=_int(sim_doc, "n_test", 32, "config.sim"),
-        shared_scene=bool(sim_doc.get("shared_scene", False)),
+        n_train=_value(sim_doc, "n_train", 64, "config.sim"),
+        n_test=_value(sim_doc, "n_test", 32, "config.sim"),
+        shared_scene=_value(sim_doc, "shared_scene", False, "config.sim"),
         model=model,
         train=hyper,
         train_channels=train_doc.get("channels"),

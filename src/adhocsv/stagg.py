@@ -289,9 +289,9 @@ def st_stack(x, blocks: list[BlockParams], a_temporal: Adjacency | np.ndarray,
     ``x``: (B, C, T, D).  Each block aggregates over frames with
     ``a_temporal``, then over channels with ``spatial_mask``, a boolean
     (B, C, C) array holding one channel graph per utterance, shared by all
-    its frames.  ``a_temporal`` is either one T-node Adjacency shared by
-    every utterance or a boolean (B, 1, T, T) mask holding one frame graph
-    per utterance, shared by its channels; with it, utterances zero-padded
+    its frames.  ``a_temporal`` is a T-node Adjacency or a boolean mask
+    broadcastable to (B, C, T, T), such as a (B, 1, T, T) mask holding one
+    frame graph per utterance, shared by its channels; utterances padded
     to T frames run in one batch when each padded frame sees only itself
     and no valid frame sees a padded one.  Every block computes the same
     result as running each channel's (T, D) slice and then each frame's

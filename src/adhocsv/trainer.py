@@ -1,8 +1,8 @@
 """Second-stage training and verification scoring.
 
 The trainable system = spatial-temporal aggregation stack, optional
-channel selection pooled as one weighted mean over channels and frames,
-and a linear softmax classifier over speakers.  Frame-level features are
+channel selection pooled as one weighted mean of the channels' frame
+means, and a linear softmax classifier over speakers.  Frame-level features are
 frozen inputs.  One batched forward pass computes the embeddings:
 training runs it on batches of same-shape utterances, :func:`embed` on
 one utterance, and :func:`evaluate` on batches of utterances with equal
@@ -60,6 +60,7 @@ __all__ = [
     "subsample_channels",
     "read_trials_csv",
     "write_trials_csv",
+    "config_value",
     "config_from_json",
     "model_config_to_json",
     "model_config_from_json",
@@ -97,7 +98,7 @@ class SelectionConfig:
             raise ValueError(f"unknown selection kind {self.kind!r}")
         if self.kind == "prior" and not 0.0 < self.rho <= 1.0:
             raise ValueError(f"rho must lie in (0, 1], got {self.rho}")
-        if self.k is not None and (not isinstance(self.k, int) or self.k < 1):
+        if self.k is not None and (type(self.k) is not int or self.k < 1):
             raise ValueError(f"gpool k must be a positive channel count, got {self.k!r}")
 
 
@@ -124,6 +125,8 @@ class ModelConfig:
             raise ValueError(f"d={self.d} must split evenly over {self.heads} heads")
         if self.temporal_graph.kind == "knn":
             raise ValueError("the temporal graph cannot be knn: frames have no positions")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 class Model:
@@ -208,41 +211,19 @@ def _spatial_adjacency(model: Model, c: int, scene: Scene | None):
     return build_graph(cfg.spatial_graph, c, None if scene is None else scene.node_pos), None
 
 
-def _padded_temporal_masks(spec: GraphSpec, frames: np.ndarray, t: int) -> np.ndarray:
-    """(B, 1, T, T) temporal masks: utterance i's graph over its first frames[i] frames.
-
-    Padded frames see only themselves, so every row keeps a neighbor and no
-    valid frame attends to padding.
-    """
-    mask = np.zeros((len(frames), 1, t, t), dtype=bool)
-    mask[:, 0, np.arange(t), np.arange(t)] = True
-    for i, n in enumerate(frames):
-        mask[i, 0, :n, :n] = build_graph(spec, int(n)).entries
-    return mask
-
-
 def _forward(model: Model, x: np.ndarray, scenes: list[Scene | None],
              frames: list[int] | None = None):
     """Differentiable embeddings of a batch of utterances with equal channel counts.
 
-    ``x`` is (B, C, T, D) with one scene (or None) per utterance.  Builds
-    each utterance's graphs, runs the aggregation stack, picks the
-    configured channels and gates and pools them in one weighted mean
-    (:func:`chansel.weighted_pool`).  Returns the (B, D) embedding tensor
-    and one selection-info dict per utterance.
-
-    ``frames`` gives each utterance's valid frame count; its frames past
-    that count are zero padding.  None, or every count equal to T, runs
-    one temporal graph shared by the whole batch.  Otherwise each
-    utterance's temporal graph is built at its own length inside a
-    (B, 1, T, T) mask whose padded frames see only themselves, and gpool
-    scoring and pooling weight the padded frames out, so every embedding
-    equals its utterance's unpadded one up to rounding.  The mask alone
-    gives bit-identical outputs; unpadded batches, every training batch
-    among them, keep the shared graph for memory only.  Building the mask
-    for them too raised the train-paper benchmark's peak RSS from 961 to
-    963 MiB and left verify-ragged's unchanged (2-core x86_64, one BLAS
-    thread).
+    ``x`` is (B, C, T, D) with one scene (or None) per utterance, and
+    ``frames`` each utterance's valid frame count (None: all T); the frames
+    past it are padding, and only this function knows of them.  Each
+    utterance's frames form its temporal graph inside a (B, 1, T, T) mask
+    whose padded frames see only themselves, and the channels' frame means
+    zbar (B, C, D) average valid frames only, so padding changes no
+    embedding beyond rounding.  Channels are picked from zbar, gated and
+    pooled in one weighted mean (:func:`chansel.weighted_pool`).  Returns
+    the (B, D) embeddings and one selection-info dict per utterance.
     """
     cfg = model.cfg
     sel = cfg.selection
@@ -252,27 +233,30 @@ def _forward(model: Model, x: np.ndarray, scenes: list[Scene | None],
     frames = np.full(b, t) if frames is None else np.asarray(frames, dtype=np.intp)
     if frames.shape != (b,) or frames.min() < 1 or frames.max() > t:
         raise dc.ShapeError(f"need {b} frame counts in [1, {t}], got {frames.tolist()}")
+    valid = np.arange(t) < frames[:, None]  # (B, T)
     out = Tensor(x)
     if cfg.mechanism != "mean":
         adjacencies, sel_masks = zip(*(_spatial_adjacency(model, c, scene) for scene in scenes))
         spatial_mask = np.stack([a.entries for a in adjacencies])
-        if (frames < t).any():
-            a_temporal = _padded_temporal_masks(cfg.temporal_graph, frames, t)
-        else:
-            a_temporal = build_graph(cfg.temporal_graph, t)
+        # The T-node graph's top-left n x n block is the n-node graph for
+        # complete and span graphs (ModelConfig refuses knn over frames).
+        a_temporal = (build_graph(cfg.temporal_graph, t).entries
+                      & valid[:, None, :, None] & valid[:, None, None, :]) | np.eye(t, dtype=bool)
         out = st_stack(out, model.blocks, a_temporal, spatial_mask)
+    zbar = dc.div(dc.sum_axis(dc.mul(out, valid[:, None, :, None]), axis=2),
+                  frames[:, None, None])  # (B, C, D)
 
     keep, gate = np.ones((b, c)), 1.0  # no selection: every channel, ungated
     if sel.kind == "prior":
         keep = np.stack([m.selected for m in sel_masks]).astype(np.float64)
     elif sel.kind == "gpool":
         k = sel.k if sel.k is not None else math.ceil(c / 2)
-        keep, gate = gpool_weights(out, frames, model.gpool, k)
+        keep, gate = gpool_weights(zbar, model.gpool, k)
     gates = gate.data if sel.kind == "gpool" else None
     infos = [{"mechanism": sel.kind, "selected_indices": np.flatnonzero(keep[i]).tolist(),
               "gates": None if gates is None else gates[i, keep[i] > 0].tolist()}
              for i in range(b)]
-    return weighted_pool(out, keep, gate, frames), infos
+    return weighted_pool(zbar, keep, gate), infos
 
 
 def embed(model: Model, x, scene: Scene | None = None) -> np.ndarray:
@@ -544,17 +528,48 @@ def read_trials_csv(path) -> TrialSet:
         header = next(reader, None)
         if header != ["enroll_id", "test_id", "label"]:
             raise ValueError(f"{path}: expected header enroll_id,test_id,label")
-        trials = [Trial(row[0], row[1], row[2]) for row in reader if row]
+        trials = []
+        for row in filter(None, reader):  # blank lines hold no trial
+            if len(row) != 3:
+                raise ValueError(f"{path}, line {reader.line_num}: expected 3 fields "
+                                 f"enroll_id,test_id,label, got {len(row)}")
+            trials.append(Trial(*row))
     return TrialSet(trials=trials)
+
+
+def config_value(value, default, where: str):
+    """The JSON ``value`` found at ``where``, converted to the type of ``default``.
+
+    A None default takes the value as given.  Conversions that would change
+    the value are refused: a bool field takes only true or false and no
+    other field takes a bool, an int field takes no number that int()
+    would round (2.9), and a float field no NaN or infinity; numeric
+    strings such as "4" convert.  A refusal is a ValueError naming
+    ``where``.
+    """
+    if default is None:
+        return value
+    kind = type(default)
+    if isinstance(value, bool) != (kind is bool):
+        raise ValueError(f"{where}: expected {kind.__name__}, got {value!r}")
+    try:
+        converted = kind(value)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ValueError(f"{where}: {err}") from err
+    if kind is int and isinstance(value, float) and converted != value:
+        raise ValueError(f"{where}: expected an integer, got {value!r}")
+    if kind is float and not math.isfinite(converted):
+        raise ValueError(f"{where}: expected a finite number, got {value!r}")
+    return converted
 
 
 def config_from_json(cls, doc, where: str):
     """Build the config dataclass ``cls`` from the JSON object ``doc`` found at ``where``.
 
     Keys are field names and missing ones keep their defaults.  A dataclass
-    default is read recursively, a None default takes the value as given,
-    and any other value is converted to its default's type.  Every failure,
-    ``cls``'s own checks included, is a ValueError naming the key path.
+    default is read recursively and any other value through
+    :func:`config_value`.  Every failure, ``cls``'s own checks included, is
+    a ValueError naming the key path.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"{where} must be an object, got {type(doc).__name__}")
@@ -567,11 +582,8 @@ def config_from_json(cls, doc, where: str):
         default = getattr(defaults, key)
         if is_dataclass(default):
             values[key] = config_from_json(type(default), value, f"{where}.{key}")
-            continue
-        try:
-            values[key] = value if default is None else type(default)(value)
-        except (TypeError, ValueError) as err:
-            raise ValueError(f"{where}.{key}: {err}") from err
+        else:
+            values[key] = config_value(value, default, f"{where}.{key}")
     try:
         return cls(**values)
     except (TypeError, ValueError) as err:

@@ -196,10 +196,31 @@ class TestConfigErrors:
         (("model", "selection", "k"), 2.5, "gpool k must be a positive channel count, got 2.5"),
         (("sim", "room"), "big", "config.sim.room must be an object"),
         (("sim", "n_train"), "x", "config.sim.n_train"),
+        # Values that a plain bool() or int() would silently turn into others.
+        (("model", "selection", "orientation"), "false", "config.model.selection.orientation"),
+        (("model", "selection", "noise"), "no", "config.model.selection.noise"),
+        (("sim", "noise_source"), "false", "noise_source"),
+        (("sim", "shared_scene"), "false", "config.sim.shared_scene"),
+        (("model", "heads"), 2.9, "config.model.heads"),
+        (("model", "heads"), True, "config.model.heads"),
+        (("seed",), 7.5, "config.seed"),
+        (("sim", "n_train"), True, "config.sim.n_train"),
+        (("sim", "n_test"), 2.9, "config.sim.n_test"),
+        (("train", "lr"), True, "config.train.lr"),
+        (("sim", "t60"), [True, 0.5], "config.sim.t60.low"),
+        (("model", "selection", "k"), True, "gpool k must be a positive channel count, got True"),
+        (("train", "channels"), True, "config.train.channels"),
+        (("train", "lr"), float("nan"), "config.train.lr"),
+        (("sim", "snr_db"), [float("nan"), 5.0], "config.sim.snr_db.low"),
+        (("seed",), -1, "seed must be nonnegative, got -1"),
     ], ids=["epochs_zero", "batch_size_zero", "lr_string", "train_channels_zero",
             "train_channels_string", "eval_channels_zero", "eval_channels_string", "heads_zero",
             "n_blocks_zero", "seed_string", "model_list", "selection_string", "gpool_k_fraction",
-            "room_string", "n_train_string"])
+            "room_string", "n_train_string", "orientation_string", "noise_string",
+            "noise_source_string", "shared_scene_string", "heads_fraction", "heads_bool",
+            "seed_fraction", "n_train_bool", "n_test_fraction", "lr_bool", "t60_bool",
+            "gpool_k_bool", "train_channels_bool", "lr_nan", "snr_db_nan",
+            "seed_negative"])
     def test_malformed_value_exits_2_before_data_is_read(self, tmp_path, capsys, path, value,
                                                           named):
         config = edited_config(tmp_path, path, value)
@@ -208,6 +229,20 @@ class TestConfigErrors:
                      "--out", str(tmp_path / "run"), "--quiet"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and named in err
+
+    def test_numeric_strings_load_as_numbers(self, tmp_path):
+        config = edited_config(tmp_path, ("model", "heads"), "2")
+        doc = json.loads(config.read_text())
+        doc["seed"], doc["sim"]["n_train"], doc["train"]["lr"] = "7", "12", "0.01"
+        config.write_text(json.dumps(doc))
+        cfg = load_experiment_config(config)
+        assert (cfg.model.heads, cfg.seed, cfg.n_train, cfg.train.lr) == (2, 7, 12, 0.01)
+
+    def test_negative_seed_flag_exits_2(self, tmp_path, config_path, capsys):
+        out = tmp_path / "data"
+        assert main(["simulate", "--config", config_path, "--out", str(out), "--seed", "-1",
+                     "--quiet"]) == 2
+        assert "seed must be nonnegative" in capsys.readouterr().err and not out.exists()
 
     def test_channels_flag_below_one_exits_2(self, tmp_path, config_path, capsys):
         assert main(["eval", "--config", config_path, "--ckpt", str(tmp_path / "absent.ckpt"),
@@ -381,6 +416,18 @@ class TestTrainEval:
                      "--data", dataset, "--out", str(out), "--per-node", "--quiet"]) == 0
         lines = (out / "per_node.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 4  # header + one row per node
+
+    def test_malformed_trials_row_is_data_error(self, tmp_path, config_path, dataset, capsys):
+        run = tmp_path / "run"
+        main(["train", "--config", config_path, "--data", dataset, "--out", str(run), "--quiet"])
+        trials = tmp_path / "trials.csv"
+        trials.write_text("enroll_id,test_id,label\na,b\n")
+        capsys.readouterr()
+        assert main(["eval", "--config", config_path, "--ckpt", str(run / "model.ckpt"),
+                     "--data", dataset, "--out", str(tmp_path / "eval"), "--trials", str(trials),
+                     "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "line 2" in err
 
     def test_ragged_training_set_is_data_error(self, tmp_path, config_path, dataset, capsys):
         with open(os.path.join(dataset, "manifest.json"), encoding="utf-8") as f:

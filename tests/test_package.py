@@ -1,7 +1,10 @@
 """Module export lists."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -16,3 +19,14 @@ def test_all_names_exist_and_are_public(name):
     for attr in module.__all__:
         assert hasattr(module, attr), f"{name}.__all__ lists missing {attr!r}"
         assert not attr.startswith("_") or attr.endswith("__"), f"{name}.{attr} is private"
+
+
+def test_cli_module_runs_without_a_runtime_warning():
+    # The package must not import cli, or running it with -m warns that
+    # 'adhocsv.cli' is already in sys.modules.
+    src = os.path.dirname(os.path.dirname(adhocsv.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    result = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "adhocsv.cli",
+                             "--help"], capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr

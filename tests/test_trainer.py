@@ -303,6 +303,7 @@ def test_equal_frame_counts_take_the_unpadded_path_bit_for_bit(selection):
                       selection=SelectionConfig(kind=selection),
                       temporal_graph=GraphSpec(kind="span", delta=1), seed=33)
     model = Model.init(cfg, n_speakers=2)
+    # frames=None means every frame is valid: the same path as [t] * b.
     shared, shared_infos = _forward(model, xs, scenes)
     counted, counted_infos = _forward(model, xs, scenes, [t] * b)
     assert counted.data.tobytes() == shared.data.tobytes()
@@ -342,8 +343,15 @@ RAGGED_SHAPES = [(4, 12), (4, 1), (4, 7), (4, 12), (1, 5), (1, 1), (1, 9), (3, 2
                  (3, 6), (2, 3)]
 
 
-@pytest.mark.parametrize("mechanism,selection,temporal", PARITY_CASES)
-def test_padded_batch_matches_each_utterance_alone(mechanism, selection, temporal):
+# Padding filled with zeros and with unit normal noise: the stack maps zero
+# padding to zeros, so an unmasked frame mean passes with zeros only.  The
+# zero fill keeps the parity cases' ids.
+PADDING_CASES = [pytest.param(*case, fill, id="-".join(case + (() if fill == "zeros" else (fill,))))
+                 for case in PARITY_CASES for fill in ("zeros", "noise")]
+
+
+@pytest.mark.parametrize("mechanism,selection,temporal,fill", PADDING_CASES)
+def test_padded_batch_matches_each_utterance_alone(mechanism, selection, temporal, fill):
     cfg = ModelConfig(mechanism=mechanism, n_blocks=2, heads=2, d=8,
                       selection=SelectionConfig(kind=selection),
                       temporal_graph=GraphSpec(kind=temporal, delta=1), seed=35)
@@ -357,6 +365,8 @@ def test_padded_batch_matches_each_utterance_alone(mechanism, selection, tempora
             group = [k for k, u in utts.items() if u.features.c == c]
             frames = [utts[k].features.t for k in group]
             x = np.zeros((len(group), c, max(frames), 8))
+            if fill == "noise":
+                x = np.random.default_rng(c).standard_normal(x.shape)
             for i, k in enumerate(group):
                 x[i, :, :frames[i]] = utts[k].features.data
             embs, infos = _forward(model, x, [utts[k].scene for k in group], frames)
@@ -568,6 +578,13 @@ class TestTrials:
         path = tmp_path / "bad.csv"
         path.write_text("x,y,z\n")
         with pytest.raises(ValueError):
+            read_trials_csv(path)
+
+    @pytest.mark.parametrize("row", ["a,b", "a,b,target,extra"], ids=["short", "long"])
+    def test_csv_row_without_three_fields(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"enroll_id,test_id,label\na,c,nontarget\n\n{row}\n")
+        with pytest.raises(ValueError, match=r"bad\.csv, line 4: expected 3 fields"):
             read_trials_csv(path)
 
 
