@@ -9,9 +9,10 @@ Config keys: a top-level ``seed`` and sections ``model``, ``train`` and
 ``eval`` whose keys are the fields, with the defaults, of ModelConfig,
 TrainHyper and EvalSpec (``model.d`` defaults to ``sim.d``, and
 ``train.channels`` subsamples training channels).  ``sim`` keys name
-SimConfig fields, except the pairs ``t60``, ``snr_db`` and
+SimConfig fields, except the pairs ``snr_db`` and
 ``room.{width,length,height}`` (its ``*_range`` fields), ``noise_source``
 (``with_noise_source``) and ``n_train``/``n_test``/``shared_scene``.
+Unknown keys are config errors.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
 """
@@ -30,7 +31,7 @@ import numpy as np
 
 from .chansel import ChannelBudgetError, DegenerateProjectionError
 from .diffcore import NonFiniteError
-from .graphs import adjacency_to_json, compose_prior
+from .graphs import adjacency_from_mask, adjacency_to_json, compose_prior
 from .scenesim import (
     SimConfig,
     load_scene,
@@ -139,7 +140,7 @@ def _read(cls, doc, section: str):
 
 
 # JSON names of SimConfig fields; its other fields keep their names.
-_SIM_NAMES = {"t60": "t60_range", "snr_db": "snr_range_db", "noise_source": "with_noise_source"}
+_SIM_NAMES = {"noise_source": "with_noise_source"}
 _SIM_SCALARS = {"n_nodes", "t", "d", "n_speakers", "base_sigma", "noise_source"}
 
 
@@ -157,13 +158,13 @@ def load_experiment_config(path, seed_override: int | None = None) -> Experiment
     seed = _value(doc, "seed", 0, "config") if seed_override is None else int(seed_override)
 
     sim_doc = doc.get("sim", {})
-    _check_keys(sim_doc, _SIM_SCALARS | {"t60", "snr_db", "room", "n_train", "n_test",
-                                         "shared_scene"}, "config.sim")
+    _check_keys(sim_doc, _SIM_SCALARS | {"snr_db", "room", "n_train", "n_test", "shared_scene"},
+                "config.sim")
     room = sim_doc.get("room", {})
     _check_keys(room, {"width", "length", "height"}, "config.sim.room")
     sim_fields = {_SIM_NAMES.get(key, key): sim_doc[key] for key in _SIM_SCALARS & set(sim_doc)}
-    sim_fields.update({_SIM_NAMES[key]: _pair(sim_doc, key, "config.sim")
-                       for key in ("t60", "snr_db") if key in sim_doc})
+    if "snr_db" in sim_doc:
+        sim_fields["snr_range_db"] = _pair(sim_doc, "snr_db", "config.sim")
     sim_fields.update({f"{key}_range": _pair(room, key, "config.sim.room") for key in room})
     sim = _read(SimConfig, sim_fields, "sim")
 
@@ -409,9 +410,10 @@ def cmd_graph(args) -> int:
         if scene is None:
             raise ConfigError("prior graph needs --scene")
         try:
-            adjacency, mask = compose_prior(scene, args.rho, args.orientation, args.noise_rho)
+            mask = compose_prior(scene, args.rho, args.noise_rho)
         except ValueError as err:
             raise ConfigError(str(err)) from err
+        adjacency = adjacency_from_mask(mask)
         mask_doc = {"selected_indices": [int(i) for i in mask.indices()],
                     "bits": "".join("1" if x else "0" for x in mask.selected),
                     "k": mask.k}
@@ -493,7 +495,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=int, default=1, help="span half-window")
     p.add_argument("--k", type=int, default=4, help="neighbor count for knn")
     p.add_argument("--rho", type=float, default=0.6, help="prior distance-ratio threshold")
-    p.add_argument("--orientation", action="store_true", help="also mask nodes behind the speaker")
     p.add_argument("--noise-rho", type=float, default=None,
                    help="also mask nodes with noise-distance ratio below this value")
     p.set_defaults(func=cmd_graph)

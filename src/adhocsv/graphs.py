@@ -2,21 +2,20 @@
 
 Constructors cover the graph families the pipeline uses: complete graphs,
 banded temporal graphs over frames, k-nearest spatial graphs over node
-positions, and geometry-driven selection with optional orientation and
-noise-proximity masks.  Every adjacency built here carries self-loops
-(diagonal forced to one) so that no attention row is ever empty.
+positions, and the geometry prior: one channel mask from the speaker
+distances, optionally narrowed by the noise source's proximity.  Every
+adjacency built here carries self-loops (diagonal forced to one) so that
+no attention row is ever empty.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .scenesim import Scene
+from .scenesim import Scene, distances
 
 __all__ = [
     "Adjacency",
@@ -27,7 +26,6 @@ __all__ = [
     "build_prior",
     "compose_prior",
     "adjacency_from_mask",
-    "apply_orientation_mask",
     "apply_noise_mask",
     "neighbors",
     "adjacency_to_json",
@@ -113,11 +111,6 @@ def build_knn(positions, k: int) -> Adjacency:
     return Adjacency(n=n, entries=entries, symmetric=sym)
 
 
-def _speaker_distances(scene: "Scene") -> np.ndarray:
-    nodes = np.asarray(scene.node_pos, dtype=np.float64)
-    return np.linalg.norm(nodes - np.asarray(scene.speaker_pos, dtype=np.float64), axis=1)
-
-
 def _nearest_fallback(d_spk: np.ndarray, what: str) -> np.ndarray:
     warnings.warn(f"{what} left no channel selected; falling back to the nearest channel")
     selected = np.zeros(d_spk.shape[0], dtype=bool)
@@ -125,27 +118,21 @@ def _nearest_fallback(d_spk: np.ndarray, what: str) -> np.ndarray:
     return selected
 
 
-def build_prior(scene: "Scene", rho: float) -> tuple[Adjacency, SelectionMask]:
+def build_prior(scene: Scene, rho: float) -> SelectionMask:
     """Select channels whose speaker-distance ratio is strictly below rho.
 
-    Channel i is kept iff dist(i, speaker) / max_dist < rho.  The returned
-    adjacency is the complete graph over the kept channels plus self-loops
-    everywhere, so deselected channels only see themselves.
+    Channel i is kept iff dist(i, speaker) / max_dist < rho.
     """
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must lie in (0, 1], got {rho}")
-    d_spk = _speaker_distances(scene)
-    if d_spk.size < 1:
-        raise ValueError("scene has no nodes")
-    d_max = d_spk.max()
+    d_spk, _, d_max, _ = distances(scene)
     if d_max == 0.0:
         selected = np.ones(d_spk.shape[0], dtype=bool)  # all nodes coincide with the speaker
     else:
         selected = d_spk / d_max < rho
     if not selected.any():
         selected = _nearest_fallback(d_spk, f"prior threshold rho={rho}")
-    mask = SelectionMask(selected=selected)
-    return adjacency_from_mask(mask), mask
+    return SelectionMask(selected=selected)
 
 
 def adjacency_from_mask(mask: SelectionMask) -> Adjacency:
@@ -155,23 +142,7 @@ def adjacency_from_mask(mask: SelectionMask) -> Adjacency:
     return Adjacency(n=s.shape[0], entries=entries, symmetric=True)
 
 
-def apply_orientation_mask(mask: SelectionMask, scene: "Scene") -> SelectionMask:
-    """Deselect channels located behind the speaker.
-
-    A channel is behind when the dot product of (node - speaker) with the
-    facing vector is negative; a zero dot product counts as in front.
-    """
-    facing = np.asarray(scene.speaker_facing, dtype=np.float64)
-    nodes = np.asarray(scene.node_pos, dtype=np.float64)
-    rel = nodes - np.asarray(scene.speaker_pos, dtype=np.float64)
-    in_front = rel @ facing >= 0.0
-    selected = mask.selected & in_front
-    if not selected.any():
-        selected = _nearest_fallback(_speaker_distances(scene), "orientation mask")
-    return SelectionMask(selected=selected)
-
-
-def apply_noise_mask(mask: SelectionMask, scene: "Scene", rho_noise: float = 0.2) -> SelectionMask:
+def apply_noise_mask(mask: SelectionMask, scene: Scene, rho_noise: float = 0.2) -> SelectionMask:
     """Deselect channels close to the point noise source.
 
     A channel is dropped when dist(i, noise) / max_noise_dist < rho_noise.
@@ -180,32 +151,21 @@ def apply_noise_mask(mask: SelectionMask, scene: "Scene", rho_noise: float = 0.2
         raise ValueError(f"rho_noise must lie in (0, 1], got {rho_noise}")
     if scene.noise_pos is None:
         raise ValueError("scene has no noise source position")
-    nodes = np.asarray(scene.node_pos, dtype=np.float64)
-    d_noise = np.linalg.norm(nodes - np.asarray(scene.noise_pos, dtype=np.float64), axis=1)
-    d_max = d_noise.max()
-    near_noise = np.zeros(nodes.shape[0], dtype=bool) if d_max == 0.0 else d_noise / d_max < rho_noise
+    d_spk, d_noise, _, d_max = distances(scene)
+    near_noise = np.zeros_like(d_noise, dtype=bool) if d_max == 0.0 else d_noise / d_max < rho_noise
     selected = mask.selected & ~near_noise
     if not selected.any():
-        selected = _nearest_fallback(_speaker_distances(scene), "noise mask")
+        selected = _nearest_fallback(d_spk, "noise mask")
     return SelectionMask(selected=selected)
 
 
-def compose_prior(scene: "Scene", rho: float, orientation: bool = False,
-                  rho_noise: float | None = None) -> tuple[Adjacency, SelectionMask]:
-    """Prior selection, optionally narrowed by the orientation and noise masks.
+def compose_prior(scene: Scene, rho: float, rho_noise: float | None = None) -> SelectionMask:
+    """Prior channel mask, narrowed by the noise mask when ``rho_noise`` is given.
 
-    Runs :func:`build_prior`, then :func:`apply_orientation_mask` when
-    ``orientation`` is set and :func:`apply_noise_mask` when ``rho_noise``
-    is given; the adjacency is rebuilt from the final mask.
+    Runs :func:`build_prior`, then :func:`apply_noise_mask`.
     """
-    adjacency, mask = build_prior(scene, rho)
-    if orientation:
-        mask = apply_orientation_mask(mask, scene)
-    if rho_noise is not None:
-        mask = apply_noise_mask(mask, scene, rho_noise)
-    if orientation or rho_noise is not None:
-        adjacency = adjacency_from_mask(mask)
-    return adjacency, mask
+    mask = build_prior(scene, rho)
+    return mask if rho_noise is None else apply_noise_mask(mask, scene, rho_noise)
 
 
 def neighbors(a: Adjacency, v: int) -> list[int]:

@@ -1,12 +1,13 @@
 """Ad-hoc array scene sampling and synthetic frame-level features.
 
-A scene is a shoebox room with one speaker (position and facing), an
-optional point noise source, and randomly placed single-microphone nodes.
-Synthetic features stand in for a frozen single-channel feature extractor:
-every channel observes the speaker's identity vector plus white noise
-whose strength grows with speaker distance, scene-level SNR, and noise
-proximity.  No room impulse responses are simulated; the corruption acts
-directly at the feature level.
+A scene is a shoebox room with one speaker position, an optional point
+noise source, randomly placed single-microphone nodes and a scene-level
+SNR.  Synthetic features stand in for a frozen single-channel feature
+extractor: every channel observes the speaker's identity vector plus white
+noise whose strength grows with speaker distance, scene-level SNR, and
+noise proximity.  No room impulse responses are simulated; the corruption
+acts directly at the feature level, so a scene holds only what it acts on.
+This module imports no other adhocsv module.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stagg import FrameTensor
-
 __all__ = [
+    "FrameTensor",
     "Scene",
     "SimConfig",
     "sample_scene",
@@ -43,27 +43,50 @@ FEATURE_HEADER_BYTES = 20  # magic, then u32 version, C, T, D
 
 
 @dataclass(frozen=True)
+class FrameTensor:
+    """Frame-level speaker embeddings for C channels, T frames, D dims."""
+
+    data: np.ndarray
+
+    def __post_init__(self):
+        arr = np.asarray(self.data, dtype=np.float64)
+        if arr.ndim != 3 or min(arr.shape) < 1:
+            raise ValueError(f"frame tensor must be (C, T, D) with positive dims, got {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("frame tensor holds NaN or Inf")
+        arr.setflags(write=False)
+        object.__setattr__(self, "data", arr)
+
+    @property
+    def c(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def t(self) -> int:
+        return self.data.shape[1]
+
+    @property
+    def d(self) -> int:
+        return self.data.shape[2]
+
+
+@dataclass(frozen=True)
 class Scene:
     """Room geometry plus source and node placements."""
 
     room: tuple[float, float, float]  # width, length, height in meters
     speaker_pos: np.ndarray  # (3,)
-    speaker_facing: np.ndarray  # (3,), unit norm
     noise_pos: np.ndarray | None  # (3,) or None
     node_pos: np.ndarray  # (C, 3)
-    t60: float
     snr_db: float
 
     def __post_init__(self):
         object.__setattr__(self, "speaker_pos", np.asarray(self.speaker_pos, dtype=np.float64))
-        object.__setattr__(self, "speaker_facing", np.asarray(self.speaker_facing, dtype=np.float64))
         object.__setattr__(self, "node_pos", np.asarray(self.node_pos, dtype=np.float64))
         if self.noise_pos is not None:
             object.__setattr__(self, "noise_pos", np.asarray(self.noise_pos, dtype=np.float64))
         if self.node_pos.ndim != 2 or self.node_pos.shape[1] != 3 or self.node_pos.shape[0] < 1:
             raise ValueError("node positions must be a nonempty (C, 3) array")
-        if abs(float(np.linalg.norm(self.speaker_facing)) - 1.0) > 1e-9:
-            raise ValueError("speaker facing must be a unit vector")
         bounds = np.asarray(self.room, dtype=np.float64)
         points = [self.speaker_pos] + ([self.noise_pos] if self.noise_pos is not None else [])
         for p in points + [row for row in self.node_pos]:
@@ -80,10 +103,8 @@ class Scene:
         return Scene(
             room=self.room,
             speaker_pos=self.speaker_pos,
-            speaker_facing=self.speaker_facing,
             noise_pos=self.noise_pos,
             node_pos=self.node_pos[idx],
-            t60=self.t60,
             snr_db=self.snr_db,
         )
 
@@ -96,7 +117,6 @@ class SimConfig:
     width_range: tuple[float, float] = (8.0, 10.0)
     length_range: tuple[float, float] = (12.0, 14.0)
     height_range: tuple[float, float] = (3.0, 5.0)
-    t60_range: tuple[float, float] = (0.2, 0.5)
     snr_range_db: tuple[float, float] = (-5.0, 20.0)
     with_noise_source: bool = True
     d: int = 16
@@ -105,7 +125,7 @@ class SimConfig:
     base_sigma: float = 0.2  # distance gain is base_sigma + distance ratio
 
     def __post_init__(self):
-        for name in ("width_range", "length_range", "height_range", "t60_range", "snr_range_db"):
+        for name in ("width_range", "length_range", "height_range", "snr_range_db"):
             lo, hi = getattr(self, name)
             if hi < lo:
                 raise ValueError(f"{name} is empty: {(lo, hi)}")
@@ -117,14 +137,6 @@ def _uniform_point(rng: np.random.Generator, room: np.ndarray) -> np.ndarray:
     return rng.uniform(WALL_MARGIN, room - WALL_MARGIN)
 
 
-def _uniform_direction(rng: np.random.Generator) -> np.ndarray:
-    while True:
-        v = rng.standard_normal(3)
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-12:
-            return v / nrm
-
-
 def sample_scene(rng: np.random.Generator, cfg: SimConfig) -> Scene:
     """Draw room dims, sources and node placements uniformly from cfg ranges."""
     room = np.array([
@@ -133,18 +145,14 @@ def sample_scene(rng: np.random.Generator, cfg: SimConfig) -> Scene:
         rng.uniform(*cfg.height_range),
     ])
     speaker = _uniform_point(rng, room)
-    facing = _uniform_direction(rng)
     noise = _uniform_point(rng, room) if cfg.with_noise_source else None
     nodes = np.stack([_uniform_point(rng, room) for _ in range(cfg.n_nodes)])
-    t60 = rng.uniform(*cfg.t60_range)
     snr = rng.uniform(*cfg.snr_range_db)
     return Scene(
         room=(float(room[0]), float(room[1]), float(room[2])),
         speaker_pos=speaker,
-        speaker_facing=facing,
         noise_pos=noise,
         node_pos=nodes,
-        t60=float(t60),
         snr_db=float(snr),
     )
 
@@ -200,25 +208,20 @@ def synth_features(scene: Scene, speaker_id: int, codebook: np.ndarray,
 def scene_to_json(scene: Scene) -> dict:
     return {
         "room": [float(x) for x in scene.room],
-        "speaker": {
-            "pos": [float(x) for x in scene.speaker_pos],
-            "facing": [float(x) for x in scene.speaker_facing],
-        },
+        "speaker": {"pos": [float(x) for x in scene.speaker_pos]},
         "noise_pos": None if scene.noise_pos is None else [float(x) for x in scene.noise_pos],
         "nodes": [[float(x) for x in row] for row in scene.node_pos],
-        "t60": float(scene.t60),
         "snr_db": float(scene.snr_db),
     }
 
 
 def scene_from_json(doc: dict) -> Scene:
+    """Read a :func:`scene_to_json` document; keys it does not read are ignored."""
     return Scene(
         room=tuple(doc["room"]),
         speaker_pos=np.array(doc["speaker"]["pos"]),
-        speaker_facing=np.array(doc["speaker"]["facing"]),
         noise_pos=None if doc["noise_pos"] is None else np.array(doc["noise_pos"]),
         node_pos=np.array(doc["nodes"]),
-        t60=float(doc["t60"]),
         snr_db=float(doc["snr_db"]),
     )
 

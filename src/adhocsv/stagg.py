@@ -42,7 +42,6 @@ from .diffcore import Parameter, ParamSet, Tensor
 from .graphs import Adjacency, build_complete, build_knn, build_temporal_span
 
 __all__ = [
-    "FrameTensor",
     "AggParams",
     "BlockParams",
     "GraphSpec",
@@ -58,34 +57,6 @@ __all__ = [
 
 MECHANISMS = ("sam", "gcn")
 GRAPH_KINDS = ("complete", "span", "knn")
-
-
-@dataclass(frozen=True)
-class FrameTensor:
-    """Frame-level speaker embeddings for C channels, T frames, D dims."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
-        if arr.ndim != 3 or min(arr.shape) < 1:
-            raise ValueError(f"frame tensor must be (C, T, D) with positive dims, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("frame tensor holds NaN or Inf")
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def c(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def t(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def d(self) -> int:
-        return self.data.shape[2]
 
 
 @dataclass(frozen=True)

@@ -23,11 +23,10 @@ import numpy as np
 from . import diffcore as dc
 from .chansel import GPoolParams, gpool_weights, init_gpool_params, weighted_pool
 from .diffcore import NonFiniteError, Parameter, ParamSet, Tensor
-from .graphs import compose_prior
-from .scenesim import Scene
+from .graphs import adjacency_from_mask, compose_prior
+from .scenesim import FrameTensor, Scene
 from .stagg import (
     BlockParams,
-    FrameTensor,
     GraphSpec,
     build_graph,
     gcn_agg,  # noqa: F401 - perfbench/tests/test_tracing.py traces it through this module
@@ -81,7 +80,7 @@ class DegenerateTaskError(ValueError):
 
 
 class MissingPriorError(ValueError):
-    """Geometry-based selection was requested without a scene."""
+    """Geometry-based selection was requested without the scene, or the source, it reads."""
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,6 @@ class SelectionConfig:
     kind: str = "none"
     k: int | None = None  # gpool channel budget; None means ceil(C / 2)
     rho: float = 0.6
-    orientation: bool = False
     noise: bool = False
     rho_noise: float = 0.2
 
@@ -98,6 +96,8 @@ class SelectionConfig:
             raise ValueError(f"unknown selection kind {self.kind!r}")
         if self.kind == "prior" and not 0.0 < self.rho <= 1.0:
             raise ValueError(f"rho must lie in (0, 1], got {self.rho}")
+        if self.noise and not 0.0 < self.rho_noise <= 1.0:
+            raise ValueError(f"rho_noise must lie in (0, 1], got {self.rho_noise}")
         if self.k is not None and (type(self.k) is not int or self.k < 1):
             raise ValueError(f"gpool k must be a positive channel count, got {self.k!r}")
 
@@ -199,16 +199,25 @@ def subsample_channels(utt: Utterance, k: int, rng: np.random.Generator) -> Utte
 
 
 def _spatial_adjacency(model: Model, c: int, scene: Scene | None):
-    """Spatial graph for one utterance plus the prior mask when configured."""
+    """One utterance's (C, C) spatial mask and its prior channel mask (None without one).
+
+    The mask is the configured spatial graph; prior selection ANDs it with
+    the clique over the prior's channels, so deselected channels see only
+    themselves.
+    """
     cfg = model.cfg
     sel = cfg.selection
-    if sel.kind == "prior":
-        if scene is None:
-            raise MissingPriorError("prior channel selection needs the utterance's scene")
-        return compose_prior(scene, sel.rho, sel.orientation, sel.rho_noise if sel.noise else None)
-    if cfg.spatial_graph.kind == "knn" and scene is None:
+    if scene is None and sel.kind == "prior":
+        raise MissingPriorError("prior channel selection needs the utterance's scene")
+    if scene is None and cfg.spatial_graph.kind == "knn":
         raise MissingPriorError("knn spatial graph needs the utterance's scene")
-    return build_graph(cfg.spatial_graph, c, None if scene is None else scene.node_pos), None
+    entries = build_graph(cfg.spatial_graph, c, None if scene is None else scene.node_pos).entries
+    if sel.kind != "prior":
+        return entries, None
+    if sel.noise and scene.noise_pos is None:
+        raise MissingPriorError("noise-aware prior selection needs the scene's noise source")
+    mask = compose_prior(scene, sel.rho, sel.rho_noise if sel.noise else None)
+    return entries & adjacency_from_mask(mask).entries, mask
 
 
 def _forward(model: Model, x: np.ndarray, scenes: list[Scene | None],
@@ -236,8 +245,8 @@ def _forward(model: Model, x: np.ndarray, scenes: list[Scene | None],
     valid = np.arange(t) < frames[:, None]  # (B, T)
     out = Tensor(x)
     if cfg.mechanism != "mean":
-        adjacencies, sel_masks = zip(*(_spatial_adjacency(model, c, scene) for scene in scenes))
-        spatial_mask = np.stack([a.entries for a in adjacencies])
+        spatial_masks, sel_masks = zip(*(_spatial_adjacency(model, c, scene) for scene in scenes))
+        spatial_mask = np.stack(spatial_masks)
         # The T-node graph's top-left n x n block is the n-node graph for
         # complete and span graphs (ModelConfig refuses knn over frames).
         a_temporal = (build_graph(cfg.temporal_graph, t).entries
@@ -323,14 +332,20 @@ def train_second_stage(dataset: list[Utterance], cfg: ModelConfig,
     return model, curve
 
 
-def cosine_score(s1, s2) -> float:
-    """Cosine similarity of two embeddings, in [-1, 1]."""
+def cosine_score(s1, s2):
+    """Cosine similarity of embeddings along their last axis, in [-1, 1].
+
+    Two (D,) embeddings give a float; (..., D) arrays give one score per
+    row pair.  Each embedding is scaled to unit norm before the product.
+    """
     a = np.asarray(s1, dtype=np.float64)
     b = np.asarray(s2, dtype=np.float64)
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
+    na = np.linalg.norm(a, axis=-1, keepdims=True)
+    nb = np.linalg.norm(b, axis=-1, keepdims=True)
+    if not (na.all() and nb.all()):
         raise ValueError("cosine score undefined for a zero embedding")
-    return float(np.dot(a, b) / (na * nb))
+    scores = np.einsum("...d,...d->...", a / na, b / nb)
+    return float(scores) if scores.ndim == 0 else scores
 
 
 @dataclass(frozen=True)
@@ -455,34 +470,26 @@ def _embed_all(model: Model, utterances: dict[str, Utterance]) -> dict[str, np.n
     return embs
 
 
-def _cosine_scores(embs: dict[str, np.ndarray], trials: list[Trial]) -> np.ndarray:
-    """:func:`cosine_score` of every trial, normalising each embedding once."""
-    if not trials:
-        return np.zeros(0)
-    index = {utt_id: i for i, utt_id in enumerate(embs)}
-    vectors = np.stack(list(embs.values()))
-    norms = np.linalg.norm(vectors, axis=1, keepdims=True)
-    if not norms.all():
-        raise ValueError("cosine score undefined for a zero embedding")
-    unit = vectors / norms
-    enroll = unit[[index[t.enroll_id] for t in trials]]
-    test = unit[[index[t.test_id] for t in trials]]
-    return np.einsum("ij,ij->i", enroll, test)
-
-
 def evaluate(model: Model, utterances: dict[str, Utterance], trials: TrialSet) -> EvalReport:
     """Embed, score with cosine similarity, and compute the EER.
 
     Every utterance a trial references is checked before any is embedded;
-    they are then embedded in frame-padded batches (see ``_embed_all``).
+    they are then embedded in frame-padded batches (see ``_embed_all``) and
+    every trial is scored in one :func:`cosine_score` call.
     """
+    if not trials.trials:
+        raise ProtocolError("EER needs at least one target and one nontarget trial")
     referenced: dict[str, Utterance] = {}
     for t in trials.trials:
         for utt_id in (t.enroll_id, t.test_id):
             if utt_id not in utterances:
                 raise KeyError(f"trial references unknown utterance {utt_id!r}")
             referenced[utt_id] = utterances[utt_id]
-    scores = _cosine_scores(_embed_all(model, referenced), trials.trials)
+    embs = _embed_all(model, referenced)
+    index = {utt_id: i for i, utt_id in enumerate(embs)}
+    vectors = np.stack(list(embs.values()))
+    scores = cosine_score(vectors[[index[t.enroll_id] for t in trials.trials]],
+                          vectors[[index[t.test_id] for t in trials.trials]])
     scored = trials.with_scores(scores)
     eer, threshold = compute_eer(scored)
     return EvalReport(eer=eer, threshold=threshold, n_trials=len(trials.trials),
@@ -597,7 +604,7 @@ def model_config_to_json(cfg: ModelConfig) -> dict:
 # Settings that older checkpoints record.  They load only at the value
 # that made them a no-op, because the model no longer implements them.
 _REMOVED_SETTINGS = {"warm_start": False, "head": "linear", "head_scale": 10.0}
-_REMOVED_SELECTION_SETTINGS = {"pool_all": False}
+_REMOVED_SELECTION_SETTINGS = {"pool_all": False, "orientation": False}
 
 
 def _drop_removed(doc, removed: dict, where: str):

@@ -1,5 +1,6 @@
 """End-to-end command behavior: artifacts, determinism, exit codes."""
 
+import dataclasses
 import json
 import os
 import struct
@@ -8,10 +9,10 @@ import numpy as np
 import pytest
 
 from adhocsv.cli import ConfigError, EvalSpec, load_experiment_config, main
-from adhocsv.graphs import build_prior
-from adhocsv.scenesim import (Scene, SimConfig, read_features, sample_scene, save_scene,
-                              write_features)
-from adhocsv.stagg import FrameTensor, load_checkpoint, save_checkpoint
+from adhocsv.graphs import adjacency_from_mask, adjacency_to_json, apply_noise_mask, build_prior
+from adhocsv.scenesim import (FrameTensor, Scene, SimConfig, read_features, sample_scene,
+                              save_scene, write_features)
+from adhocsv.stagg import load_checkpoint, save_checkpoint
 from adhocsv.trainer import (Model, ModelConfig, SelectionConfig, TrainHyper, embed_with_info,
                              load_model, model_config_to_json, read_trials_csv)
 
@@ -24,7 +25,6 @@ TINY_CONFIG = {
         "n_nodes": 4,
         "t": 6,
         "d": 8,
-        "t60": [0.2, 0.5],
         "snr_db": [0.0, 20.0],
         "noise_source": True,
     },
@@ -89,9 +89,7 @@ def line_scene_file(tmp_path, distances):
     speaker = np.array([1.0, 7.0, 2.0])
     nodes = np.array([speaker + [d, 0.0, 0.0] for d in distances])
     scene = Scene(room=(10.0, 14.0, 5.0), speaker_pos=speaker,
-                  speaker_facing=np.array([1.0, 0.0, 0.0]),
-                  noise_pos=np.array([1.5, 7.0, 2.0]), node_pos=nodes,
-                  t60=0.3, snr_db=10.0)
+                  noise_pos=np.array([1.5, 7.0, 2.0]), node_pos=nodes, snr_db=10.0)
     path = tmp_path / "scene.json"
     save_scene(path, scene)
     return str(path)
@@ -196,8 +194,10 @@ class TestConfigErrors:
         (("model", "selection", "k"), 2.5, "gpool k must be a positive channel count, got 2.5"),
         (("sim", "room"), "big", "config.sim.room must be an object"),
         (("sim", "n_train"), "x", "config.sim.n_train"),
+        # The key of a removed setting, the orientation prior (t60_bool below is another).
+        (("model", "selection", "orientation"), "false",
+         "unknown keys in config.model.selection: ['orientation']"),
         # Values that a plain bool() or int() would silently turn into others.
-        (("model", "selection", "orientation"), "false", "config.model.selection.orientation"),
         (("model", "selection", "noise"), "no", "config.model.selection.noise"),
         (("sim", "noise_source"), "false", "noise_source"),
         (("sim", "shared_scene"), "false", "config.sim.shared_scene"),
@@ -207,12 +207,15 @@ class TestConfigErrors:
         (("sim", "n_train"), True, "config.sim.n_train"),
         (("sim", "n_test"), 2.9, "config.sim.n_test"),
         (("train", "lr"), True, "config.train.lr"),
-        (("sim", "t60"), [True, 0.5], "config.sim.t60.low"),
+        (("sim", "t60"), [True, 0.5], "unknown keys in config.sim: ['t60']"),  # removed
         (("model", "selection", "k"), True, "gpool k must be a positive channel count, got True"),
         (("train", "channels"), True, "config.train.channels"),
         (("train", "lr"), float("nan"), "config.train.lr"),
         (("sim", "snr_db"), [float("nan"), 5.0], "config.sim.snr_db.low"),
         (("seed",), -1, "seed must be nonnegative, got -1"),
+        (("sim", "snr_db"), [True, 0.5], "config.sim.snr_db.low"),
+        (("model", "selection"), {"kind": "prior", "noise": True, "rho_noise": 5.0},
+         "config.model.selection"),
     ], ids=["epochs_zero", "batch_size_zero", "lr_string", "train_channels_zero",
             "train_channels_string", "eval_channels_zero", "eval_channels_string", "heads_zero",
             "n_blocks_zero", "seed_string", "model_list", "selection_string", "gpool_k_fraction",
@@ -220,7 +223,7 @@ class TestConfigErrors:
             "noise_source_string", "shared_scene_string", "heads_fraction", "heads_bool",
             "seed_fraction", "n_train_bool", "n_test_fraction", "lr_bool", "t60_bool",
             "gpool_k_bool", "train_channels_bool", "lr_nan", "snr_db_nan",
-            "seed_negative"])
+            "seed_negative", "snr_db_bool", "rho_noise_over_one"])
     def test_malformed_value_exits_2_before_data_is_read(self, tmp_path, capsys, path, value,
                                                           named):
         config = edited_config(tmp_path, path, value)
@@ -459,13 +462,43 @@ class TestTrainEval:
         model = load_model(run / "model.ckpt")
         config = model_config_to_json(model.cfg)
         config.update(warm_start=False, head="linear", head_scale=10.0)
-        config["selection"]["pool_all"] = False
+        config["selection"].update(pool_all=False, orientation=False)
         save_checkpoint(run / "model.ckpt", model.params,
                         meta={"config": config, "n_speakers": model.n_speakers})
         before = (run / "model.ckpt").read_bytes()
         assert main(["train", "--config", config_path, "--data", dataset,
                      "--out", str(run), "--resume", "--quiet"]) == 0
         assert (run / "model.ckpt").read_bytes() == before
+
+    # Checkpoints record the orientation prior's switch; only its off value loads.
+    @pytest.mark.parametrize("orientation, code", [(False, 0), (True, 3)])
+    def test_eval_reads_orientation_setting(self, tmp_path, config_path, dataset, capsys,
+                                            orientation, code):
+        run = tmp_path / "run"
+        main(["train", "--config", config_path, "--data", dataset, "--out", str(run), "--quiet"])
+        model = load_model(run / "model.ckpt")
+        config = model_config_to_json(model.cfg)
+        config["selection"]["orientation"] = orientation
+        save_checkpoint(run / "model.ckpt", model.params,
+                        meta={"config": config, "n_speakers": model.n_speakers})
+        capsys.readouterr()
+        assert main(["eval", "--config", config_path, "--ckpt", str(run / "model.ckpt"),
+                     "--data", dataset, "--out", str(tmp_path / "e"), "--quiet"]) == code
+        err = capsys.readouterr().err
+        assert ("config.selection.orientation=True" in err) == orientation
+
+    def test_noise_prior_without_noise_source_is_data_error(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(TINY_CONFIG))
+        cfg["sim"]["noise_source"] = False
+        cfg["model"]["selection"] = {"kind": "prior", "noise": True}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg))
+        data = str(tmp_path / "data")
+        assert main(["simulate", "--config", str(config), "--out", data, "--quiet"]) == 0
+        assert main(["train", "--config", str(config), "--data", data,
+                     "--out", str(tmp_path / "run"), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "noise source" in err
 
     @pytest.mark.parametrize("edit, named", [
         (lambda config: [config], "config must be an object"),
@@ -547,42 +580,41 @@ class TestGraphCommand:
         assert doc["mask"]["bits"] == "1100"
         assert doc["mask"]["selected_indices"] == [0, 1]
 
-    def test_prior_with_orientation_and_noise_composes(self, tmp_path, capsys):
+    def test_prior_with_noise_composes(self, tmp_path, capsys):
         # Noise sits on node 0 (distance 0.5 from speaker along +x), so the
-        # noise mask must drop it; orientation keeps all (+x facing).
+        # noise mask must drop it from the prior's selection.
         speaker = np.array([1.0, 7.0, 2.0])
         nodes = np.array([speaker + [0.5, 0.0, 0.0], speaker + [1.0, 0.0, 0.0],
                           speaker + [2.0, 0.0, 0.0], speaker + [6.0, 0.0, 0.0]])
         scene = Scene(room=(10.0, 14.0, 5.0), speaker_pos=speaker,
-                      speaker_facing=np.array([1.0, 0.0, 0.0]),
-                      noise_pos=nodes[0].copy(), node_pos=nodes, t60=0.3, snr_db=10.0)
+                      noise_pos=nodes[0].copy(), node_pos=nodes, snr_db=10.0)
         path = tmp_path / "scene.json"
         save_scene(path, scene)
         assert main(["graph", "--kind", "prior", "--scene", str(path), "--rho", "0.6",
-                     "--orientation", "--noise-rho", "0.2"]) == 0
+                     "--noise-rho", "0.2"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        from adhocsv.graphs import apply_noise_mask, apply_orientation_mask, build_prior
-
-        _, mask = build_prior(scene, 0.6)
-        mask = apply_orientation_mask(mask, scene)
-        mask = apply_noise_mask(mask, scene, 0.2)
+        mask = apply_noise_mask(build_prior(scene, 0.6), scene, 0.2)
         assert doc["mask"]["selected_indices"] == [int(i) for i in mask.indices()]
         assert 0 not in doc["mask"]["selected_indices"]
+        assert doc["adjacency"] == adjacency_to_json(adjacency_from_mask(mask))
 
     def test_prior_mask_matches_embed_selection(self, tmp_path, capsys):
-        scene = sample_scene(np.random.default_rng(7), SimConfig(n_nodes=10, d=8, t=3))
+        sampled = sample_scene(np.random.default_rng(7), SimConfig(n_nodes=10, d=8, t=3))
+        # The noise source sits on the node nearest the speaker, which the
+        # prior keeps, so the noise mask narrows the selection.
+        nearest = np.argmin(np.linalg.norm(sampled.node_pos - sampled.speaker_pos, axis=1))
+        scene = dataclasses.replace(sampled, noise_pos=sampled.node_pos[nearest])
         path = tmp_path / "scene.json"
         save_scene(path, scene)
         assert main(["graph", "--kind", "prior", "--scene", str(path), "--rho", "0.7",
-                     "--orientation", "--noise-rho", "0.3"]) == 0
+                     "--noise-rho", "0.3"]) == 0
         selected = json.loads(capsys.readouterr().out)["mask"]["selected_indices"]
         cfg = ModelConfig(mechanism="gcn", n_blocks=1, heads=2, d=8, selection=SelectionConfig(
-            kind="prior", rho=0.7, orientation=True, noise=True, rho_noise=0.3))
+            kind="prior", rho=0.7, noise=True, rho_noise=0.3))
         x = FrameTensor(np.random.default_rng(8).standard_normal((10, 3, 8)))
         _, info = embed_with_info(Model.init(cfg, n_speakers=2), x, scene)
         assert info["selected_indices"] == selected
-        # Both masks narrow this scene's selection, so the composition is exercised.
-        assert selected != build_prior(scene, 0.7)[1].indices().tolist()
+        assert selected != build_prior(scene, 0.7).indices().tolist()
 
     def test_knn_graph(self, tmp_path, capsys):
         scene = line_scene_file(tmp_path, [1.0, 2.0, 3.0, 4.0])

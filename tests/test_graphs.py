@@ -12,11 +12,11 @@ from adhocsv.graphs import (
     adjacency_from_mask,
     adjacency_to_json,
     apply_noise_mask,
-    apply_orientation_mask,
     build_complete,
     build_knn,
     build_prior,
     build_temporal_span,
+    compose_prior,
     neighbors,
 )
 from adhocsv.scenesim import Scene
@@ -32,14 +32,12 @@ def adjacency_from_json(doc: dict) -> Adjacency:
     return Adjacency(n=n, entries=entries, symmetric=bool(np.array_equal(entries, entries.T)))
 
 
-def make_scene(nodes, speaker=(5.0, 5.0, 2.0), facing=(1.0, 0.0, 0.0), noise=None):
+def make_scene(nodes, speaker=(5.0, 5.0, 2.0), noise=None):
     return Scene(
         room=(10.0, 14.0, 5.0),
         speaker_pos=np.array(speaker),
-        speaker_facing=np.array(facing),
         noise_pos=None if noise is None else np.array(noise),
         node_pos=np.array(nodes, dtype=float),
-        t60=0.3,
         snr_db=10.0,
     )
 
@@ -53,12 +51,9 @@ def line_scene(distances, **kwargs):
 
 def random_scene(rng, n_nodes, with_noise=True):
     room = np.array([10.0, 14.0, 5.0])
-    direction = rng.standard_normal(3)
-    direction /= np.linalg.norm(direction)
     return make_scene(
         nodes=rng.uniform(0.2, room - 0.2, size=(n_nodes, 3)),
         speaker=tuple(rng.uniform(0.2, room - 0.2)),
-        facing=tuple(direction),
         noise=tuple(rng.uniform(0.2, room - 0.2)) if with_noise else None,
     )
 
@@ -128,13 +123,14 @@ class TestKnn:
 class TestPrior:
     def test_forced_selection_example(self):
         scene = line_scene([1.0, 2.0, 3.0, 4.0])
-        _, mask = build_prior(scene, rho=0.6)
+        mask = build_prior(scene, rho=0.6)
         assert mask.selected.tolist() == [True, True, False, False]
         assert mask.k == 2
 
     def test_rho_one_excludes_farthest(self):
         scene = line_scene([1.0, 2.0, 3.0, 4.0])
-        adjacency, mask = build_prior(scene, rho=1.0)
+        mask = build_prior(scene, rho=1.0)
+        adjacency = adjacency_from_mask(mask)
         assert mask.selected.tolist() == [True, True, True, False]
         # The farthest channel keeps only its self-loop.
         assert neighbors(adjacency, 3) == [3]
@@ -142,7 +138,8 @@ class TestPrior:
 
     def test_selected_subgraph_complete_and_symmetric(self):
         scene = line_scene([1.0, 1.5, 2.0, 8.0])
-        adjacency, mask = build_prior(scene, rho=0.5)
+        mask = build_prior(scene, rho=0.5)
+        adjacency = adjacency_from_mask(mask)
         idx = mask.indices()
         sub = adjacency.entries[np.ix_(idx, idx)]
         assert sub.all()
@@ -153,7 +150,7 @@ class TestPrior:
         for _ in range(30):
             scene = random_scene(rng, n_nodes=40)
             rho = 0.3
-            _, mask = build_prior(scene, rho)
+            mask = build_prior(scene, rho)
             d = np.linalg.norm(scene.node_pos - scene.speaker_pos, axis=1)
             oracle = {i for i in range(40) if d[i] / d.max() < rho}
             if not oracle:
@@ -163,7 +160,7 @@ class TestPrior:
     def test_empty_selection_falls_back_to_nearest(self):
         scene = line_scene([3.0, 4.0, 5.0])
         with pytest.warns(UserWarning):
-            _, mask = build_prior(scene, rho=0.1)
+            mask = build_prior(scene, rho=0.1)
         assert mask.indices().tolist() == [0]
 
     def test_rho_domain(self):
@@ -171,35 +168,6 @@ class TestPrior:
         for bad in (0.0, -0.2, 1.5):
             with pytest.raises(ValueError):
                 build_prior(scene, bad)
-
-
-class TestOrientationMask:
-    def test_front_kept_behind_removed_boundary_kept(self):
-        speaker = (5.0, 5.0, 2.0)
-        facing = (1.0, 0.0, 0.0)
-        nodes = [
-            (7.0, 5.0, 2.0),  # straight ahead
-            (3.0, 5.0, 2.0),  # straight behind
-            (5.0, 7.0, 2.0),  # orthogonal plane: dot exactly 0
-        ]
-        scene = make_scene(nodes, speaker=speaker, facing=facing)
-        mask = SelectionMask(np.array([True, True, True]))
-        out = apply_orientation_mask(mask, scene)
-        assert out.selected.tolist() == [True, False, True]
-
-    def test_never_adds_channels(self):
-        scene = make_scene([(7.0, 5.0, 2.0), (8.0, 5.0, 2.0)])
-        mask = SelectionMask(np.array([False, True]))
-        out = apply_orientation_mask(mask, scene)
-        assert not out.selected[0]
-
-    def test_empty_fallback(self):
-        scene = make_scene([(3.0, 5.0, 2.0), (2.0, 5.0, 2.0)], facing=(1.0, 0.0, 0.0))
-        mask = SelectionMask(np.array([True, True]))
-        with pytest.warns(UserWarning):
-            out = apply_orientation_mask(mask, scene)
-        assert out.k == 1
-        assert out.indices().tolist() == [0]  # node 0 is nearer the speaker
 
 
 class TestNoiseMask:
@@ -235,6 +203,21 @@ class TestNoiseMask:
         with pytest.raises(ValueError):
             apply_noise_mask(SelectionMask(np.array([True])), scene)
 
+    def test_never_adds_channels(self):
+        scene = make_scene([(7.0, 5.0, 2.0), (8.0, 5.0, 2.0)], noise=(1.0, 1.0, 1.0))
+        mask = SelectionMask(np.array([False, True]))
+        out = apply_noise_mask(mask, scene, rho_noise=0.2)
+        assert out.selected.tolist() == [False, True]
+
+    def test_empty_fallback(self):
+        # Nodes 0 and 1 sit by the noise source; node 0 is the nearest to the speaker.
+        nodes = [(3.0, 5.0, 2.0), (3.0, 5.5, 2.0), (9.0, 13.0, 4.0)]
+        scene = make_scene(nodes, speaker=(5.0, 5.0, 2.0), noise=(3.0, 5.0, 2.0))
+        mask = SelectionMask(np.array([True, True, False]))
+        with pytest.warns(UserWarning):
+            out = apply_noise_mask(mask, scene, rho_noise=0.2)
+        assert out.indices().tolist() == [0]
+
 
 class TestMaskComposition:
     @given(st.integers(min_value=0, max_value=2 ** 30))
@@ -242,19 +225,17 @@ class TestMaskComposition:
     def test_masks_never_add_channels(self, seed):
         rng = np.random.default_rng(seed)
         scene = random_scene(rng, n_nodes=10)
-        _, mask = build_prior(scene, rho=0.8)
-        before = set(mask.indices())
+        prior = build_prior(scene, rho=0.8)
+        assert np.array_equal(compose_prior(scene, 0.8).selected, prior.selected)
+        before = set(prior.indices())
         import warnings
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            after_ori = apply_orientation_mask(mask, scene)
-            after_noise = apply_noise_mask(mask, scene, rho_noise=0.3)
+            after = compose_prior(scene, 0.8, rho_noise=0.3)
         # Fallback may pick the nearest channel, which is always prior-selected
         # (or the unique fallback choice), so composition stays monotone here.
-        assert set(after_ori.indices()) <= before | {int(np.argmin(
-            np.linalg.norm(scene.node_pos - scene.speaker_pos, axis=1)))}
-        assert set(after_noise.indices()) <= before | {int(np.argmin(
+        assert set(after.indices()) <= before | {int(np.argmin(
             np.linalg.norm(scene.node_pos - scene.speaker_pos, axis=1)))}
 
 

@@ -1,6 +1,8 @@
-"""Module export lists."""
+"""Module export lists and the package's import layering."""
 
+import ast
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -30,3 +32,26 @@ def test_cli_module_runs_without_a_runtime_warning():
     result = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "adhocsv.cli",
                              "--help"], capture_output=True, text=True, env=env, timeout=60)
     assert result.returncode == 0, result.stderr
+
+
+def adhocsv_imports(name: str) -> set[str]:
+    """The adhocsv modules that module ``name`` imports anywhere in its source."""
+    module = importlib.import_module(f"adhocsv.{name}")
+    found = set()
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {node.module} if node.module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("adhocsv"):
+            found.add(node.module.removeprefix("adhocsv").lstrip(".") or "adhocsv")
+        elif isinstance(node, ast.Import):
+            found |= {alias.name.removeprefix("adhocsv.") for alias in node.names
+                      if alias.name.startswith("adhocsv")}
+    return found
+
+
+# The simulator sits at the bottom and graphs right above it, so graphs can
+# read scenes at run time without an import cycle.
+@pytest.mark.parametrize("name, allowed", [("scenesim", set()), ("graphs", {"scenesim"})],
+                         ids=["scenesim", "graphs"])
+def test_import_layering(name, allowed):
+    assert adhocsv_imports(name) <= allowed

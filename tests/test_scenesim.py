@@ -9,6 +9,7 @@ from adhocsv.scenesim import (
     Scene,
     SimConfig,
     WALL_MARGIN,
+    FrameTensor,
     channel_noise_sigma,
     distances,
     load_scene,
@@ -21,7 +22,6 @@ from adhocsv.scenesim import (
     synth_features,
     write_features,
 )
-from adhocsv.stagg import FrameTensor
 
 
 def fixed_scene(node_dists, snr_db=20.0, noise=None):
@@ -31,10 +31,8 @@ def fixed_scene(node_dists, snr_db=20.0, noise=None):
     return Scene(
         room=(10.0, 14.0, 5.0),
         speaker_pos=speaker,
-        speaker_facing=np.array([1.0, 0.0, 0.0]),
         noise_pos=None if noise is None else np.array(noise),
         node_pos=np.array(nodes),
-        t60=0.3,
         snr_db=snr_db,
     )
 
@@ -57,7 +55,6 @@ class TestSampleScene:
             assert 8.0 <= scene.room[0] <= 10.0
             assert 12.0 <= scene.room[1] <= 14.0
             assert 3.0 <= scene.room[2] <= 5.0
-            assert 0.2 <= scene.t60 <= 0.5
             assert -5.0 <= scene.snr_db <= 20.0
 
     def test_degenerate_range_collapses(self):
@@ -65,17 +62,13 @@ class TestSampleScene:
         scene = sample_scene(np.random.default_rng(1), cfg)
         assert scene.room[0] == 8.0
 
-    def test_facing_is_unit(self):
-        scene = sample_scene(np.random.default_rng(2), SimConfig(n_nodes=2))
-        assert abs(np.linalg.norm(scene.speaker_facing) - 1.0) < 1e-12
-
     def test_seeded_repeatability(self):
         cfg = SimConfig(n_nodes=8)
         a = sample_scene(np.random.default_rng(42), cfg)
         b = sample_scene(np.random.default_rng(42), cfg)
         assert np.array_equal(a.node_pos, b.node_pos)
         assert np.array_equal(a.speaker_pos, b.speaker_pos)
-        assert a.t60 == b.t60 and a.snr_db == b.snr_db
+        assert a.snr_db == b.snr_db
 
     def test_noise_source_optional(self):
         cfg = SimConfig(n_nodes=2, with_noise_source=False)
@@ -121,9 +114,8 @@ class TestSynthFeatures:
     def test_equal_distances_equal_sigma(self):
         speaker = np.array([5.0, 7.0, 2.0])
         nodes = [speaker + [1.0, 0.0, 0.0], speaker - [1.0, 0.0, 0.0]]
-        scene = Scene(room=(10.0, 14.0, 5.0), speaker_pos=speaker,
-                      speaker_facing=np.array([1.0, 0.0, 0.0]), noise_pos=None,
-                      node_pos=np.array(nodes), t60=0.3, snr_db=5.0)
+        scene = Scene(room=(10.0, 14.0, 5.0), speaker_pos=speaker, noise_pos=None,
+                      node_pos=np.array(nodes), snr_db=5.0)
         sigma = channel_noise_sigma(scene, SimConfig(n_nodes=2))
         assert sigma[0] == sigma[1]
 
@@ -136,9 +128,7 @@ class TestSynthFeatures:
         speaker = np.array([5.0, 7.0, 2.0])
         nodes = [speaker + [1.0, 0.0, 0.0], speaker - [1.0, 0.0, 0.0]]  # equidistant
         scene = Scene(room=(10.0, 14.0, 5.0), speaker_pos=speaker,
-                      speaker_facing=np.array([1.0, 0.0, 0.0]),
-                      noise_pos=nodes[0].copy(), node_pos=np.array(nodes),
-                      t60=0.3, snr_db=5.0)
+                      noise_pos=nodes[0].copy(), node_pos=np.array(nodes), snr_db=5.0)
         sigma = channel_noise_sigma(scene, SimConfig(n_nodes=2))
         # node 0 sits on the noise source: doubled noise; node 1 is farthest: unscaled
         assert abs(sigma[0] - 2.0 * sigma[1]) < 1e-12
@@ -178,10 +168,23 @@ class TestSerialization:
         again = scene_from_json(scene_to_json(scene))
         assert np.array_equal(scene.node_pos, again.node_pos)
         assert np.array_equal(scene.speaker_pos, again.speaker_pos)
-        assert np.array_equal(scene.speaker_facing, again.speaker_facing)
         assert np.array_equal(scene.noise_pos, again.noise_pos)
         assert scene.room == again.room
-        assert scene.t60 == again.t60 and scene.snr_db == again.snr_db
+        assert scene.snr_db == again.snr_db
+
+    def test_old_scene_json_with_t60_and_facing_loads(self):
+        # Scene files once recorded a reverberation time and the speaker's
+        # facing; neither changed a feature, and reading ignores them.
+        doc = {"room": [10.0, 14.0, 5.0], "speaker": {"pos": [1.0, 2.0, 1.5],
+                                                       "facing": [0.0, 1.0, 0.0]},
+               "noise_pos": [3.0, 3.0, 1.0], "nodes": [[2.0, 2.0, 1.0], [4.0, 5.0, 2.0]],
+               "t60": 0.3, "snr_db": 7.5}
+        scene = scene_from_json(doc)
+        assert np.array_equal(scene.speaker_pos, [1.0, 2.0, 1.5])
+        assert np.array_equal(scene.node_pos, doc["nodes"])
+        assert scene.snr_db == 7.5
+        written = scene_to_json(scene)
+        assert "t60" not in written and written["speaker"] == {"pos": [1.0, 2.0, 1.5]}
 
     def test_scene_file_round_trip(self, tmp_path):
         scene = sample_scene(np.random.default_rng(9), SimConfig(n_nodes=3))
@@ -252,15 +255,8 @@ class TestFeatureFileBounds:
 class TestSceneValidation:
     def test_rejects_outside_positions(self):
         with pytest.raises(ValueError):
-            Scene(room=(4.0, 4.0, 3.0), speaker_pos=np.array([5.0, 1.0, 1.0]),
-                  speaker_facing=np.array([1.0, 0.0, 0.0]), noise_pos=None,
-                  node_pos=np.array([[1.0, 1.0, 1.0]]), t60=0.3, snr_db=0.0)
-
-    def test_rejects_non_unit_facing(self):
-        with pytest.raises(ValueError):
-            Scene(room=(4.0, 4.0, 3.0), speaker_pos=np.array([1.0, 1.0, 1.0]),
-                  speaker_facing=np.array([2.0, 0.0, 0.0]), noise_pos=None,
-                  node_pos=np.array([[1.0, 1.0, 1.0]]), t60=0.3, snr_db=0.0)
+            Scene(room=(4.0, 4.0, 3.0), speaker_pos=np.array([5.0, 1.0, 1.0]), noise_pos=None,
+                  node_pos=np.array([[1.0, 1.0, 1.0]]), snr_db=0.0)
 
     def test_subset(self):
         scene = fixed_scene([1.0, 2.0, 3.0])

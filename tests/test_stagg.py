@@ -9,9 +9,9 @@ import pytest
 from adhocsv import diffcore as dc
 from adhocsv.diffcore import Parameter, ParamSet, Tensor, vjp_check
 from adhocsv.graphs import Adjacency, build_complete, build_knn, build_temporal_span
+from adhocsv.scenesim import FrameTensor
 from adhocsv.stagg import (
     AggParams,
-    FrameTensor,
     GraphSpec,
     build_graph,
     gcn_agg,

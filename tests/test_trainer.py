@@ -14,9 +14,9 @@ from adhocsv import diffcore as dc
 from adhocsv import trainer
 from adhocsv.chansel import ChannelBudgetError
 from adhocsv.diffcore import Parameter, ParamSet, Tensor
-from adhocsv.graphs import build_complete, compose_prior
-from adhocsv.scenesim import SimConfig, make_codebook, sample_scene, synth_features
-from adhocsv.stagg import FrameTensor, GraphSpec, load_checkpoint, save_checkpoint, st_stack
+from adhocsv.graphs import adjacency_from_mask, build_complete, build_knn, compose_prior
+from adhocsv.scenesim import FrameTensor, SimConfig, make_codebook, sample_scene, synth_features
+from adhocsv.stagg import GraphSpec, load_checkpoint, save_checkpoint, st_stack
 from adhocsv.trainer import (
     DegenerateTaskError,
     MissingPriorError,
@@ -159,6 +159,17 @@ class TestCosine:
         with pytest.raises(ValueError):
             cosine_score([0.0, 0.0], [1.0, 0.0])
 
+    def test_rows_score_like_single_pairs(self):
+        rng = np.random.default_rng(50)
+        a, b = rng.standard_normal((2, 3, 4, 8))
+        rows = cosine_score(a, b)
+        assert rows.shape == (3, 4)
+        for i, j in np.ndindex(3, 4):
+            assert abs(rows[i, j] - cosine_score(a[i, j], b[i, j])) <= 1e-15
+        a[1, 2] = 0.0
+        with pytest.raises(ValueError, match="zero embedding"):
+            cosine_score(a, b)
+
 
 class TestEmbed:
     def test_mean_baseline_on_constant_tensor(self):
@@ -283,13 +294,49 @@ def test_batched_prior_pooling_matches_per_utterance_reference():
                       selection=SelectionConfig(kind="prior", rho=0.7), seed=32)
     model = Model.init(cfg, n_speakers=2)
     embs, infos = _forward(model, xs, scenes)
-    priors = [compose_prior(scene, 0.7) for scene in scenes]
+    masks = [compose_prior(scene, 0.7) for scene in scenes]
     z = st_stack(Tensor(xs), model.blocks, build_complete(t),
-                 np.stack([a.entries for a, _ in priors])).data
-    for i, (_, mask) in enumerate(priors):
+                 np.stack([adjacency_from_mask(mask).entries for mask in masks])).data
+    for i, mask in enumerate(masks):
         assert infos[i]["selected_indices"] == mask.indices().tolist()
         reference = z[i][mask.selected].mean(axis=(0, 1))
         assert np.max(np.abs(embs.data[i] - reference)) <= 1e-12
+
+
+@pytest.mark.parametrize("spatial", [GraphSpec(), GraphSpec("knn", k=2)], ids=lambda g: g.kind)
+def test_prior_masks_the_configured_spatial_graph(spatial):
+    # The prior ANDs the configured graph with the clique over its channels;
+    # on a complete graph that is the clique itself.
+    rng = np.random.default_rng(42)
+    scene = sample_scene(rng, SimConfig(n_nodes=8))
+    cfg = ModelConfig(n_blocks=1, heads=2, d=8, spatial_graph=spatial,
+                      selection=SelectionConfig(kind="prior", rho=0.7))
+    entries, mask = trainer._spatial_adjacency(Model.init(cfg, n_speakers=2), 8, scene)
+    s = compose_prior(scene, 0.7).selected
+    assert np.array_equal(mask.selected, s)
+    clique = np.outer(s, s) | np.eye(8, dtype=bool)
+    if spatial.kind == "complete":
+        assert np.array_equal(entries, clique)
+    else:
+        knn = build_knn(scene.node_pos, 2).entries
+        assert np.array_equal(entries, knn & np.outer(s, s) | np.eye(8, dtype=bool))
+        assert not np.array_equal(entries, clique)
+
+
+def test_noise_prior_needs_a_noise_source():
+    scene = sample_scene(np.random.default_rng(43), SimConfig(n_nodes=4, with_noise_source=False))
+    cfg = ModelConfig(n_blocks=1, heads=2, d=8,
+                      selection=SelectionConfig(kind="prior", noise=True))
+    with pytest.raises(MissingPriorError, match="noise source"):
+        embed(Model.init(cfg, n_speakers=2), FrameTensor(np.ones((4, 3, 8))), scene)
+
+
+def test_noise_threshold_checked_when_noise_is_on():
+    with pytest.raises(ValueError, match="rho_noise must lie in"):
+        SelectionConfig(kind="prior", noise=True, rho_noise=5.0)
+    with pytest.raises(ValueError, match="rho_noise must lie in"):
+        SelectionConfig(kind="prior", noise=True, rho_noise=0.0)
+    assert SelectionConfig(kind="prior", rho_noise=5.0).rho_noise == 5.0  # unused while off
 
 
 @pytest.mark.parametrize("selection", ["none", "prior", "gpool"])
@@ -525,6 +572,11 @@ class TestEvaluate:
         shuffled = TrialSet(trials.trials[::-1])
         assert evaluate(model, utts, trials).eer == evaluate(model, utts, shuffled).eer
 
+    def test_no_trials_is_protocol_error(self):
+        model, utts, _ = self._noise_free_setup()
+        with pytest.raises(ProtocolError):
+            evaluate(model, utts, TrialSet([]))
+
     def test_scores_match_cosine_score_per_trial(self):
         utts = ragged_utterances(RAGGED_SHAPES, seed=39)
         trials = all_pair_trials(utts)
@@ -604,8 +656,8 @@ class TestModelIO:
 
     def test_seed_checkpoint_loads_and_embeds_identically(self):
         # Written before the removed settings were deleted: its config still
-        # records warm_start, head, head_scale and selection.pool_all at
-        # their defaults.  The expected embedding was computed by that code,
+        # records warm_start, head, head_scale, selection.pool_all and
+        # selection.orientation at their defaults.  The expected embedding was computed by that code,
         # whose softmax added and then subtracted the query term of the gcn
         # score; without that term the result moves by rounding only.
         model = load_model(SEED_CHECKPOINT)
@@ -647,7 +699,7 @@ class TestModelIO:
 
     @pytest.mark.parametrize("section,key,value", [
         (None, "head", "cosine"), (None, "head_scale", 30.0), (None, "warm_start", True),
-        ("selection", "pool_all", True),
+        ("selection", "pool_all", True), ("selection", "orientation", True),
     ])
     def test_removed_setting_rejected(self, tmp_path, section, key, value):
         model = Model.init(ModelConfig(mechanism="gcn", n_blocks=1, heads=2, d=8), n_speakers=2)
@@ -659,7 +711,7 @@ class TestModelIO:
             load_model(path)
 
     @pytest.mark.parametrize("selection", [
-        SelectionConfig(), SelectionConfig(kind="prior", rho=0.5, orientation=True, noise=True),
+        SelectionConfig(), SelectionConfig(kind="prior", rho=0.5, noise=True),
         SelectionConfig(kind="gpool"), SelectionConfig(kind="gpool", k=3),
     ], ids=["none", "prior", "gpool", "gpool_k3"])
     @pytest.mark.parametrize("spatial", [GraphSpec(), GraphSpec("span", delta=2),
@@ -672,14 +724,14 @@ class TestModelIO:
     def test_config_json_layout(self):
         # Checkpoints record this layout; its key order fixes their bytes.
         cfg = ModelConfig(mechanism="sam", n_blocks=3, heads=2, d=8,
-                          selection=SelectionConfig(kind="gpool", k=2, rho=0.5, orientation=True,
-                                                    noise=True, rho_noise=0.3),
+                          selection=SelectionConfig(kind="gpool", k=2, rho=0.5, noise=True,
+                                                    rho_noise=0.3),
                           temporal_graph=GraphSpec("span", delta=2),
                           spatial_graph=GraphSpec("knn", k=3), leaky_slope=0.1, seed=5)
         expected = {
             "mechanism": "sam", "n_blocks": 3, "heads": 2, "d": 8,
-            "selection": {"kind": "gpool", "k": 2, "rho": 0.5, "orientation": True,
-                          "noise": True, "rho_noise": 0.3},
+            "selection": {"kind": "gpool", "k": 2, "rho": 0.5, "noise": True,
+                          "rho_noise": 0.3},
             "temporal_graph": {"kind": "span", "delta": 2, "k": 4},
             "spatial_graph": {"kind": "knn", "delta": 1, "k": 3},
             "leaky_slope": 0.1, "seed": 5,
