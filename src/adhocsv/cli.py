@@ -4,6 +4,9 @@ Subcommands: simulate (scenes + synthetic features), graph (adjacency
 construction from a scene), train (second-stage training), eval
 (verification report), report (aggregate eval reports).  Every command is
 deterministic given (config, seed); outputs are written atomically.
+``graph --kind prior`` prints the prior's clique: the spatial mask of a
+prior-selection model over a complete spatial graph.  A knn + prior model
+uses knn AND that clique instead (as does a span + prior one with span).
 
 Config keys: a top-level ``seed`` and sections ``model``, ``train`` and
 ``eval`` whose keys are the fields, with the defaults, of ModelConfig,
@@ -411,12 +414,14 @@ def cmd_graph(args) -> int:
             raise ConfigError("prior graph needs --scene")
         try:
             mask = compose_prior(scene, args.rho, args.noise_rho)
+        except MissingPriorError:
+            raise  # a data error: the scene lacks the noise source
         except ValueError as err:
             raise ConfigError(str(err)) from err
         adjacency = adjacency_from_mask(mask)
-        mask_doc = {"selected_indices": [int(i) for i in mask.indices()],
-                    "bits": "".join("1" if x else "0" for x in mask.selected),
-                    "k": mask.k}
+        mask_doc = {"selected_indices": np.flatnonzero(mask).tolist(),
+                    "bits": "".join("1" if x else "0" for x in mask),
+                    "k": int(mask.sum())}
     else:
         if args.kind == "knn":
             if scene is None:
@@ -490,7 +495,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph", parents=[common], help="build an adjacency from a scene")
     p.add_argument("--scene", help="scene JSON file")
-    p.add_argument("--kind", choices=["complete", "span", "knn", "prior"], required=True)
+    p.add_argument("--kind", choices=["complete", "span", "knn", "prior"], required=True,
+                   help="graph family; prior prints the prior's clique, the spatial mask of a "
+                        "prior model over a complete spatial graph (a knn + prior model uses "
+                        "knn AND the clique instead)")
     p.add_argument("--n", type=int, help="node/frame count for complete and span")
     p.add_argument("--delta", type=int, default=1, help="span half-window")
     p.add_argument("--k", type=int, default=4, help="neighbor count for knn")

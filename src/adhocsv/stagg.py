@@ -39,7 +39,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Parameter, ParamSet, Tensor
-from .graphs import Adjacency, build_complete, build_knn, build_temporal_span
+from .graphs import build_complete, build_knn, build_temporal_span
 
 __all__ = [
     "AggParams",
@@ -167,7 +167,7 @@ def _swap_last(t: Tensor) -> Tensor:
 
 
 def _checked_mask(x: Tensor, a, params: AggParams, mechanism: str) -> np.ndarray:
-    """The boolean mask of an Adjacency or (batched) mask array, checked against x."""
+    """The boolean (batched) mask array ``a``, checked against x."""
     if params.mechanism != mechanism:
         raise ValueError(f"params carry mechanism {params.mechanism!r}, expected {mechanism!r}")
     if x.ndim < 2:
@@ -175,7 +175,7 @@ def _checked_mask(x: Tensor, a, params: AggParams, mechanism: str) -> np.ndarray
     if x.shape[-1] != params.d_in:
         raise dc.ShapeError(f"input dim {x.shape[-1]} != parameter dim {params.d_in}")
     n = x.shape[-2]
-    return dc.check_mask(a.entries if isinstance(a, Adjacency) else a, x.shape[:-2] + (n, n))
+    return dc.check_mask(a, x.shape[:-2] + (n, n))
 
 
 def sam_agg(x, a, params: AggParams, with_weights: bool = False):
@@ -187,8 +187,8 @@ def sam_agg(x, a, params: AggParams, with_weights: bool = False):
     equals the input width.
 
     ``x``: (..., N, D); leading axes are independent batch slices.
-    ``a``: an Adjacency, or a boolean mask array broadcastable over the
-    batch axes (one graph per slice; see :func:`diffcore.check_mask`).
+    ``a``: a boolean (N, N) adjacency, or a mask array broadcastable over
+    the batch axes (one graph per slice; see :func:`diffcore.check_mask`).
     """
     x = _as_tensor(x)
     mask = _checked_mask(x, a, params, "sam")
@@ -242,8 +242,8 @@ def gcn_agg(x, a, params: AggParams, with_weights: bool = False):
     return out, weights
 
 
-def build_graph(spec: GraphSpec, n: int, positions=None) -> Adjacency:
-    """Materialize a GraphSpec for n nodes (positions needed for knn)."""
+def build_graph(spec: GraphSpec, n: int, positions=None) -> np.ndarray:
+    """The bool (n, n) adjacency a GraphSpec describes (positions needed for knn)."""
     if spec.kind == "complete":
         return build_complete(n)
     if spec.kind == "span":
@@ -253,14 +253,13 @@ def build_graph(spec: GraphSpec, n: int, positions=None) -> Adjacency:
     return build_knn(positions, spec.k)
 
 
-def st_stack(x, blocks: list[BlockParams], a_temporal: Adjacency | np.ndarray,
-             spatial_mask) -> Tensor:
+def st_stack(x, blocks: list[BlockParams], a_temporal: np.ndarray, spatial_mask) -> Tensor:
     """Run the aggregation blocks over a batch of utterances.
 
     ``x``: (B, C, T, D).  Each block aggregates over frames with
     ``a_temporal``, then over channels with ``spatial_mask``, a boolean
     (B, C, C) array holding one channel graph per utterance, shared by all
-    its frames.  ``a_temporal`` is a T-node Adjacency or a boolean mask
+    its frames.  ``a_temporal`` is a boolean (T, T) adjacency or a mask
     broadcastable to (B, C, T, T), such as a (B, 1, T, T) mask holding one
     frame graph per utterance, shared by its channels; utterances padded
     to T frames run in one batch when each padded frame sees only itself

@@ -23,7 +23,7 @@ import numpy as np
 from . import diffcore as dc
 from .chansel import GPoolParams, gpool_weights, init_gpool_params, weighted_pool
 from .diffcore import NonFiniteError, Parameter, ParamSet, Tensor
-from .graphs import adjacency_from_mask, compose_prior
+from .graphs import MissingPriorError, adjacency_from_mask, compose_prior
 from .scenesim import FrameTensor, Scene
 from .stagg import (
     BlockParams,
@@ -77,10 +77,6 @@ class ProtocolError(ValueError):
 
 class DegenerateTaskError(ValueError):
     """The training task is ill-posed (fewer than two speakers, or ragged shapes)."""
-
-
-class MissingPriorError(ValueError):
-    """Geometry-based selection was requested without the scene, or the source, it reads."""
 
 
 @dataclass(frozen=True)
@@ -211,13 +207,11 @@ def _spatial_adjacency(model: Model, c: int, scene: Scene | None):
         raise MissingPriorError("prior channel selection needs the utterance's scene")
     if scene is None and cfg.spatial_graph.kind == "knn":
         raise MissingPriorError("knn spatial graph needs the utterance's scene")
-    entries = build_graph(cfg.spatial_graph, c, None if scene is None else scene.node_pos).entries
+    graph = build_graph(cfg.spatial_graph, c, None if scene is None else scene.node_pos)
     if sel.kind != "prior":
-        return entries, None
-    if sel.noise and scene.noise_pos is None:
-        raise MissingPriorError("noise-aware prior selection needs the scene's noise source")
+        return graph, None
     mask = compose_prior(scene, sel.rho, sel.rho_noise if sel.noise else None)
-    return entries & adjacency_from_mask(mask).entries, mask
+    return graph & adjacency_from_mask(mask), mask
 
 
 def _forward(model: Model, x: np.ndarray, scenes: list[Scene | None],
@@ -249,7 +243,7 @@ def _forward(model: Model, x: np.ndarray, scenes: list[Scene | None],
         spatial_mask = np.stack(spatial_masks)
         # The T-node graph's top-left n x n block is the n-node graph for
         # complete and span graphs (ModelConfig refuses knn over frames).
-        a_temporal = (build_graph(cfg.temporal_graph, t).entries
+        a_temporal = (build_graph(cfg.temporal_graph, t)
                       & valid[:, None, :, None] & valid[:, None, None, :]) | np.eye(t, dtype=bool)
         out = st_stack(out, model.blocks, a_temporal, spatial_mask)
     zbar = dc.div(dc.sum_axis(dc.mul(out, valid[:, None, :, None]), axis=2),
@@ -257,7 +251,7 @@ def _forward(model: Model, x: np.ndarray, scenes: list[Scene | None],
 
     keep, gate = np.ones((b, c)), 1.0  # no selection: every channel, ungated
     if sel.kind == "prior":
-        keep = np.stack([m.selected for m in sel_masks]).astype(np.float64)
+        keep = np.stack(sel_masks).astype(np.float64)
     elif sel.kind == "gpool":
         k = sel.k if sel.k is not None else math.ceil(c / 2)
         keep, gate = gpool_weights(zbar, model.gpool, k)
@@ -678,7 +672,7 @@ def eval_per_node(model: Model, utterances: dict[str, Utterance],
     model that shares the trained blocks and head: one channel is always
     kept, and gpool's gate only scales the embedding, which the cosine
     score ignores.  A single channel's spatial graph is its self-loop
-    whatever the configured kind, so the complete one stands in for it.
+    whatever the configured kind.
     Coordinates and speaker distance are averaged over the evaluated
     utterances' scenes (exact when all utterances share one geometry).
     """
@@ -686,7 +680,7 @@ def eval_per_node(model: Model, utterances: dict[str, Utterance],
     if len(n_channels) != 1:
         raise ProtocolError("per-node analysis needs a uniform channel count")
     c = n_channels.pop()
-    single = Model(replace(model.cfg, selection=SelectionConfig(), spatial_graph=GraphSpec()),
+    single = Model(replace(model.cfg, selection=SelectionConfig()),
                    model.n_speakers, model.blocks, None, model.head_w, model.head_b)
     rows = []
     for node in range(c):

@@ -392,6 +392,22 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert "k=9" in err and "C=4" in err
 
+    def test_knn_model_evaluates_fewer_channels_than_k(self, tmp_path, dataset, capsys):
+        cfg = json.loads(json.dumps(TINY_CONFIG))
+        cfg["model"]["spatial_graph"] = {"kind": "knn", "k": 4}  # the scenes have 4 nodes
+        config = tmp_path / "knn.json"
+        config.write_text(json.dumps(cfg))
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--data", dataset,
+                     "--out", str(run), "--quiet"]) == 0
+        out = tmp_path / "e"
+        assert main(["eval", "--config", str(config), "--ckpt", str(run / "model.ckpt"),
+                     "--data", dataset, "--out", str(out), "--channels", "3", "--per-node",
+                     "--quiet"]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert (out / "report.json").exists()
+        assert len((out / "per_node.csv").read_text().splitlines()) == 4  # header + 3 nodes
+
     def test_eval_per_node_and_selection_dump(self, tmp_path, config_path, dataset):
         run = tmp_path / "run"
         main(["train", "--config", config_path, "--data", dataset, "--out", str(run), "--quiet"])
@@ -594,7 +610,7 @@ class TestGraphCommand:
                      "--noise-rho", "0.2"]) == 0
         doc = json.loads(capsys.readouterr().out)
         mask = apply_noise_mask(build_prior(scene, 0.6), scene, 0.2)
-        assert doc["mask"]["selected_indices"] == [int(i) for i in mask.indices()]
+        assert doc["mask"]["selected_indices"] == np.flatnonzero(mask).tolist()
         assert 0 not in doc["mask"]["selected_indices"]
         assert doc["adjacency"] == adjacency_to_json(adjacency_from_mask(mask))
 
@@ -614,7 +630,7 @@ class TestGraphCommand:
         x = FrameTensor(np.random.default_rng(8).standard_normal((10, 3, 8)))
         _, info = embed_with_info(Model.init(cfg, n_speakers=2), x, scene)
         assert info["selected_indices"] == selected
-        assert selected != build_prior(scene, 0.7).indices().tolist()
+        assert selected != np.flatnonzero(build_prior(scene, 0.7)).tolist()
 
     def test_knn_graph(self, tmp_path, capsys):
         scene = line_scene_file(tmp_path, [1.0, 2.0, 3.0, 4.0])
@@ -632,15 +648,29 @@ class TestGraphCommand:
     def test_missing_scene_is_config_error(self):
         assert main(["graph", "--kind", "prior", "--rho", "0.5"]) == 2
 
-    @pytest.mark.parametrize("args", [
-        ["--kind", "span", "--n", "5", "--delta", "-1"],
-        ["--kind", "complete", "--n", "0"],
-        ["--kind", "knn", "--k", "5", "--scene", None],
+    def test_noise_prior_without_noise_source_is_data_error(self, tmp_path, capsys):
+        scene = sample_scene(np.random.default_rng(3), SimConfig(n_nodes=4,
+                                                                 with_noise_source=False))
+        path = tmp_path / "scene.json"
+        save_scene(path, scene)
+        assert main(["graph", "--kind", "prior", "--scene", str(path), "--noise-rho", "0.2"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "noise source" in err
+
+    @pytest.mark.parametrize("args, code", [
+        (["--kind", "span", "--n", "5", "--delta", "-1"], 2),
+        (["--kind", "complete", "--n", "0"], 2),
+        # knn links each node to its min(k, n - 1) nearest: one node keeps its self-loop.
+        (["--kind", "knn", "--k", "5", "--scene", None], 0),
     ], ids=["negative_delta", "no_nodes", "k_over_node_count"])
-    def test_out_of_range_argument_is_config_error(self, tmp_path, capsys, args):
+    def test_out_of_range_argument_is_config_error(self, tmp_path, capsys, args, code):
         args = [line_scene_file(tmp_path, [1.0]) if a is None else a for a in args]
-        assert main(["graph", *args]) == 2
-        assert capsys.readouterr().err.startswith("config error:")
+        assert main(["graph", *args]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.err.startswith("config error:")
+        else:
+            assert json.loads(captured.out)["adjacency"] == {"n": 1, "rows": ["1"]}
 
 
 class TestReportCommand:

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from adhocsv import graphs
 from adhocsv.graphs import (
-    Adjacency,
-    SelectionMask,
+    MissingPriorError,
     adjacency_from_mask,
     adjacency_to_json,
     apply_noise_mask,
@@ -17,19 +16,18 @@ from adhocsv.graphs import (
     build_prior,
     build_temporal_span,
     compose_prior,
-    neighbors,
 )
 from adhocsv.scenesim import Scene
+from adhocsv.stagg import GraphSpec, build_graph
 
 
-def adjacency_from_json(doc: dict) -> Adjacency:
+def adjacency_from_json(doc: dict) -> np.ndarray:
     """Inverse of ``adjacency_to_json``, validating the document."""
     n = int(doc["n"])
     rows = doc["rows"]
     if len(rows) != n or any(len(r) != n or set(r) - {"0", "1"} for r in rows):
         raise ValueError("malformed adjacency document")
-    entries = np.array([[c == "1" for c in r] for r in rows], dtype=bool)
-    return Adjacency(n=n, entries=entries, symmetric=bool(np.array_equal(entries, entries.T)))
+    return np.array([[c == "1" for c in r] for r in rows], dtype=bool)
 
 
 def make_scene(nodes, speaker=(5.0, 5.0, 2.0), noise=None):
@@ -61,15 +59,15 @@ def random_scene(rng, n_nodes, with_noise=True):
 class TestComplete:
     def test_all_ones(self):
         a = build_complete(3)
-        assert a.entries.all() and a.symmetric
+        assert a.all() and np.array_equal(a, a.T)
 
     def test_single_node(self):
-        assert np.array_equal(build_complete(1).entries, [[True]])
+        assert np.array_equal(build_complete(1), [[True]])
 
     def test_counting(self):
         a = build_complete(40)
-        assert int(a.entries.sum()) == 1600
-        assert np.array_equal(a.entries, a.entries.T)
+        assert int(a.sum()) == 1600
+        assert np.array_equal(a, a.T)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -79,24 +77,24 @@ class TestComplete:
 class TestTemporalSpan:
     def test_zero_span_is_identity(self):
         a = build_temporal_span(4, 0)
-        assert np.array_equal(a.entries, np.eye(4, dtype=bool))
+        assert np.array_equal(a, np.eye(4, dtype=bool))
 
     def test_unit_span_is_tridiagonal(self):
-        a = build_temporal_span(4, 1).entries
+        a = build_temporal_span(4, 1)
         expected = np.eye(4, dtype=bool) | np.eye(4, k=1, dtype=bool) | np.eye(4, k=-1, dtype=bool)
         assert np.array_equal(a, expected)
 
     def test_wide_span_clips_to_complete(self):
-        assert build_temporal_span(3, 5).entries.all()
+        assert build_temporal_span(3, 5).all()
 
     @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=15))
     @settings(max_examples=50, deadline=None)
     def test_span_at_least_t_minus_one_is_complete(self, t, delta):
         a = build_temporal_span(t, delta)
         if delta >= t - 1:
-            assert np.array_equal(a.entries, build_complete(t).entries)
-        assert np.array_equal(a.entries, a.entries.T)
-        assert np.all(np.diagonal(a.entries))
+            assert np.array_equal(a, build_complete(t))
+        assert np.array_equal(a, a.T)
+        assert np.all(np.diagonal(a))
 
 
 class TestKnn:
@@ -104,9 +102,9 @@ class TestKnn:
         # Nodes on a line: 0 --- 1 - 2 (1 and 2 close together).
         pos = np.array([[0.0, 0, 0], [3.0, 0, 0], [4.0, 0, 0]])
         a = build_knn(pos, k=1)
-        assert np.array_equal(a.entries[0], [True, True, False])  # 0's nearest is 1
-        assert np.array_equal(a.entries[1], [False, True, True])
-        assert np.array_equal(a.entries[2], [False, True, True])
+        assert np.array_equal(a[0], [True, True, False])  # 0's nearest is 1
+        assert np.array_equal(a[1], [False, True, True])
+        assert np.array_equal(a[2], [False, True, True])
 
     def test_matches_sorting_oracle(self):
         rng = np.random.default_rng(3)
@@ -117,33 +115,43 @@ class TestKnn:
             d = np.linalg.norm(pos - pos[u], axis=1)
             d[u] = np.inf
             nearest = set(np.argsort(d, kind="stable")[:k]) | {u}
-            assert set(np.flatnonzero(a.entries[u])) == nearest
+            assert set(np.flatnonzero(a[u])) == nearest
+
+    def test_k_over_node_count_links_every_node(self):
+        pos = np.array([[0.0, 0, 0], [3.0, 0, 0], [4.0, 0, 0]])
+        assert np.array_equal(build_knn(pos, k=4), build_knn(pos, k=2))
+        assert build_knn(pos, k=4).all()
+        assert np.array_equal(build_knn(pos[:1], k=4), [[True]])
+
+    def test_negative_k_rejected(self):
+        with pytest.raises(ValueError):
+            build_knn(np.zeros((3, 3)), k=-1)
 
 
 class TestPrior:
     def test_forced_selection_example(self):
         scene = line_scene([1.0, 2.0, 3.0, 4.0])
         mask = build_prior(scene, rho=0.6)
-        assert mask.selected.tolist() == [True, True, False, False]
-        assert mask.k == 2
+        assert mask.tolist() == [True, True, False, False]
+        assert int(mask.sum()) == 2
 
     def test_rho_one_excludes_farthest(self):
         scene = line_scene([1.0, 2.0, 3.0, 4.0])
         mask = build_prior(scene, rho=1.0)
         adjacency = adjacency_from_mask(mask)
-        assert mask.selected.tolist() == [True, True, True, False]
+        assert mask.tolist() == [True, True, True, False]
         # The farthest channel keeps only its self-loop.
-        assert neighbors(adjacency, 3) == [3]
-        assert neighbors(adjacency, 0) == [0, 1, 2]
+        assert np.flatnonzero(adjacency[3]).tolist() == [3]
+        assert np.flatnonzero(adjacency[0]).tolist() == [0, 1, 2]
 
     def test_selected_subgraph_complete_and_symmetric(self):
         scene = line_scene([1.0, 1.5, 2.0, 8.0])
         mask = build_prior(scene, rho=0.5)
         adjacency = adjacency_from_mask(mask)
-        idx = mask.indices()
-        sub = adjacency.entries[np.ix_(idx, idx)]
+        idx = np.flatnonzero(mask)
+        sub = adjacency[np.ix_(idx, idx)]
         assert sub.all()
-        assert np.array_equal(adjacency.entries, adjacency.entries.T)
+        assert np.array_equal(adjacency, adjacency.T)
 
     def test_matches_sort_threshold_oracle(self):
         rng = np.random.default_rng(4)
@@ -155,13 +163,13 @@ class TestPrior:
             oracle = {i for i in range(40) if d[i] / d.max() < rho}
             if not oracle:
                 oracle = {int(np.argmin(d))}
-            assert set(mask.indices()) == oracle
+            assert set(np.flatnonzero(mask)) == oracle
 
     def test_empty_selection_falls_back_to_nearest(self):
         scene = line_scene([3.0, 4.0, 5.0])
         with pytest.warns(UserWarning):
             mask = build_prior(scene, rho=0.1)
-        assert mask.indices().tolist() == [0]
+        assert np.flatnonzero(mask).tolist() == [0]
 
     def test_rho_domain(self):
         scene = line_scene([1.0, 2.0])
@@ -175,48 +183,49 @@ class TestNoiseMask:
         noise = (5.0, 5.0, 2.0)
         nodes = [noise, (9.0, 13.0, 4.0)]
         scene = make_scene(nodes, speaker=(1.0, 1.0, 1.0), noise=noise)
-        mask = SelectionMask(np.array([True, True]))
+        mask = np.array([True, True])
         out = apply_noise_mask(mask, scene, rho_noise=0.2)
-        assert out.selected.tolist() == [False, True]
+        assert out.tolist() == [False, True]
 
     def test_ratio_one_survives_strict_inequality(self):
         noise = (1.0, 1.0, 1.0)
         nodes = [(2.0, 1.0, 1.0), (9.0, 13.0, 4.0)]
         scene = make_scene(nodes, noise=noise)
-        mask = SelectionMask(np.array([True, True]))
+        mask = np.array([True, True])
         out = apply_noise_mask(mask, scene, rho_noise=1.0)
-        assert out.selected.tolist() == [False, True]
+        assert out.tolist() == [False, True]
 
     def test_matches_threshold_oracle(self):
         rng = np.random.default_rng(5)
         for _ in range(30):
             scene = random_scene(rng, n_nodes=20)
-            mask = SelectionMask(np.ones(20, dtype=bool))
+            mask = np.ones(20, dtype=bool)
             out = apply_noise_mask(mask, scene, rho_noise=0.2)
             d = np.linalg.norm(scene.node_pos - scene.noise_pos, axis=1)
             oracle = {i for i in range(20) if not d[i] / d.max() < 0.2}
             if oracle:
-                assert set(out.indices()) == oracle
+                assert set(np.flatnonzero(out)) == oracle
 
     def test_requires_noise_source(self):
         scene = make_scene([(2.0, 2.0, 2.0)])
-        with pytest.raises(ValueError):
-            apply_noise_mask(SelectionMask(np.array([True])), scene)
+        with pytest.raises(MissingPriorError):
+            apply_noise_mask(np.array([True]), scene)
+        assert issubclass(MissingPriorError, ValueError)
 
     def test_never_adds_channels(self):
         scene = make_scene([(7.0, 5.0, 2.0), (8.0, 5.0, 2.0)], noise=(1.0, 1.0, 1.0))
-        mask = SelectionMask(np.array([False, True]))
+        mask = np.array([False, True])
         out = apply_noise_mask(mask, scene, rho_noise=0.2)
-        assert out.selected.tolist() == [False, True]
+        assert out.tolist() == [False, True]
 
     def test_empty_fallback(self):
         # Nodes 0 and 1 sit by the noise source; node 0 is the nearest to the speaker.
         nodes = [(3.0, 5.0, 2.0), (3.0, 5.5, 2.0), (9.0, 13.0, 4.0)]
         scene = make_scene(nodes, speaker=(5.0, 5.0, 2.0), noise=(3.0, 5.0, 2.0))
-        mask = SelectionMask(np.array([True, True, False]))
+        mask = np.array([True, True, False])
         with pytest.warns(UserWarning):
             out = apply_noise_mask(mask, scene, rho_noise=0.2)
-        assert out.indices().tolist() == [0]
+        assert np.flatnonzero(out).tolist() == [0]
 
 
 class TestMaskComposition:
@@ -226,8 +235,8 @@ class TestMaskComposition:
         rng = np.random.default_rng(seed)
         scene = random_scene(rng, n_nodes=10)
         prior = build_prior(scene, rho=0.8)
-        assert np.array_equal(compose_prior(scene, 0.8).selected, prior.selected)
-        before = set(prior.indices())
+        assert np.array_equal(compose_prior(scene, 0.8), prior)
+        before = set(np.flatnonzero(prior))
         import warnings
 
         with warnings.catch_warnings():
@@ -235,27 +244,40 @@ class TestMaskComposition:
             after = compose_prior(scene, 0.8, rho_noise=0.3)
         # Fallback may pick the nearest channel, which is always prior-selected
         # (or the unique fallback choice), so composition stays monotone here.
-        assert set(after.indices()) <= before | {int(np.argmin(
+        assert set(np.flatnonzero(after)) <= before | {int(np.argmin(
             np.linalg.norm(scene.node_pos - scene.speaker_pos, axis=1)))}
 
 
+class TestGraphArrays:
+    @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=15),
+           st.integers(min_value=0, max_value=2 ** 30))
+    @settings(max_examples=60, deadline=None)
+    def test_bool_square_with_self_loops(self, n, param, seed):
+        # param is the span half-window and the knn k, so k >= n is drawn too.
+        rng = np.random.default_rng(seed)
+        scene = random_scene(rng, n_nodes=n)
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            prior = compose_prior(scene, rng.uniform(0.05, 1.0), rng.uniform(0.05, 1.0))
+        for a in (build_graph(GraphSpec("complete"), n),
+                  build_graph(GraphSpec("span", delta=param), n),
+                  build_graph(GraphSpec("knn", k=param), n, scene.node_pos),
+                  adjacency_from_mask(prior),
+                  adjacency_from_mask(rng.random(n) < 0.5)):
+            assert a.dtype == np.bool_ and a.shape == (n, n)
+            assert np.diagonal(a).all()
+
+
 class TestNeighborsAndJson:
-    def test_neighbors_examples(self):
-        assert neighbors(build_complete(3), 0) == [0, 1, 2]
-        assert neighbors(build_temporal_span(4, 1), 0) == [0, 1]
-        assert neighbors(build_temporal_span(4, 0), 2) == [2]
-
-    def test_neighbors_out_of_range(self):
-        with pytest.raises(IndexError):
-            neighbors(build_complete(3), 3)
-
     def test_json_round_trip(self):
         a = build_temporal_span(5, 1)
         doc = adjacency_to_json(a)
         assert doc["n"] == 5 and len(doc["rows"]) == 5
         b = adjacency_from_json(doc)
-        assert np.array_equal(a.entries, b.entries)
-        assert b.symmetric
+        assert np.array_equal(a, b)
+        assert b.dtype == bool and np.array_equal(b, b.T)
 
     def test_json_rejects_malformed(self):
         with pytest.raises(ValueError):
@@ -263,20 +285,12 @@ class TestNeighborsAndJson:
         with pytest.raises(ValueError):
             adjacency_from_json({"n": 2, "rows": ["1x", "01"]})
 
-    def test_constructors_enforce_self_loops(self):
-        with pytest.raises(ValueError):
-            Adjacency(n=2, entries=np.array([[True, True], [True, False]]), symmetric=True)
-
-    def test_mask_requires_one_channel(self):
-        with pytest.raises(ValueError):
-            SelectionMask(np.zeros(3, dtype=bool))
-
     def test_adjacency_from_mask(self):
-        mask = SelectionMask(np.array([True, False, True]))
+        mask = np.array([True, False, True])
         a = adjacency_from_mask(mask)
         expected = np.array([
             [True, False, True],
             [False, True, False],
             [True, False, True],
         ])
-        assert np.array_equal(a.entries, expected)
+        assert np.array_equal(a, expected)

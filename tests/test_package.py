@@ -50,8 +50,13 @@ def adhocsv_imports(name: str) -> set[str]:
 
 
 # The simulator sits at the bottom and graphs right above it, so graphs can
-# read scenes at run time without an import cycle.
-@pytest.mark.parametrize("name, allowed", [("scenesim", set()), ("graphs", {"scenesim"})],
-                         ids=["scenesim", "graphs"])
+# read scenes at run time without an import cycle.  Channel selection needs
+# only the autodiff core, and aggregation takes graphs as plain masks.
+@pytest.mark.parametrize("name, allowed", [
+    ("scenesim", set()),
+    ("graphs", {"scenesim"}),
+    ("chansel", {"diffcore"}),
+    ("stagg", {"diffcore", "graphs"}),
+], ids=["scenesim", "graphs", "chansel", "stagg"])
 def test_import_layering(name, allowed):
     assert adhocsv_imports(name) <= allowed

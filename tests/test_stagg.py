@@ -8,7 +8,7 @@ import pytest
 
 from adhocsv import diffcore as dc
 from adhocsv.diffcore import Parameter, ParamSet, Tensor, vjp_check
-from adhocsv.graphs import Adjacency, build_complete, build_knn, build_temporal_span
+from adhocsv.graphs import build_complete, build_knn, build_temporal_span
 from adhocsv.scenesim import FrameTensor
 from adhocsv.stagg import (
     AggParams,
@@ -102,9 +102,7 @@ def head_arrays(params):
 def random_mask(rng, n):
     mask = rng.random((n, n)) < 0.5
     np.fill_diagonal(mask, True)
-    from adhocsv.graphs import Adjacency
-
-    return Adjacency(n=n, entries=mask, symmetric=bool(np.array_equal(mask, mask.T)))
+    return mask
 
 
 def make_sam_params(weights, slope=0.2):
@@ -155,7 +153,7 @@ class TestSamAgg:
             adj = random_mask(rng, n)
             params = init_agg_params("sam", d, m, rng, "t")
             out = sam_agg(Tensor(x), adj, params).data
-            ref = reference_masked_attention(x, adj.entries, head_arrays(params))
+            ref = reference_masked_attention(x, adj, head_arrays(params))
             assert np.max(np.abs(out - ref)) < 1e-10
 
     def test_complete_graph_equals_unmasked_mha(self):
@@ -174,7 +172,7 @@ class TestSamAgg:
         params = init_agg_params("sam", d, 2, rng, "t")
         _, weights = sam_agg(Tensor(rng.standard_normal((n, d))), adj, params, with_weights=True)
         for w in weights:
-            assert np.all(w.data[~adj.entries] == 0.0)
+            assert np.all(w.data[~adj] == 0.0)
 
     def test_gradients(self):
         rng = np.random.default_rng(5)
@@ -223,7 +221,7 @@ class TestGcnAgg:
             adj = random_mask(rng, n)
             params = init_agg_params("gcn", d, m, rng, "t")
             out = gcn_agg(Tensor(x), adj, params).data
-            ref = reference_additive_attention(x, adj.entries, head_arrays(params), 0.2)
+            ref = reference_additive_attention(x, adj, head_arrays(params), 0.2)
             assert np.max(np.abs(out - ref)) < 1e-10
 
     def test_masked_pairs_get_zero_weight(self):
@@ -233,7 +231,7 @@ class TestGcnAgg:
         params = init_agg_params("gcn", d, 2, rng, "t")
         _, weights = gcn_agg(Tensor(rng.standard_normal((n, d))), adj, params, with_weights=True)
         for w in weights:
-            assert np.all(w.data[~adj.entries] == 0.0)
+            assert np.all(w.data[~adj] == 0.0)
 
     def test_gradients_away_from_activation_kinks(self):
         rng = np.random.default_rng(11)
@@ -282,7 +280,7 @@ class TestGcnAgg:
         b, c, t, d = 2, 5, 6, 8
         x = rng.standard_normal((b, c, t, d))
         blocks = init_stack_params("gcn", 1, d, 2, rng)
-        spatial = np.stack([random_mask(rng, c).entries for _ in range(b)])
+        spatial = np.stack([random_mask(rng, c) for _ in range(b)])
         out = st_stack(Tensor(x), blocks, random_mask(rng, t), spatial)
         out.backward(rng.standard_normal(out.shape))
         for p in blocks[0].parameters():
@@ -304,7 +302,7 @@ def trailing_band(t, delta):
     """Asymmetric banded graph: frame i sees frames i - delta .. i."""
     idx = np.arange(t)
     diff = idx[:, None] - idx[None, :]
-    return Adjacency(n=t, entries=(diff >= 0) & (diff <= delta), symmetric=delta == 0)
+    return (diff >= 0) & (diff <= delta)
 
 
 class TestBlockLayout:
@@ -325,7 +323,7 @@ class TestBlockLayout:
         agg = sam_agg if mechanism == "sam" else gcn_agg
         adj = build_temporal_span(t, delta)
         local = run_agg(agg, x, adj, params)
-        dense = run_agg(agg, x, adj.entries[None], params)
+        dense = run_agg(agg, x, adj[None], params)
         for a, b in zip(local, dense, strict=True):
             assert a.shape == b.shape and np.max(np.abs(a - b)) <= 1e-12
 
@@ -339,13 +337,13 @@ class TestBlockLayout:
         adj = trailing_band(t, delta)
         out, weights = agg(Tensor(x), adj, params, with_weights=True)
         if mechanism == "sam":
-            ref = reference_masked_attention(x, adj.entries, head_arrays(params))
+            ref = reference_masked_attention(x, adj, head_arrays(params))
         else:
-            ref = reference_additive_attention(x, adj.entries, head_arrays(params), 0.2)
+            ref = reference_additive_attention(x, adj, head_arrays(params), 0.2)
         assert np.max(np.abs(out.data - ref)) < 1e-10
         for w in weights:
             assert w.shape == (t, t)
-            assert np.all(w.data[~adj.entries] == 0.0)
+            assert np.all(w.data[~adj] == 0.0)
             assert np.allclose(w.data.sum(axis=1), 1.0)
 
     def test_weights_are_dense_in_both_layouts(self):
@@ -355,11 +353,11 @@ class TestBlockLayout:
         params = init_agg_params("gcn", d, 2, rng, "t")
         adj = build_temporal_span(t, 2)
         _, local = gcn_agg(Tensor(x), adj, params, with_weights=True)
-        _, dense = gcn_agg(Tensor(x), adj.entries[None], params, with_weights=True)
+        _, dense = gcn_agg(Tensor(x), adj[None], params, with_weights=True)
         for a, b in zip(local, dense):
             assert a.shape == b.shape == (3, t, t)
             assert np.max(np.abs(a.data - b.data)) <= 1e-15
-            assert np.all(a.data[:, ~adj.entries] == 0.0)
+            assert np.all(a.data[:, ~adj] == 0.0)
 
     @pytest.mark.parametrize("mechanism", ["sam", "gcn"])
     def test_stack_with_span_graph_matches_dense(self, mechanism):
@@ -367,11 +365,11 @@ class TestBlockLayout:
         b, c, t, d = 2, 3, 24, 8
         x = rng.standard_normal((b, c, t, d))
         blocks = init_stack_params(mechanism, 2, d, 2, rng)
-        masks = np.stack([random_mask(rng, c).entries for _ in range(b)])
+        masks = np.stack([random_mask(rng, c) for _ in range(b)])
         a_t = build_temporal_span(t, 2)
         leaves = [p for blk in blocks for p in blk.parameters()]
         results = []
-        for temporal in (a_t, a_t.entries[None, None]):
+        for temporal in (a_t, a_t[None, None]):
             xt = Tensor(x, requires_grad=True)
             out = st_stack(xt, blocks, temporal, masks)
             out.backward(np.random.default_rng(0).standard_normal(out.shape))
@@ -443,10 +441,7 @@ class TestModules:
         adj = random_mask(rng, c)
         params = init_agg_params("gcn", d, 2, rng, "s")
         perm = rng.permutation(c)
-        from adhocsv.graphs import Adjacency
-
-        permuted_adj = Adjacency(n=c, entries=adj.entries[np.ix_(perm, perm)],
-                                 symmetric=adj.symmetric)
+        permuted_adj = adj[np.ix_(perm, perm)]
         base = per_frame_agg(gcn_agg, y, adj, params).data
         permuted = per_frame_agg(gcn_agg, y[perm], permuted_adj, params).data
         assert np.max(np.abs(permuted - base[perm])) < 1e-10
@@ -458,10 +453,7 @@ class TestModules:
         adj = random_mask(rng, t)
         params = init_agg_params("sam", d, 2, rng, "t")
         perm = rng.permutation(t)
-        from adhocsv.graphs import Adjacency
-
-        permuted_adj = Adjacency(n=t, entries=adj.entries[np.ix_(perm, perm)],
-                                 symmetric=adj.symmetric)
+        permuted_adj = adj[np.ix_(perm, perm)]
         base = sam_agg(Tensor(x), adj, params).data
         permuted = sam_agg(Tensor(x[:, perm, :]), permuted_adj, params).data
         assert np.max(np.abs(permuted - base[:, perm, :])) < 1e-10
@@ -507,7 +499,7 @@ class TestStack:
         rng = np.random.default_rng(25)
         b, c, t, d = 3, 5, 4, 8
         x = rng.standard_normal((b, c, t, d))
-        masks = np.stack([random_mask(rng, c).entries for _ in range(b)])
+        masks = np.stack([random_mask(rng, c) for _ in range(b)])
         a_t = build_temporal_span(t, 1)
         blocks = init_stack_params(mechanism, 2, d, 2, rng)
         joint = st_stack(Tensor(x), blocks, a_t, masks).data
@@ -530,9 +522,9 @@ class TestStack:
         for i, n in enumerate(frames):
             x[i, :, :n] = rng.standard_normal((c, n, d))
             graph = build_complete(n) if kind == "complete" else build_temporal_span(n, 1)
-            mask[i, 0, :n, :n] = graph.entries
+            mask[i, 0, :n, :n] = graph
             alone_graphs.append(graph)
-        spatial = np.stack([random_mask(rng, c).entries for _ in frames])
+        spatial = np.stack([random_mask(rng, c) for _ in frames])
         blocks = init_stack_params(mechanism, 2, d, 2, rng)
         joint = st_stack(Tensor(x), blocks, mask, spatial).data
         for i, n in enumerate(frames):
@@ -572,7 +564,7 @@ class TestStack:
         b, c, t, d = 2, 2, 3, 4
         x = rng.standard_normal((b, c, t, d))
         blocks = init_stack_params("sam", 1, d, 2, rng)
-        masks = np.stack([random_mask(rng, c).entries for _ in range(b)])
+        masks = np.stack([random_mask(rng, c) for _ in range(b)])
         leaves = [x] + [p for blk in blocks for p in blk.parameters()]
 
         def fn(xt, *ps):
@@ -591,11 +583,11 @@ class TestGraphSpec:
 
     def test_builds_each_kind(self):
         pos = np.array([[0.0, 0, 0], [1.0, 0, 0], [3.0, 0, 0]])
-        assert build_graph(GraphSpec("complete"), 3).entries.all()
-        assert np.array_equal(build_graph(GraphSpec("span", delta=0), 3).entries,
-                              build_temporal_span(3, 0).entries)
-        assert np.array_equal(build_graph(GraphSpec("knn", k=1), 3, pos).entries,
-                              build_knn(pos, 1).entries)
+        assert build_graph(GraphSpec("complete"), 3).all()
+        assert np.array_equal(build_graph(GraphSpec("span", delta=0), 3),
+                              build_temporal_span(3, 0))
+        assert np.array_equal(build_graph(GraphSpec("knn", k=1), 3, pos),
+                              build_knn(pos, 1))
         with pytest.raises(ValueError, match="positions"):
             build_graph(GraphSpec("knn", k=1), 3)
 

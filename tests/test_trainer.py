@@ -296,10 +296,10 @@ def test_batched_prior_pooling_matches_per_utterance_reference():
     embs, infos = _forward(model, xs, scenes)
     masks = [compose_prior(scene, 0.7) for scene in scenes]
     z = st_stack(Tensor(xs), model.blocks, build_complete(t),
-                 np.stack([adjacency_from_mask(mask).entries for mask in masks])).data
+                 np.stack([adjacency_from_mask(mask) for mask in masks])).data
     for i, mask in enumerate(masks):
-        assert infos[i]["selected_indices"] == mask.indices().tolist()
-        reference = z[i][mask.selected].mean(axis=(0, 1))
+        assert infos[i]["selected_indices"] == np.flatnonzero(mask).tolist()
+        reference = z[i][mask].mean(axis=(0, 1))
         assert np.max(np.abs(embs.data[i] - reference)) <= 1e-12
 
 
@@ -312,15 +312,26 @@ def test_prior_masks_the_configured_spatial_graph(spatial):
     cfg = ModelConfig(n_blocks=1, heads=2, d=8, spatial_graph=spatial,
                       selection=SelectionConfig(kind="prior", rho=0.7))
     entries, mask = trainer._spatial_adjacency(Model.init(cfg, n_speakers=2), 8, scene)
-    s = compose_prior(scene, 0.7).selected
-    assert np.array_equal(mask.selected, s)
+    s = compose_prior(scene, 0.7)
+    assert np.array_equal(mask, s)
     clique = np.outer(s, s) | np.eye(8, dtype=bool)
     if spatial.kind == "complete":
         assert np.array_equal(entries, clique)
     else:
-        knn = build_knn(scene.node_pos, 2).entries
+        knn = build_knn(scene.node_pos, 2)
         assert np.array_equal(entries, knn & np.outer(s, s) | np.eye(8, dtype=bool))
         assert not np.array_equal(entries, clique)
+
+
+def test_knn_with_k_over_channel_count_links_every_channel():
+    # knn links each channel to its min(k, C - 1) nearest, so k=4 over 3 channels is complete.
+    rng = np.random.default_rng(44)
+    scene = sample_scene(rng, SimConfig(n_nodes=3))
+    x = FrameTensor(rng.standard_normal((3, 4, 8)))
+    knn = Model.init(ModelConfig(n_blocks=1, heads=2, d=8, spatial_graph=GraphSpec("knn", k=4)),
+                     n_speakers=2)
+    complete = Model.init(ModelConfig(n_blocks=1, heads=2, d=8), n_speakers=2)
+    assert np.array_equal(embed(knn, x, scene), embed(complete, x, scene))
 
 
 def test_noise_prior_needs_a_noise_source():
@@ -830,8 +841,8 @@ class TestChannelOps:
                 assert row["eer"] == evaluate(reference, sub, trials).eer
 
     def test_per_node_runs_on_a_knn_spatial_graph(self):
-        # No knn graph with k >= 1 exists over one channel; its self-loop is the
-        # whole spatial graph, as it is for the complete one.
+        # knn over one channel is its self-loop whatever k is, as is the
+        # complete graph.
         utts = ragged_utterances([(3, t) for t in (1, 4, 9, 9, 2, 6)], seed=39)
         trials = all_pair_trials(utts)
         knn, complete = (Model.init(ModelConfig(mechanism="gcn", n_blocks=1, heads=2, d=8,
