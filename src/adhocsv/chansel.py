@@ -6,16 +6,16 @@ Every selection kind ends in one weighted mean over channels:
 
 ``zbar`` is (B, C, D): each channel's mean over its utterance's valid
 frames, which the caller computes, so nothing here sees a frame.
-``keep`` is a 0/1 (B, C) choice of channels: all of them without
-selection, the channels a geometry-derived mask declares useful for prior
-selection, and the top k by a learned score for gpool.  ``gate`` is 1,
-except for gpool, which gates each channel by the sigmoid of its score.
+``keep`` is the (B, C) choice of channels, 0/1 or bool: all of them
+without selection, the geometry prior's mask (:func:`graphs.build_prior`)
+for prior selection, and for gpool the top k by the score q = zbar p / ||p||
+of one learned (D,) projection Parameter p.  ``gate`` is 1, except for
+gpool, which gates each channel by sigmoid(q).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from . import diffcore as dc
 from .diffcore import Parameter, Tensor
 
 __all__ = [
-    "GPoolParams",
     "DegenerateProjectionError",
     "ChannelBudgetError",
     "init_gpool_params",
@@ -41,23 +40,10 @@ class ChannelBudgetError(ValueError):
     """gpool is asked to keep more channels than the array has (or none)."""
 
 
-@dataclass
-class GPoolParams:
-    """Learnable projection vector scoring the channels."""
-
-    p: Parameter
-
-    def __post_init__(self):
-        if self.p.data.ndim != 1:
-            raise ValueError("gpool projection must be a vector")
-
-    def parameters(self) -> list[Parameter]:
-        return [self.p]
-
-
-def init_gpool_params(d: int, rng: np.random.Generator, name: str = "gpool.p") -> GPoolParams:
+def init_gpool_params(d: int, rng: np.random.Generator, name: str = "gpool.p") -> Parameter:
+    """gpool's projection vector p, drawn uniformly from [-1/sqrt(d), 1/sqrt(d)]."""
     bound = 1.0 / math.sqrt(d)
-    return GPoolParams(p=Parameter(name, rng.uniform(-bound, bound, size=d)))
+    return Parameter(name, rng.uniform(-bound, bound, size=d))
 
 
 def _frame_means(zbar) -> Tensor:
@@ -67,41 +53,44 @@ def _frame_means(zbar) -> Tensor:
     return zbar
 
 
-def channel_scores(zbar, params: GPoolParams) -> Tensor:
+def channel_scores(zbar, p: Parameter) -> Tensor:
     """Per-channel scores q = zbar p / ||p||, shape (B, C), of frame means zbar (B, C, D).
 
-    Each channel's score is its own row reduction, so equal channels score
-    exactly equal wherever they sit in the batch.
+    ``p`` is gpool's (D,) projection vector.  Each channel's score is its
+    own row reduction, so equal channels score exactly equal wherever they
+    sit in the batch.
     """
     zbar = _frame_means(zbar)
-    if float(np.linalg.norm(params.p.data)) == 0.0:
+    if p.data.ndim != 1:
+        raise dc.ShapeError(f"gpool projection must be a vector, got shape {p.data.shape}")
+    if float(np.linalg.norm(p.data)) == 0.0:
         raise DegenerateProjectionError("gpool projection has zero norm")
-    return dc.div(dc.sum_axis(dc.mul(zbar, params.p), -1), dc.l2_norm(params.p))
+    return dc.div(dc.sum_axis(dc.mul(zbar, p), -1), dc.l2_norm(p))
 
 
-def gpool_weights(zbar, params: GPoolParams, k: int) -> tuple[np.ndarray, Tensor]:
+def gpool_weights(zbar, p: Parameter, k: int) -> tuple[np.ndarray, Tensor]:
     """gpool's channel choice for a batch of frame means: keep (B, C) and gate (B, C).
 
-    ``keep`` marks each utterance's k channels with the largest scores;
-    ties break toward the lower channel index.  ``gate`` is sigmoid(q) for
-    every channel; :func:`weighted_pool` reads it only where ``keep`` is 1.
-    Gradients flow through the gates; the choice itself is treated as
-    constant (subgradient at ties).
+    ``keep`` is a bool array, True at each utterance's k channels with the
+    largest scores; ties break toward the lower channel index.  ``gate`` is
+    sigmoid(q) for every channel; :func:`weighted_pool` reads it only where
+    ``keep`` is True.  Gradients flow through the gates; the choice itself
+    is treated as constant (subgradient at ties).
     """
-    q = channel_scores(zbar, params)
+    q = channel_scores(zbar, p)
     c = q.shape[1]
     if not 1 <= k <= c:
         raise ChannelBudgetError(f"gpool keeps k={k} channels, but the array has C={c}")
     order = np.argsort(-q.data, axis=1, kind="stable")  # stable: ties keep lower index first
-    keep = np.zeros(q.shape)
-    np.put_along_axis(keep, order[:, :k], 1.0, axis=1)
+    keep = np.zeros(q.shape, dtype=bool)
+    np.put_along_axis(keep, order[:, :k], True, axis=1)
     return keep, dc.sigmoid(q)
 
 
 def weighted_pool(zbar, keep, gate) -> Tensor:
     """The utterance embeddings (B, D): the gated mean of the kept channels' frame means.
 
-    ``zbar`` is (B, C, D), ``keep`` a 0/1 (B, C) array and ``gate`` either
+    ``zbar`` is (B, C, D), ``keep`` a 0/1 or bool (B, C) array and ``gate`` either
     1 or a (B, C) tensor; see the module docstring for the formula.
     """
     zbar = _frame_means(zbar)

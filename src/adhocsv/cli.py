@@ -34,7 +34,7 @@ import numpy as np
 
 from .chansel import ChannelBudgetError, DegenerateProjectionError
 from .diffcore import NonFiniteError
-from .graphs import adjacency_from_mask, adjacency_to_json, compose_prior
+from .graphs import adjacency_from_mask, adjacency_to_json, build_prior
 from .scenesim import (
     SimConfig,
     load_scene,
@@ -194,17 +194,25 @@ def load_experiment_config(path, seed_override: int | None = None) -> Experiment
     )
 
 
-def _atomic_write_bytes(path: str, data: bytes) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+def _atomic_write(path: str, write) -> None:
+    """Run ``write(tmp)`` on a new file beside ``path``, then move it onto ``path``."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(data)
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write_bytes(path: str, data: bytes) -> None:
+    def write(tmp):
+        with open(tmp, "wb") as f:
+            f.write(data)
+
+    _atomic_write(path, write)
 
 
 def _atomic_write_json(path: str, doc) -> None:
@@ -322,9 +330,7 @@ def cmd_train(args) -> int:
     dataset = _load_dataset(args.data, "train", cfg.train_channels, cfg.seed)
     model, curve = train_second_stage(dataset, cfg.model, cfg.train)
 
-    tmp = ckpt_path + ".tmp"
-    save_model(tmp, model)
-    os.replace(tmp, ckpt_path)
+    _atomic_write(ckpt_path, lambda tmp: save_model(tmp, model))
     lines = ["epoch,mean_loss"] + [f"{i},{loss!r}" for i, loss in enumerate(curve)]
     _atomic_write_bytes(loss_path, ("\n".join(lines) + "\n").encode("utf-8"))
     _say(args.quiet, f"trained {cfg.model.mechanism} for {cfg.train.epochs} epochs; "
@@ -361,7 +367,8 @@ def cmd_eval(args) -> int:
     else:
         trials = generate_trials(utterances, cfg.eval.n_target, cfg.eval.n_nontarget,
                                  np.random.default_rng([cfg.seed, 14]))
-        write_trials_csv(os.path.join(args.out, "trials.csv"), trials)
+        _atomic_write(os.path.join(args.out, "trials.csv"),
+                      lambda tmp: write_trials_csv(tmp, trials))
 
     try:
         report = evaluate(model, by_id, trials)
@@ -413,7 +420,7 @@ def cmd_graph(args) -> int:
         if scene is None:
             raise ConfigError("prior graph needs --scene")
         try:
-            mask = compose_prior(scene, args.rho, args.noise_rho)
+            mask = build_prior(scene, args.rho, args.noise_rho)
         except MissingPriorError:
             raise  # a data error: the scene lacks the noise source
         except ValueError as err:

@@ -4,12 +4,13 @@ An adjacency is a bool (N, N) array whose entry (i, j) says node i sees
 node j; a prior channel mask is a bool (C,) array of the channels it
 keeps.  Constructors cover the graph families the pipeline uses: complete
 graphs, banded temporal graphs over frames, k-nearest spatial graphs over
-node positions, and the geometry prior: one channel mask from the speaker
-distances, optionally narrowed by the noise source's proximity.  Every
-adjacency built here carries self-loops (diagonal all True) and every
-prior mask keeps at least one channel, so no attention row and no pool is
-ever empty; consumers check both again at use
-(:func:`diffcore.check_mask`, :func:`chansel.weighted_pool`).
+node positions, and the geometry prior.  One function, :func:`build_prior`,
+states the prior: one channel mask from the speaker distances and,
+optionally, the noise source's.  Every adjacency built here carries
+self-loops (diagonal all True) and every prior mask keeps at least one
+channel, so no attention row and no pool is ever empty; consumers check
+both again at use (:func:`diffcore.check_mask`,
+:func:`chansel.weighted_pool`).
 """
 
 from __future__ import annotations
@@ -26,9 +27,7 @@ __all__ = [
     "build_temporal_span",
     "build_knn",
     "build_prior",
-    "compose_prior",
     "adjacency_from_mask",
-    "apply_noise_mask",
     "adjacency_to_json",
 ]
 
@@ -74,27 +73,31 @@ def build_knn(positions, k: int) -> np.ndarray:
     return entries
 
 
-def _nearest_fallback(d_spk: np.ndarray, what: str) -> np.ndarray:
-    warnings.warn(f"{what} left no channel selected; falling back to the nearest channel")
-    selected = np.zeros(d_spk.shape[0], dtype=bool)
-    selected[int(np.argmin(d_spk))] = True  # argmin ties resolve to the lowest index
-    return selected
+def build_prior(scene: Scene, rho: float, rho_noise: float | None = None) -> np.ndarray:
+    """The geometry prior's channel mask: near the speaker and, given ``rho_noise``, off the noise.
 
-
-def build_prior(scene: Scene, rho: float) -> np.ndarray:
-    """Select channels whose speaker-distance ratio is strictly below rho.
-
-    Channel i is kept iff dist(i, speaker) / max_dist < rho.
+    Channel i is kept iff d_spk(i) / max d_spk < rho and, when ``rho_noise``
+    is given, not d_noise(i) / max d_noise < rho_noise.  A zero maximum
+    means every node sits on that source: all of them count as near the
+    speaker, and none as near the noise.  When no channel is kept, the
+    mask falls back, with a warning, to the channel nearest the speaker.
+    Raises :class:`MissingPriorError` when ``rho_noise`` is given for a
+    scene without a noise source; every check runs before any distance.
     """
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must lie in (0, 1], got {rho}")
-    d_spk, _, d_max, _ = distances(scene)
-    if d_max == 0.0:
-        selected = np.ones(d_spk.shape[0], dtype=bool)  # all nodes coincide with the speaker
-    else:
-        selected = d_spk / d_max < rho
+    if rho_noise is not None and not 0.0 < rho_noise <= 1.0:
+        raise ValueError(f"rho_noise must lie in (0, 1], got {rho_noise}")
+    if rho_noise is not None and scene.noise_pos is None:
+        raise MissingPriorError("scene has no noise source position")
+    d_spk, d_noise, d_max, d_max_noise = distances(scene)
+    selected = np.ones(d_spk.shape[0], dtype=bool) if d_max == 0.0 else d_spk / d_max < rho
+    if rho_noise is not None and d_max_noise > 0.0:
+        selected &= ~(d_noise / d_max_noise < rho_noise)
     if not selected.any():
-        selected = _nearest_fallback(d_spk, f"prior threshold rho={rho}")
+        warnings.warn(f"prior (rho={rho}, rho_noise={rho_noise}) left no channel selected; "
+                      "falling back to the nearest channel")
+        selected[int(np.argmin(d_spk))] = True  # argmin ties resolve to the lowest index
     return selected
 
 
@@ -102,33 +105,6 @@ def adjacency_from_mask(mask: np.ndarray) -> np.ndarray:
     """Complete subgraph over the selected channels, self-loops everywhere."""
     mask = np.asarray(mask, dtype=bool)
     return np.outer(mask, mask) | np.eye(mask.shape[0], dtype=bool)
-
-
-def apply_noise_mask(mask: np.ndarray, scene: Scene, rho_noise: float = 0.2) -> np.ndarray:
-    """Deselect channels close to the point noise source.
-
-    A channel is dropped when dist(i, noise) / max_noise_dist < rho_noise.
-    Raises :class:`MissingPriorError` when the scene has no noise source.
-    """
-    if not 0.0 < rho_noise <= 1.0:
-        raise ValueError(f"rho_noise must lie in (0, 1], got {rho_noise}")
-    if scene.noise_pos is None:
-        raise MissingPriorError("scene has no noise source position")
-    d_spk, d_noise, _, d_max = distances(scene)
-    near_noise = np.zeros_like(d_noise, dtype=bool) if d_max == 0.0 else d_noise / d_max < rho_noise
-    selected = np.asarray(mask, dtype=bool) & ~near_noise
-    if not selected.any():
-        selected = _nearest_fallback(d_spk, "noise mask")
-    return selected
-
-
-def compose_prior(scene: Scene, rho: float, rho_noise: float | None = None) -> np.ndarray:
-    """Prior channel mask, narrowed by the noise mask when ``rho_noise`` is given.
-
-    Runs :func:`build_prior`, then :func:`apply_noise_mask`.
-    """
-    mask = build_prior(scene, rho)
-    return mask if rho_noise is None else apply_noise_mask(mask, scene, rho_noise)
 
 
 def adjacency_to_json(a: np.ndarray) -> dict:

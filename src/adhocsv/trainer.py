@@ -21,9 +21,9 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 import numpy as np
 
 from . import diffcore as dc
-from .chansel import GPoolParams, gpool_weights, init_gpool_params, weighted_pool
+from .chansel import gpool_weights, init_gpool_params, weighted_pool
 from .diffcore import NonFiniteError, Parameter, ParamSet, Tensor
-from .graphs import MissingPriorError, adjacency_from_mask, compose_prior
+from .graphs import MissingPriorError, build_prior
 from .scenesim import FrameTensor, Scene
 from .stagg import (
     BlockParams,
@@ -129,19 +129,19 @@ class Model:
     """Trainable parameters bundled with their configuration."""
 
     def __init__(self, cfg: ModelConfig, n_speakers: int, blocks: list[BlockParams],
-                 gpool_params: GPoolParams | None, head_w: Parameter, head_b: Parameter):
+                 gpool: Parameter | None, head_w: Parameter, head_b: Parameter):
         self.cfg = cfg
         self.n_speakers = n_speakers
         self.blocks = blocks
-        self.gpool = gpool_params
+        self.gpool = gpool
         self.head_w = head_w
         self.head_b = head_b
         params = ParamSet()
         for block in blocks:
             for p in block.parameters():
                 params.add(p)
-        if gpool_params is not None:
-            params.add(gpool_params.p)
+        if gpool is not None:
+            params.add(gpool)
         params.add(head_w)
         params.add(head_b)
         self.params = params
@@ -194,26 +194,6 @@ def subsample_channels(utt: Utterance, k: int, rng: np.random.Generator) -> Utte
     )
 
 
-def _spatial_adjacency(model: Model, c: int, scene: Scene | None):
-    """One utterance's (C, C) spatial mask and its prior channel mask (None without one).
-
-    The mask is the configured spatial graph; prior selection ANDs it with
-    the clique over the prior's channels, so deselected channels see only
-    themselves.
-    """
-    cfg = model.cfg
-    sel = cfg.selection
-    if scene is None and sel.kind == "prior":
-        raise MissingPriorError("prior channel selection needs the utterance's scene")
-    if scene is None and cfg.spatial_graph.kind == "knn":
-        raise MissingPriorError("knn spatial graph needs the utterance's scene")
-    graph = build_graph(cfg.spatial_graph, c, None if scene is None else scene.node_pos)
-    if sel.kind != "prior":
-        return graph, None
-    mask = compose_prior(scene, sel.rho, sel.rho_noise if sel.noise else None)
-    return graph & adjacency_from_mask(mask), mask
-
-
 def _forward(model: Model, x: np.ndarray, scenes: list[Scene | None],
              frames: list[int] | None = None):
     """Differentiable embeddings of a batch of utterances with equal channel counts.
@@ -224,9 +204,16 @@ def _forward(model: Model, x: np.ndarray, scenes: list[Scene | None],
     utterance's frames form its temporal graph inside a (B, 1, T, T) mask
     whose padded frames see only themselves, and the channels' frame means
     zbar (B, C, D) average valid frames only, so padding changes no
-    embedding beyond rounding.  Channels are picked from zbar, gated and
-    pooled in one weighted mean (:func:`chansel.weighted_pool`).  Returns
-    the (B, D) embeddings and one selection-info dict per utterance.
+    embedding beyond rounding.
+
+    A bool (B, C) array ``keep`` states which channels each utterance uses:
+    all of them, the prior's mask (:func:`graphs.build_prior`, known before
+    the stack), or gpool's top k (picked from zbar after it).  The spatial
+    masks derive from it once, as the configured graph restricted to the
+    kept channels, with a self-loop on every channel.  The kept channels are
+    gated and pooled in one weighted mean (:func:`chansel.weighted_pool`).
+    Returns the (B, D) embeddings, ``keep``, and gpool's (B, C) gate
+    array (None for the other kinds).
     """
     cfg = model.cfg
     sel = cfg.selection
@@ -237,43 +224,55 @@ def _forward(model: Model, x: np.ndarray, scenes: list[Scene | None],
     if frames.shape != (b,) or frames.min() < 1 or frames.max() > t:
         raise dc.ShapeError(f"need {b} frame counts in [1, {t}], got {frames.tolist()}")
     valid = np.arange(t) < frames[:, None]  # (B, T)
+    if any(scene is None for scene in scenes):
+        if sel.kind == "prior":
+            raise MissingPriorError("prior channel selection needs the utterance's scene")
+        if cfg.mechanism != "mean" and cfg.spatial_graph.kind == "knn":
+            raise MissingPriorError("knn spatial graph needs the utterance's scene")
+    keep = np.ones((b, c), dtype=bool)  # no selection: every channel
+    if sel.kind == "prior":
+        rho_noise = sel.rho_noise if sel.noise else None
+        keep = np.stack([build_prior(scene, sel.rho, rho_noise) for scene in scenes])
     out = Tensor(x)
     if cfg.mechanism != "mean":
-        spatial_masks, sel_masks = zip(*(_spatial_adjacency(model, c, scene) for scene in scenes))
-        spatial_mask = np.stack(spatial_masks)
+        positions = [None if scene is None else scene.node_pos for scene in scenes]
+        graph = np.stack([build_graph(cfg.spatial_graph, c, pos) for pos in positions])
+        a_spatial = graph & keep[:, :, None] & keep[:, None, :] | np.eye(c, dtype=bool)
         # The T-node graph's top-left n x n block is the n-node graph for
         # complete and span graphs (ModelConfig refuses knn over frames).
         a_temporal = (build_graph(cfg.temporal_graph, t)
                       & valid[:, None, :, None] & valid[:, None, None, :]) | np.eye(t, dtype=bool)
-        out = st_stack(out, model.blocks, a_temporal, spatial_mask)
+        out = st_stack(out, model.blocks, a_temporal, a_spatial)
     zbar = dc.div(dc.sum_axis(dc.mul(out, valid[:, None, :, None]), axis=2),
                   frames[:, None, None])  # (B, C, D)
 
-    keep, gate = np.ones((b, c)), 1.0  # no selection: every channel, ungated
-    if sel.kind == "prior":
-        keep = np.stack(sel_masks).astype(np.float64)
-    elif sel.kind == "gpool":
-        k = sel.k if sel.k is not None else math.ceil(c / 2)
-        keep, gate = gpool_weights(zbar, model.gpool, k)
-    gates = gate.data if sel.kind == "gpool" else None
-    infos = [{"mechanism": sel.kind, "selected_indices": np.flatnonzero(keep[i]).tolist(),
-              "gates": None if gates is None else gates[i, keep[i] > 0].tolist()}
-             for i in range(b)]
-    return weighted_pool(zbar, keep, gate), infos
+    if sel.kind != "gpool":
+        return weighted_pool(zbar, keep, 1.0), keep, None
+    keep, gate = gpool_weights(zbar, model.gpool, sel.k if sel.k is not None else math.ceil(c / 2))
+    return weighted_pool(zbar, keep, gate), keep, gate.data
 
 
 def embed(model: Model, x, scene: Scene | None = None) -> np.ndarray:
     """Utterance-level embedding as a plain (D,) array."""
     data = x.data if isinstance(x, FrameTensor) else np.asarray(x, dtype=np.float64)
-    embs, _ = _forward(model, data[None], [scene])
+    embs, _, _ = _forward(model, data[None], [scene])
     return np.array(embs.data[0])
 
 
 def embed_with_info(model: Model, x, scene: Scene | None = None):
-    """Embedding plus the channel-selection report for this utterance."""
+    """Embedding plus the channel-selection report for this utterance.
+
+    The report names the selection kind, the kept channels' indices, and
+    gpool's gates of those channels (None for the other kinds).
+    """
     data = x.data if isinstance(x, FrameTensor) else np.asarray(x, dtype=np.float64)
-    embs, infos = _forward(model, data[None], [scene])
-    return np.array(embs.data[0]), infos[0]
+    embs, keep, gate = _forward(model, data[None], [scene])
+    kept = keep[0]
+    return np.array(embs.data[0]), {
+        "mechanism": model.cfg.selection.kind,
+        "selected_indices": np.flatnonzero(kept).tolist(),
+        "gates": None if gate is None else gate[0, kept].tolist(),
+    }
 
 
 def train_second_stage(dataset: list[Utterance], cfg: ModelConfig,
@@ -307,7 +306,7 @@ def train_second_stage(dataset: list[Utterance], cfg: ModelConfig,
             model.params.zero_grad()
             try:
                 x = np.stack([u.features.data for u in batch])
-                embs, _ = _forward(model, x, [u.scene for u in batch])
+                embs, _, _ = _forward(model, x, [u.scene for u in batch])
                 logits = dc.add(dc.matmul(embs, model.head_w), model.head_b)
                 labels = np.array([label_of[u.speaker] for u in batch])
                 loss = dc.softmax_cross_entropy(logits, labels)
@@ -434,7 +433,7 @@ def _embed_batch(model: Model, utts: list[Utterance]) -> np.ndarray:
     x = np.zeros((len(utts), c, max(frames), d))
     for i, u in enumerate(utts):
         x[i, :, :frames[i]] = u.features.data
-    embs, _ = _forward(model, x, [u.scene for u in utts], frames)
+    embs, _, _ = _forward(model, x, [u.scene for u in utts], frames)
     return np.array(embs.data)  # the batch's graph is freed on return, before the next batch
 
 

@@ -7,7 +7,6 @@ from adhocsv import diffcore as dc
 from adhocsv.chansel import (
     ChannelBudgetError,
     DegenerateProjectionError,
-    GPoolParams,
     channel_scores,
     gpool_weights,
     init_gpool_params,
@@ -17,7 +16,7 @@ from adhocsv.diffcore import Parameter, Tensor, vjp_check
 
 
 def gp(vec, name="p"):
-    return GPoolParams(p=Parameter(name, np.asarray(vec, dtype=float)))
+    return Parameter(name, np.asarray(vec, dtype=float))
 
 
 def gpool_one(zbar, params, k):
@@ -80,7 +79,7 @@ class TestGPool:
         z = rng.standard_normal((4, 6, 3))
         p = gp(rng.standard_normal(3))
         q = channel_scores(Tensor(z.mean(axis=1)[None]), p).data[0]
-        expected = z.mean(axis=1) @ p.p.data / np.linalg.norm(p.p.data)
+        expected = z.mean(axis=1) @ p.data / np.linalg.norm(p.data)
         assert np.allclose(q, expected, atol=1e-12)
 
     def test_frame_axis_rejected(self):
@@ -129,6 +128,14 @@ class TestGPool:
         with pytest.raises(DegenerateProjectionError):
             gpool_one(z, gp([0.0, 0.0, 0.0]), k=1)
 
+    def test_non_vector_projection_rejected(self):
+        z = Tensor(np.zeros((1, 2, 3)))
+        for bad in (np.ones((3, 1)), np.ones(())):
+            with pytest.raises(dc.ShapeError, match="vector"):
+                channel_scores(z, gp(bad))
+            with pytest.raises(dc.ShapeError, match="vector"):
+                gpool_weights(z, gp(bad), 1)
+
     def test_k_out_of_range(self):
         z = np.zeros((2, 3))
         params = gp([1.0, 0.0, 0.0])
@@ -156,7 +163,7 @@ class TestGPool:
             keep, gate = gpool_weights(zt, params, k)
             return weighted_pool(zt, keep, gate)
 
-        err = vjp_check(fn, [z[None], params.p], rng=rng)
+        err = vjp_check(fn, [z[None], params], rng=rng)
         assert err < 1e-5
 
     def test_batched_gradients_at_stable_topk(self):
@@ -178,7 +185,7 @@ class TestGPool:
             keep, gate = gpool_weights(zt, params, k)
             return weighted_pool(zt, keep, gate)
 
-        err = vjp_check(fn, [z, params.p], rng=rng)
+        err = vjp_check(fn, [z, params], rng=rng)
         assert err < 1e-5
 
 
@@ -252,5 +259,6 @@ class TestUtterancePool:
 
 
 def test_init_gpool_params_nonzero():
-    params = init_gpool_params(8, np.random.default_rng(11))
-    assert np.linalg.norm(params.p.data) > 0.0
+    p = init_gpool_params(8, np.random.default_rng(11))
+    assert isinstance(p, Parameter) and p.name == "gpool.p" and p.data.shape == (8,)
+    assert np.linalg.norm(p.data) > 0.0

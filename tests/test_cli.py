@@ -8,8 +8,9 @@ import struct
 import numpy as np
 import pytest
 
+from adhocsv import cli
 from adhocsv.cli import ConfigError, EvalSpec, load_experiment_config, main
-from adhocsv.graphs import adjacency_from_mask, adjacency_to_json, apply_noise_mask, build_prior
+from adhocsv.graphs import adjacency_from_mask, adjacency_to_json, build_prior
 from adhocsv.scenesim import (FrameTensor, Scene, SimConfig, read_features, sample_scene,
                               save_scene, write_features)
 from adhocsv.stagg import load_checkpoint, save_checkpoint
@@ -359,6 +360,26 @@ class TestTrainEval:
         trials = read_trials_csv(e1 / "trials.csv")
         assert len(trials.trials) == 24
 
+    def test_failed_trials_write_keeps_the_old_file(self, tmp_path, config_path, dataset,
+                                                    monkeypatch):
+        # trials.csv is written beside its target and moved into place, as report.json is.
+        run, out = tmp_path / "run", tmp_path / "eval"
+        main(["train", "--config", config_path, "--data", dataset, "--out", str(run), "--quiet"])
+        args = ["eval", "--config", config_path, "--ckpt", str(run / "model.ckpt"),
+                "--data", dataset, "--out", str(out), "--quiet"]
+        assert main(args) == 0
+        before = tree_bytes(out)
+
+        def half_written(path, trials):
+            with open(path, "w", encoding="utf-8") as f:
+                f.write("enroll_id,test_id,label\n")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_trials_csv", half_written)
+        with pytest.raises(OSError, match="disk full"):
+            main(args)
+        assert tree_bytes(out) == before
+
     def test_eval_channel_subsampling(self, tmp_path, config_path, dataset):
         run = tmp_path / "run"
         main(["train", "--config", config_path, "--data", dataset, "--out", str(run), "--quiet"])
@@ -503,6 +524,7 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert ("config.selection.orientation=True" in err) == orientation
 
+    @pytest.mark.filterwarnings("error")  # the missing source is reported before any fallback
     def test_noise_prior_without_noise_source_is_data_error(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(TINY_CONFIG))
         cfg["sim"]["noise_source"] = False
@@ -609,7 +631,7 @@ class TestGraphCommand:
         assert main(["graph", "--kind", "prior", "--scene", str(path), "--rho", "0.6",
                      "--noise-rho", "0.2"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        mask = apply_noise_mask(build_prior(scene, 0.6), scene, 0.2)
+        mask = build_prior(scene, 0.6, 0.2)
         assert doc["mask"]["selected_indices"] == np.flatnonzero(mask).tolist()
         assert 0 not in doc["mask"]["selected_indices"]
         assert doc["adjacency"] == adjacency_to_json(adjacency_from_mask(mask))
@@ -648,14 +670,18 @@ class TestGraphCommand:
     def test_missing_scene_is_config_error(self):
         assert main(["graph", "--kind", "prior", "--rho", "0.5"]) == 2
 
+    @pytest.mark.filterwarnings("error")  # the missing source is reported before any fallback
     def test_noise_prior_without_noise_source_is_data_error(self, tmp_path, capsys):
         scene = sample_scene(np.random.default_rng(3), SimConfig(n_nodes=4,
                                                                  with_noise_source=False))
         path = tmp_path / "scene.json"
         save_scene(path, scene)
-        assert main(["graph", "--kind", "prior", "--scene", str(path), "--noise-rho", "0.2"]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("data error:") and "noise source" in err
+        # --rho 0.05 keeps no channel by the speaker distances alone.
+        for rho in ([], ["--rho", "0.05"]):
+            assert main(["graph", "--kind", "prior", "--scene", str(path), *rho,
+                         "--noise-rho", "0.2"]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("data error:") and "noise source" in err
 
     @pytest.mark.parametrize("args, code", [
         (["--kind", "span", "--n", "5", "--delta", "-1"], 2),

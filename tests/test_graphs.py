@@ -1,5 +1,7 @@
 """Graph constructors against brute-force geometry oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,12 +12,10 @@ from adhocsv.graphs import (
     MissingPriorError,
     adjacency_from_mask,
     adjacency_to_json,
-    apply_noise_mask,
     build_complete,
     build_knn,
     build_prior,
     build_temporal_span,
-    compose_prior,
 )
 from adhocsv.scenesim import Scene
 from adhocsv.stagg import GraphSpec, build_graph
@@ -178,74 +178,135 @@ class TestPrior:
                 build_prior(scene, bad)
 
 
+def reference_prior(scene, rho, rho_noise=None):
+    """The prior by its definition, one channel at a time, and whether it fell back."""
+    d_spk = [float(np.linalg.norm(p - scene.speaker_pos)) for p in scene.node_pos]
+    kept = [d == 0.0 or d / max(d_spk) < rho for d in d_spk]
+    if rho_noise is not None:
+        d_noise = [float(np.linalg.norm(p - scene.noise_pos)) for p in scene.node_pos]
+        kept = [k and (max(d_noise) == 0.0 or not d / max(d_noise) < rho_noise)
+                for k, d in zip(kept, d_noise)]
+    if any(kept):
+        return kept, False
+    return [i == d_spk.index(min(d_spk)) for i in range(len(d_spk))], True
+
+
+def prior_and_warnings(scene, rho, rho_noise=None):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        mask = build_prior(scene, rho, rho_noise)
+    return mask, caught
+
+
 class TestNoiseMask:
+    """The noise test of :func:`build_prior`, given ``rho_noise``."""
+
     def test_on_noise_removed_farthest_kept(self):
+        # Nodes 0 and 1 pass the speaker test (node 2 is the farthest from
+        # the speaker); the noise sits on node 0, and node 1 is the farthest from it.
         noise = (5.0, 5.0, 2.0)
-        nodes = [noise, (9.0, 13.0, 4.0)]
-        scene = make_scene(nodes, speaker=(1.0, 1.0, 1.0), noise=noise)
-        mask = np.array([True, True])
-        out = apply_noise_mask(mask, scene, rho_noise=0.2)
-        assert out.tolist() == [False, True]
+        nodes = [noise, (9.0, 13.0, 4.0), (1.0, 1.0, 1.0)]
+        scene = make_scene(nodes, speaker=(7.0, 9.0, 3.0), noise=noise)
+        assert build_prior(scene, rho=1.0).tolist() == [True, True, False]
+        assert build_prior(scene, rho=1.0, rho_noise=0.2).tolist() == [False, True, False]
 
     def test_ratio_one_survives_strict_inequality(self):
+        # Node 0 is the farthest from the speaker; node 1 the farthest from the noise.
         noise = (1.0, 1.0, 1.0)
-        nodes = [(2.0, 1.0, 1.0), (9.0, 13.0, 4.0)]
-        scene = make_scene(nodes, noise=noise)
-        mask = np.array([True, True])
-        out = apply_noise_mask(mask, scene, rho_noise=1.0)
-        assert out.tolist() == [False, True]
+        nodes = [(2.0, 1.0, 1.0), (9.0, 13.0, 4.0), (1.0, 12.0, 1.0)]
+        scene = make_scene(nodes, speaker=(8.0, 12.0, 4.0), noise=noise)
+        assert build_prior(scene, rho=1.0).tolist() == [False, True, True]
+        assert build_prior(scene, rho=1.0, rho_noise=1.0).tolist() == [False, True, False]
 
     def test_matches_threshold_oracle(self):
         rng = np.random.default_rng(5)
         for _ in range(30):
             scene = random_scene(rng, n_nodes=20)
-            mask = np.ones(20, dtype=bool)
-            out = apply_noise_mask(mask, scene, rho_noise=0.2)
-            d = np.linalg.norm(scene.node_pos - scene.noise_pos, axis=1)
-            oracle = {i for i in range(20) if not d[i] / d.max() < 0.2}
+            out = build_prior(scene, rho=1.0, rho_noise=0.2)
+            d = np.linalg.norm(scene.node_pos - scene.speaker_pos, axis=1)
+            dn = np.linalg.norm(scene.node_pos - scene.noise_pos, axis=1)
+            oracle = {i for i in range(20) if d[i] / d.max() < 1.0 and not dn[i] / dn.max() < 0.2}
             if oracle:
                 assert set(np.flatnonzero(out)) == oracle
 
     def test_requires_noise_source(self):
+        # The one node is the farthest from the speaker, so the speaker test
+        # alone keeps nothing; the missing source is reported before any fallback.
         scene = make_scene([(2.0, 2.0, 2.0)])
-        with pytest.raises(MissingPriorError):
-            apply_noise_mask(np.array([True]), scene)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MissingPriorError, match="noise source"):
+                build_prior(scene, 1.0, rho_noise=0.2)
         assert issubclass(MissingPriorError, ValueError)
 
     def test_never_adds_channels(self):
-        scene = make_scene([(7.0, 5.0, 2.0), (8.0, 5.0, 2.0)], noise=(1.0, 1.0, 1.0))
-        mask = np.array([False, True])
-        out = apply_noise_mask(mask, scene, rho_noise=0.2)
-        assert out.tolist() == [False, True]
+        scene = make_scene([(7.0, 5.0, 2.0), (8.0, 5.0, 2.0), (6.0, 5.0, 2.0)],
+                           noise=(1.0, 1.0, 1.0))
+        base = build_prior(scene, rho=1.0)
+        assert base.tolist() == [True, False, True]
+        for rho_noise in (0.1, 0.5, 0.8):
+            out = build_prior(scene, rho=1.0, rho_noise=rho_noise)
+            assert not (out & ~base).any()
 
     def test_empty_fallback(self):
-        # Nodes 0 and 1 sit by the noise source; node 0 is the nearest to the speaker.
+        # Nodes 0 and 1 pass the speaker test and sit by the noise source;
+        # node 0 is the nearest to the speaker.  The fallback warns once.
         nodes = [(3.0, 5.0, 2.0), (3.0, 5.5, 2.0), (9.0, 13.0, 4.0)]
         scene = make_scene(nodes, speaker=(5.0, 5.0, 2.0), noise=(3.0, 5.0, 2.0))
-        mask = np.array([True, True, False])
-        with pytest.warns(UserWarning):
-            out = apply_noise_mask(mask, scene, rho_noise=0.2)
+        assert build_prior(scene, rho=0.6).tolist() == [True, True, False]
+        out, caught = prior_and_warnings(scene, 0.6, rho_noise=0.2)
         assert np.flatnonzero(out).tolist() == [0]
+        assert len(caught) == 1 and issubclass(caught[0].category, UserWarning)
+
+
+class TestOnePrior:
+    @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2 ** 30),
+           st.sampled_from(["random", "on_speaker", "node_on_noise", "no_noise"]),
+           st.floats(min_value=0.01, max_value=1.0),
+           st.one_of(st.none(), st.floats(min_value=0.01, max_value=1.0)))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_definition_and_warns_at_most_once(self, n, seed, layout, rho,
+                                                            rho_noise):
+        rng = np.random.default_rng(seed)
+        scene = random_scene(rng, n_nodes=n)
+        if layout == "on_speaker":
+            scene = make_scene([scene.speaker_pos] * n, speaker=scene.speaker_pos,
+                               noise=scene.noise_pos)
+        elif layout == "node_on_noise":
+            nodes = scene.node_pos.copy()
+            nodes[rng.integers(n)] = scene.noise_pos
+            scene = make_scene(nodes, speaker=scene.speaker_pos, noise=scene.noise_pos)
+        elif layout == "no_noise":
+            scene = make_scene(scene.node_pos, speaker=scene.speaker_pos)
+        if scene.noise_pos is None and rho_noise is not None:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # checked before any fallback could warn
+                with pytest.raises(MissingPriorError):
+                    build_prior(scene, rho, rho_noise)
+            return
+        mask, caught = prior_and_warnings(scene, rho, rho_noise)
+        expected, fell_back = reference_prior(scene, rho, rho_noise)
+        assert mask.dtype == np.bool_ and mask.tolist() == expected
+        assert len(caught) == int(fell_back)
+
+    def test_noise_threshold_domain(self):
+        scene = random_scene(np.random.default_rng(7), n_nodes=3, with_noise=False)
+        for bad in (0.0, -0.2, 1.5):
+            with pytest.raises(ValueError, match="rho_noise must lie in"):
+                build_prior(scene, 0.5, rho_noise=bad)
 
 
 class TestMaskComposition:
     @given(st.integers(min_value=0, max_value=2 ** 30))
     @settings(max_examples=30, deadline=None)
     def test_masks_never_add_channels(self, seed):
+        # The noise test only removes channels from the speaker test's mask,
+        # or leaves the nearest channel, which that mask keeps whenever it keeps any.
         rng = np.random.default_rng(seed)
         scene = random_scene(rng, n_nodes=10)
-        prior = build_prior(scene, rho=0.8)
-        assert np.array_equal(compose_prior(scene, 0.8), prior)
-        before = set(np.flatnonzero(prior))
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            after = compose_prior(scene, 0.8, rho_noise=0.3)
-        # Fallback may pick the nearest channel, which is always prior-selected
-        # (or the unique fallback choice), so composition stays monotone here.
-        assert set(np.flatnonzero(after)) <= before | {int(np.argmin(
-            np.linalg.norm(scene.node_pos - scene.speaker_pos, axis=1)))}
+        before = set(np.flatnonzero(build_prior(scene, rho=0.8)))
+        after, _ = prior_and_warnings(scene, 0.8, rho_noise=0.3)
+        assert set(np.flatnonzero(after)) <= before
 
 
 class TestGraphArrays:
@@ -256,11 +317,7 @@ class TestGraphArrays:
         # param is the span half-window and the knn k, so k >= n is drawn too.
         rng = np.random.default_rng(seed)
         scene = random_scene(rng, n_nodes=n)
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            prior = compose_prior(scene, rng.uniform(0.05, 1.0), rng.uniform(0.05, 1.0))
+        prior, _ = prior_and_warnings(scene, rng.uniform(0.05, 1.0), rng.uniform(0.05, 1.0))
         for a in (build_graph(GraphSpec("complete"), n),
                   build_graph(GraphSpec("span", delta=param), n),
                   build_graph(GraphSpec("knn", k=param), n, scene.node_pos),

@@ -14,9 +14,9 @@ from adhocsv import diffcore as dc
 from adhocsv import trainer
 from adhocsv.chansel import ChannelBudgetError
 from adhocsv.diffcore import Parameter, ParamSet, Tensor
-from adhocsv.graphs import adjacency_from_mask, build_complete, build_knn, compose_prior
+from adhocsv.graphs import adjacency_from_mask, build_complete, build_prior
 from adhocsv.scenesim import FrameTensor, SimConfig, make_codebook, sample_scene, synth_features
-from adhocsv.stagg import GraphSpec, load_checkpoint, save_checkpoint, st_stack
+from adhocsv.stagg import GraphSpec, build_graph, load_checkpoint, save_checkpoint, st_stack
 from adhocsv.trainer import (
     DegenerateTaskError,
     MissingPriorError,
@@ -256,6 +256,20 @@ class TestEmbed:
             ModelConfig(temporal_graph=GraphSpec(kind="knn"))
 
 
+def forward_alone(model, features, scene):
+    """One utterance through ``_forward``: its embedding, keep row and gate row (or None)."""
+    emb, keep, gate = _forward(model, np.asarray(features)[None], [scene])
+    return emb.data[0], keep[0], None if gate is None else gate[0]
+
+
+def assert_same_choice(keep, gate, alone_keep, alone_gate):
+    """The same kept channels, and gates within 1e-12 (or None on both sides)."""
+    assert keep.dtype == np.bool_ and np.array_equal(keep, alone_keep)
+    assert (gate is None) == (alone_gate is None)
+    if gate is not None:
+        assert np.max(np.abs(gate - alone_gate)) <= 1e-12
+
+
 PARITY_CASES = [(m, s, g) for m in ("sam", "gcn") for s in ("none", "prior", "gpool")
                 for g in ("complete", "span")] + [("mean", "none", "complete")]
 
@@ -271,17 +285,13 @@ def test_batch_forward_matches_each_utterance_alone(mechanism, selection, tempor
                       selection=SelectionConfig(kind=selection),
                       temporal_graph=GraphSpec(kind=temporal, delta=1), seed=31)
     model = Model.init(cfg, n_speakers=2)
-    embs, infos = _forward(model, xs, scenes)
-    assert embs.shape == (b, d)
+    embs, keep, gate = _forward(model, xs, scenes)
+    assert embs.shape == (b, d) and keep.shape == (b, c)
+    assert (gate is None) == (selection != "gpool")
     for i in range(b):
-        alone, info = embed_with_info(model, FrameTensor(xs[i]), scenes[i])
+        alone, alone_keep, alone_gate = forward_alone(model, xs[i], scenes[i])
         assert np.max(np.abs(embs.data[i] - alone)) <= 1e-12
-        assert infos[i]["mechanism"] == info["mechanism"]
-        assert infos[i]["selected_indices"] == info["selected_indices"]
-        if info["gates"] is None:
-            assert infos[i]["gates"] is None
-        else:
-            assert np.max(np.abs(np.subtract(infos[i]["gates"], info["gates"]))) <= 1e-12
+        assert_same_choice(keep[i], None if gate is None else gate[i], alone_keep, alone_gate)
 
 
 def test_batched_prior_pooling_matches_per_utterance_reference():
@@ -293,34 +303,47 @@ def test_batched_prior_pooling_matches_per_utterance_reference():
     cfg = ModelConfig(mechanism="gcn", n_blocks=1, heads=2, d=d,
                       selection=SelectionConfig(kind="prior", rho=0.7), seed=32)
     model = Model.init(cfg, n_speakers=2)
-    embs, infos = _forward(model, xs, scenes)
-    masks = [compose_prior(scene, 0.7) for scene in scenes]
+    embs, keep, _ = _forward(model, xs, scenes)
+    masks = [build_prior(scene, 0.7) for scene in scenes]
     z = st_stack(Tensor(xs), model.blocks, build_complete(t),
                  np.stack([adjacency_from_mask(mask) for mask in masks])).data
     for i, mask in enumerate(masks):
-        assert infos[i]["selected_indices"] == np.flatnonzero(mask).tolist()
+        assert np.array_equal(keep[i], mask)
         reference = z[i][mask].mean(axis=(0, 1))
         assert np.max(np.abs(embs.data[i] - reference)) <= 1e-12
 
 
-@pytest.mark.parametrize("spatial", [GraphSpec(), GraphSpec("knn", k=2)], ids=lambda g: g.kind)
-def test_prior_masks_the_configured_spatial_graph(spatial):
-    # The prior ANDs the configured graph with the clique over its channels;
-    # on a complete graph that is the clique itself.
+@pytest.mark.parametrize("spatial",
+                         [GraphSpec(), GraphSpec("knn", k=2), GraphSpec("span", delta=1)],
+                         ids=lambda g: g.kind)
+def test_prior_masks_the_configured_spatial_graph(spatial, monkeypatch):
+    # The batched spatial mask is each utterance's configured graph ANDed
+    # with the clique over its prior channels; on a complete graph that is
+    # the clique itself.
     rng = np.random.default_rng(42)
-    scene = sample_scene(rng, SimConfig(n_nodes=8))
+    b, c = 3, 8
+    scenes = [sample_scene(rng, SimConfig(n_nodes=c)) for _ in range(b)]
     cfg = ModelConfig(n_blocks=1, heads=2, d=8, spatial_graph=spatial,
                       selection=SelectionConfig(kind="prior", rho=0.7))
-    entries, mask = trainer._spatial_adjacency(Model.init(cfg, n_speakers=2), 8, scene)
-    s = compose_prior(scene, 0.7)
-    assert np.array_equal(mask, s)
-    clique = np.outer(s, s) | np.eye(8, dtype=bool)
-    if spatial.kind == "complete":
-        assert np.array_equal(entries, clique)
-    else:
-        knn = build_knn(scene.node_pos, 2)
-        assert np.array_equal(entries, knn & np.outer(s, s) | np.eye(8, dtype=bool))
-        assert not np.array_equal(entries, clique)
+    seen = []
+
+    def spy(x, blocks, a_temporal, a_spatial):
+        seen.append(a_spatial)
+        return st_stack(x, blocks, a_temporal, a_spatial)
+
+    monkeypatch.setattr(trainer, "st_stack", spy)
+    _, keep, _ = _forward(Model.init(cfg, n_speakers=2), np.ones((b, c, 3, 8)), scenes)
+    (a_spatial,) = seen
+    assert a_spatial.dtype == np.bool_ and a_spatial.shape == (b, c, c)
+    for i, scene in enumerate(scenes):
+        mask = build_prior(scene, 0.7)
+        assert np.array_equal(keep[i], mask)
+        graph = build_graph(spatial, c, scene.node_pos)
+        assert np.array_equal(a_spatial[i], graph & adjacency_from_mask(mask))
+        if spatial.kind == "complete":
+            assert np.array_equal(a_spatial[i], adjacency_from_mask(mask))
+    if spatial.kind != "complete":
+        assert not all(np.array_equal(a_spatial[i], adjacency_from_mask(keep[i])) for i in range(b))
 
 
 def test_knn_with_k_over_channel_count_links_every_channel():
@@ -362,10 +385,13 @@ def test_equal_frame_counts_take_the_unpadded_path_bit_for_bit(selection):
                       temporal_graph=GraphSpec(kind="span", delta=1), seed=33)
     model = Model.init(cfg, n_speakers=2)
     # frames=None means every frame is valid: the same path as [t] * b.
-    shared, shared_infos = _forward(model, xs, scenes)
-    counted, counted_infos = _forward(model, xs, scenes, [t] * b)
+    shared, shared_keep, shared_gate = _forward(model, xs, scenes)
+    counted, counted_keep, counted_gate = _forward(model, xs, scenes, [t] * b)
     assert counted.data.tobytes() == shared.data.tobytes()
-    assert counted_infos == shared_infos
+    assert counted_keep.tobytes() == shared_keep.tobytes()
+    assert (counted_gate is None) == (shared_gate is None) == (selection != "gpool")
+    if shared_gate is not None:
+        assert counted_gate.tobytes() == shared_gate.tobytes()
 
 
 def test_forward_rejects_bad_frame_counts():
@@ -417,7 +443,7 @@ def test_padded_batch_matches_each_utterance_alone(mechanism, selection, tempora
     utts = ragged_utterances(RAGGED_SHAPES)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # prior fallbacks on one- and two-channel arrays
-        alone = {k: embed_with_info(model, u.features, u.scene) for k, u in utts.items()}
+        alone = {k: forward_alone(model, u.features.data, u.scene) for k, u in utts.items()}
         # One padded batch per channel count, through the forward pass itself.
         for c in sorted({u.features.c for u in utts.values()}):
             group = [k for k, u in utts.items() if u.features.c == c]
@@ -427,10 +453,10 @@ def test_padded_batch_matches_each_utterance_alone(mechanism, selection, tempora
                 x = np.random.default_rng(c).standard_normal(x.shape)
             for i, k in enumerate(group):
                 x[i, :, :frames[i]] = utts[k].features.data
-            embs, infos = _forward(model, x, [utts[k].scene for k in group], frames)
+            embs, keep, gate = _forward(model, x, [utts[k].scene for k in group], frames)
             for i, k in enumerate(group):
                 assert np.max(np.abs(embs.data[i] - alone[k][0])) <= 1e-12
-                assert infos[i]["selected_indices"] == alone[k][1]["selected_indices"]
+                assert_same_choice(keep[i], None if gate is None else gate[i], *alone[k][1:])
         trials = all_pair_trials(utts)
         report = evaluate(model, utts, trials)
     expected = [cosine_score(alone[t.enroll_id][0], alone[t.test_id][0]) for t in trials.trials]
@@ -771,7 +797,7 @@ class TestModelIO:
         path = tmp_path / "model.ckpt"
         save_model(path, model)
         again = load_model(path)
-        assert np.array_equal(again.gpool.p.data, model.gpool.p.data)
+        assert np.array_equal(again.gpool.data, model.gpool.data)
 
 
 class TestChannelOps:
