@@ -11,8 +11,10 @@ uses knn AND that clique instead (as does a span + prior one with span).
 Config keys: a top-level ``seed`` and sections ``model``, ``train`` and
 ``eval`` whose keys are the fields, with the defaults, of ModelConfig,
 TrainHyper and EvalSpec (``model.d`` defaults to ``sim.d``, and
-``train.channels`` subsamples training channels).  ``sim`` keys name
-SimConfig fields, except the pairs ``snr_db`` and
+``train.channels`` subsamples training channels).  ``model.mechanism`` is
+``sam`` or ``gcn``; ``model.n_blocks: 0`` is the MEAN baseline, which
+pools the features without a stack and may still select channels.
+``sim`` keys name SimConfig fields, except the pairs ``snr_db`` and
 ``room.{width,length,height}`` (its ``*_range`` fields), ``noise_source``
 (``with_noise_source``) and ``n_train``/``n_test``/``shared_scene``.
 Unknown keys are config errors.
@@ -60,8 +62,6 @@ from .trainer import (
     evaluate,
     generate_trials,
     load_model,
-    model_config_from_json,
-    model_config_to_json,
     read_trials_csv,
     save_model,
     subsample_channels,
@@ -311,18 +311,11 @@ def cmd_train(args) -> int:
     loss_path = os.path.join(args.out, "loss.csv")
 
     if args.resume and os.path.exists(ckpt_path):
-        from .stagg import load_checkpoint
-
         try:
-            manifest, _ = load_checkpoint(ckpt_path)
+            trained = load_model(ckpt_path)
         except ValueError as err:
             raise DataError(f"cannot load checkpoint {ckpt_path}: {err}") from err
-        try:
-            # Round-trip: removed settings recorded at their no-op values still match.
-            trained_with = model_config_to_json(model_config_from_json(manifest["config"]))
-        except (KeyError, ValueError) as err:
-            raise DataError(f"cannot read the config of checkpoint {ckpt_path}: {err}") from err
-        if trained_with == model_config_to_json(cfg.model):
+        if trained.cfg == cfg.model:
             _say(args.quiet, f"checkpoint {ckpt_path} already matches config; nothing to do")
             return 0
         raise DataError(f"existing checkpoint {ckpt_path} was trained with a different config")
@@ -333,8 +326,8 @@ def cmd_train(args) -> int:
     _atomic_write(ckpt_path, lambda tmp: save_model(tmp, model))
     lines = ["epoch,mean_loss"] + [f"{i},{loss!r}" for i, loss in enumerate(curve)]
     _atomic_write_bytes(loss_path, ("\n".join(lines) + "\n").encode("utf-8"))
-    _say(args.quiet, f"trained {cfg.model.mechanism} for {cfg.train.epochs} epochs; "
-                     f"final loss {curve[-1]:.4f}; wrote {ckpt_path}")
+    _say(args.quiet, f"trained {cfg.model.n_blocks} {cfg.model.mechanism} blocks for "
+                     f"{cfg.train.epochs} epochs; final loss {curve[-1]:.4f}; wrote {ckpt_path}")
     return 0
 
 

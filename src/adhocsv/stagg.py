@@ -7,7 +7,9 @@ channels of each frame, shared weights across frames; every utterance
 brings its own channel graph).  Two interchangeable mechanisms are
 provided: masked multi-head self-attention ("sam") and an additive
 attention aggregation with LeakyReLU edge scores ("gcn"); :func:`st_stack`
-is the one place that picks between them.
+is the one place that picks between them.  A stack may hold zero blocks:
+it then returns its input, and the model pools the frame features as
+they are (the MEAN baseline, ``model.n_blocks: 0``).
 
 gcn's attention is static: the paper's score beta . LeakyReLU([W_l h_i ||
 W_r h_j]) for edge (i, j) splits into a term of node i plus a term of key
@@ -25,6 +27,8 @@ frame of an utterance to one vector.
 Output width equals input width (head dim = D / heads), so blocks stack
 without projections.  There are no residuals or inter-block
 nonlinearities; blocks are plain compositions with unshared parameters.
+A module's widths are those of its weights; its LeakyReLU slope is GAT's
+0.2 (Velickovic et al., arXiv:1710.10903).
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ __all__ = [
 
 MECHANISMS = ("sam", "gcn")
 GRAPH_KINDS = ("complete", "span", "knn")
+LEAKY_SLOPE = 0.2
 
 
 @dataclass(frozen=True)
@@ -78,14 +83,13 @@ class GraphSpec:
 
 @dataclass
 class AggParams:
-    """Per-head learnable matrices for one aggregation call."""
+    """Per-head learnable matrices for one aggregation call.
+
+    Each head's first matrix (sam's wq, gcn's wr) is (d_in, d_head).
+    """
 
     mechanism: str
-    d_in: int
-    n_heads: int
-    d_head: int
     heads: list[dict[str, Parameter]]
-    leaky_slope: float = 0.2
 
     def parameters(self) -> list[Parameter]:
         return [p for head in self.heads for p in head.values()]
@@ -111,7 +115,6 @@ def init_agg_params(
     n_heads: int,
     rng: np.random.Generator,
     prefix: str,
-    leaky_slope: float = 0.2,
 ) -> AggParams:
     """Seeded uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) initialization."""
     if mechanism not in MECHANISMS:
@@ -139,20 +142,19 @@ def init_agg_params(
                 "beta": Parameter(f"{tag}.beta", beta),
             }
         heads.append(head)
-    return AggParams(mechanism, d_in, n_heads, d_head, heads, leaky_slope)
+    return AggParams(mechanism, heads)
 
 
 def init_stack_params(mechanism: str, n_blocks: int, d: int, n_heads: int,
-                      rng: np.random.Generator, leaky_slope: float = 0.2) -> list[BlockParams]:
-    """Unshared parameters for every temporal/spatial module in the stack."""
-    if n_blocks < 1:
-        raise ValueError("stack needs at least one block")
+                      rng: np.random.Generator) -> list[BlockParams]:
+    """Unshared parameters for every temporal/spatial module in the stack (none for 0 blocks)."""
+    if n_blocks < 0:
+        raise ValueError(f"block count must be nonnegative, got {n_blocks}")
     blocks = []
     for b in range(n_blocks):
         blocks.append(BlockParams(
-            temporal=init_agg_params(mechanism, d, n_heads, rng, f"block{b}.temporal",
-                                     leaky_slope),
-            spatial=init_agg_params(mechanism, d, n_heads, rng, f"block{b}.spatial", leaky_slope),
+            temporal=init_agg_params(mechanism, d, n_heads, rng, f"block{b}.temporal"),
+            spatial=init_agg_params(mechanism, d, n_heads, rng, f"block{b}.spatial"),
         ))
     return blocks
 
@@ -172,13 +174,14 @@ def _checked_mask(x: Tensor, a, params: AggParams, mechanism: str) -> np.ndarray
         raise ValueError(f"params carry mechanism {params.mechanism!r}, expected {mechanism!r}")
     if x.ndim < 2:
         raise dc.ShapeError("aggregation input must be (..., N, D)")
-    if x.shape[-1] != params.d_in:
-        raise dc.ShapeError(f"input dim {x.shape[-1]} != parameter dim {params.d_in}")
+    d_in = params.parameters()[0].shape[0]
+    if x.shape[-1] != d_in:
+        raise dc.ShapeError(f"input dim {x.shape[-1]} != parameter dim {d_in}")
     n = x.shape[-2]
     return dc.check_mask(a, x.shape[:-2] + (n, n))
 
 
-def sam_agg(x, a, params: AggParams, with_weights: bool = False):
+def sam_agg(x, a, params: AggParams) -> Tensor:
     """Multi-head self-attention with the adjacency masking the softmax.
 
     Per head: Q, K, V are linear maps of the input; scores Q K' / sqrt(d)
@@ -192,20 +195,17 @@ def sam_agg(x, a, params: AggParams, with_weights: bool = False):
     """
     x = _as_tensor(x)
     mask = _checked_mask(x, a, params, "sam")
-    inv_sqrt_d = 1.0 / math.sqrt(params.d_head)
-    outs, weights = [], []
+    outs = []
     for head in params.heads:
         q = dc.matmul(x, head["wq"])
         k = dc.matmul(x, head["wk"])
         v = dc.matmul(x, head["wv"])
-        attn = dc.masked_softmax(dc.scale(dc.matmul(q, _swap_last(k)), inv_sqrt_d), mask)
-        outs.append(dc.matmul(attn, v))
-        weights.append(attn)
-    out = dc.concat(outs, axis=-1)
-    return (out, weights) if with_weights else out
+        scores = dc.scale(dc.matmul(q, _swap_last(k)), 1.0 / math.sqrt(q.shape[-1]))
+        outs.append(dc.matmul(dc.masked_softmax(scores, mask), v))
+    return dc.concat(outs, axis=-1)
 
 
-def gcn_agg(x, a, params: AggParams, with_weights: bool = False):
+def gcn_agg(x, a, params: AggParams) -> Tensor:
     """Additive-attention graph aggregation with static scores, as one masked pool.
 
     All heads at once: g = x [W_r,0 | ... | W_r,H-1]; node j's score for
@@ -217,16 +217,16 @@ def gcn_agg(x, a, params: AggParams, with_weights: bool = False):
 
     ``a`` as in :func:`sam_agg`.  A row whose neighbors all score more
     than about 708 below the max underflows to a zero denominator and
-    raises ``NonFiniteError``.  ``with_weights=True`` also returns each
-    head's (..., N, N) weights M_ij w_jh / sum_j M_ij w_jh as a constant.
+    raises ``NonFiniteError``.
     """
     x = _as_tensor(x)
     mask = _checked_mask(x, a, params, "gcn")
-    lead, n, h, d_head = x.shape[:-2], x.shape[-2], params.n_heads, params.d_head
+    lead, n, h = x.shape[:-2], x.shape[-2], len(params.heads)
+    d_head = params.heads[0]["wr"].shape[1]
     split, flat, per_head = lead + (n, h, d_head), lead + (n, h * d_head), lead + (n, h, 1)
     g = dc.reshape(dc.matmul(x, dc.concat([hd["wr"] for hd in params.heads], axis=-1)), split)
     beta = dc.reshape(dc.concat([hd["beta"] for hd in params.heads]), (h, d_head))
-    s = dc.sum_axis(dc.mul(dc.leaky_relu(g, params.leaky_slope), beta), -1)  # (..., N, H)
+    s = dc.sum_axis(dc.mul(dc.leaky_relu(g, LEAKY_SLOPE), beta), -1)  # (..., N, H)
     w = dc.exp(dc.add(s, -s.data.max(axis=-2, keepdims=True)))
     m = Tensor(mask.astype(np.float64))
     num = dc.matmul(m, dc.reshape(dc.mul(g, dc.reshape(w, per_head)), flat))
@@ -234,12 +234,7 @@ def gcn_agg(x, a, params: AggParams, with_weights: bool = False):
     if den.data.min() < np.finfo(np.float64).tiny:
         raise dc.NonFiniteError("gcn: a node's neighbors all score too far below the max "
                                 "of its slice; their weights underflow to zero")
-    out = dc.reshape(dc.div(dc.reshape(num, split), dc.reshape(den, per_head)), flat)
-    if not with_weights:
-        return out
-    weights = [Tensor(m.data * w.data[..., None, :, i] / den.data[..., :, i, None])
-               for i in range(h)]
-    return out, weights
+    return dc.reshape(dc.div(dc.reshape(num, split), dc.reshape(den, per_head)), flat)
 
 
 def build_graph(spec: GraphSpec, n: int, positions=None) -> np.ndarray:

@@ -2,12 +2,14 @@
 
 The trainable system = spatial-temporal aggregation stack, optional
 channel selection pooled as one weighted mean of the channels' frame
-means, and a linear softmax classifier over speakers.  Frame-level features are
-frozen inputs.  One batched forward pass computes the embeddings:
-training runs it on batches of same-shape utterances, :func:`embed` on
-one utterance, and :func:`evaluate` on batches of utterances with equal
-channel counts whose frame counts differ, zero-padded on the frame axis
-and masked so that padding changes no embedding.  Verification scores
+means, and a linear softmax classifier over speakers.  A stack of zero
+blocks (``n_blocks=0``) is the MEAN baseline, with or without selection.
+Frame-level features are frozen inputs.  One batched forward pass
+computes the embeddings: training runs it on batches of same-shape
+utterances, :func:`embed` on one utterance, and :func:`evaluate` on
+batches of utterances with equal channel counts whose frame counts
+differ, zero-padded on the frame axis and masked so that padding changes
+no embedding.  Verification scores
 utterance-embedding pairs with cosine similarity and reports the equal
 error rate from a full threshold sweep.
 """
@@ -26,6 +28,7 @@ from .diffcore import NonFiniteError, Parameter, ParamSet, Tensor
 from .graphs import MissingPriorError, build_prior
 from .scenesim import FrameTensor, Scene
 from .stagg import (
+    MECHANISMS,
     BlockParams,
     GraphSpec,
     build_graph,
@@ -53,7 +56,6 @@ __all__ = [
     "embed_with_info",
     "cosine_score",
     "eer_from_scores",
-    "compute_eer",
     "evaluate",
     "generate_trials",
     "subsample_channels",
@@ -67,7 +69,6 @@ __all__ = [
     "load_model",
 ]
 
-MECHANISMS = ("sam", "gcn", "mean")
 SELECTION_KINDS = ("none", "gpool", "prior")
 
 
@@ -101,23 +102,22 @@ class SelectionConfig:
 @dataclass(frozen=True)
 class ModelConfig:
     mechanism: str = "gcn"
-    n_blocks: int = 2
+    n_blocks: int = 2  # 0: no stack, the MEAN baseline
     heads: int = 4
     d: int = 16
     selection: SelectionConfig = field(default_factory=SelectionConfig)
     temporal_graph: GraphSpec = field(default_factory=GraphSpec)
     spatial_graph: GraphSpec = field(default_factory=GraphSpec)
-    leaky_slope: float = 0.2
     seed: int = 0
 
     def __post_init__(self):
         if self.mechanism not in MECHANISMS:
             raise ValueError(f"unknown mechanism {self.mechanism!r}")
-        if self.mechanism == "mean" and self.selection.kind != "none":
-            raise ValueError("the mean baseline pools all channels; selection must be 'none'")
-        if self.mechanism != "mean" and min(self.n_blocks, self.heads) < 1:
-            raise ValueError(f"n_blocks={self.n_blocks} and heads={self.heads} must be positive")
-        if self.mechanism != "mean" and self.d % self.heads != 0:
+        if self.n_blocks < 0:
+            raise ValueError(f"n_blocks={self.n_blocks} must be nonnegative")
+        if self.n_blocks > 0 and self.heads < 1:
+            raise ValueError(f"heads={self.heads} must be positive")
+        if self.n_blocks > 0 and self.d % self.heads != 0:
             raise ValueError(f"d={self.d} must split evenly over {self.heads} heads")
         if self.temporal_graph.kind == "knn":
             raise ValueError("the temporal graph cannot be knn: frames have no positions")
@@ -149,11 +149,7 @@ class Model:
     @classmethod
     def init(cls, cfg: ModelConfig, n_speakers: int) -> "Model":
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
-        if cfg.mechanism == "mean":
-            blocks: list[BlockParams] = []
-        else:
-            blocks = init_stack_params(cfg.mechanism, cfg.n_blocks, cfg.d, cfg.heads, rng,
-                                       cfg.leaky_slope)
+        blocks = init_stack_params(cfg.mechanism, cfg.n_blocks, cfg.d, cfg.heads, rng)
         gp = init_gpool_params(cfg.d, rng) if cfg.selection.kind == "gpool" else None
         bound = 1.0 / math.sqrt(cfg.d)
         head_w = Parameter("head.w", rng.uniform(-bound, bound, size=(cfg.d, n_speakers)))
@@ -210,8 +206,9 @@ def _forward(model: Model, x: np.ndarray, scenes: list[Scene | None],
     all of them, the prior's mask (:func:`graphs.build_prior`, known before
     the stack), or gpool's top k (picked from zbar after it).  The spatial
     masks derive from it once, as the configured graph restricted to the
-    kept channels, with a self-loop on every channel.  The kept channels are
-    gated and pooled in one weighted mean (:func:`chansel.weighted_pool`).
+    kept channels, with a self-loop on every channel; a model of zero blocks
+    builds no graph.  The kept channels are gated and pooled in one
+    weighted mean (:func:`chansel.weighted_pool`).
     Returns the (B, D) embeddings, ``keep``, and gpool's (B, C) gate
     array (None for the other kinds).
     """
@@ -227,14 +224,14 @@ def _forward(model: Model, x: np.ndarray, scenes: list[Scene | None],
     if any(scene is None for scene in scenes):
         if sel.kind == "prior":
             raise MissingPriorError("prior channel selection needs the utterance's scene")
-        if cfg.mechanism != "mean" and cfg.spatial_graph.kind == "knn":
+        if model.blocks and cfg.spatial_graph.kind == "knn":
             raise MissingPriorError("knn spatial graph needs the utterance's scene")
     keep = np.ones((b, c), dtype=bool)  # no selection: every channel
     if sel.kind == "prior":
         rho_noise = sel.rho_noise if sel.noise else None
         keep = np.stack([build_prior(scene, sel.rho, rho_noise) for scene in scenes])
     out = Tensor(x)
-    if cfg.mechanism != "mean":
+    if model.blocks:
         positions = [None if scene is None else scene.node_pos for scene in scenes]
         graph = np.stack([build_graph(cfg.spatial_graph, c, pos) for pos in positions])
         a_spatial = graph & keep[:, :, None] & keep[:, None, :] | np.eye(c, dtype=bool)
@@ -355,19 +352,6 @@ class Trial:
 @dataclass
 class TrialSet:
     trials: list[Trial]
-    scores: np.ndarray | None = None
-
-    def with_scores(self, scores) -> "TrialSet":
-        scores = np.asarray(scores, dtype=np.float64)
-        if scores.shape != (len(self.trials),):
-            raise ValueError("one score per trial required")
-        return TrialSet(trials=self.trials, scores=scores)
-
-    def split_scores(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.scores is None:
-            raise ProtocolError("trial set has no scores")
-        labels = np.array([t.label == "target" for t in self.trials])
-        return self.scores[labels], self.scores[~labels]
 
 
 def eer_from_scores(target_scores, nontarget_scores) -> tuple[float, float]:
@@ -395,11 +379,6 @@ def eer_from_scores(target_scores, nontarget_scores) -> tuple[float, float]:
     eer = far[i1] + t * (far[i2] - far[i1])
     threshold = thresholds[i1] + t * (thresholds[i2] - thresholds[i1])
     return float(eer), float(threshold)
-
-
-def compute_eer(trials: TrialSet) -> tuple[float, float]:
-    tar, non = trials.split_scores()
-    return eer_from_scores(tar, non)
 
 
 @dataclass(frozen=True)
@@ -467,8 +446,9 @@ def evaluate(model: Model, utterances: dict[str, Utterance], trials: TrialSet) -
     """Embed, score with cosine similarity, and compute the EER.
 
     Every utterance a trial references is checked before any is embedded;
-    they are then embedded in frame-padded batches (see ``_embed_all``) and
-    every trial is scored in one :func:`cosine_score` call.
+    they are then embedded in frame-padded batches (see ``_embed_all``),
+    every trial is scored in one :func:`cosine_score` call, and the scores,
+    split by label, go to :func:`eer_from_scores`.
     """
     if not trials.trials:
         raise ProtocolError("EER needs at least one target and one nontarget trial")
@@ -483,8 +463,8 @@ def evaluate(model: Model, utterances: dict[str, Utterance], trials: TrialSet) -
     vectors = np.stack(list(embs.values()))
     scores = cosine_score(vectors[[index[t.enroll_id] for t in trials.trials]],
                           vectors[[index[t.test_id] for t in trials.trials]])
-    scored = trials.with_scores(scores)
-    eer, threshold = compute_eer(scored)
+    target = np.array([t.label == "target" for t in trials.trials])
+    eer, threshold = eer_from_scores(scores[target], scores[~target])
     return EvalReport(eer=eer, threshold=threshold, n_trials=len(trials.trials),
                       scores=tuple(scores.tolist()))
 
@@ -595,8 +575,10 @@ def model_config_to_json(cfg: ModelConfig) -> dict:
 
 
 # Settings that older checkpoints record.  They load only at the value
-# that made them a no-op, because the model no longer implements them.
-_REMOVED_SETTINGS = {"warm_start": False, "head": "linear", "head_scale": 10.0}
+# that made them a no-op, because the model no longer implements them (or,
+# for leaky_slope, now fixes them: stagg.LEAKY_SLOPE).
+_REMOVED_SETTINGS = {"warm_start": False, "head": "linear", "head_scale": 10.0,
+                     "leaky_slope": 0.2}
 _REMOVED_SELECTION_SETTINGS = {"pool_all": False, "orientation": False}
 
 
@@ -611,8 +593,14 @@ def _drop_removed(doc, removed: dict, where: str):
 
 
 def model_config_from_json(doc) -> ModelConfig:
-    """Read a checkpoint's model config, dropping removed settings at their no-op values."""
+    """Read a checkpoint's model config, dropping removed settings at their no-op values.
+
+    A recorded ``"mechanism": "mean"``, once the MEAN baseline's own
+    mechanism, reads as the stack of zero blocks.
+    """
     doc = _drop_removed(doc, _REMOVED_SETTINGS, "config")
+    if isinstance(doc, dict) and doc.get("mechanism") == "mean":
+        doc = {**doc, "mechanism": ModelConfig.mechanism, "n_blocks": 0}
     if isinstance(doc, dict) and "selection" in doc:
         doc = {**doc, "selection": _drop_removed(doc["selection"], _REMOVED_SELECTION_SETTINGS,
                                                  "config.selection")}
@@ -620,11 +608,7 @@ def model_config_from_json(doc) -> ModelConfig:
 
 
 def save_model(path, model: Model) -> None:
-    meta = {
-        "seed": model.cfg.seed,
-        "config": model_config_to_json(model.cfg),
-        "n_speakers": model.n_speakers,
-    }
+    meta = {"config": model_config_to_json(model.cfg), "n_speakers": model.n_speakers}
     save_checkpoint(path, model.params, meta)
 
 
@@ -649,9 +633,12 @@ def load_model(path) -> Model:
     if missing:
         raise ValueError(f"{path}: checkpoint manifest lacks {missing}")
     cfg = model_config_from_json(manifest["config"])
+    n_speakers = config_value(manifest["n_speakers"], 0, f"{path}: n_speakers")
+    if n_speakers < 1:
+        raise ValueError(f"{path}: n_speakers must be positive, got {n_speakers}")
     if cfg.mechanism == "gcn":
         _drop_gcn_query_side(path, values)
-    model = Model.init(cfg, n_speakers=int(manifest["n_speakers"]))
+    model = Model.init(cfg, n_speakers=n_speakers)
     missing = [p.name for p in model.params if p.name not in values]
     extra = [name for name in values if name not in model.params]
     if missing or extra:

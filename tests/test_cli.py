@@ -57,6 +57,8 @@ CORRUPT_CHECKPOINTS = {
     "not_a_checkpoint": checkpoint_bytes({"format": "something-else", "params": []}),
     "bad_shape": checkpoint_bytes(_CKPT | {"params": [{"name": "w", "shape": [-1, 2]}]}),
     "no_config": checkpoint_bytes(_CKPT | {"params": []}),
+    "n_speakers_null": checkpoint_bytes(_CKPT | {"params": [], "config": {}, "n_speakers": None}),
+    "n_speakers_zero": checkpoint_bytes(_CKPT | {"params": [], "config": {}, "n_speakers": 0}),
 }
 
 
@@ -188,7 +190,8 @@ class TestConfigErrors:
         (("eval", "channels"), 0, "config.eval.channels"),
         (("eval", "channels"), "abc", "config.eval.channels"),
         (("model", "heads"), 0, "heads=0"),
-        (("model", "n_blocks"), 0, "n_blocks=0"),
+        (("model", "n_blocks"), -1, "n_blocks=-1"),
+        (("model", "mechanism"), "mean", "unknown mechanism 'mean'"),  # MEAN is n_blocks: 0
         (("seed",), "x", "config.seed"),
         (("model",), [1, 2], "config.model must be an object"),
         (("model", "selection"), "gpool", "config.model.selection must be an object"),
@@ -219,7 +222,7 @@ class TestConfigErrors:
          "config.model.selection"),
     ], ids=["epochs_zero", "batch_size_zero", "lr_string", "train_channels_zero",
             "train_channels_string", "eval_channels_zero", "eval_channels_string", "heads_zero",
-            "n_blocks_zero", "seed_string", "model_list", "selection_string", "gpool_k_fraction",
+            "n_blocks_negative", "mechanism_mean", "seed_string", "model_list", "selection_string", "gpool_k_fraction",
             "room_string", "n_train_string", "orientation_string", "noise_string",
             "noise_source_string", "shared_scene_string", "heads_fraction", "heads_bool",
             "seed_fraction", "n_train_bool", "n_test_fraction", "lr_bool", "t60_bool",
@@ -258,7 +261,8 @@ class TestConfigErrors:
     # seed) and settings the model no longer implements are all refused.
     @pytest.mark.parametrize("path", [
         ("sim", "typo"), ("sim", "room", "typo"), ("sim", "seed"), ("model", "typo"),
-        ("model", "seed"), ("model", "warm_start"), ("model", "selection", "pool_all"),
+        ("model", "seed"), ("model", "warm_start"), ("model", "leaky_slope"),
+        ("model", "selection", "pool_all"),
         ("model", "selection", "typo"), ("model", "temporal_graph", "typo"),
         ("train", "typo"), ("eval", "typo"),
     ], ids=lambda path: ".".join(path))
@@ -279,8 +283,9 @@ class TestConfigErrors:
 @pytest.mark.parametrize("model", [
     {"mechanism": "gcn", "n_blocks": 1, "heads": 2, "selection": {"kind": "gpool"}},
     {"mechanism": "sam", "n_blocks": 1, "heads": 2, "selection": {"kind": "prior"}},
-    {"mechanism": "mean"},
-], ids=["gcn_gpool", "sam_prior", "mean"])
+    {"n_blocks": 0},
+    {"n_blocks": 0, "selection": {"kind": "gpool"}},
+], ids=["gcn_gpool", "sam_prior", "mean", "mean_gpool"])
 @pytest.mark.parametrize("n_nodes, t", [(1, 6), (4, 1)], ids=["one_channel", "one_frame"])
 def test_single_channel_or_frame_runs_end_to_end(tmp_path, capsys, model, n_nodes, t):
     cfg = json.loads(json.dumps(TINY_CONFIG))
@@ -336,7 +341,7 @@ class TestTrainEval:
 
     def test_mean_baseline_checkpoint_has_only_head(self, tmp_path, dataset):
         cfg = dict(TINY_CONFIG)
-        cfg["model"] = {"mechanism": "mean"}
+        cfg["model"] = {"n_blocks": 0}
         path = tmp_path / "mean.json"
         path.write_text(json.dumps(cfg))
         run = tmp_path / "run"
@@ -498,7 +503,7 @@ class TestTrainEval:
         main(["train", "--config", config_path, "--data", dataset, "--out", str(run), "--quiet"])
         model = load_model(run / "model.ckpt")
         config = model_config_to_json(model.cfg)
-        config.update(warm_start=False, head="linear", head_scale=10.0)
+        config.update(warm_start=False, head="linear", head_scale=10.0, leaky_slope=0.2)
         config["selection"].update(pool_all=False, orientation=False)
         save_checkpoint(run / "model.ckpt", model.params,
                         meta={"config": config, "n_speakers": model.n_speakers})
@@ -506,6 +511,38 @@ class TestTrainEval:
         assert main(["train", "--config", config_path, "--data", dataset,
                      "--out", str(run), "--resume", "--quiet"]) == 0
         assert (run / "model.ckpt").read_bytes() == before
+
+    def test_resume_reads_a_mean_mechanism_checkpoint_as_zero_blocks(self, tmp_path, dataset):
+        # The checkpoint spells MEAN as its own mechanism, as MEAN was once configured.
+        cfg = json.loads(json.dumps(TINY_CONFIG))
+        cfg["model"] = {"n_blocks": 0}
+        config = tmp_path / "mean.json"
+        config.write_text(json.dumps(cfg))
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--data", dataset,
+                     "--out", str(run), "--quiet"]) == 0
+        model = load_model(run / "model.ckpt")
+        recorded = model_config_to_json(model.cfg) | {"mechanism": "mean", "n_blocks": 2}
+        save_checkpoint(run / "model.ckpt", model.params,
+                        meta={"config": recorded, "n_speakers": model.n_speakers})
+        before = (run / "model.ckpt").read_bytes()
+        assert main(["train", "--config", str(config), "--data", dataset,
+                     "--out", str(run), "--resume", "--quiet"]) == 0
+        assert (run / "model.ckpt").read_bytes() == before
+
+    def test_resume_rejects_parameters_that_miss_their_config(self, tmp_path, config_path,
+                                                             dataset, capsys):
+        run = tmp_path / "run"
+        main(["train", "--config", config_path, "--data", dataset, "--out", str(run), "--quiet"])
+        model = load_model(run / "model.ckpt")
+        config = model_config_to_json(model.cfg) | {"n_blocks": 2}
+        save_checkpoint(run / "model.ckpt", model.params,
+                        meta={"config": config, "n_speakers": model.n_speakers})
+        capsys.readouterr()
+        assert main(["train", "--config", config_path, "--data", dataset,
+                     "--out", str(run), "--resume", "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "model.ckpt" in err and "block1" in err
 
     # Checkpoints record the orientation prior's switch; only its off value loads.
     @pytest.mark.parametrize("orientation, code", [(False, 0), (True, 3)])

@@ -3,6 +3,7 @@
 import json
 import re
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,6 @@ from adhocsv.trainer import (
     TrialSet,
     Utterance,
     _forward,
-    compute_eer,
     cosine_score,
     eer_from_scores,
     embed,
@@ -71,10 +71,23 @@ def sweep_eer_oracle(tar, non):
     raise AssertionError("no crossing found")
 
 
+def split_by_label(trials, scores):
+    """(target scores, nontarget scores) of a trial set, in trial order."""
+    target = np.array([t.label == "target" for t in trials.trials])
+    scores = np.asarray(scores)
+    return scores[target], scores[~target]
+
+
+MEAN = ModelConfig(n_blocks=0)  # the MEAN baseline: no stack
+
 SEED_CHECKPOINT = Path(__file__).parent / "data" / "seed_gcn_gpool.ckpt"
 SEED_EMBEDDING = np.array([
     0.0335410289825484, -0.010554743908178517, 0.019718635200737352, 0.11365693349580103,
     -0.012693176372146397, -0.012267316453707183, -0.03699145546461838, 0.04944154501705522])
+MEAN_CHECKPOINT = Path(__file__).parent / "data" / "mean_mechanism.ckpt"
+MEAN_EMBEDDING = np.array([
+    -0.32910246972349594, 0.0036810576706843125, 0.2830686627539886, 0.4050285097691052,
+    0.03118813294292433, 0.0026462161273077987, -0.1298421794230406, 0.34785126829457064])
 
 
 def toy_dataset(n_speakers=2, per_speaker=8, c=4, t=10, d=16, noise=0.05, seed=0):
@@ -136,14 +149,6 @@ class TestEer:
         with pytest.raises(ProtocolError):
             eer_from_scores([0.1], [])
 
-    def test_compute_eer_from_trialset(self):
-        trials = TrialSet([
-            Trial("a", "b", "target"),
-            Trial("a", "c", "nontarget"),
-        ]).with_scores([0.9, 0.1])
-        eer, _ = compute_eer(trials)
-        assert eer == 0.0
-
 
 class TestCosine:
     def test_identical(self):
@@ -175,8 +180,33 @@ class TestEmbed:
     def test_mean_baseline_on_constant_tensor(self):
         v = np.array([1.0, -2.0, 0.5, 3.0])
         x = FrameTensor(np.tile(v, (3, 5, 1)))
-        model = Model.init(ModelConfig(mechanism="mean", d=4), n_speakers=2)
+        model = Model.init(replace(MEAN, d=4), n_speakers=2)
         assert np.allclose(embed(model, x), v, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["gpool", "prior"])
+    def test_selection_over_mean_pools_the_kept_channels(self, kind):
+        # With no stack, the embedding is the gated mean of the kept
+        # channels' valid-frame means: gpool gates its top k, prior keeps
+        # its mask at gate 1.  Frames past each utterance's count are padding.
+        rng = np.random.default_rng(9)
+        b, c, t, d = 3, 6, 5, 8
+        scenes = [sample_scene(rng, SimConfig(n_nodes=c, t=t, d=d)) for _ in range(b)]
+        frames = [5, 2, 4]
+        x = rng.standard_normal((b, c, t, d))
+        model = Model.init(replace(MEAN, d=d, selection=SelectionConfig(kind=kind, rho=0.7)),
+                           n_speakers=2)
+        assert model.blocks == []
+        embs, keep, _ = _forward(model, x, scenes, frames)
+        for i, n in enumerate(frames):
+            zbar = x[i, :, :n].mean(axis=1)
+            if kind == "prior":
+                kept, gate = build_prior(scenes[i], 0.7), np.ones(c)
+            else:
+                q = zbar @ model.gpool.data / np.linalg.norm(model.gpool.data)
+                kept, gate = np.isin(np.arange(c), np.argsort(-q)[:3]), 1 / (1 + np.exp(-q))
+            assert np.array_equal(keep[i], kept)
+            expected = (gate[kept, None] * zbar[kept]).mean(axis=0)
+            assert np.max(np.abs(embs.data[i] - expected)) <= 1e-12
 
     def test_selection_none_equals_all_true_prior_select(self):
         rng = np.random.default_rng(1)
@@ -247,9 +277,15 @@ class TestEmbed:
         with pytest.raises(ChannelBudgetError, match=r"k=4 .* C=3"):
             train_second_stage(data, cfg, TrainHyper(epochs=1))
 
-    def test_mean_with_selection_rejected(self):
-        with pytest.raises(ValueError):
-            ModelConfig(mechanism="mean", selection=SelectionConfig(kind="gpool"))
+    def test_mean_mechanism_and_negative_blocks_rejected(self):
+        with pytest.raises(ValueError, match="unknown mechanism 'mean'"):
+            ModelConfig(mechanism="mean")
+        with pytest.raises(ValueError, match="n_blocks=-1"):
+            ModelConfig(n_blocks=-1)
+        # Heads are checked only when there are blocks to split over them.
+        assert ModelConfig(n_blocks=0, heads=3, d=8).heads == 3
+        with pytest.raises(ValueError, match="heads"):
+            ModelConfig(n_blocks=1, heads=3, d=8)
 
     def test_knn_temporal_graph_rejected(self):
         with pytest.raises(ValueError, match="temporal"):
@@ -271,7 +307,15 @@ def assert_same_choice(keep, gate, alone_keep, alone_gate):
 
 
 PARITY_CASES = [(m, s, g) for m in ("sam", "gcn") for s in ("none", "prior", "gpool")
-                for g in ("complete", "span")] + [("mean", "none", "complete")]
+                for g in ("complete", "span")] + [("mean", s, "complete")
+                                                  for s in ("none", "prior", "gpool")]
+
+
+def parity_config(mechanism, selection, temporal, seed):
+    """Two blocks of ``mechanism``, or none for "mean", with the given selection and graph."""
+    stack = {"n_blocks": 0} if mechanism == "mean" else {"mechanism": mechanism, "n_blocks": 2}
+    return ModelConfig(**stack, heads=2, d=8, selection=SelectionConfig(kind=selection),
+                       temporal_graph=GraphSpec(kind=temporal, delta=1), seed=seed)
 
 
 @pytest.mark.parametrize("mechanism,selection,temporal", PARITY_CASES)
@@ -281,9 +325,7 @@ def test_batch_forward_matches_each_utterance_alone(mechanism, selection, tempor
     sim = SimConfig(n_nodes=c, t=t, d=d)
     scenes = [sample_scene(rng, sim) for _ in range(b)]
     xs = rng.standard_normal((b, c, t, d))
-    cfg = ModelConfig(mechanism=mechanism, n_blocks=2, heads=2, d=d,
-                      selection=SelectionConfig(kind=selection),
-                      temporal_graph=GraphSpec(kind=temporal, delta=1), seed=31)
+    cfg = parity_config(mechanism, selection, temporal, seed=31)
     model = Model.init(cfg, n_speakers=2)
     embs, keep, gate = _forward(model, xs, scenes)
     assert embs.shape == (b, d) and keep.shape == (b, c)
@@ -436,9 +478,7 @@ PADDING_CASES = [pytest.param(*case, fill, id="-".join(case + (() if fill == "ze
 
 @pytest.mark.parametrize("mechanism,selection,temporal,fill", PADDING_CASES)
 def test_padded_batch_matches_each_utterance_alone(mechanism, selection, temporal, fill):
-    cfg = ModelConfig(mechanism=mechanism, n_blocks=2, heads=2, d=8,
-                      selection=SelectionConfig(kind=selection),
-                      temporal_graph=GraphSpec(kind=temporal, delta=1), seed=35)
+    cfg = parity_config(mechanism, selection, temporal, seed=35)
     model = Model.init(cfg, n_speakers=3)
     utts = ragged_utterances(RAGGED_SHAPES)
     with warnings.catch_warnings():
@@ -461,7 +501,7 @@ def test_padded_batch_matches_each_utterance_alone(mechanism, selection, tempora
         report = evaluate(model, utts, trials)
     expected = [cosine_score(alone[t.enroll_id][0], alone[t.test_id][0]) for t in trials.trials]
     assert np.max(np.abs(np.subtract(report.scores, expected))) <= 1e-12
-    assert report.eer == eer_from_scores(*trials.with_scores(expected).split_scores())[0]
+    assert report.eer == eer_from_scores(*split_by_label(trials, expected))[0]
 
 
 class TestBatchedEvaluate:
@@ -566,16 +606,16 @@ class TestTraining:
         with pytest.raises(DegenerateTaskError):
             train_second_stage(dataset, cfg, TrainHyper(epochs=1))
 
-    @pytest.mark.parametrize("mechanism", ["gcn", "mean"])
-    def test_ragged_training_set_rejected(self, mechanism):
+    @pytest.mark.parametrize("n_blocks", [1, 0], ids=["gcn", "mean"])
+    def test_ragged_training_set_rejected(self, n_blocks):
         dataset = toy_dataset(c=3, t=4, d=8) + toy_dataset(c=2, t=4, d=8, seed=1)[:1]
-        cfg = ModelConfig(mechanism=mechanism, n_blocks=1, heads=2, d=8)
+        cfg = ModelConfig(mechanism="gcn", n_blocks=n_blocks, heads=2, d=8)
         with pytest.raises(DegenerateTaskError, match=r"\(2, 4, 8\).*\(3, 4, 8\)"):
             train_second_stage(dataset, cfg, TrainHyper(epochs=1))
 
     def test_mean_baseline_trains_only_head(self):
         dataset = toy_dataset(c=2, t=3, d=8)
-        cfg = ModelConfig(mechanism="mean", d=8, seed=15)
+        cfg = replace(MEAN, d=8, seed=15)
         model, _ = train_second_stage(dataset, cfg, TrainHyper(epochs=2))
         assert model.params.names() == ["head.w", "head.b"]
 
@@ -595,7 +635,7 @@ class TestEvaluate:
             Trial("s0_0", "s1_0", "nontarget"),
             Trial("s1_0", "s2_0", "nontarget"),
         ])
-        model = Model.init(ModelConfig(mechanism="mean", d=8), n_speakers=3)
+        model = Model.init(replace(MEAN, d=8), n_speakers=3)
         return model, utts, trials
 
     def test_separable_trials_give_zero_eer(self):
@@ -703,6 +743,20 @@ class TestModelIO:
         x = FrameTensor(np.random.default_rng(40).standard_normal((5, 6, 8)))
         assert np.max(np.abs(embed(model, x) - SEED_EMBEDDING)) <= 1e-15
 
+    def test_mean_mechanism_checkpoint_loads_as_zero_blocks(self):
+        # Written when MEAN was its own mechanism: its config records
+        # "mechanism": "mean", n_blocks 2 and leaky_slope 0.2.  It holds the
+        # head after 2 epochs on the toy set below, and MEAN_EMBEDDING is what
+        # that code embedded.
+        model = load_model(MEAN_CHECKPOINT)
+        assert model.cfg == replace(MEAN, d=8, seed=5) and model.blocks == []
+        x = FrameTensor(np.random.default_rng(40).standard_normal((5, 6, 8)))
+        assert embed(model, x).tobytes() == MEAN_EMBEDDING.tobytes()
+        dataset = toy_dataset(n_speakers=3, per_speaker=4, c=4, t=5, d=8)
+        retrained, _ = train_second_stage(dataset, model.cfg, TrainHyper(epochs=2))
+        for p in model.params:
+            assert p.data.tobytes() == retrained.params[p.name].data.tobytes(), p.name
+
     def test_seed_checkpoint_drops_the_gcn_query_side(self):
         # Its gcn heads still hold wl and a beta of twice the head width.  It
         # holds an untrained model, so it also pins the draws of Model.init.
@@ -736,6 +790,7 @@ class TestModelIO:
 
     @pytest.mark.parametrize("section,key,value", [
         (None, "head", "cosine"), (None, "head_scale", 30.0), (None, "warm_start", True),
+        (None, "leaky_slope", 0.1),
         ("selection", "pool_all", True), ("selection", "orientation", True),
     ])
     def test_removed_setting_rejected(self, tmp_path, section, key, value):
@@ -744,7 +799,8 @@ class TestModelIO:
         (config if section is None else config[section])[key] = value
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, model.params, meta={"config": config, "n_speakers": 2})
-        with pytest.raises(ValueError, match=key):
+        where = "config" if section is None else f"config.{section}"
+        with pytest.raises(ValueError, match=re.escape(f"{where}.{key}={value!r}")):
             load_model(path)
 
     @pytest.mark.parametrize("selection", [
@@ -764,14 +820,14 @@ class TestModelIO:
                           selection=SelectionConfig(kind="gpool", k=2, rho=0.5, noise=True,
                                                     rho_noise=0.3),
                           temporal_graph=GraphSpec("span", delta=2),
-                          spatial_graph=GraphSpec("knn", k=3), leaky_slope=0.1, seed=5)
+                          spatial_graph=GraphSpec("knn", k=3), seed=5)
         expected = {
             "mechanism": "sam", "n_blocks": 3, "heads": 2, "d": 8,
             "selection": {"kind": "gpool", "k": 2, "rho": 0.5, "noise": True,
                           "rho_noise": 0.3},
             "temporal_graph": {"kind": "span", "delta": 2, "k": 4},
             "spatial_graph": {"kind": "knn", "delta": 1, "k": 3},
-            "leaky_slope": 0.1, "seed": 5,
+            "seed": 5,
         }
         assert json.dumps(model_config_to_json(cfg)) == json.dumps(expected)
 
@@ -834,7 +890,7 @@ class TestChannelOps:
             Trial("p1_0", "p1_1", "target"),
             Trial("p0_0", "p1_0", "nontarget"),
         ])
-        model = Model.init(ModelConfig(mechanism="mean", d=8), n_speakers=2)
+        model = Model.init(replace(MEAN, d=8), n_speakers=2)
         rows = eval_per_node(model, utts, trials)
         assert len(rows) == 3
         assert [r["node"] for r in rows] == [0, 1, 2]
@@ -889,4 +945,4 @@ class TestChannelOps:
                 alone = {k: embed(model, FrameTensor(u.features.data[node:node + 1]),
                                   u.scene.subset([node])) for k, u in utts.items()}
             scores = [cosine_score(alone[t.enroll_id], alone[t.test_id]) for t in trials.trials]
-            assert row["eer"] == eer_from_scores(*trials.with_scores(scores).split_scores())[0]
+            assert row["eer"] == eer_from_scores(*split_by_label(trials, scores))[0]
