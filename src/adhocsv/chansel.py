@@ -6,9 +6,10 @@ Every selection kind ends in one weighted mean over channels:
 
 ``zbar`` is (B, C, D): each channel's mean over its utterance's valid
 frames, which the caller computes, so nothing here sees a frame.
-``keep`` is the (B, C) choice of channels, 0/1 or bool: all of them
-without selection, the geometry prior's mask (:func:`graphs.build_prior`)
-for prior selection, and for gpool the top k by the score q = zbar p / ||p||
+``keep`` is the (B, C) choice of channels, 0/1 or bool, never a channel
+that only pads an utterance: all its own channels without selection, the
+geometry prior's mask (:func:`graphs.build_prior`) for prior selection,
+and for gpool the top k of its own channels by the score q = zbar p / ||p||
 of one learned (D,) projection Parameter p.  ``gate`` is 1, except for
 gpool, which gates each channel by sigmoid(q).
 """
@@ -37,7 +38,7 @@ class DegenerateProjectionError(ValueError):
 
 
 class ChannelBudgetError(ValueError):
-    """gpool is asked to keep more channels than the array has (or none)."""
+    """gpool is asked to keep more channels than an utterance has (or none)."""
 
 
 def init_gpool_params(d: int, rng: np.random.Generator, name: str = "gpool.p") -> Parameter:
@@ -68,22 +69,30 @@ def channel_scores(zbar, p: Parameter) -> Tensor:
     return dc.div(dc.sum_axis(dc.mul(zbar, p), -1), dc.l2_norm(p))
 
 
-def gpool_weights(zbar, p: Parameter, k: int) -> tuple[np.ndarray, Tensor]:
+def gpool_weights(zbar, p: Parameter, k: int | None, valid) -> tuple[np.ndarray, Tensor]:
     """gpool's channel choice for a batch of frame means: keep (B, C) and gate (B, C).
 
-    ``keep`` is a bool array, True at each utterance's k channels with the
-    largest scores; ties break toward the lower channel index.  ``gate`` is
+    ``valid`` is a bool (B, C) array of each utterance's own channels; the
+    others pad it.  ``keep`` is True at each utterance's k own channels with
+    the largest scores, where k = ceil(C_i / 2) of its C_i own channels when
+    ``k`` is None; ties break toward the lower channel index, and a padded
+    channel is never kept.  ``gate`` is
     sigmoid(q) for every channel; :func:`weighted_pool` reads it only where
     ``keep`` is True.  Gradients flow through the gates; the choice itself
     is treated as constant (subgradient at ties).
     """
     q = channel_scores(zbar, p)
-    c = q.shape[1]
-    if not 1 <= k <= c:
-        raise ChannelBudgetError(f"gpool keeps k={k} channels, but the array has C={c}")
-    order = np.argsort(-q.data, axis=1, kind="stable")  # stable: ties keep lower index first
-    keep = np.zeros(q.shape, dtype=bool)
-    np.put_along_axis(keep, order[:, :k], True, axis=1)
+    b, c = q.shape
+    own = valid.sum(axis=1)
+    if k is not None and not 1 <= k <= own.min():
+        i = int(np.argmin(own))
+        raise ChannelBudgetError(
+            f"gpool keeps k={k} channels, but utterance {i} of the batch has C={own[i]}")
+    budget = -(-own // 2) if k is None else np.full(b, k)
+    # stable: ties keep the lower index first; padded channels rank last
+    order = np.argsort(np.where(valid, -q.data, np.inf), axis=1, kind="stable")
+    keep = np.zeros((b, c), dtype=bool)
+    np.put_along_axis(keep, order, np.arange(c) < budget[:, None], axis=1)
     return keep, dc.sigmoid(q)
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .chansel import ChannelBudgetError, DegenerateProjectionError
-from .diffcore import NonFiniteError
+from .diffcore import NonFiniteError, ShapeError
 from .graphs import adjacency_from_mask, adjacency_to_json, build_prior
 from .scenesim import (
     SimConfig,
@@ -540,7 +540,7 @@ def main(argv=None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except (DataError, ProtocolError, DegenerateTaskError, MissingPriorError,
-            ChannelBudgetError) as err:
+            ChannelBudgetError, ShapeError) as err:
         print(f"data error: {err}", file=sys.stderr)
         return 3
     except (NonFiniteError, DegenerateProjectionError, FloatingPointError) as err:

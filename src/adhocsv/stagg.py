@@ -66,7 +66,11 @@ LEAKY_SLOPE = 0.2
 
 @dataclass(frozen=True)
 class GraphSpec:
-    """How to build one adjacency: complete, span(delta), or knn(k)."""
+    """How to build one adjacency: complete, span(delta), or knn(k).
+
+    The setting a kind does not read keeps its default, so specs that build
+    the same graph compare equal.
+    """
 
     kind: str = "complete"
     delta: int = 1
@@ -79,6 +83,10 @@ class GraphSpec:
             raise ValueError(f"graph delta must be nonnegative, got {self.delta}")
         if self.k < 0:
             raise ValueError(f"graph k must be nonnegative, got {self.k}")
+        if self.kind != "span":
+            object.__setattr__(self, "delta", GraphSpec.delta)
+        if self.kind != "knn":
+            object.__setattr__(self, "k", GraphSpec.k)
 
 
 @dataclass

@@ -5,20 +5,20 @@ channel selection pooled as one weighted mean of the channels' frame
 means, and a linear softmax classifier over speakers.  A stack of zero
 blocks (``n_blocks=0``) is the MEAN baseline, with or without selection.
 Frame-level features are frozen inputs.  One batched forward pass
-computes the embeddings: training runs it on batches of same-shape
-utterances, :func:`embed` on one utterance, and :func:`evaluate` on
-batches of utterances with equal channel counts whose frame counts
-differ, zero-padded on the frame axis and masked so that padding changes
-no embedding.  Verification scores
-utterance-embedding pairs with cosine similarity and reports the equal
-error rate from a full threshold sweep.
+computes the embeddings, and it is the one function that pads: it takes
+utterances of any channel and frame counts, zero-fills them to the
+batch's largest, and masks the padding so that it changes no embedding.
+Training runs it on each batch as drawn, :func:`embed` on one utterance,
+and :func:`evaluate` on batches of utterances sorted by shape.
+Verification scores utterance-embedding pairs with cosine similarity and
+reports the equal error rate from a full threshold sweep.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -77,13 +77,25 @@ class ProtocolError(ValueError):
 
 
 class DegenerateTaskError(ValueError):
-    """The training task is ill-posed (fewer than two speakers, or ragged shapes)."""
+    """The training task is ill-posed (no utterances, or fewer than two speakers)."""
+
+
+def _reset_unread(cfg, names) -> None:
+    """Give the fields ``names`` of the frozen config ``cfg`` their defaults.
+
+    Callers name the fields that the model never reads under ``cfg``'s other
+    settings, so configs that build the same model compare equal.
+    """
+    for f in fields(cfg):
+        if f.name in names:
+            object.__setattr__(cfg, f.name,
+                               f.default if f.default_factory is MISSING else f.default_factory())
 
 
 @dataclass(frozen=True)
 class SelectionConfig:
     kind: str = "none"
-    k: int | None = None  # gpool channel budget; None means ceil(C / 2)
+    k: int | None = None  # gpool channel budget; None means ceil(C / 2) per utterance
     rho: float = 0.6
     noise: bool = False
     rho_noise: float = 0.2
@@ -97,6 +109,9 @@ class SelectionConfig:
             raise ValueError(f"rho_noise must lie in (0, 1], got {self.rho_noise}")
         if self.k is not None and (type(self.k) is not int or self.k < 1):
             raise ValueError(f"gpool k must be a positive channel count, got {self.k!r}")
+        unread = {"none": {"k", "rho", "noise", "rho_noise"},
+                  "gpool": {"rho", "noise", "rho_noise"}, "prior": {"k"}}[self.kind]
+        _reset_unread(self, unread if self.noise else unread | {"rho_noise"})
 
 
 @dataclass(frozen=True)
@@ -123,6 +138,8 @@ class ModelConfig:
             raise ValueError("the temporal graph cannot be knn: frames have no positions")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if self.n_blocks == 0:
+            _reset_unread(self, {"mechanism", "heads", "temporal_graph", "spatial_graph"})
 
 
 class Model:
@@ -190,50 +207,57 @@ def subsample_channels(utt: Utterance, k: int, rng: np.random.Generator) -> Utte
     )
 
 
-def _forward(model: Model, x: np.ndarray, scenes: list[Scene | None],
-             frames: list[int] | None = None):
-    """Differentiable embeddings of a batch of utterances with equal channel counts.
+def _forward(model: Model, feats, scenes: list[Scene | None]):
+    """Differentiable embeddings of a batch of utterances of any channel and frame counts.
 
-    ``x`` is (B, C, T, D) with one scene (or None) per utterance, and
-    ``frames`` each utterance's valid frame count (None: all T); the frames
-    past it are padding, and only this function knows of them.  Each
-    utterance's frames form its temporal graph inside a (B, 1, T, T) mask
-    whose padded frames see only themselves, and the channels' frame means
-    zbar (B, C, D) average valid frames only, so padding changes no
-    embedding beyond rounding.
+    ``feats`` holds one (C_i, T_i, D) frame array per utterance and ``scenes``
+    one scene (or None) each.  This is the one function that pads: it
+    zero-fills the batch to (B, max C_i, max T_i, D).  Each utterance's
+    frames form its temporal graph inside a (B, 1, T, T) mask whose padded
+    frames see only themselves, and the channels' frame means zbar (B, C, D)
+    average valid frames only.
 
-    A bool (B, C) array ``keep`` states which channels each utterance uses:
-    all of them, the prior's mask (:func:`graphs.build_prior`, known before
-    the stack), or gpool's top k (picked from zbar after it).  The spatial
-    masks derive from it once, as the configured graph restricted to the
-    kept channels, with a self-loop on every channel; a model of zero blocks
-    builds no graph.  The kept channels are gated and pooled in one
-    weighted mean (:func:`chansel.weighted_pool`).
+    A bool (B, C) array ``keep`` states which of its own channels each
+    utterance uses: all of them, the prior's mask (:func:`graphs.build_prior`,
+    known before the stack), or gpool's top k (picked from zbar after it).
+    The spatial masks derive from it once, as the configured graph restricted
+    to the kept channels, with a self-loop on every channel, so a padded
+    channel sees only itself; a model of zero blocks builds no graph.  So
+    padding changes no embedding beyond rounding.  The kept channels are
+    gated and pooled in one weighted mean (:func:`chansel.weighted_pool`).
     Returns the (B, D) embeddings, ``keep``, and gpool's (B, C) gate
     array (None for the other kinds).
     """
     cfg = model.cfg
     sel = cfg.selection
-    if x.ndim != 4:
-        raise dc.ShapeError(f"forward pass expects (B, C, T, D), got {x.shape}")
-    b, c, t, _ = x.shape
-    frames = np.full(b, t) if frames is None else np.asarray(frames, dtype=np.intp)
-    if frames.shape != (b,) or frames.min() < 1 or frames.max() > t:
-        raise dc.ShapeError(f"need {b} frame counts in [1, {t}], got {frames.tolist()}")
-    valid = np.arange(t) < frames[:, None]  # (B, T)
+    for i, (f, scene) in enumerate(zip(feats, scenes, strict=True)):
+        if f.ndim != 3 or 0 in f.shape or f.shape[2] != cfg.d:
+            raise dc.ShapeError(f"utterance {i} of the batch: expected (C, T, {cfg.d}) frames "
+                                f"with C, T >= 1, got {f.shape}")
+        if scene is not None and scene.n_nodes != f.shape[0]:
+            raise dc.ShapeError(f"utterance {i} of the batch has {f.shape[0]} channels, "
+                                f"but its scene has {scene.n_nodes} nodes")
     if any(scene is None for scene in scenes):
         if sel.kind == "prior":
             raise MissingPriorError("prior channel selection needs the utterance's scene")
         if model.blocks and cfg.spatial_graph.kind == "knn":
             raise MissingPriorError("knn spatial graph needs the utterance's scene")
-    keep = np.ones((b, c), dtype=bool)  # no selection: every channel
-    if sel.kind == "prior":
-        rho_noise = sel.rho_noise if sel.noise else None
-        keep = np.stack([build_prior(scene, sel.rho, rho_noise) for scene in scenes])
+    frames = np.array([f.shape[1] for f in feats])
+    b, c, t = len(feats), max(f.shape[0] for f in feats), frames.max()
+    x = np.zeros((b, c, t, cfg.d))
+    keep = np.zeros((b, c), dtype=bool)  # padded channels stay False
+    graph = np.zeros((b, c, c), dtype=bool)
+    rho_noise = sel.rho_noise if sel.noise else None
+    for i, (f, scene) in enumerate(zip(feats, scenes)):
+        n = f.shape[0]
+        x[i, :n, :frames[i]] = f
+        keep[i, :n] = build_prior(scene, sel.rho, rho_noise) if sel.kind == "prior" else True
+        if model.blocks:
+            graph[i, :n, :n] = build_graph(cfg.spatial_graph, n,
+                                           None if scene is None else scene.node_pos)
+    valid = np.arange(t) < frames[:, None]  # (B, T)
     out = Tensor(x)
     if model.blocks:
-        positions = [None if scene is None else scene.node_pos for scene in scenes]
-        graph = np.stack([build_graph(cfg.spatial_graph, c, pos) for pos in positions])
         a_spatial = graph & keep[:, :, None] & keep[:, None, :] | np.eye(c, dtype=bool)
         # The T-node graph's top-left n x n block is the n-node graph for
         # complete and span graphs (ModelConfig refuses knn over frames).
@@ -245,15 +269,13 @@ def _forward(model: Model, x: np.ndarray, scenes: list[Scene | None],
 
     if sel.kind != "gpool":
         return weighted_pool(zbar, keep, 1.0), keep, None
-    keep, gate = gpool_weights(zbar, model.gpool, sel.k if sel.k is not None else math.ceil(c / 2))
+    keep, gate = gpool_weights(zbar, model.gpool, sel.k, keep)
     return weighted_pool(zbar, keep, gate), keep, gate.data
 
 
 def embed(model: Model, x, scene: Scene | None = None) -> np.ndarray:
     """Utterance-level embedding as a plain (D,) array."""
-    data = x.data if isinstance(x, FrameTensor) else np.asarray(x, dtype=np.float64)
-    embs, _, _ = _forward(model, data[None], [scene])
-    return np.array(embs.data[0])
+    return embed_with_info(model, x, scene)[0]
 
 
 def embed_with_info(model: Model, x, scene: Scene | None = None):
@@ -263,7 +285,7 @@ def embed_with_info(model: Model, x, scene: Scene | None = None):
     gpool's gates of those channels (None for the other kinds).
     """
     data = x.data if isinstance(x, FrameTensor) else np.asarray(x, dtype=np.float64)
-    embs, keep, gate = _forward(model, data[None], [scene])
+    embs, keep, gate = _forward(model, [data], [scene])
     kept = keep[0]
     return np.array(embs.data[0]), {
         "mechanism": model.cfg.selection.kind,
@@ -285,10 +307,10 @@ def train_second_stage(dataset: list[Utterance], cfg: ModelConfig,
     speakers = sorted({u.speaker for u in dataset})
     if len(speakers) < 2:
         raise DegenerateTaskError("training needs at least two speakers")
-    shapes = sorted({u.features.data.shape for u in dataset})
-    if len(shapes) > 1:
-        raise DegenerateTaskError(
-            f"training utterances must share one (channels, frames, dims) shape, got {shapes}")
+    wrong_d = [u.utt_id for u in dataset if u.features.d != cfg.d]
+    if wrong_d:
+        raise dc.ShapeError(f"model.d = {cfg.d}, but the features of training utterances "
+                            f"{wrong_d[:3]} (of {len(wrong_d)}) have other widths")
     label_of = {spk: i for i, spk in enumerate(speakers)}
 
     model = Model.init(cfg, n_speakers=len(speakers))
@@ -302,8 +324,8 @@ def train_second_stage(dataset: list[Utterance], cfg: ModelConfig,
             batch = [dataset[i] for i in order[start:start + hyper.batch_size]]
             model.params.zero_grad()
             try:
-                x = np.stack([u.features.data for u in batch])
-                embs, _, _ = _forward(model, x, [u.scene for u in batch])
+                embs, _, _ = _forward(model, [u.features.data for u in batch],
+                                      [u.scene for u in batch])
                 logits = dc.add(dc.matmul(embs, model.head_w), model.head_b)
                 labels = np.array([label_of[u.speaker] for u in batch])
                 loss = dc.softmax_cross_entropy(logits, labels)
@@ -390,14 +412,16 @@ class EvalReport:
 
 
 # Upper bound on the padded mask entries B * C * T * (T + C) of one
-# evaluation batch.  The temporal pass masks B * C * T * T entries and the
-# spatial pass B * T * C * C; counting only the temporal ones would let
-# batches of many-channel, short utterances grow without bound in the
-# spatial pass.  A batch's recorded graph holds every block's arrays until
-# its embeddings are read out, so the budget bounds the memory of
-# evaluation.  Measured on 400 arrays of 4-16 channels and 10-40 frames
-# with a trained 2-block, 4-head gcn + gpool model (d = 16), one BLAS
-# thread on a 2-core x86_64 machine: peak RSS, 54 MiB after training,
+# evaluation batch, where C and T are its largest channel and frame counts:
+# :func:`_forward` pads every utterance of the batch to them.  The temporal
+# pass masks B * C * T * T entries and the spatial pass B * T * C * C;
+# counting only the temporal ones would let batches of many-channel, short
+# utterances grow without bound in the spatial pass.  A batch's recorded
+# graph holds every block's arrays until its embeddings are read out, so
+# the budget bounds the memory of evaluation.  Measured on 400 arrays of
+# 4-16 channels and 10-40 frames with a trained 2-block, 4-head gcn + gpool
+# model (d = 16), one BLAS thread on a 2-core x86_64 machine, when batches
+# still held one channel count each: peak RSS, 54 MiB after training,
 # reached 61, 64 and 71 MiB at budgets of 32768, 65536 and 131072; 16384
 # ran slowest, and 32768 to 131072 ran within the machine's timing noise
 # of each other.  An utterance over the budget on its own runs as a batch
@@ -405,40 +429,29 @@ class EvalReport:
 EVAL_BATCH_ENTRIES = 65536
 
 
-def _embed_batch(model: Model, utts: list[Utterance]) -> np.ndarray:
-    """(B, D) embeddings of utterances with one (C, D) shape, zero-padded to the longest."""
-    c, d = utts[0].features.c, utts[0].features.d
-    frames = [u.features.t for u in utts]
-    x = np.zeros((len(utts), c, max(frames), d))
-    for i, u in enumerate(utts):
-        x[i, :, :frames[i]] = u.features.data
-    embs, _, _ = _forward(model, x, [u.scene for u in utts], frames)
-    return np.array(embs.data)  # the batch's graph is freed on return, before the next batch
-
-
 def _embed_all(model: Model, utterances: dict[str, Utterance]) -> dict[str, np.ndarray]:
-    """Embeddings of every utterance, computed in frame-padded batches.
+    """Embeddings of every utterance, computed in batches that :func:`_forward` pads.
 
-    Utterances are grouped by (channels, dims), so channels are never padded,
-    and sorted by (frames, id) within a group, so the batches, and with them
-    every embedding, do not depend on the order they are asked for in.  A
-    batch grows while its padded size stays within ``EVAL_BATCH_ENTRIES``.
+    Utterances are sorted by (channels, frames, id), so the batches, and with
+    them every embedding, do not depend on the order they are asked for in.
+    A batch grows while its padded size stays within ``EVAL_BATCH_ENTRIES``.
     """
-    groups: dict[tuple[int, int], list[tuple[str, Utterance]]] = {}
-    for utt_id, u in utterances.items():
-        groups.setdefault((u.features.c, u.features.d), []).append((utt_id, u))
+    batches: list[list[tuple[str, Utterance]]] = [[]]
+    t_max = 0  # the open batch's padded frame count
+    for item in sorted(utterances.items(),
+                       key=lambda item: (item[1].features.c, item[1].features.t, item[0])):
+        c, t = item[1].features.c, max(t_max, item[1].features.t)  # sorted: c is the widest
+        if batches[-1] and (len(batches[-1]) + 1) * c * t * (t + c) > EVAL_BATCH_ENTRIES:
+            batches.append([])
+            t = item[1].features.t
+        batches[-1].append(item)
+        t_max = t
     embs: dict[str, np.ndarray] = {}
-    for (c, _), group in sorted(groups.items()):
-        group.sort(key=lambda item: (item[1].features.t, item[0]))
-        batches: list[list[tuple[str, Utterance]]] = [[]]
-        for item in group:
-            t = item[1].features.t  # the batch's padded length: the group is sorted by frames
-            if batches[-1] and (len(batches[-1]) + 1) * c * t * (t + c) > EVAL_BATCH_ENTRIES:
-                batches.append([])
-            batches[-1].append(item)
-        for batch in batches:
-            embs.update(zip([utt_id for utt_id, _ in batch],
-                            _embed_batch(model, [u for _, u in batch])))
+    for batch in batches:
+        # Only the embeddings' array outlives the call: the batch's graph is freed here.
+        vectors = _forward(model, [u.features.data for _, u in batch],
+                           [u.scene for _, u in batch])[0].data
+        embs.update(zip([utt_id for utt_id, _ in batch], vectors))
     return embs
 
 
@@ -446,7 +459,7 @@ def evaluate(model: Model, utterances: dict[str, Utterance], trials: TrialSet) -
     """Embed, score with cosine similarity, and compute the EER.
 
     Every utterance a trial references is checked before any is embedded;
-    they are then embedded in frame-padded batches (see ``_embed_all``),
+    they are then embedded in padded batches (see ``_embed_all``),
     every trial is scored in one :func:`cosine_score` call, and the scores,
     split by label, go to :func:`eer_from_scores`.
     """

@@ -19,10 +19,15 @@ def gp(vec, name="p"):
     return Parameter(name, np.asarray(vec, dtype=float))
 
 
+def all_own(z):
+    """gpool's ``valid`` for unpadded (B, C, D) frame means: every channel is the utterance's."""
+    return np.ones(np.shape(z)[:2], dtype=bool)
+
+
 def gpool_one(zbar, params, k):
     """gpool on one utterance's (C, D) frame means: selected indices, their gates, the embedding."""
     zbar = Tensor(np.asarray(zbar, dtype=float)[None])
-    keep, gate = gpool_weights(zbar, params, k)
+    keep, gate = gpool_weights(zbar, params, k, all_own(zbar))
     idx = np.flatnonzero(keep[0])
     return idx, gate.data[0, idx], weighted_pool(zbar, keep, gate).data[0]
 
@@ -70,7 +75,7 @@ class TestGPool:
             k = int(rng.integers(1, c + 1))
             rows = rng.standard_normal((2, 1, d))
             z = np.repeat(rows, c, axis=1)  # two utterances, each with c identical channels
-            keep, gate = gpool_weights(Tensor(z), gp(rng.standard_normal(d)), k)
+            keep, gate = gpool_weights(Tensor(z), gp(rng.standard_normal(d)), k, all_own(z))
             assert keep.tolist() == [[1.0] * k + [0.0] * (c - k)] * 2
             assert np.all(gate.data == gate.data[:, :1])
 
@@ -134,7 +139,7 @@ class TestGPool:
             with pytest.raises(dc.ShapeError, match="vector"):
                 channel_scores(z, gp(bad))
             with pytest.raises(dc.ShapeError, match="vector"):
-                gpool_weights(z, gp(bad), 1)
+                gpool_weights(z, gp(bad), 1, all_own(z))
 
     def test_k_out_of_range(self):
         z = np.zeros((2, 3))
@@ -143,9 +148,25 @@ class TestGPool:
             with pytest.raises(ValueError):
                 gpool_one(z, params, k=bad)
 
+    def test_padded_channels_never_kept(self):
+        # Rows of 4, 2 and 1 own channels; the padding scores highest.  The
+        # default budget is ceil(C_i / 2) of each row's own channels.
+        z = np.array([[[1.0], [3.0], [2.0], [0.0]], [[1.0], [2.0], [9.0], [9.0]],
+                      [[-1.0], [9.0], [9.0], [9.0]]])
+        valid = np.arange(4) < np.array([[4], [2], [1]])
+        keep, _ = gpool_weights(Tensor(z), gp([1.0]), None, valid)
+        assert keep.tolist() == [[False, True, True, False], [False, True, False, False],
+                                 [True, False, False, False]]
+        keep, _ = gpool_weights(Tensor(z), gp([1.0]), 1, valid)
+        assert keep.tolist() == [[False, True, False, False], [False, True, False, False],
+                                 [True, False, False, False]]
+        with pytest.raises(ChannelBudgetError, match=r"k=2 .* utterance 2 .* C=1"):
+            gpool_weights(Tensor(z), gp([1.0]), 2, valid)
+
     def test_k_over_channel_count_names_both(self):
+        z = Tensor(np.zeros((3, 2, 3)))
         with pytest.raises(ChannelBudgetError, match=r"k=4 .* C=2"):
-            gpool_weights(Tensor(np.zeros((3, 2, 3))), gp([1.0, 0.0, 0.0]), 4)
+            gpool_weights(z, gp([1.0, 0.0, 0.0]), 4, all_own(z))
 
     def test_gradients_at_stable_topk(self):
         rng = np.random.default_rng(4)
@@ -160,7 +181,7 @@ class TestGPool:
         params = gp(p)
 
         def fn(zt, pt):
-            keep, gate = gpool_weights(zt, params, k)
+            keep, gate = gpool_weights(zt, params, k, all_own(zt))
             return weighted_pool(zt, keep, gate)
 
         err = vjp_check(fn, [z[None], params], rng=rng)
@@ -182,7 +203,7 @@ class TestGPool:
         params = gp(p)
 
         def fn(zt, pt):
-            keep, gate = gpool_weights(zt, params, k)
+            keep, gate = gpool_weights(zt, params, k, all_own(zt))
             return weighted_pool(zt, keep, gate)
 
         err = vjp_check(fn, [z, params], rng=rng)

@@ -474,7 +474,10 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "line 2" in err
 
-    def test_ragged_training_set_is_data_error(self, tmp_path, config_path, dataset, capsys):
+    def test_scene_that_misses_its_features_is_data_error(self, tmp_path, config_path, dataset,
+                                                          capsys):
+        # Training takes mixed channel counts, but not features cut to 2
+        # channels beside their 4-node scene.
         with open(os.path.join(dataset, "manifest.json"), encoding="utf-8") as f:
             manifest = json.load(f)
         entry = next(e for e in manifest["utterances"] if e["split"] == "train")
@@ -483,7 +486,22 @@ class TestTrainEval:
         assert main(["train", "--config", config_path, "--data", dataset,
                      "--out", str(tmp_path / "run"), "--quiet"]) == 3
         err = capsys.readouterr().err
-        assert "(2, 6, 8)" in err and "(4, 6, 8)" in err
+        assert err.startswith("data error:") and "2 channels" in err and "4 nodes" in err
+
+    def test_eval_feature_width_mismatch_is_data_error(self, tmp_path, config_path, dataset,
+                                                       capsys):
+        run = tmp_path / "run"
+        main(["train", "--config", config_path, "--data", dataset, "--out", str(run), "--quiet"])
+        with open(os.path.join(dataset, "manifest.json"), encoding="utf-8") as f:
+            manifest = json.load(f)
+        for entry in manifest["utterances"]:
+            path = os.path.join(dataset, entry["features"])
+            write_features(path, FrameTensor(read_features(path).data[:, :, :6]))
+        capsys.readouterr()
+        assert main(["eval", "--config", config_path, "--ckpt", str(run / "model.ckpt"),
+                     "--data", dataset, "--out", str(tmp_path / "e"), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "(C, T, 8)" in err
 
     def test_eval_rejects_removed_setting(self, tmp_path, config_path, dataset, capsys):
         run = tmp_path / "run"
@@ -526,6 +544,23 @@ class TestTrainEval:
         save_checkpoint(run / "model.ckpt", model.params,
                         meta={"config": recorded, "n_speakers": model.n_speakers})
         before = (run / "model.ckpt").read_bytes()
+        assert main(["train", "--config", str(config), "--data", dataset,
+                     "--out", str(run), "--resume", "--quiet"]) == 0
+        assert (run / "model.ckpt").read_bytes() == before
+
+    def test_resume_ignores_settings_a_mean_model_never_reads(self, tmp_path, dataset):
+        cfg = json.loads(json.dumps(TINY_CONFIG))
+        cfg["model"] = {"n_blocks": 0}
+        config = tmp_path / "mean.json"
+        config.write_text(json.dumps(cfg))
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--data", dataset,
+                     "--out", str(run), "--quiet"]) == 0
+        before = (run / "model.ckpt").read_bytes()
+        cfg["model"] = {"n_blocks": 0, "mechanism": "sam", "heads": 2,
+                        "selection": {"kind": "none", "rho": 0.3},
+                        "spatial_graph": {"kind": "complete", "delta": 3}}
+        config.write_text(json.dumps(cfg))
         assert main(["train", "--config", str(config), "--data", dataset,
                      "--out", str(run), "--resume", "--quiet"]) == 0
         assert (run / "model.ckpt").read_bytes() == before

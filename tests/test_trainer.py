@@ -196,7 +196,7 @@ class TestEmbed:
         model = Model.init(replace(MEAN, d=d, selection=SelectionConfig(kind=kind, rho=0.7)),
                            n_speakers=2)
         assert model.blocks == []
-        embs, keep, _ = _forward(model, x, scenes, frames)
+        embs, keep, _ = _forward(model, [x[i, :, :n] for i, n in enumerate(frames)], scenes)
         for i, n in enumerate(frames):
             zbar = x[i, :, :n].mean(axis=1)
             if kind == "prior":
@@ -283,7 +283,7 @@ class TestEmbed:
         with pytest.raises(ValueError, match="n_blocks=-1"):
             ModelConfig(n_blocks=-1)
         # Heads are checked only when there are blocks to split over them.
-        assert ModelConfig(n_blocks=0, heads=3, d=8).heads == 3
+        assert ModelConfig(n_blocks=0, heads=3, d=8) == ModelConfig(n_blocks=0, d=8)
         with pytest.raises(ValueError, match="heads"):
             ModelConfig(n_blocks=1, heads=3, d=8)
 
@@ -294,7 +294,7 @@ class TestEmbed:
 
 def forward_alone(model, features, scene):
     """One utterance through ``_forward``: its embedding, keep row and gate row (or None)."""
-    emb, keep, gate = _forward(model, np.asarray(features)[None], [scene])
+    emb, keep, gate = _forward(model, [np.asarray(features)], [scene])
     return emb.data[0], keep[0], None if gate is None else gate[0]
 
 
@@ -412,11 +412,15 @@ def test_noise_threshold_checked_when_noise_is_on():
         SelectionConfig(kind="prior", noise=True, rho_noise=5.0)
     with pytest.raises(ValueError, match="rho_noise must lie in"):
         SelectionConfig(kind="prior", noise=True, rho_noise=0.0)
-    assert SelectionConfig(kind="prior", rho_noise=5.0).rho_noise == 5.0  # unused while off
+    # Unread while off, so it takes its default.
+    assert SelectionConfig(kind="prior", rho_noise=5.0) == SelectionConfig(kind="prior")
 
 
 @pytest.mark.parametrize("selection", ["none", "prior", "gpool"])
-def test_equal_frame_counts_take_the_unpadded_path_bit_for_bit(selection):
+def test_equal_frame_counts_take_the_unpadded_path_bit_for_bit(selection, monkeypatch):
+    # Utterances of one shape need no padding: the stack receives their
+    # frames bit for bit, with every frame valid and each utterance's own
+    # channel graph.
     rng = np.random.default_rng(33)
     b, c, t, d = 3, 5, 12, 8
     sim = SimConfig(n_nodes=c, t=t, d=d)
@@ -425,23 +429,32 @@ def test_equal_frame_counts_take_the_unpadded_path_bit_for_bit(selection):
     cfg = ModelConfig(mechanism="gcn", n_blocks=2, heads=2, d=d,
                       selection=SelectionConfig(kind=selection),
                       temporal_graph=GraphSpec(kind="span", delta=1), seed=33)
-    model = Model.init(cfg, n_speakers=2)
-    # frames=None means every frame is valid: the same path as [t] * b.
-    shared, shared_keep, shared_gate = _forward(model, xs, scenes)
-    counted, counted_keep, counted_gate = _forward(model, xs, scenes, [t] * b)
-    assert counted.data.tobytes() == shared.data.tobytes()
-    assert counted_keep.tobytes() == shared_keep.tobytes()
-    assert (counted_gate is None) == (shared_gate is None) == (selection != "gpool")
-    if shared_gate is not None:
-        assert counted_gate.tobytes() == shared_gate.tobytes()
+    seen = []
+
+    def spy(x, blocks, a_temporal, a_spatial):
+        seen.append((x.data, a_temporal, a_spatial))
+        return st_stack(x, blocks, a_temporal, a_spatial)
+
+    monkeypatch.setattr(trainer, "st_stack", spy)
+    _forward(Model.init(cfg, n_speakers=2), list(xs), scenes)
+    ((x, a_temporal, a_spatial),) = seen
+    assert x.tobytes() == xs.tobytes()
+    assert np.array_equal(a_temporal, np.broadcast_to(build_graph(cfg.temporal_graph, t),
+                                                      (b, 1, t, t)))
+    for i, scene in enumerate(scenes):
+        kept = build_prior(scene, cfg.selection.rho) if selection == "prior" else np.ones(c, bool)
+        assert np.array_equal(a_spatial[i], adjacency_from_mask(kept))
 
 
-def test_forward_rejects_bad_frame_counts():
+def test_forward_rejects_shapes_that_miss_the_model_or_scene():
     model = Model.init(ModelConfig(mechanism="gcn", n_blocks=1, heads=2, d=8), n_speakers=2)
-    xs = np.zeros((2, 3, 4, 8))
-    for frames in ([4], [0, 4], [4, 5]):
-        with pytest.raises(dc.ShapeError):
-            _forward(model, xs, [None, None], frames)
+    scene = sample_scene(np.random.default_rng(40), SimConfig(n_nodes=6))
+    good = np.zeros((6, 4, 8))
+    for bad in (np.zeros((6, 4, 5)), np.zeros((6, 0, 8)), np.zeros((6, 4))):
+        with pytest.raises(dc.ShapeError, match=r"utterance 1 of the batch"):
+            _forward(model, [good, bad], [scene, None])
+    with pytest.raises(dc.ShapeError, match=r"utterance 1 .* 4 channels, .* 6 nodes"):
+        _forward(model, [good, np.zeros((4, 4, 8))], [scene, scene])
 
 
 def ragged_utterances(shapes, d=8, n_speakers=3, seed=34):
@@ -469,39 +482,118 @@ RAGGED_SHAPES = [(4, 12), (4, 1), (4, 7), (4, 12), (1, 5), (1, 1), (1, 9), (3, 2
                  (3, 6), (2, 3)]
 
 
-# Padding filled with zeros and with unit normal noise: the stack maps zero
-# padding to zeros, so an unmasked frame mean passes with zeros only.  The
-# zero fill keeps the parity cases' ids.
+# Padding filled with zeros, as ``_forward`` pads, and with unit normal
+# noise: the stack maps zero padding to zeros, so an unmasked frame or
+# channel passes with zeros only.  The zero fill keeps the parity cases' ids.
 PADDING_CASES = [pytest.param(*case, fill, id="-".join(case + (() if fill == "zeros" else (fill,))))
                  for case in PARITY_CASES for fill in ("zeros", "noise")]
 
 
+def noisy_padding(monkeypatch, feats, seed):
+    """Make ``_forward`` fill its padding with unit normal noise instead of zeros.
+
+    The noise goes wherever none of ``feats``, the batch's frame arrays,
+    lies in the padded input array.  Returns the list of noise entry counts,
+    one per padded input built.
+    """
+    written = []
+
+    def tensor(x):
+        pad = np.ones(x.shape, dtype=bool)
+        for i, f in enumerate(feats):
+            pad[i, :f.shape[0], :f.shape[1]] = False
+        written.append(int(pad.sum()))
+        return Tensor(np.where(pad, np.random.default_rng(seed).standard_normal(x.shape), x))
+
+    monkeypatch.setattr(trainer, "Tensor", tensor)
+    return written
+
+
 @pytest.mark.parametrize("mechanism,selection,temporal,fill", PADDING_CASES)
-def test_padded_batch_matches_each_utterance_alone(mechanism, selection, temporal, fill):
+def test_padded_batch_matches_each_utterance_alone(mechanism, selection, temporal, fill,
+                                                   monkeypatch):
     cfg = parity_config(mechanism, selection, temporal, seed=35)
     model = Model.init(cfg, n_speakers=3)
     utts = ragged_utterances(RAGGED_SHAPES)
+    feats = [u.features.data for u in utts.values()]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # prior fallbacks on one- and two-channel arrays
         alone = {k: forward_alone(model, u.features.data, u.scene) for k, u in utts.items()}
-        # One padded batch per channel count, through the forward pass itself.
-        for c in sorted({u.features.c for u in utts.values()}):
-            group = [k for k, u in utts.items() if u.features.c == c]
-            frames = [utts[k].features.t for k in group]
-            x = np.zeros((len(group), c, max(frames), 8))
+        # Every channel and frame count in one batch, padded by the forward pass itself.
+        with monkeypatch.context() as patch:
             if fill == "noise":
-                x = np.random.default_rng(c).standard_normal(x.shape)
-            for i, k in enumerate(group):
-                x[i, :, :frames[i]] = utts[k].features.data
-            embs, keep, gate = _forward(model, x, [utts[k].scene for k in group], frames)
-            for i, k in enumerate(group):
-                assert np.max(np.abs(embs.data[i] - alone[k][0])) <= 1e-12
-                assert_same_choice(keep[i], None if gate is None else gate[i], *alone[k][1:])
+                written = noisy_padding(patch, feats, seed=35)
+            embs, keep, gate = _forward(model, feats, [u.scene for u in utts.values()])
+        if fill == "noise":
+            assert written[0] > 0
+        for i, (k, u) in enumerate(utts.items()):
+            assert np.max(np.abs(embs.data[i] - alone[k][0])) <= 1e-12
+            assert not keep[i, u.features.c:].any()
+            assert_same_choice(keep[i, :u.features.c],
+                               None if gate is None else gate[i, :u.features.c], *alone[k][1:])
         trials = all_pair_trials(utts)
         report = evaluate(model, utts, trials)
     expected = [cosine_score(alone[t.enroll_id][0], alone[t.test_id][0]) for t in trials.trials]
     assert np.max(np.abs(np.subtract(report.scores, expected))) <= 1e-12
     assert report.eer == eer_from_scores(*split_by_label(trials, expected))[0]
+
+
+def embeddings_and_gradients(model, utts, cotangent):
+    """One batch's embeddings, and each parameter's gradient of sum(cotangent * logits)."""
+    model.params.zero_grad()
+    embs, _, _ = _forward(model, [u.features.data for u in utts], [u.scene for u in utts])
+    dc.add(dc.matmul(embs, model.head_w), model.head_b).backward(cotangent)
+    return embs.data, {p.name: np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+                       for p in model.params}
+
+
+GRADIENT_CASES = [(m, s, g) for m in ("sam", "gcn") for s in ("none", "prior", "gpool")
+                  for g in ("complete", "span", "knn")] + [("mean", s, "complete")
+                                                           for s in ("none", "prior", "gpool")]
+
+
+@pytest.mark.parametrize("mechanism,selection,spatial", GRADIENT_CASES)
+def test_padded_batch_gradients_match_each_utterance_alone(mechanism, selection, spatial):
+    # Mixed channel and frame counts in one batch: each embedding, and the
+    # gradients summed over the batch, equal the per-utterance runs'.
+    stack = {"n_blocks": 0} if mechanism == "mean" else {"mechanism": mechanism, "n_blocks": 2}
+    cfg = ModelConfig(**stack, heads=2, d=8, selection=SelectionConfig(kind=selection),
+                      temporal_graph=GraphSpec("span", delta=1),
+                      spatial_graph=GraphSpec(spatial, delta=1, k=2), seed=41)
+    model = Model.init(cfg, n_speakers=3)
+    utts = list(ragged_utterances(RAGGED_SHAPES, seed=41).values())
+    cotangent = np.random.default_rng(41).standard_normal((len(utts), 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # prior fallbacks on one- and two-channel arrays
+        embs, grads = embeddings_and_gradients(model, utts, cotangent)
+        summed = {name: np.zeros_like(g) for name, g in grads.items()}
+        for i, u in enumerate(utts):
+            alone, alone_grads = embeddings_and_gradients(model, [u], cotangent[i:i + 1])
+            assert np.max(np.abs(embs[i] - alone[0])) <= 1e-12
+            for name, g in alone_grads.items():
+                summed[name] += g
+    assert all(np.any(g) for g in grads.values())
+    for name, g in grads.items():
+        assert np.max(np.abs(g - summed[name])) <= 1e-12, name
+
+
+def test_gpool_never_keeps_a_padded_channel():
+    # Zero padding scores q = 0, above every own channel's score here, so a
+    # top k over whole padded rows would keep padding first.
+    model = Model.init(replace(MEAN, d=2, selection=SelectionConfig(kind="gpool")), n_speakers=2)
+    model.gpool.data = np.array([1.0, 0.0])
+    rng = np.random.default_rng(45)
+    feats = [-1.0 - rng.random((c, t, 2)) for c, t in [(2, 3), (5, 1), (3, 4), (6, 2), (1, 2)]]
+    _, keep, _ = _forward(model, feats, [None] * len(feats))
+    for i, f in enumerate(feats):
+        c = f.shape[0]
+        assert not keep[i, c:].any()
+        assert keep[i].sum() == -(-c // 2)
+        assert np.array_equal(keep[i, :c], forward_alone(model, f, None)[1])
+    short = Model.init(replace(MEAN, d=2, selection=SelectionConfig(kind="gpool", k=2)),
+                       n_speakers=2)
+    with pytest.raises(ChannelBudgetError, match=r"k=2 .* utterance 4 .* C=1"):
+        _forward(short, feats, [None] * len(feats))
 
 
 class TestBatchedEvaluate:
@@ -511,9 +603,10 @@ class TestBatchedEvaluate:
     def _spy_forward(self, monkeypatch):
         shapes = []
 
-        def spy(model, x, scenes, frames=None):
-            shapes.append(x.shape)
-            return _forward(model, x, scenes, frames)
+        def spy(model, feats, scenes):
+            shapes.append((len(feats), max(f.shape[0] for f in feats),
+                           max(f.shape[1] for f in feats), model.cfg.d))
+            return _forward(model, feats, scenes)
 
         monkeypatch.setattr(trainer, "_forward", spy)
         return shapes
@@ -539,7 +632,9 @@ class TestBatchedEvaluate:
 
     def test_batches_stay_within_the_budget(self, monkeypatch):
         model = Model.init(self.CFG, n_speakers=3)
-        utts = ragged_utterances([(4, t) for t in range(1, 41)])
+        # Sorted by (channels, frames), a batch's longest utterance may come
+        # before a wider one.
+        utts = ragged_utterances([(c, t) for c in (4, 5, 6) for t in range(1, 41, 2)])
         shapes = self._spy_forward(monkeypatch)
         evaluate(model, utts, all_pair_trials(utts))
         assert sum(b for b, *_ in shapes) == len(utts)
@@ -606,11 +701,25 @@ class TestTraining:
         with pytest.raises(DegenerateTaskError):
             train_second_stage(dataset, cfg, TrainHyper(epochs=1))
 
+    @pytest.mark.parametrize("selection", ["none", "prior", "gpool"])
     @pytest.mark.parametrize("n_blocks", [1, 0], ids=["gcn", "mean"])
-    def test_ragged_training_set_rejected(self, n_blocks):
-        dataset = toy_dataset(c=3, t=4, d=8) + toy_dataset(c=2, t=4, d=8, seed=1)[:1]
-        cfg = ModelConfig(mechanism="gcn", n_blocks=n_blocks, heads=2, d=8)
-        with pytest.raises(DegenerateTaskError, match=r"\(2, 4, 8\).*\(3, 4, 8\)"):
+    def test_ragged_training_set_trains(self, n_blocks, selection):
+        # Arrays of 2 to 8 channels and 3 or 5 frames, batched as they are drawn.
+        utts = ragged_utterances([(c, t) for c in range(2, 9) for t in (3, 5)] * 2, seed=46)
+        cfg = ModelConfig(n_blocks=n_blocks, heads=2, d=8,
+                          selection=SelectionConfig(kind=selection), seed=16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # prior fallbacks on two-channel arrays
+            model, curve = train_second_stage(list(utts.values()), cfg,
+                                              TrainHyper(epochs=4, batch_size=4))
+        assert len(curve) == 4 and np.all(np.isfinite(curve))
+        assert curve[-1] < curve[0]
+
+    def test_feature_width_checked_before_training(self):
+        dataset = toy_dataset(c=3, t=4, d=8)
+        dataset.append(Utterance("wide", 1, FrameTensor(np.ones((3, 4, 6)))))
+        cfg = ModelConfig(n_blocks=1, heads=2, d=8)
+        with pytest.raises(dc.ShapeError, match=r"model.d = 8.*'wide'"):
             train_second_stage(dataset, cfg, TrainHyper(epochs=1))
 
     def test_mean_baseline_trains_only_head(self):
@@ -817,19 +926,48 @@ class TestModelIO:
     def test_config_json_layout(self):
         # Checkpoints record this layout; its key order fixes their bytes.
         cfg = ModelConfig(mechanism="sam", n_blocks=3, heads=2, d=8,
-                          selection=SelectionConfig(kind="gpool", k=2, rho=0.5, noise=True,
+                          selection=SelectionConfig(kind="prior", rho=0.5, noise=True,
                                                     rho_noise=0.3),
                           temporal_graph=GraphSpec("span", delta=2),
                           spatial_graph=GraphSpec("knn", k=3), seed=5)
         expected = {
             "mechanism": "sam", "n_blocks": 3, "heads": 2, "d": 8,
-            "selection": {"kind": "gpool", "k": 2, "rho": 0.5, "noise": True,
+            "selection": {"kind": "prior", "k": None, "rho": 0.5, "noise": True,
                           "rho_noise": 0.3},
             "temporal_graph": {"kind": "span", "delta": 2, "k": 4},
             "spatial_graph": {"kind": "knn", "delta": 1, "k": 3},
             "seed": 5,
         }
         assert json.dumps(model_config_to_json(cfg)) == json.dumps(expected)
+
+    # Settings that the model never reads under the others take their
+    # defaults, so they cannot tell two configs of one model apart.
+    @pytest.mark.parametrize("config, same", [
+        (ModelConfig(n_blocks=0), ModelConfig(n_blocks=0, mechanism="sam", heads=2)),
+        (ModelConfig(n_blocks=0), ModelConfig(n_blocks=0, temporal_graph=GraphSpec("span"),
+                                              spatial_graph=GraphSpec("knn", k=2))),
+        (SelectionConfig(kind="none", rho=0.3), SelectionConfig()),
+        (SelectionConfig(kind="gpool", k=2), SelectionConfig(kind="gpool", k=2, noise=True)),
+        (SelectionConfig(kind="prior"), SelectionConfig(kind="prior", k=3, rho_noise=0.5)),
+        (GraphSpec("complete", delta=3), GraphSpec()),
+        (GraphSpec("span", delta=2), GraphSpec("span", delta=2, k=1)),
+        (GraphSpec("knn", k=2), GraphSpec("knn", delta=0, k=2)),
+    ], ids=["mean_mechanism", "mean_graphs", "none_rho", "gpool_noise", "prior_k",
+            "complete_delta", "span_k", "knn_delta"])
+    def test_unread_settings_do_not_change_equality(self, config, same):
+        assert config == same and hash(config) == hash(same)
+
+    @pytest.mark.parametrize("config, other", [
+        (ModelConfig(n_blocks=1), ModelConfig(n_blocks=1, mechanism="sam")),
+        (SelectionConfig(kind="prior"), SelectionConfig(kind="prior", rho=0.3)),
+        (SelectionConfig(kind="prior", noise=True), SelectionConfig(kind="prior", noise=True,
+                                                                    rho_noise=0.5)),
+        (SelectionConfig(kind="gpool"), SelectionConfig(kind="gpool", k=2)),
+        (GraphSpec("span"), GraphSpec("span", delta=3)),
+        (GraphSpec("knn"), GraphSpec("knn", k=2)),
+    ], ids=["mechanism", "prior_rho", "prior_rho_noise", "gpool_k", "span_delta", "knn_k"])
+    def test_read_settings_change_equality(self, config, other):
+        assert config != other
 
     # A config that is not an object, a section that is not one, and a key
     # that is neither a field nor a removed setting.
