@@ -29,14 +29,13 @@ import csv
 import json
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .chansel import ChannelBudgetError, DegenerateProjectionError
 from .diffcore import NonFiniteError, ShapeError
-from .graphs import adjacency_from_mask, adjacency_to_json, build_prior
+from .graphs import adjacency_to_json, build_prior
 from .scenesim import (
     SimConfig,
     load_scene,
@@ -47,7 +46,7 @@ from .scenesim import (
     synth_features,
     write_features,
 )
-from .stagg import GraphSpec, build_graph
+from .stagg import GraphSpec, build_graph, restrict
 from .trainer import (
     DegenerateTaskError,
     MissingPriorError,
@@ -195,9 +194,9 @@ def load_experiment_config(path, seed_override: int | None = None) -> Experiment
 
 
 def _atomic_write(path: str, write) -> None:
-    """Run ``write(tmp)`` on a new file beside ``path``, then move it onto ``path``."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-")
-    os.close(fd)
+    """Move the file ``write(tmp)`` creates beside ``path`` onto it, with a plain write's mode."""
+    head, tail = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(head, f".tmp-{os.getpid()}-{tail}")
     try:
         write(tmp)
         os.replace(tmp, path)
@@ -252,8 +251,8 @@ def cmd_simulate(args) -> int:
             features = synth_features(scene, speaker, codebook, rng, cfg.sim)
             scene_rel = os.path.join("scenes", f"{utt_id}.json")
             feat_rel = os.path.join("features", f"{utt_id}.adhc")
-            save_scene(os.path.join(out, scene_rel), scene)
-            write_features(os.path.join(out, feat_rel), features)
+            _atomic_write(os.path.join(out, scene_rel), lambda tmp: save_scene(tmp, scene))
+            _atomic_write(os.path.join(out, feat_rel), lambda tmp: write_features(tmp, features))
             entries.append({"id": utt_id, "speaker": speaker, "split": split,
                             "scene": scene_rel, "features": feat_rel})
     manifest = {"seed": cfg.seed, "n_speakers": cfg.sim.n_speakers, "d": cfg.sim.d,
@@ -277,16 +276,23 @@ def _load_dataset(data_dir: str, split: str, channels: int | None, seed: int) ->
     except json.JSONDecodeError as err:
         raise DataError(f"malformed manifest: {err}") from err
 
+    entries = manifest.get("utterances") if isinstance(manifest, dict) else None
+    if not isinstance(entries, list):
+        raise DataError(f"malformed manifest {manifest_path}: 'utterances' must be a list")
     utterances = []
-    for i, entry in enumerate(manifest.get("utterances", [])):
+    for i, entry in enumerate(entries):
+        if (not isinstance(entry, dict) or not isinstance(entry.get("id"), str)
+                or type(entry.get("speaker")) is not int):
+            raise DataError(f"malformed manifest entry {i}: expected an object with a string "
+                            f"'id' and an integer 'speaker', got {entry!r}")
         if entry.get("split") != split:
             continue
         try:
             features = read_features(os.path.join(data_dir, entry["features"]))
             scene = load_scene(os.path.join(data_dir, entry["scene"]))
-        except (FileNotFoundError, ValueError, KeyError) as err:
-            raise DataError(f"cannot load utterance {entry.get('id')!r}: {err}") from err
-        utt = Utterance(utt_id=entry["id"], speaker=int(entry["speaker"]),
+        except (FileNotFoundError, ValueError, KeyError, TypeError) as err:
+            raise DataError(f"cannot load utterance {entry['id']!r}: {err}") from err
+        utt = Utterance(utt_id=entry["id"], speaker=entry["speaker"],
                         features=features, scene=scene)
         if channels is not None:
             if channels > features.c:
@@ -405,36 +411,31 @@ def cmd_graph(args) -> int:
             scene = load_scene(args.scene)
         except FileNotFoundError as err:
             raise DataError(f"scene not found: {args.scene}") from err
-        except (ValueError, KeyError) as err:
+        except ValueError as err:
             raise DataError(f"malformed scene: {err}") from err
 
     mask_doc = None
-    if args.kind == "prior":
+    if args.kind in ("knn", "prior"):
         if scene is None:
-            raise ConfigError("prior graph needs --scene")
-        try:
-            mask = build_prior(scene, args.rho, args.noise_rho)
-        except MissingPriorError:
-            raise  # a data error: the scene lacks the noise source
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
-        adjacency = adjacency_from_mask(mask)
-        mask_doc = {"selected_indices": np.flatnonzero(mask).tolist(),
-                    "bits": "".join("1" if x else "0" for x in mask),
-                    "k": int(mask.sum())}
+            raise ConfigError(f"{args.kind} graph needs --scene")
+        n, positions = scene.n_nodes, scene.node_pos
+    elif args.n is None:
+        raise ConfigError(f"{args.kind} graph needs --n (node or frame count)")
     else:
-        if args.kind == "knn":
-            if scene is None:
-                raise ConfigError("knn graph needs --scene")
-            n, positions = scene.n_nodes, scene.node_pos
+        n, positions = args.n, None
+    try:
+        if args.kind == "prior":
+            mask = build_prior(scene, args.rho, args.noise_rho)
+            adjacency = restrict(build_graph(GraphSpec(), n), mask)
+            mask_doc = {"selected_indices": np.flatnonzero(mask).tolist(),
+                        "bits": "".join("1" if x else "0" for x in mask),
+                        "k": int(mask.sum())}
         else:
-            if args.n is None:
-                raise ConfigError(f"{args.kind} graph needs --n (node or frame count)")
-            n, positions = args.n, None
-        try:
             adjacency = build_graph(GraphSpec(args.kind, args.delta, args.k), n, positions)
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
+    except MissingPriorError:
+        raise  # a data error: the scene lacks the noise source
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
 
     doc = {"adjacency": adjacency_to_json(adjacency), "mask": mask_doc}
     if args.out is not None:

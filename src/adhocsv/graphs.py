@@ -1,16 +1,11 @@
-"""Graphs as boolean numpy masks.
+"""The geometry prior, and the JSON form of an adjacency.
 
-An adjacency is a bool (N, N) array whose entry (i, j) says node i sees
-node j; a prior channel mask is a bool (C,) array of the channels it
-keeps.  Constructors cover the graph families the pipeline uses: complete
-graphs, banded temporal graphs over frames, k-nearest spatial graphs over
-node positions, and the geometry prior.  One function, :func:`build_prior`,
-states the prior: one channel mask from the speaker distances and,
-optionally, the noise source's.  Every adjacency built here carries
-self-loops (diagonal all True) and every prior mask keeps at least one
-channel, so no attention row and no pool is ever empty; consumers check
-both again at use (:func:`diffcore.check_mask`,
-:func:`chansel.weighted_pool`).
+:func:`build_prior` states the prior once: a bool (C,) mask of the
+channels near the speaker and, optionally, off the noise source.  It keeps
+at least one channel, so no pool is ever empty; :func:`chansel.weighted_pool`
+checks that again at use.  The graphs the aggregation stack reads are built
+by :func:`stagg.build_graph` and narrowed to the nodes in use by
+:func:`stagg.restrict`; :func:`adjacency_to_json` writes any of them out.
 """
 
 from __future__ import annotations
@@ -23,54 +18,13 @@ from .scenesim import Scene, distances
 
 __all__ = [
     "MissingPriorError",
-    "build_complete",
-    "build_temporal_span",
-    "build_knn",
     "build_prior",
-    "adjacency_from_mask",
     "adjacency_to_json",
 ]
 
 
 class MissingPriorError(ValueError):
     """Geometry-based selection was requested without the scene, or the source, it reads."""
-
-
-def build_complete(n: int) -> np.ndarray:
-    if n < 1:
-        raise ValueError("complete graph needs at least one node")
-    return np.ones((n, n), dtype=bool)
-
-
-def build_temporal_span(t: int, delta: int) -> np.ndarray:
-    """Banded frame graph: i and j connected iff |i - j| <= delta."""
-    if t < 1:
-        raise ValueError("temporal graph needs at least one frame")
-    if delta < 0:
-        raise ValueError("span half-window must be nonnegative")
-    idx = np.arange(t)
-    return np.abs(idx[:, None] - idx[None, :]) <= delta
-
-
-def build_knn(positions, k: int) -> np.ndarray:
-    """Graph where each node links to its min(k, n - 1) nearest other nodes.
-
-    Directed in general (nearest-neighbor relations need not be mutual);
-    ties broken toward lower node index.  Self-loops always present, so a
-    single node's graph is its self-loop whatever k is.
-    """
-    pos = np.asarray(positions, dtype=np.float64)
-    n = pos.shape[0]
-    if n < 1:
-        raise ValueError("knn graph needs at least one node")
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
-    np.fill_diagonal(dist, -np.inf)  # each node sorts first in its own row
-    nearest = np.argsort(dist, axis=1, kind="stable")[:, :k + 1]  # the slice stops at n
-    entries = np.zeros((n, n), dtype=bool)
-    np.put_along_axis(entries, nearest, True, axis=1)
-    return entries
 
 
 def build_prior(scene: Scene, rho: float, rho_noise: float | None = None) -> np.ndarray:
@@ -99,12 +53,6 @@ def build_prior(scene: Scene, rho: float, rho_noise: float | None = None) -> np.
                       "falling back to the nearest channel")
         selected[int(np.argmin(d_spk))] = True  # argmin ties resolve to the lowest index
     return selected
-
-
-def adjacency_from_mask(mask: np.ndarray) -> np.ndarray:
-    """Complete subgraph over the selected channels, self-loops everywhere."""
-    mask = np.asarray(mask, dtype=bool)
-    return np.outer(mask, mask) | np.eye(mask.shape[0], dtype=bool)
 
 
 def adjacency_to_json(a: np.ndarray) -> dict:

@@ -215,14 +215,37 @@ def scene_to_json(scene: Scene) -> dict:
     }
 
 
-def scene_from_json(doc: dict) -> Scene:
-    """Read a :func:`scene_to_json` document; keys it does not read are ignored."""
+def _field(value, name: str, ndim: int) -> np.ndarray:
+    """Scene field ``name`` as a number (ndim 0), [x, y, z] (1) or a nonempty list of them (2)."""
+    try:
+        points = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        points = None
+    if (points is None or points.ndim != ndim or not np.isfinite(points).all()
+            or (ndim and (points.shape[-1] != 3 or points.size == 0))):
+        kind = ("a number", "[x, y, z]", "a nonempty list of [x, y, z]")[ndim]
+        raise ValueError(f"scene field {name!r} must be {kind}, got {value!r}")
+    return points
+
+
+def scene_from_json(doc) -> Scene:
+    """Read a :func:`scene_to_json` document; keys it does not read are ignored.
+
+    A document that is not an object, or that misses or misshapes a field
+    it reads, raises ``ValueError`` naming the field.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"a scene must be a JSON object, got {type(doc).__name__}")
+    speaker = doc.get("speaker")
+    speaker_pos = speaker.get("pos") if isinstance(speaker, dict) else None
+    if "noise_pos" not in doc:
+        raise ValueError("scene field 'noise_pos' is missing; null means no noise source")
     return Scene(
-        room=tuple(doc["room"]),
-        speaker_pos=np.array(doc["speaker"]["pos"]),
-        noise_pos=None if doc["noise_pos"] is None else np.array(doc["noise_pos"]),
-        node_pos=np.array(doc["nodes"]),
-        snr_db=float(doc["snr_db"]),
+        room=tuple(_field(doc.get("room"), "room", 1).tolist()),
+        speaker_pos=_field(speaker_pos, "speaker.pos", 1),
+        noise_pos=None if doc["noise_pos"] is None else _field(doc["noise_pos"], "noise_pos", 1),
+        node_pos=_field(doc.get("nodes"), "nodes", 2),
+        snr_db=float(_field(doc.get("snr_db"), "snr_db", 0)),
     )
 
 

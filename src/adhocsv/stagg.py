@@ -11,6 +11,11 @@ is the one place that picks between them.  A stack may hold zero blocks:
 it then returns its input, and the model pools the frame features as
 they are (the MEAN baseline, ``model.n_blocks: 0``).
 
+Every graph the stack reads is built here as a bool (N, N) mask, entry
+(i, j) True when node i sees node j: :func:`build_graph` makes each kind,
+and :func:`restrict` narrows one to the frames or channels an utterance
+uses.  Both keep a self-loop on every node, so no attention row is empty.
+
 gcn's attention is static: the paper's score beta . LeakyReLU([W_l h_i ||
 W_r h_j]) for edge (i, j) splits into a term of node i plus a term of key
 j, because LeakyReLU acts on each half on its own, and the softmax over
@@ -43,7 +48,6 @@ import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Parameter, ParamSet, Tensor
-from .graphs import build_complete, build_knn, build_temporal_span
 
 __all__ = [
     "AggParams",
@@ -55,6 +59,7 @@ __all__ = [
     "gcn_agg",
     "st_stack",
     "build_graph",
+    "restrict",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -246,14 +251,36 @@ def gcn_agg(x, a, params: AggParams) -> Tensor:
 
 
 def build_graph(spec: GraphSpec, n: int, positions=None) -> np.ndarray:
-    """The bool (n, n) adjacency a GraphSpec describes (positions needed for knn)."""
+    """The bool (n, n) adjacency a GraphSpec describes, with a self-loop on every node.
+
+    complete links every pair and span links i and j iff |i - j| <= delta.
+    knn links each node to its min(k, n - 1) nearest others by the (n, dims)
+    ``positions``, ties toward the lower index; it need not be symmetric.
+    """
+    if n < 1:
+        raise ValueError(f"a graph needs at least one node, got {n}")
     if spec.kind == "complete":
-        return build_complete(n)
+        return np.ones((n, n), dtype=bool)
     if spec.kind == "span":
-        return build_temporal_span(n, spec.delta)
+        idx = np.arange(n)
+        return np.abs(idx[:, None] - idx[None, :]) <= spec.delta
     if positions is None:
         raise ValueError("knn graph spec needs node positions")
-    return build_knn(positions, spec.k)
+    pos = np.asarray(positions, dtype=np.float64)
+    dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
+    np.fill_diagonal(dist, -np.inf)  # each node sorts first in its own row
+    nearest = np.argsort(dist, axis=1, kind="stable")[:, :spec.k + 1]  # the slice stops at n
+    graph = np.zeros((n, n), dtype=bool)
+    np.put_along_axis(graph, nearest, True, axis=1)
+    return graph
+
+
+def restrict(graph: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """``graph & nodes_i & nodes_j | I`` for a bool (..., N, N) graph and (..., N) nodes in use.
+
+    An unused node sees only itself, and no used node sees it.
+    """
+    return graph & nodes[..., :, None] & nodes[..., None, :] | np.eye(nodes.shape[-1], dtype=bool)
 
 
 def st_stack(x, blocks: list[BlockParams], a_temporal: np.ndarray, spatial_mask) -> Tensor:

@@ -35,6 +35,7 @@ from .stagg import (
     gcn_agg,  # noqa: F401 - perfbench/tests/test_tracing.py traces it through this module
     init_stack_params,
     load_checkpoint,
+    restrict,
     save_checkpoint,
     st_stack,
 )
@@ -213,18 +214,19 @@ def _forward(model: Model, feats, scenes: list[Scene | None]):
     ``feats`` holds one (C_i, T_i, D) frame array per utterance and ``scenes``
     one scene (or None) each.  This is the one function that pads: it
     zero-fills the batch to (B, max C_i, max T_i, D).  Each utterance's
-    frames form its temporal graph inside a (B, 1, T, T) mask whose padded
-    frames see only themselves, and the channels' frame means zbar (B, C, D)
-    average valid frames only.
+    temporal graph is the configured frame graph restricted to its valid
+    frames (:func:`stagg.restrict`), so its padded frames see only
+    themselves, and the channels' frame means zbar (B, C, D) average valid
+    frames only.
 
     A bool (B, C) array ``keep`` states which of its own channels each
     utterance uses: all of them, the prior's mask (:func:`graphs.build_prior`,
     known before the stack), or gpool's top k (picked from zbar after it).
     The spatial masks derive from it once, as the configured graph restricted
-    to the kept channels, with a self-loop on every channel, so a padded
-    channel sees only itself; a model of zero blocks builds no graph.  So
-    padding changes no embedding beyond rounding.  The kept channels are
-    gated and pooled in one weighted mean (:func:`chansel.weighted_pool`).
+    to the kept channels, so a padded channel sees only itself; a model of
+    zero blocks builds no graph.  So padding changes no embedding beyond
+    rounding.  The kept channels are gated and pooled in one weighted mean
+    (:func:`chansel.weighted_pool`).
     Returns the (B, D) embeddings, ``keep``, and gpool's (B, C) gate
     array (None for the other kinds).
     """
@@ -258,12 +260,10 @@ def _forward(model: Model, feats, scenes: list[Scene | None]):
     valid = np.arange(t) < frames[:, None]  # (B, T)
     out = Tensor(x)
     if model.blocks:
-        a_spatial = graph & keep[:, :, None] & keep[:, None, :] | np.eye(c, dtype=bool)
         # The T-node graph's top-left n x n block is the n-node graph for
         # complete and span graphs (ModelConfig refuses knn over frames).
-        a_temporal = (build_graph(cfg.temporal_graph, t)
-                      & valid[:, None, :, None] & valid[:, None, None, :]) | np.eye(t, dtype=bool)
-        out = st_stack(out, model.blocks, a_temporal, a_spatial)
+        a_temporal = restrict(build_graph(cfg.temporal_graph, t), valid)[:, None]
+        out = st_stack(out, model.blocks, a_temporal, restrict(graph, keep))
     zbar = dc.div(dc.sum_axis(dc.mul(out, valid[:, None, :, None]), axis=2),
                   frames[:, None, None])  # (B, C, D)
 
@@ -418,14 +418,13 @@ class EvalReport:
 # counting only the temporal ones would let batches of many-channel, short
 # utterances grow without bound in the spatial pass.  A batch's recorded
 # graph holds every block's arrays until its embeddings are read out, so
-# the budget bounds the memory of evaluation.  Measured on 400 arrays of
-# 4-16 channels and 10-40 frames with a trained 2-block, 4-head gcn + gpool
-# model (d = 16), one BLAS thread on a 2-core x86_64 machine, when batches
-# still held one channel count each: peak RSS, 54 MiB after training,
-# reached 61, 64 and 71 MiB at budgets of 32768, 65536 and 131072; 16384
-# ran slowest, and 32768 to 131072 ran within the machine's timing noise
-# of each other.  An utterance over the budget on its own runs as a batch
-# of one.
+# the budget bounds the memory of evaluation.  Measured on the verify-ragged
+# inputs (400 arrays of 4-16 channels and 10-40 frames, batches mixing
+# channel counts) with its trained gcn + gpool model, one BLAS thread on a
+# 2-core x86_64 machine: peak RSS, 53 MiB after training, reached 66, 66
+# and 69 MiB at budgets of 32768, 65536 and 131072; evaluate took a median
+# 0.44, 0.49 and 0.52 s, within timing noise of each other, and 0.55 s at
+# 16384.  An utterance over the budget on its own runs as a batch of one.
 EVAL_BATCH_ENTRIES = 65536
 
 

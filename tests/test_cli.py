@@ -10,10 +10,10 @@ import pytest
 
 from adhocsv import cli
 from adhocsv.cli import ConfigError, EvalSpec, load_experiment_config, main
-from adhocsv.graphs import adjacency_from_mask, adjacency_to_json, build_prior
+from adhocsv.graphs import adjacency_to_json, build_prior
 from adhocsv.scenesim import (FrameTensor, Scene, SimConfig, read_features, sample_scene,
                               save_scene, write_features)
-from adhocsv.stagg import load_checkpoint, save_checkpoint
+from adhocsv.stagg import GraphSpec, build_graph, load_checkpoint, restrict, save_checkpoint
 from adhocsv.trainer import (Model, ModelConfig, SelectionConfig, TrainHyper, embed_with_info,
                              load_model, model_config_to_json, read_trials_csv)
 
@@ -110,6 +110,10 @@ class TestSimulate:
         ft = read_features(out / first["features"])
         assert (ft.c, ft.t, ft.d) == (4, 6, 8)
         assert (out / first["scene"]).exists()
+        umask = os.umask(0)
+        os.umask(umask)
+        modes = {os.stat(out / name).st_mode & 0o777 for name in tree_bytes(out)}
+        assert modes == {0o666 & ~umask}  # moved into place, but with a plain write's mode
 
     def test_default_node_count_is_forty(self, tmp_path):
         cfg = dict(TINY_CONFIG)
@@ -128,6 +132,25 @@ class TestSimulate:
         for out in (out1, out2):
             assert main(["simulate", "--config", config_path, "--out", str(out), "--quiet"]) == 0
         assert tree_bytes(out1) == tree_bytes(out2)
+
+    def test_failed_feature_write_keeps_the_old_file(self, tmp_path, config_path, monkeypatch):
+        # Scene and feature files are written beside their targets and moved into place.
+        out = tmp_path / "data"
+        args = ["simulate", "--config", config_path, "--out", str(out), "--quiet"]
+        assert main(args) == 0
+        before = tree_bytes(out)
+
+        def half_written(path, features):
+            with open(path, "wb") as f:
+                f.write(b"ADHC")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_features", half_written)
+        with pytest.raises(OSError, match="disk full"):
+            main(args)
+        after = tree_bytes(out)
+        assert after == before
+        assert not [name for name in after if ".tmp-" in name]
 
     def test_unknown_config_key_rejected_before_writing(self, tmp_path):
         bad = dict(TINY_CONFIG)
@@ -303,6 +326,57 @@ def test_single_channel_or_frame_runs_end_to_end(tmp_path, capsys, model, n_node
         assert 0.0 <= json.load(f)["eer"] <= 1.0
     with open(os.path.join(out, "per_node.csv"), encoding="utf-8") as f:
         assert len(f.read().strip().splitlines()) == 1 + n_nodes
+
+
+# Nodes on a line through the speaker at (1, 7, 2), given as distances along +x.
+DEGENERATE_SCENES = {
+    # Every node sits on the speaker: all are near it, so all are kept.
+    "all_nodes_on_speaker": ([0.0, 0.0, 0.0, 0.0], (8.0, 7.0, 2.0), 0.6, [0, 1, 2, 3]),
+    # rho 0.8 keeps nodes 0-2; node 1 sits on the noise source and is dropped.
+    "noise_on_a_node": ([1.0, 2.0, 3.0, 4.0], (3.0, 7.0, 2.0), 0.8, [0, 2]),
+    # Distance ratios .75 .25 .5 1 all miss rho 0.2: the nearest node, 1, is kept.
+    "prior_falls_back": ([3.0, 1.0, 2.0, 4.0], (8.0, 12.0, 4.0), 0.2, [1]),
+}
+
+
+@pytest.mark.parametrize("case", list(DEGENERATE_SCENES))
+def test_degenerate_scene_selection_end_to_end(tmp_path, case):
+    # train then eval --dump-selection with prior + noise selection, every
+    # utterance recorded in the one hand-placed scene of the case.
+    offsets, noise, rho, expected = DEGENERATE_SCENES[case]
+    speaker = np.array([1.0, 7.0, 2.0])
+    scene = Scene(room=(10.0, 14.0, 5.0), speaker_pos=speaker, noise_pos=np.array(noise),
+                  node_pos=np.array([speaker + [d, 0.0, 0.0] for d in offsets]), snr_db=10.0)
+    data = tmp_path / "data"
+    os.makedirs(data / "features")
+    save_scene(data / "scene.json", scene)
+    rng = np.random.default_rng(50)
+    entries = []
+    for i, split in enumerate(["train"] * 8 + ["test"] * 4):
+        write_features(data / "features" / f"u{i}.adhc",
+                       FrameTensor(rng.standard_normal((len(offsets), 6, 8))))
+        entries.append({"id": f"u{i}", "speaker": i % 2, "split": split,
+                        "scene": "scene.json", "features": f"features/u{i}.adhc"})
+    (data / "manifest.json").write_text(json.dumps({"utterances": entries}))
+    cfg = json.loads(json.dumps(TINY_CONFIG))
+    cfg["model"]["selection"] = {"kind": "prior", "rho": rho, "noise": True, "rho_noise": 0.2}
+    cfg["eval"] = {"n_target": 4, "n_nontarget": 4}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    run, out = tmp_path / "run", tmp_path / "eval"
+    steps = [["train", "--data", str(data), "--out", str(run)],
+             ["eval", "--ckpt", str(run / "model.ckpt"), "--data", str(data), "--out", str(out),
+              "--dump-selection"]]
+    for step in steps:
+        args = step + ["--config", str(config), "--quiet"]
+        if case == "prior_falls_back":
+            with pytest.warns(UserWarning, match="falling back to the nearest channel"):
+                assert main(args) == 0
+        else:
+            assert main(args) == 0  # pytest turns a fallback warning into an error here
+    selection = json.loads((out / "selection.json").read_text())
+    assert [s["id"] for s in selection] == ["u8", "u9", "u10", "u11"]
+    assert all(s["selected_indices"] == expected for s in selection)
 
 
 class TestTrainEval:
@@ -661,6 +735,44 @@ class TestTrainEval:
                                    "--out", str(tmp_path / split), "--quiet"]) == 3
             assert os.path.basename(path) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["entry_without_speaker", "string_entry", "manifest_list",
+                                      "features_null"])
+    def test_malformed_manifest_is_data_error(self, tmp_path, config_path, dataset, capsys, case):
+        path = os.path.join(dataset, "manifest.json")
+        with open(path, encoding="utf-8") as f:
+            manifest = json.load(f)
+        first = manifest["utterances"][0]
+        if case == "entry_without_speaker":
+            del first["speaker"]
+        elif case == "string_entry":
+            manifest["utterances"][0] = first["id"]
+        elif case == "features_null":
+            first["features"] = None
+        else:
+            manifest = manifest["utterances"]
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(manifest, f)
+        assert main(["train", "--config", config_path, "--data", dataset,
+                     "--out", str(tmp_path / "run"), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        named = {"manifest_list": "malformed manifest", "features_null": "cannot load utterance"}
+        assert err.startswith("data error: " + named.get(case, "malformed manifest entry 0"))
+
+    @pytest.mark.parametrize("command", ["train", "graph"])
+    def test_scene_that_is_a_list_is_data_error(self, tmp_path, config_path, dataset, capsys,
+                                                command):
+        with open(os.path.join(dataset, "manifest.json"), encoding="utf-8") as f:
+            entry = json.load(f)["utterances"][0]
+        scene = os.path.join(dataset, entry["scene"])
+        with open(scene, "w", encoding="utf-8") as f:
+            json.dump([[1.0, 2.0, 1.0]], f)
+        args = {"train": ["train", "--config", config_path, "--data", dataset,
+                          "--out", str(tmp_path / "run"), "--quiet"],
+                "graph": ["graph", "--kind", "knn", "--scene", scene]}[command]
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "scene must be a JSON object" in err
+
     def test_eval_missing_checkpoint(self, tmp_path, config_path, dataset):
         assert main(["eval", "--config", config_path, "--ckpt", str(tmp_path / "nope.ckpt"),
                      "--data", dataset, "--out", str(tmp_path / "e"), "--quiet"]) == 3
@@ -706,7 +818,7 @@ class TestGraphCommand:
         mask = build_prior(scene, 0.6, 0.2)
         assert doc["mask"]["selected_indices"] == np.flatnonzero(mask).tolist()
         assert 0 not in doc["mask"]["selected_indices"]
-        assert doc["adjacency"] == adjacency_to_json(adjacency_from_mask(mask))
+        assert doc["adjacency"] == adjacency_to_json(restrict(build_graph(GraphSpec(), 4), mask))
 
     def test_prior_mask_matches_embed_selection(self, tmp_path, capsys):
         sampled = sample_scene(np.random.default_rng(7), SimConfig(n_nodes=10, d=8, t=3))

@@ -8,17 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adhocsv import graphs
-from adhocsv.graphs import (
-    MissingPriorError,
-    adjacency_from_mask,
-    adjacency_to_json,
-    build_complete,
-    build_knn,
-    build_prior,
-    build_temporal_span,
-)
+from adhocsv.graphs import MissingPriorError, adjacency_to_json, build_prior
 from adhocsv.scenesim import Scene
-from adhocsv.stagg import GraphSpec, build_graph
+from adhocsv.stagg import GraphSpec, build_graph, restrict
 
 
 def adjacency_from_json(doc: dict) -> np.ndarray:
@@ -58,41 +50,41 @@ def random_scene(rng, n_nodes, with_noise=True):
 
 class TestComplete:
     def test_all_ones(self):
-        a = build_complete(3)
+        a = build_graph(GraphSpec(), 3)
         assert a.all() and np.array_equal(a, a.T)
 
     def test_single_node(self):
-        assert np.array_equal(build_complete(1), [[True]])
+        assert np.array_equal(build_graph(GraphSpec(), 1), [[True]])
 
     def test_counting(self):
-        a = build_complete(40)
+        a = build_graph(GraphSpec(), 40)
         assert int(a.sum()) == 1600
         assert np.array_equal(a, a.T)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            build_complete(0)
+            build_graph(GraphSpec(), 0)
 
 
 class TestTemporalSpan:
     def test_zero_span_is_identity(self):
-        a = build_temporal_span(4, 0)
+        a = build_graph(GraphSpec("span", delta=0), 4)
         assert np.array_equal(a, np.eye(4, dtype=bool))
 
     def test_unit_span_is_tridiagonal(self):
-        a = build_temporal_span(4, 1)
+        a = build_graph(GraphSpec("span", delta=1), 4)
         expected = np.eye(4, dtype=bool) | np.eye(4, k=1, dtype=bool) | np.eye(4, k=-1, dtype=bool)
         assert np.array_equal(a, expected)
 
     def test_wide_span_clips_to_complete(self):
-        assert build_temporal_span(3, 5).all()
+        assert build_graph(GraphSpec("span", delta=5), 3).all()
 
     @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=15))
     @settings(max_examples=50, deadline=None)
     def test_span_at_least_t_minus_one_is_complete(self, t, delta):
-        a = build_temporal_span(t, delta)
+        a = build_graph(GraphSpec("span", delta=delta), t)
         if delta >= t - 1:
-            assert np.array_equal(a, build_complete(t))
+            assert np.array_equal(a, build_graph(GraphSpec(), t))
         assert np.array_equal(a, a.T)
         assert np.all(np.diagonal(a))
 
@@ -101,7 +93,7 @@ class TestKnn:
     def test_nearest_neighbor_rows(self):
         # Nodes on a line: 0 --- 1 - 2 (1 and 2 close together).
         pos = np.array([[0.0, 0, 0], [3.0, 0, 0], [4.0, 0, 0]])
-        a = build_knn(pos, k=1)
+        a = build_graph(GraphSpec("knn", k=1), len(pos), pos)
         assert np.array_equal(a[0], [True, True, False])  # 0's nearest is 1
         assert np.array_equal(a[1], [False, True, True])
         assert np.array_equal(a[2], [False, True, True])
@@ -110,7 +102,7 @@ class TestKnn:
         rng = np.random.default_rng(3)
         pos = rng.uniform(0, 10, size=(12, 3))
         k = 4
-        a = build_knn(pos, k)
+        a = build_graph(GraphSpec("knn", k=k), len(pos), pos)
         for u in range(12):
             d = np.linalg.norm(pos - pos[u], axis=1)
             d[u] = np.inf
@@ -119,13 +111,14 @@ class TestKnn:
 
     def test_k_over_node_count_links_every_node(self):
         pos = np.array([[0.0, 0, 0], [3.0, 0, 0], [4.0, 0, 0]])
-        assert np.array_equal(build_knn(pos, k=4), build_knn(pos, k=2))
-        assert build_knn(pos, k=4).all()
-        assert np.array_equal(build_knn(pos[:1], k=4), [[True]])
+        k4 = build_graph(GraphSpec("knn", k=4), 3, pos)
+        assert np.array_equal(k4, build_graph(GraphSpec("knn", k=2), 3, pos))
+        assert k4.all()
+        assert np.array_equal(build_graph(GraphSpec("knn", k=4), 1, pos[:1]), [[True]])
 
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
-            build_knn(np.zeros((3, 3)), k=-1)
+            build_graph(GraphSpec("knn", k=-1), 3, np.zeros((3, 3)))
 
 
 class TestPrior:
@@ -138,7 +131,7 @@ class TestPrior:
     def test_rho_one_excludes_farthest(self):
         scene = line_scene([1.0, 2.0, 3.0, 4.0])
         mask = build_prior(scene, rho=1.0)
-        adjacency = adjacency_from_mask(mask)
+        adjacency = restrict(build_graph(GraphSpec(), 4), mask)
         assert mask.tolist() == [True, True, True, False]
         # The farthest channel keeps only its self-loop.
         assert np.flatnonzero(adjacency[3]).tolist() == [3]
@@ -147,7 +140,7 @@ class TestPrior:
     def test_selected_subgraph_complete_and_symmetric(self):
         scene = line_scene([1.0, 1.5, 2.0, 8.0])
         mask = build_prior(scene, rho=0.5)
-        adjacency = adjacency_from_mask(mask)
+        adjacency = restrict(build_graph(GraphSpec(), 4), mask)
         idx = np.flatnonzero(mask)
         sub = adjacency[np.ix_(idx, idx)]
         assert sub.all()
@@ -321,15 +314,16 @@ class TestGraphArrays:
         for a in (build_graph(GraphSpec("complete"), n),
                   build_graph(GraphSpec("span", delta=param), n),
                   build_graph(GraphSpec("knn", k=param), n, scene.node_pos),
-                  adjacency_from_mask(prior),
-                  adjacency_from_mask(rng.random(n) < 0.5)):
+                  restrict(build_graph(GraphSpec(), n), prior),
+                  restrict(build_graph(GraphSpec("knn", k=param), n, scene.node_pos),
+                           rng.random(n) < 0.5)):
             assert a.dtype == np.bool_ and a.shape == (n, n)
             assert np.diagonal(a).all()
 
 
 class TestNeighborsAndJson:
     def test_json_round_trip(self):
-        a = build_temporal_span(5, 1)
+        a = build_graph(GraphSpec("span", delta=1), 5)
         doc = adjacency_to_json(a)
         assert doc["n"] == 5 and len(doc["rows"]) == 5
         b = adjacency_from_json(doc)
@@ -342,9 +336,9 @@ class TestNeighborsAndJson:
         with pytest.raises(ValueError):
             adjacency_from_json({"n": 2, "rows": ["1x", "01"]})
 
-    def test_adjacency_from_mask(self):
+    def test_restrict_complete_graph_to_a_mask(self):
         mask = np.array([True, False, True])
-        a = adjacency_from_mask(mask)
+        a = restrict(build_graph(GraphSpec(), 3), mask)
         expected = np.array([
             [True, False, True],
             [False, True, False],

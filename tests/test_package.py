@@ -49,14 +49,15 @@ def adhocsv_imports(name: str) -> set[str]:
     return found
 
 
-# The simulator sits at the bottom and graphs right above it, so graphs can
-# read scenes at run time without an import cycle.  Channel selection needs
-# only the autodiff core, and aggregation takes graphs as plain masks.
+# The simulator sits at the bottom and graphs right above it, so the prior
+# can read scenes at run time without an import cycle.  Channel selection
+# needs only the autodiff core, and aggregation builds its own graphs as
+# plain masks.
 @pytest.mark.parametrize("name, allowed", [
     ("scenesim", set()),
     ("graphs", {"scenesim"}),
     ("chansel", {"diffcore"}),
-    ("stagg", {"diffcore", "graphs"}),
+    ("stagg", {"diffcore"}),
 ], ids=["scenesim", "graphs", "chansel", "stagg"])
 def test_import_layering(name, allowed):
     assert adhocsv_imports(name) <= allowed

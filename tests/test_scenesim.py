@@ -1,5 +1,6 @@
 """Scene sampling bounds, determinism, and feature-corruption behavior."""
 
+import re
 import struct
 
 import numpy as np
@@ -185,6 +186,24 @@ class TestSerialization:
         assert scene.snr_db == 7.5
         written = scene_to_json(scene)
         assert "t60" not in written and written["speaker"] == {"pos": [1.0, 2.0, 1.5]}
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda doc: doc.pop("room"), "room"),
+        (lambda doc: doc.__setitem__("speaker", [1.0, 2.0, 1.5]), "speaker.pos"),
+        (lambda doc: doc["speaker"].__setitem__("pos", [1.0, 2.0]), "speaker.pos"),
+        (lambda doc: doc.pop("noise_pos"), "noise_pos"),
+        (lambda doc: doc.__setitem__("nodes", [["a", 1.0, 1.0]]), "nodes"),
+        (lambda doc: doc.__setitem__("nodes", []), "nodes"),
+        (lambda doc: doc.__setitem__("snr_db", None), "snr_db"),
+    ], ids=["no_room", "speaker_list", "short_speaker_pos", "no_noise_pos", "string_node",
+            "no_nodes", "null_snr"])
+    def test_malformed_scene_json_names_its_field(self, edit, field):
+        doc = scene_to_json(sample_scene(np.random.default_rng(8), SimConfig(n_nodes=3)))
+        edit(doc)
+        with pytest.raises(ValueError, match=f"scene field '{re.escape(field)}'"):
+            scene_from_json(doc)
+        with pytest.raises(ValueError, match="must be a JSON object, got list"):
+            scene_from_json([doc])
 
     def test_scene_file_round_trip(self, tmp_path):
         scene = sample_scene(np.random.default_rng(9), SimConfig(n_nodes=3))

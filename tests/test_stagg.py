@@ -8,7 +8,6 @@ import pytest
 
 from adhocsv import diffcore as dc
 from adhocsv.diffcore import Parameter, ParamSet, Tensor, vjp_check
-from adhocsv.graphs import build_complete, build_knn, build_temporal_span
 from adhocsv.scenesim import FrameTensor
 from adhocsv.stagg import (
     AggParams,
@@ -18,6 +17,7 @@ from adhocsv.stagg import (
     init_agg_params,
     init_stack_params,
     load_checkpoint,
+    restrict,
     sam_agg,
     save_checkpoint,
     st_stack,
@@ -147,7 +147,7 @@ class TestSamAgg:
         x = rng.standard_normal((1, d))
         params = make_sam_params([(rng.standard_normal((d, d)), rng.standard_normal((d, d)),
                                    np.eye(d))])
-        out = sam_agg(Tensor(x), build_complete(1), params)
+        out = sam_agg(Tensor(x), build_graph(GraphSpec(), 1), params)
         assert np.allclose(out.data, x, atol=1e-12)
 
     def test_identical_rows_give_identical_outputs(self):
@@ -156,7 +156,7 @@ class TestSamAgg:
         row = rng.standard_normal(d)
         x = np.stack([row, row])
         params = init_agg_params("sam", d, 2, rng, "t")
-        out = sam_agg(Tensor(x), build_complete(2), params).data
+        out = sam_agg(Tensor(x), build_graph(GraphSpec(), 2), params).data
         assert np.allclose(out[0], out[1], atol=1e-12)
 
     def test_matches_reference(self):
@@ -175,7 +175,7 @@ class TestSamAgg:
         n, d, m = 6, 8, 4
         x = rng.standard_normal((n, d))
         params = init_agg_params("sam", d, m, rng, "t")
-        out = sam_agg(Tensor(x), build_complete(n), params).data
+        out = sam_agg(Tensor(x), build_graph(GraphSpec(), n), params).data
         ref = reference_unmasked_mha(x, head_arrays(params))
         assert np.max(np.abs(out - ref)) < 1e-10
 
@@ -205,7 +205,7 @@ class TestSamAgg:
         rng = np.random.default_rng(6)
         params = init_agg_params("sam", 4, 2, rng, "t")
         with pytest.raises(dc.ShapeError):
-            sam_agg(Tensor(rng.standard_normal((3, 5))), build_complete(3), params)
+            sam_agg(Tensor(rng.standard_normal((3, 5))), build_graph(GraphSpec(), 3), params)
 
 
 class TestGcnAgg:
@@ -214,7 +214,7 @@ class TestGcnAgg:
         rng = np.random.default_rng(7)
         x = rng.standard_normal((1, d))
         params = make_gcn_params([(np.eye(d), rng.standard_normal(d))])
-        out = gcn_agg(Tensor(x), build_complete(1), params)
+        out = gcn_agg(Tensor(x), build_graph(GraphSpec(), 1), params)
         assert np.allclose(out.data, x, atol=1e-12)
 
     def test_zero_beta_gives_neighborhood_mean(self):
@@ -223,7 +223,7 @@ class TestGcnAgg:
         x = rng.standard_normal((n, d))
         wr = rng.standard_normal((d, d))
         params = make_gcn_params([(wr, np.zeros(d))])
-        out = gcn_agg(Tensor(x), build_complete(n), params).data
+        out = gcn_agg(Tensor(x), build_graph(GraphSpec(), n), params).data
         gr = x @ wr
         assert np.allclose(out, np.tile(gr.mean(axis=0), (n, 1)), atol=1e-12)
 
@@ -286,7 +286,7 @@ class TestGcnAgg:
         x[0, 0] = 1.0
         params = make_gcn_params([(np.eye(2), np.array([900.0, 1.0]))])
         with pytest.raises(dc.NonFiniteError, match="gcn"):
-            gcn_agg(Tensor(x), build_temporal_span(6, 1), params)
+            gcn_agg(Tensor(x), build_graph(GraphSpec("span", delta=1), 6), params)
 
     def test_every_block_parameter_gets_a_gradient(self):
         # No parameter is cancelled by the softmax: each one moves the output.
@@ -335,7 +335,7 @@ class TestBlockLayout:
         x = rng.standard_normal((2, 3, t, d))
         params = init_agg_params(mechanism, d, 2, rng, "block0.temporal")
         agg = sam_agg if mechanism == "sam" else gcn_agg
-        adj = build_temporal_span(t, delta)
+        adj = build_graph(GraphSpec("span", delta=delta), t)
         local = run_agg(agg, x, adj, params)
         dense = run_agg(agg, x, adj[None], params)
         for a, b in zip(local, dense, strict=True):
@@ -362,7 +362,7 @@ class TestBlockLayout:
         t, d = 31, 4
         x = rng.standard_normal((3, t, d))
         params = init_agg_params("gcn", d, 2, rng, "t")
-        adj = build_temporal_span(t, 2)
+        adj = build_graph(GraphSpec("span", delta=2), t)
         local = gcn_agg(Tensor(x), adj, params).data
         dense = gcn_agg(Tensor(x), adj[None], params).data
         assert local.shape == dense.shape == (3, t, d)
@@ -377,7 +377,7 @@ class TestBlockLayout:
         x = rng.standard_normal((b, c, t, d))
         blocks = init_stack_params(mechanism, 2, d, 2, rng)
         masks = np.stack([random_mask(rng, c) for _ in range(b)])
-        a_t = build_temporal_span(t, 2)
+        a_t = build_graph(GraphSpec("span", delta=2), t)
         leaves = [p for blk in blocks for p in blk.parameters()]
         results = []
         for temporal in (a_t, a_t[None, None]):
@@ -408,7 +408,7 @@ class TestModules:
         rng = np.random.default_rng(12)
         c, t, d = 3, 4, 8
         x = rng.standard_normal((c, t, d))
-        a_t = build_temporal_span(t, 1)
+        a_t = build_graph(GraphSpec("span", delta=1), t)
         params = init_agg_params("sam", d, 2, rng, "t")
         joint = sam_agg(Tensor(x), a_t, params).data
         for ch in range(c):
@@ -421,14 +421,14 @@ class TestModules:
         slice_ = rng.standard_normal((t, d))
         x = np.stack([slice_, slice_])
         params = init_agg_params("gcn", d, 2, rng, "t")
-        out = gcn_agg(Tensor(x), build_complete(t), params).data
+        out = gcn_agg(Tensor(x), build_graph(GraphSpec(), t), params).data
         assert np.allclose(out[0], out[1], atol=1e-12)
 
     def test_spatial_equals_per_frame_loop(self):
         rng = np.random.default_rng(14)
         c, t, d = 4, 3, 4
         y = rng.standard_normal((c, t, d))
-        a_s = build_complete(c)
+        a_s = build_graph(GraphSpec(), c)
         params = init_agg_params("gcn", d, 2, rng, "s")
         joint = per_frame_agg(gcn_agg, y, a_s, params).data
         for fr in range(t):
@@ -439,7 +439,7 @@ class TestModules:
         rng = np.random.default_rng(15)
         c, d = 5, 4
         y = rng.standard_normal((c, 1, d))
-        a_s = build_complete(c)
+        a_s = build_graph(GraphSpec(), c)
         params = init_agg_params("sam", d, 2, rng, "s")
         joint = per_frame_agg(sam_agg, y, a_s, params).data
         single = sam_agg(Tensor(y[:, 0, :]), a_s, params).data
@@ -476,10 +476,11 @@ class TestStack:
         c, t, d = 3, 4, 8
         x = rng.standard_normal((c, t, d))
         blocks = init_stack_params("sam", 1, d, 2, rng)
-        stacked = st_stack(Tensor(x[None]), blocks, build_complete(t), all_channels(1, c)).data
-        temporal = np.stack([sam_agg(Tensor(x[ch]), build_complete(t), blocks[0].temporal).data
+        a_t = build_graph(GraphSpec(), t)
+        stacked = st_stack(Tensor(x[None]), blocks, a_t, all_channels(1, c)).data
+        temporal = np.stack([sam_agg(Tensor(x[ch]), a_t, blocks[0].temporal).data
                              for ch in range(c)])
-        manual = np.stack([sam_agg(Tensor(temporal[:, fr]), build_complete(c),
+        manual = np.stack([sam_agg(Tensor(temporal[:, fr]), build_graph(GraphSpec(), c),
                                    blocks[0].spatial).data for fr in range(t)], axis=1)
         assert np.max(np.abs(stacked[0] - manual)) < 1e-12
 
@@ -488,7 +489,7 @@ class TestStack:
         b, c, t, d = 2, 8, 10, 16
         x = rng.standard_normal((b, c, t, d))
         blocks = init_stack_params("gcn", 2, d, 4, rng)
-        out = st_stack(Tensor(x), blocks, build_complete(t), all_channels(b, c))
+        out = st_stack(Tensor(x), blocks, build_graph(GraphSpec(), t), all_channels(b, c))
         assert out.shape == (b, c, t, d)
 
     def test_matches_manual_composition(self):
@@ -496,8 +497,8 @@ class TestStack:
         c, t, d = 4, 5, 8
         x = rng.standard_normal((c, t, d))
         blocks = init_stack_params("gcn", 2, d, 2, rng)
-        a_t = build_temporal_span(t, 1)
-        a_s = build_complete(c)
+        a_t = build_graph(GraphSpec("span", delta=1), t)
+        a_s = build_graph(GraphSpec(), c)
         stacked = st_stack(Tensor(x[None]), blocks, a_t, all_channels(1, c)).data
         cur = Tensor(x)
         for block in blocks:
@@ -511,7 +512,7 @@ class TestStack:
         b, c, t, d = 3, 5, 4, 8
         x = rng.standard_normal((b, c, t, d))
         masks = np.stack([random_mask(rng, c) for _ in range(b)])
-        a_t = build_temporal_span(t, 1)
+        a_t = build_graph(GraphSpec("span", delta=1), t)
         blocks = init_stack_params(mechanism, 2, d, 2, rng)
         joint = st_stack(Tensor(x), blocks, a_t, masks).data
         for i in range(b):
@@ -532,7 +533,7 @@ class TestStack:
         alone_graphs = []
         for i, n in enumerate(frames):
             x[i, :, :n] = rng.standard_normal((c, n, d))
-            graph = build_complete(n) if kind == "complete" else build_temporal_span(n, 1)
+            graph = build_graph(GraphSpec(kind, delta=1), n)
             mask[i, 0, :n, :n] = graph
             alone_graphs.append(graph)
         spatial = np.stack([random_mask(rng, c) for _ in frames])
@@ -564,12 +565,12 @@ class TestStack:
         blocks = init_stack_params("gcn", 1, 4, 2, rng)
         x = Tensor(rng.standard_normal((2, 3, 5, 4)))
         with pytest.raises(dc.ShapeError):
-            st_stack(Tensor(rng.standard_normal((3, 5, 4))), blocks, build_complete(5),
+            st_stack(Tensor(rng.standard_normal((3, 5, 4))), blocks, build_graph(GraphSpec(), 5),
                      all_channels(1, 3))
         with pytest.raises(dc.ShapeError):
-            st_stack(x, blocks, build_complete(5), all_channels(1, 3))
+            st_stack(x, blocks, build_graph(GraphSpec(), 5), all_channels(1, 3))
         with pytest.raises(dc.ShapeError):
-            st_stack(x, blocks, build_complete(4), all_channels(2, 3))
+            st_stack(x, blocks, build_graph(GraphSpec(), 4), all_channels(2, 3))
 
     def test_stack_gradients(self):
         rng = np.random.default_rng(22)
@@ -580,7 +581,7 @@ class TestStack:
         leaves = [x] + [p for blk in blocks for p in blk.parameters()]
 
         def fn(xt, *ps):
-            return st_stack(xt, blocks, build_temporal_span(t, 1), masks)
+            return st_stack(xt, blocks, build_graph(GraphSpec("span", delta=1), t), masks)
 
         err = vjp_check(fn, leaves, rng=rng)
         assert err < 1e-5
@@ -596,12 +597,27 @@ class TestGraphSpec:
     def test_builds_each_kind(self):
         pos = np.array([[0.0, 0, 0], [1.0, 0, 0], [3.0, 0, 0]])
         assert build_graph(GraphSpec("complete"), 3).all()
-        assert np.array_equal(build_graph(GraphSpec("span", delta=0), 3),
-                              build_temporal_span(3, 0))
+        assert np.array_equal(build_graph(GraphSpec("span", delta=0), 3), np.eye(3, dtype=bool))
         assert np.array_equal(build_graph(GraphSpec("knn", k=1), 3, pos),
-                              build_knn(pos, 1))
+                              [[True, True, False], [True, True, False], [False, True, True]])
         with pytest.raises(ValueError, match="positions"):
             build_graph(GraphSpec("knn", k=1), 3)
+        for spec in (GraphSpec(), GraphSpec("span"), GraphSpec("knn")):
+            with pytest.raises(ValueError, match="at least one node"):
+                build_graph(spec, 0, np.zeros((0, 3)))
+
+    def test_restrict_broadcasts_a_node_array_over_a_graph(self):
+        # One span graph, restricted to each row's nodes: an edge stays iff
+        # both ends are used, and every node keeps its self-loop.
+        graph = build_graph(GraphSpec("span", delta=1), 4)
+        nodes = np.array([[True, True, True, False], [False, True, False, True]])
+        out = restrict(graph, nodes)
+        assert out.dtype == np.bool_ and out.shape == (2, 4, 4)
+        for row, used in zip(out, nodes):
+            for i in range(4):
+                for j in range(4):
+                    assert row[i, j] == (i == j or (graph[i, j] and used[i] and used[j]))
+        assert np.array_equal(restrict(graph, np.ones(4, bool)), graph)
 
 
 class TestFrameTensor:

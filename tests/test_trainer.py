@@ -15,9 +15,16 @@ from adhocsv import diffcore as dc
 from adhocsv import trainer
 from adhocsv.chansel import ChannelBudgetError
 from adhocsv.diffcore import Parameter, ParamSet, Tensor
-from adhocsv.graphs import adjacency_from_mask, build_complete, build_prior
+from adhocsv.graphs import build_prior
 from adhocsv.scenesim import FrameTensor, SimConfig, make_codebook, sample_scene, synth_features
-from adhocsv.stagg import GraphSpec, build_graph, load_checkpoint, save_checkpoint, st_stack
+from adhocsv.stagg import (
+    GraphSpec,
+    build_graph,
+    load_checkpoint,
+    restrict,
+    save_checkpoint,
+    st_stack,
+)
 from adhocsv.trainer import (
     DegenerateTaskError,
     MissingPriorError,
@@ -214,7 +221,8 @@ class TestEmbed:
         cfg = ModelConfig(mechanism="gcn", n_blocks=1, heads=2, d=8, seed=3)
         model = Model.init(cfg, n_speakers=2)
         via_embed = embed(model, FrameTensor(x))
-        z = st_stack(Tensor(x[None]), model.blocks, build_complete(5), np.ones((1, 4, 4), bool))
+        z = st_stack(Tensor(x[None]), model.blocks, build_graph(GraphSpec(), 5),
+                     np.ones((1, 4, 4), bool))
         via_mask = z.data[0].mean(axis=(0, 1))
         assert np.allclose(via_embed, via_mask, atol=1e-12)
 
@@ -223,7 +231,8 @@ class TestEmbed:
         x = rng.standard_normal((3, 4, 8))
         cfg = ModelConfig(mechanism="sam", n_blocks=2, heads=2, d=8, seed=4)
         model = Model.init(cfg, n_speakers=2)
-        z = st_stack(Tensor(x[None]), model.blocks, build_complete(4), np.ones((1, 3, 3), bool))
+        z = st_stack(Tensor(x[None]), model.blocks, build_graph(GraphSpec(), 4),
+                     np.ones((1, 3, 3), bool))
         manual = z.data[0].mean(axis=(0, 1))
         assert np.allclose(embed(model, FrameTensor(x)), manual, atol=1e-12)
 
@@ -347,8 +356,8 @@ def test_batched_prior_pooling_matches_per_utterance_reference():
     model = Model.init(cfg, n_speakers=2)
     embs, keep, _ = _forward(model, xs, scenes)
     masks = [build_prior(scene, 0.7) for scene in scenes]
-    z = st_stack(Tensor(xs), model.blocks, build_complete(t),
-                 np.stack([adjacency_from_mask(mask) for mask in masks])).data
+    z = st_stack(Tensor(xs), model.blocks, build_graph(GraphSpec(), t),
+                 restrict(build_graph(GraphSpec(), c), np.stack(masks))).data
     for i, mask in enumerate(masks):
         assert np.array_equal(keep[i], mask)
         reference = z[i][mask].mean(axis=(0, 1))
@@ -381,11 +390,12 @@ def test_prior_masks_the_configured_spatial_graph(spatial, monkeypatch):
         mask = build_prior(scene, 0.7)
         assert np.array_equal(keep[i], mask)
         graph = build_graph(spatial, c, scene.node_pos)
-        assert np.array_equal(a_spatial[i], graph & adjacency_from_mask(mask))
+        assert np.array_equal(a_spatial[i], graph & restrict(build_graph(GraphSpec(), c), mask))
         if spatial.kind == "complete":
-            assert np.array_equal(a_spatial[i], adjacency_from_mask(mask))
+            assert np.array_equal(a_spatial[i], restrict(build_graph(GraphSpec(), c), mask))
     if spatial.kind != "complete":
-        assert not all(np.array_equal(a_spatial[i], adjacency_from_mask(keep[i])) for i in range(b))
+        assert not all(np.array_equal(a_spatial[i], restrict(build_graph(GraphSpec(), c), keep[i]))
+                       for i in range(b))
 
 
 def test_knn_with_k_over_channel_count_links_every_channel():
@@ -443,7 +453,7 @@ def test_equal_frame_counts_take_the_unpadded_path_bit_for_bit(selection, monkey
                                                       (b, 1, t, t)))
     for i, scene in enumerate(scenes):
         kept = build_prior(scene, cfg.selection.rho) if selection == "prior" else np.ones(c, bool)
-        assert np.array_equal(a_spatial[i], adjacency_from_mask(kept))
+        assert np.array_equal(a_spatial[i], restrict(build_graph(GraphSpec(), c), kept))
 
 
 def test_forward_rejects_shapes_that_miss_the_model_or_scene():
