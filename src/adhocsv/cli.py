@@ -457,9 +457,12 @@ def cmd_report(args) -> int:
         try:
             with open(path, "r", encoding="utf-8") as f:
                 doc = json.load(f)
-            reports.append({"path": path, "eer": float(doc["eer"])})
+            eer = config_value(doc["eer"], 0.0, "eer")
         except (FileNotFoundError, json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
             raise DataError(f"cannot read report {path}: {err}") from err
+        if not 0.0 <= eer <= 1.0:
+            raise DataError(f"cannot read report {path}: eer={eer!r} must lie in [0, 1]")
+        reports.append({"path": path, "eer": eer})
     eers = [r["eer"] for r in reports]
     summary = {
         "n_reports": len(reports),

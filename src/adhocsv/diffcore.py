@@ -1,10 +1,15 @@
 """Differentiable dense-tensor kernels.
 
 Every kernel here is a pure function: it evaluates its forward result and
-records a hand-derived vector-Jacobian product (VJP) so that gradients can
-be pulled back through arbitrary compositions of kernels.  The recorded
-graph is the minimum needed by the aggregation, selection and training
-code; this is deliberately not a general autodiff engine.
+passes, for each operand, a pullback: the hand-derived vector-Jacobian
+product (VJP) that maps the result's cotangent to that operand's.  One
+rule decides what is recorded: a result keeps the (operand, pullback)
+edges of the operands that need a gradient, and a tensor needs one when it
+is a leaf made with ``requires_grad`` or keeps an edge.  So a constant's
+pullback never runs, a result of constants only records nothing, and no
+kernel checks ``requires_grad`` itself.  The recorded graph is the minimum
+needed by the aggregation, selection and training code; this is
+deliberately not a general autodiff engine.
 
 Shapes: kernels accept an optional leading batch axis (written ``...``).
 The batched forms are what the aggregation stack runs on; they are
@@ -67,17 +72,17 @@ class Tensor:
     recorded graphs.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "requires_grad", "_edges")
 
-    def __init__(self, data, requires_grad: bool = False, _parents=(), _vjp=None):
+    def __init__(self, data, requires_grad: bool = False, _edges=()):
         arr = np.asarray(data, dtype=np.float64)
         if not np.isfinite(arr).all():
             raise NonFiniteError("tensor holds NaN or Inf")
         self.data = arr
-        self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
+        # (parent, pullback) pairs; a parent that needs no gradient is dropped.
+        self._edges = tuple([edge for edge in _edges if edge[0].requires_grad])
+        self.requires_grad = bool(requires_grad) or bool(self._edges)
         self.grad = None
-        self._parents = tuple(_parents)
-        self._vjp = _vjp
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -111,29 +116,28 @@ class Tensor:
         order = self._toposort()
         self.grad = cotangent if self.grad is None else self.grad + cotangent
         for node in order:
-            if node._vjp is None or node.grad is None:
-                continue
-            for parent, g in zip(node._parents, node._vjp(node.grad)):
-                if g is None or not parent.requires_grad:
-                    continue
+            if not node._edges or node.grad is None:
+                continue  # a leaf keeps its grad
+            for parent, pullback in node._edges:
+                g = pullback(node.grad)
                 parent.grad = g if parent.grad is None else parent.grad + g
             if node is not self:
                 node.grad = None  # intermediates do not keep grads
 
     def _toposort(self):
-        # Iterative DFS; only nodes that require grad can carry a cotangent.
+        # Iterative DFS over the recorded edges.
         order, visited, stack = [], set(), [(self, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
                 order.append(node)
                 continue
-            if id(node) in visited or not node.requires_grad:
+            if id(node) in visited:
                 continue
             visited.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
-                stack.append((p, False))
+            for parent, _ in node._edges:
+                stack.append((parent, False))
         order.reverse()
         return order
 
@@ -209,90 +213,56 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out_data = a.data + b.data
-
-    def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-
-    return Tensor(out_data, _parents=(a, b), _vjp=vjp)
+    return Tensor(a.data + b.data, _edges=((a, lambda g: _unbroadcast(g, a.shape)),
+                                           (b, lambda g: _unbroadcast(g, b.shape))))
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out_data = a.data * b.data
-
-    def vjp(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
-
-    return Tensor(out_data, _parents=(a, b), _vjp=vjp)
+    return Tensor(a.data * b.data, _edges=((a, lambda g: _unbroadcast(g * b.data, a.shape)),
+                                           (b, lambda g: _unbroadcast(g * a.data, b.shape))))
 
 
 def div(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out_data = a.data / b.data
-
-    def vjp(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-        return ga, gb
-
-    return Tensor(out_data, _parents=(a, b), _vjp=vjp)
+    return Tensor(a.data / b.data, _edges=(
+        (a, lambda g: _unbroadcast(g / b.data, a.shape)),
+        (b, lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.shape))))
 
 
 def scale(a, c: float) -> Tensor:
     a = _as_tensor(a)
     c = float(c)
-
-    def vjp(g):
-        return (g * c,)
-
-    return Tensor(a.data * c, _parents=(a,), _vjp=vjp)
+    return Tensor(a.data * c, _edges=((a, lambda g: g * c),))
 
 
 def matmul(a, b) -> Tensor:
     """Matrix product ``a @ b`` with shapes (..., N, P) x (..., P, Q).
 
     A 2-D operand is shared across the other operand's batch axes; its
-    gradient sums over those axes.  An operand that needs no gradient (a
-    constant such as a graph mask) gets none, so its product is never formed.
+    gradient sums over those axes.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError("matmul operands must be at least 2-D")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dims disagree: {a.shape} x {b.shape}")
-    out_data = np.matmul(a.data, b.data)
-
-    def vjp(g):
-        ga = gb = None
-        if a.requires_grad:
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
-        if b.requires_grad:
-            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
-        return ga, gb
-
-    return Tensor(out_data, _parents=(a, b), _vjp=vjp)
+    return Tensor(np.matmul(a.data, b.data), _edges=(
+        (a, lambda g: _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)),
+        (b, lambda g: _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))))
 
 
 def transpose(a, axes) -> Tensor:
     a = _as_tensor(a)
     axes = tuple(axes)
     inverse = tuple(np.argsort(axes))
-
-    def vjp(g):
-        return (np.transpose(g, inverse),)
-
-    return Tensor(np.transpose(a.data, axes), _parents=(a,), _vjp=vjp)
+    return Tensor(np.transpose(a.data, axes), _edges=((a, lambda g: np.transpose(g, inverse)),))
 
 
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
     shape = tuple(shape)
-
-    def vjp(g):
-        return (g.reshape(a.shape),)
-
-    return Tensor(a.data.reshape(shape), _parents=(a,), _vjp=vjp)
+    return Tensor(a.data.reshape(shape), _edges=((a, lambda g: g.reshape(a.shape)),))
 
 
 def concat(tensors, axis: int = -1) -> Tensor:
@@ -300,13 +270,13 @@ def concat(tensors, axis: int = -1) -> Tensor:
     if not tensors:
         raise ShapeError("concat needs at least one tensor")
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    ends = np.cumsum([t.shape[axis] for t in tensors])
 
-    def vjp(g):
-        return tuple(np.split(g, splits, axis=axis))
+    def pullback(start, end):
+        return lambda g: np.split(g, (start, end), axis=axis)[1]
 
-    return Tensor(out_data, _parents=tuple(tensors), _vjp=vjp)
+    return Tensor(out_data, _edges=[(t, pullback(end - t.shape[axis], end))
+                                    for t, end in zip(tensors, ends)])
 
 
 def sum_axis(a, axis, keepdims: bool = False) -> Tensor:
@@ -314,12 +284,12 @@ def sum_axis(a, axis, keepdims: bool = False) -> Tensor:
     axis = axis if isinstance(axis, tuple) else (axis,)
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
-    def vjp(g):
+    def pullback(g):
         if not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return np.broadcast_to(g, a.shape).copy()
 
-    return Tensor(out_data, _parents=(a,), _vjp=vjp)
+    return Tensor(out_data, _edges=((a, pullback),))
 
 
 def mean_axis(a, axis, keepdims: bool = False) -> Tensor:
@@ -335,11 +305,7 @@ def l2_norm(v) -> Tensor:
     nrm = float(np.sqrt(np.dot(v.data, v.data)))
     if nrm == 0.0:
         raise ValueError("l2_norm of the zero vector is not differentiable")
-
-    def vjp(g):
-        return (g * (v.data / nrm),)
-
-    return Tensor(np.asarray(nrm), _parents=(v,), _vjp=vjp)
+    return Tensor(np.asarray(nrm), _edges=((v, lambda g: g * (v.data / nrm)),))
 
 
 def leaky_relu(x, slope: float = 0.2) -> Tensor:
@@ -352,11 +318,7 @@ def leaky_relu(x, slope: float = 0.2) -> Tensor:
     x = _as_tensor(x)
     positive = x.data >= 0
     out_data = np.where(positive, x.data, slope * x.data)
-
-    def vjp(g):
-        return (np.where(positive, g, slope * g),)
-
-    return Tensor(out_data, _parents=(x,), _vjp=vjp)
+    return Tensor(out_data, _edges=((x, lambda g: np.where(positive, g, slope * g)),))
 
 
 def sigmoid(x) -> Tensor:
@@ -365,11 +327,7 @@ def sigmoid(x) -> Tensor:
     pos = x.data >= 0
     z = np.exp(np.where(pos, -x.data, x.data))
     out_data = np.where(pos, 1.0 / (1.0 + z), z / (1.0 + z))
-
-    def vjp(g):
-        return (g * out_data * (1.0 - out_data),)
-
-    return Tensor(out_data, _parents=(x,), _vjp=vjp)
+    return Tensor(out_data, _edges=((x, lambda g: g * out_data * (1.0 - out_data)),))
 
 
 def exp(x) -> Tensor:
@@ -377,11 +335,7 @@ def exp(x) -> Tensor:
     x = _as_tensor(x)
     with np.errstate(over="ignore"):  # the Tensor below raises on Inf
         out_data = np.exp(x.data)
-
-    def vjp(g):
-        return (g * out_data,)
-
-    return Tensor(out_data, _parents=(x,), _vjp=vjp)
+    return Tensor(out_data, _edges=((x, lambda g: g * out_data),))
 
 
 def check_mask(mask, shape) -> np.ndarray:
@@ -427,12 +381,12 @@ def masked_softmax(logits, mask) -> Tensor:
     np.exp(out_data, out=out_data)  # exp(-inf) is exactly 0 for masked-out entries
     out_data /= out_data.sum(axis=-1, keepdims=True)
 
-    def vjp(g):
+    def pullback(g):
         grad = g - (g * out_data).sum(axis=-1, keepdims=True)
         grad *= out_data
-        return (grad,)
+        return grad
 
-    return Tensor(out_data, _parents=(logits,), _vjp=vjp)
+    return Tensor(out_data, _edges=((logits, pullback),))
 
 
 def softmax_cross_entropy(logits, labels) -> Tensor:
@@ -451,12 +405,12 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
     out_data = np.asarray((lse - picked).mean())
     probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
 
-    def vjp(g):
+    def pullback(g):
         gl = probs.copy()
         gl[np.arange(b), labels] -= 1.0
-        return (gl * (g / b),)
+        return gl * (g / b)
 
-    return Tensor(out_data, _parents=(logits,), _vjp=vjp)
+    return Tensor(out_data, _edges=((logits, pullback),))
 
 
 def vjp_check(fn, inputs, h: float = 1e-5, skip=None, rng=None) -> float:

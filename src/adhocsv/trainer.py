@@ -58,6 +58,7 @@ __all__ = [
     "cosine_score",
     "eer_from_scores",
     "evaluate",
+    "eval_per_node",
     "generate_trials",
     "subsample_channels",
     "read_trials_csv",
@@ -185,6 +186,10 @@ class TrainHyper:
     def __post_init__(self):
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError(f"batch_size={self.batch_size} and epochs={self.epochs} must be positive")
+        if not self.lr >= 0.0:
+            raise ValueError(f"lr={self.lr} must be nonnegative")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum={self.momentum} must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -458,9 +463,10 @@ def evaluate(model: Model, utterances: dict[str, Utterance], trials: TrialSet) -
     """Embed, score with cosine similarity, and compute the EER.
 
     Every utterance a trial references is checked before any is embedded;
-    they are then embedded in padded batches (see ``_embed_all``),
-    every trial is scored in one :func:`cosine_score` call, and the scores,
-    split by label, go to :func:`eer_from_scores`.
+    they are then embedded in padded batches (see ``_embed_all``).  A zero
+    embedding, which has no cosine score, is a ``ProtocolError`` naming its
+    utterance.  Every trial is scored in one :func:`cosine_score` call, and
+    the scores, split by label, go to :func:`eer_from_scores`.
     """
     if not trials.trials:
         raise ProtocolError("EER needs at least one target and one nontarget trial")
@@ -473,6 +479,10 @@ def evaluate(model: Model, utterances: dict[str, Utterance], trials: TrialSet) -
     embs = _embed_all(model, referenced)
     index = {utt_id: i for i, utt_id in enumerate(embs)}
     vectors = np.stack(list(embs.values()))
+    zero = np.flatnonzero(np.linalg.norm(vectors, axis=-1) == 0.0)
+    if zero.size:
+        raise ProtocolError(f"utterance {list(embs)[zero[0]]!r} has a zero embedding, "
+                            "which has no cosine score")
     scores = cosine_score(vectors[[index[t.enroll_id] for t in trials.trials]],
                           vectors[[index[t.test_id] for t in trials.trials]])
     target = np.array([t.label == "target" for t in trials.trials])

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import struct
 
 import numpy as np
@@ -243,6 +244,9 @@ class TestConfigErrors:
         (("sim", "snr_db"), [True, 0.5], "config.sim.snr_db.low"),
         (("model", "selection"), {"kind": "prior", "noise": True, "rho_noise": 5.0},
          "config.model.selection"),
+        (("train", "lr"), -0.01, "lr=-0.01 must be nonnegative"),
+        (("train", "momentum"), 1.0, "momentum=1.0 must lie in [0, 1)"),
+        (("train", "momentum"), -0.5, "momentum=-0.5 must lie in [0, 1)"),
     ], ids=["epochs_zero", "batch_size_zero", "lr_string", "train_channels_zero",
             "train_channels_string", "eval_channels_zero", "eval_channels_string", "heads_zero",
             "n_blocks_negative", "mechanism_mean", "seed_string", "model_list", "selection_string", "gpool_k_fraction",
@@ -250,7 +254,8 @@ class TestConfigErrors:
             "noise_source_string", "shared_scene_string", "heads_fraction", "heads_bool",
             "seed_fraction", "n_train_bool", "n_test_fraction", "lr_bool", "t60_bool",
             "gpool_k_bool", "train_channels_bool", "lr_nan", "snr_db_nan",
-            "seed_negative", "snr_db_bool", "rho_noise_over_one"])
+            "seed_negative", "snr_db_bool", "rho_noise_over_one", "lr_negative",
+            "momentum_one", "momentum_negative"])
     def test_malformed_value_exits_2_before_data_is_read(self, tmp_path, capsys, path, value,
                                                           named):
         config = edited_config(tmp_path, path, value)
@@ -521,6 +526,30 @@ class TestTrainEval:
         selection = json.loads((out / "selection.json").read_text())
         assert len(selection) == 8
         assert all(s["mechanism"] == "none" for s in selection)
+
+    @pytest.mark.parametrize("per_node", [False, True], ids=["eval", "per_node"])
+    def test_zero_embedding_is_data_error(self, tmp_path, config_path, dataset, capsys,
+                                          per_node):
+        # Zero features embed to zero, which has no cosine score.  With one
+        # channel zeroed, whole arrays still embed, and only --per-node meets it.
+        run, out = tmp_path / "run", tmp_path / "eval"
+        main(["train", "--config", config_path, "--data", dataset, "--out", str(run), "--quiet"])
+        with open(os.path.join(dataset, "manifest.json"), encoding="utf-8") as f:
+            test_ids = {e["id"]: e for e in json.load(f)["utterances"] if e["split"] == "test"}
+        for entry in test_ids.values():
+            path = os.path.join(dataset, entry["features"])
+            data = read_features(path).data.copy()
+            data[0 if per_node else slice(None)] = 0.0
+            write_features(path, FrameTensor(data))
+        capsys.readouterr()
+        assert main(["eval", "--config", config_path, "--ckpt", str(run / "model.ckpt"),
+                     "--data", dataset, "--out", str(out), "--quiet"]
+                    + ["--per-node"] * per_node) == 3
+        err = capsys.readouterr().err
+        named = re.search(r"utterance '(\w+)' has a zero embedding", err)
+        assert err.startswith("data error:") and named and named.group(1) in test_ids
+        assert (out / "report.json").exists() == per_node
+        assert not (out / "per_node.csv").exists()
 
     def test_eval_per_node_with_gpool_budget_above_one(self, tmp_path, dataset):
         cfg = json.loads(json.dumps(TINY_CONFIG))
@@ -897,6 +926,28 @@ class TestReportCommand:
 
     def test_missing_report_is_data_error(self, tmp_path):
         assert main(["report", str(tmp_path / "absent.json"), "--quiet"]) == 3
+
+    def test_eer_bounds_are_inclusive(self, tmp_path, capsys):
+        for i, eer in enumerate([0.0, 1.0, "0.5"]):
+            (tmp_path / f"r{i}.json").write_text(json.dumps({"eer": eer}))
+        assert main(["report", *(str(tmp_path / f"r{i}.json") for i in range(3))]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["min_eer"], doc["max_eer"], doc["mean_eer"]) == (0.0, 1.0, 0.5)
+
+    @pytest.mark.parametrize("text", ['{"eer": "nan"}', '{"eer": NaN}', '{"eer": 1e999}',
+                                      '{"eer": true}', '{"eer": -0.1}', '{"eer": 1.5}',
+                                      '{"eer": null}', '{"eer": "low"}', '[0.1]'],
+                             ids=["nan_string", "nan", "infinity", "bool", "negative",
+                                  "over_one", "null", "word", "not_an_object"])
+    def test_malformed_eer_is_data_error(self, tmp_path, capsys, text):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps({"eer": 0.2}))
+        bad.write_text(text)
+        out = tmp_path / "summary"
+        assert main(["report", str(good), str(bad), "--out", str(out), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: cannot read report {bad}")
+        assert not out.exists()
 
 
 def test_missing_config_is_config_error(tmp_path):

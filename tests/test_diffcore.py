@@ -60,6 +60,51 @@ class TestTensor:
         assert np.allclose(x.grad, 2.0)
 
 
+class TestRecording:
+    """A kernel records an edge only for the operands that need a gradient."""
+
+    @pytest.mark.parametrize("kernel", [dc.add, dc.mul, dc.div, dc.matmul],
+                             ids=["add", "mul", "div", "matmul"])
+    @pytest.mark.parametrize("leaf_first", [True, False], ids=["leaf_first", "leaf_second"])
+    def test_constant_operand_gets_no_gradient_product(self, kernel, leaf_first, monkeypatch):
+        rng = np.random.default_rng(12)
+        leaf = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+        const = Tensor(rng.uniform(1.0, 2.0, (3, 3)))
+        out = kernel(*((leaf, const) if leaf_first else (const, leaf)))
+        assert [parent for parent, _ in out._edges] == [leaf]
+        # Each of these kernels' pullbacks calls _unbroadcast exactly once.
+        calls = []
+        real = dc._unbroadcast
+
+        def counting(g, shape):
+            calls.append(shape)
+            return real(g, shape)
+
+        monkeypatch.setattr(dc, "_unbroadcast", counting)
+        out.backward(np.ones(out.shape))
+        assert calls == [leaf.shape]
+        assert leaf.grad.shape == leaf.shape
+
+    def test_constants_only_record_nothing(self):
+        rng = np.random.default_rng(13)
+        a = Tensor(rng.standard_normal((2, 3, 3)))
+        outs = [dc.add(a, 1.0), dc.mul(a, a), dc.div(a, 2.0), dc.scale(a, 3.0), dc.matmul(a, a),
+                dc.transpose(a, (0, 2, 1)), dc.reshape(a, (6, 3)), dc.concat([a, a]),
+                dc.sum_axis(a, 1), dc.mean_axis(a, 1), dc.l2_norm(a.data.ravel()),
+                dc.leaky_relu(a), dc.sigmoid(a), dc.exp(a),
+                dc.masked_softmax(a, np.ones((3, 3), dtype=bool)),
+                dc.softmax_cross_entropy(a.data[0], [0, 1, 2])]
+        assert all(out._edges == () and not out.requires_grad for out in outs)
+
+    def test_leaf_on_two_paths_keeps_its_summed_grad(self):
+        x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+        h = dc.scale(x, 2.0)  # an intermediate that is also reached twice
+        y = dc.add(dc.mul(h, x), dc.add(h, x))  # 2x^2 + 3x
+        dc.sum_axis(y, 0).backward()
+        assert np.array_equal(x.grad, 4.0 * x.data + 3.0)
+        assert h.grad is None  # intermediates do not keep grads
+
+
 class TestMatmul:
     def test_identity(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])

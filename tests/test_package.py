@@ -49,15 +49,16 @@ def adhocsv_imports(name: str) -> set[str]:
     return found
 
 
-# The simulator sits at the bottom and graphs right above it, so the prior
-# can read scenes at run time without an import cycle.  Channel selection
-# needs only the autodiff core, and aggregation builds its own graphs as
-# plain masks.
+# The autodiff core and the simulator sit at the bottom, and graphs right
+# above the simulator, so the prior can read scenes at run time without an
+# import cycle.  Channel selection needs only the autodiff core, and
+# aggregation builds its own graphs as plain masks.
 @pytest.mark.parametrize("name, allowed", [
+    ("diffcore", set()),
     ("scenesim", set()),
     ("graphs", {"scenesim"}),
     ("chansel", {"diffcore"}),
     ("stagg", {"diffcore"}),
-], ids=["scenesim", "graphs", "chansel", "stagg"])
+], ids=["diffcore", "scenesim", "graphs", "chansel", "stagg"])
 def test_import_layering(name, allowed):
     assert adhocsv_imports(name) <= allowed

@@ -682,6 +682,18 @@ class TestTraining:
         for p, q in zip(model.params, reference.params):
             assert np.array_equal(p.data, q.data)
 
+    @pytest.mark.parametrize("hyper", [{"lr": -1e-3}, {"lr": float("nan")}, {"momentum": -0.1},
+                                       {"momentum": 1.0}, {"momentum": 1.5}],
+                             ids=["lr_negative", "lr_nan", "momentum_negative", "momentum_one",
+                                  "momentum_over_one"])
+    def test_hyper_out_of_range_rejected(self, hyper):
+        with pytest.raises(ValueError, match=next(iter(hyper))):
+            TrainHyper(**hyper)
+
+    def test_hyper_bounds_are_inclusive_at_zero(self):
+        hyper = TrainHyper(lr=0.0, momentum=0.0)  # lr 0 freezes; momentum 0 is plain SGD
+        assert (hyper.lr, hyper.momentum) == (0.0, 0.0)
+
     def test_same_seed_bit_identical(self):
         dataset = toy_dataset(c=2, t=3, d=8)
         cfg = ModelConfig(mechanism="gcn", n_blocks=1, heads=2, d=8, seed=12)
@@ -785,7 +797,7 @@ class TestEvaluate:
     def test_zero_embedding_raises(self):
         model, utts, trials = self._noise_free_setup()
         utts["s2_0"] = Utterance("s2_0", 2, FrameTensor(np.zeros((2, 3, 8))))
-        with pytest.raises(ValueError, match="zero embedding"):
+        with pytest.raises(ProtocolError, match="utterance 's2_0' has a zero embedding"):
             evaluate(model, utts, trials)
 
     def test_unknown_utterance(self):
