@@ -14,6 +14,8 @@ TrainHyper and EvalSpec (``model.d`` defaults to ``sim.d``, and
 ``train.channels`` subsamples training channels).  ``model.mechanism`` is
 ``sam`` or ``gcn``; ``model.n_blocks: 0`` is the MEAN baseline, which
 pools the features without a stack and may still select channels.
+``model.selection.rho_noise`` is prior selection's noise threshold, and
+null (the default) means no noise test.
 ``sim`` keys name SimConfig fields, except the pairs ``snr_db`` and
 ``room.{width,length,height}`` (its ``*_range`` fields), ``noise_source``
 (``with_noise_source``) and ``n_train``/``n_test``/``shared_scene``.
@@ -57,6 +59,7 @@ from .trainer import (
     Utterance,
     config_from_json,
     config_value,
+    embed_with_info,
     eval_per_node,
     evaluate,
     generate_trials,
@@ -346,7 +349,6 @@ def cmd_eval(args) -> int:
     if args.out is None:
         raise ConfigError("eval needs --out DIR")
     _check_budget(args.channels, "--channels")
-    os.makedirs(args.out, exist_ok=True)
     try:
         model = load_model(args.ckpt)
     except FileNotFoundError as err:
@@ -366,29 +368,29 @@ def cmd_eval(args) -> int:
     else:
         trials = generate_trials(utterances, cfg.eval.n_target, cfg.eval.n_nontarget,
                                  np.random.default_rng([cfg.seed, 14]))
-        _atomic_write(os.path.join(args.out, "trials.csv"),
-                      lambda tmp: write_trials_csv(tmp, trials))
 
+    # Every result is computed before any file is written, so a failed run
+    # leaves no output that looks finished.
     try:
         report = evaluate(model, by_id, trials)
     except KeyError as err:
         raise DataError(str(err)) from err
+    selection = None
+    if args.dump_selection:
+        selection = [{"id": u.utt_id, **embed_with_info(model, u.features, u.scene)[1]}
+                     for u in utterances]
+    rows = eval_per_node(model, by_id, trials) if args.per_node else None
 
+    os.makedirs(args.out, exist_ok=True)
+    if args.trials is None:
+        _atomic_write(os.path.join(args.out, "trials.csv"),
+                      lambda tmp: write_trials_csv(tmp, trials))
     _atomic_write_json(os.path.join(args.out, "report.json"),
                        {"eer": report.eer, "threshold": report.threshold,
                         "n_trials": report.n_trials})
-
-    if args.dump_selection:
-        from .trainer import embed_with_info
-
-        selection = []
-        for u in utterances:
-            _, info = embed_with_info(model, u.features, u.scene)
-            selection.append({"id": u.utt_id, **info})
+    if selection is not None:
         _atomic_write_json(os.path.join(args.out, "selection.json"), selection)
-
-    if args.per_node:
-        rows = eval_per_node(model, by_id, trials)
+    if rows is not None:
         lines = ["node,x,y,z,distance,eer"]
         lines += [f"{r['node']},{r['x']!r},{r['y']!r},{r['z']!r},{r['distance']!r},{r['eer']!r}"
                   for r in rows]

@@ -34,6 +34,12 @@ without projections.  There are no residuals or inter-block
 nonlinearities; blocks are plain compositions with unshared parameters.
 A module's widths are those of its weights; its LeakyReLU slope is GAT's
 0.2 (Velickovic et al., arXiv:1710.10903).
+
+A module holds one Parameter per role, with every head stacked in it
+(:class:`AggParams`), named ``block{b}.{temporal,spatial}.{role}``:
+gcn's ``wr`` and ``beta``, sam's ``wq``, ``wk`` and ``wv``.  Checkpoints
+record these names (version ``CHECKPOINT_VERSION``, 2), and only the
+current version loads.
 """
 
 from __future__ import annotations
@@ -65,6 +71,7 @@ __all__ = [
 ]
 
 MECHANISMS = ("sam", "gcn")
+CHECKPOINT_VERSION = 2
 GRAPH_KINDS = ("complete", "span", "knn")
 LEAKY_SLOPE = 0.2
 
@@ -96,16 +103,19 @@ class GraphSpec:
 
 @dataclass
 class AggParams:
-    """Per-head learnable matrices for one aggregation call.
+    """The learnable weights of one aggregation module, one Parameter per role.
 
-    Each head's first matrix (sam's wq, gcn's wr) is (d_in, d_head).
+    For H heads of width D / H over D-wide inputs, gcn holds ``wr``, (D, D),
+    whose column block h projects head h's keys, and ``beta``, (H, D / H),
+    whose row h scores them; sam holds ``wq``, ``wk`` and ``wv``, each
+    (H, D, D / H), the query, key and value projections stacked over heads.
     """
 
     mechanism: str
-    heads: list[dict[str, Parameter]]
+    weights: dict[str, Parameter]
 
     def parameters(self) -> list[Parameter]:
-        return [p for head in self.heads for p in head.values()]
+        return list(self.weights.values())
 
 
 @dataclass
@@ -135,27 +145,26 @@ def init_agg_params(
     if d_in % n_heads != 0:
         raise ValueError(f"embedding dim {d_in} must split evenly over {n_heads} heads")
     d_head = d_in // n_heads
-    heads = []
-    for m in range(n_heads):
-        tag = f"{prefix}.head{m}"
+    # Each head draws its weights in turn and the draws are stacked, so a seed
+    # gives the same numbers whatever the layout.
+    draws = []
+    for _ in range(n_heads):
         if mechanism == "sam":
-            head = {
-                "wq": Parameter(f"{tag}.wq", _uniform(rng, (d_in, d_head), d_in)),
-                "wk": Parameter(f"{tag}.wk", _uniform(rng, (d_in, d_head), d_in)),
-                "wv": Parameter(f"{tag}.wv", _uniform(rng, (d_in, d_head), d_in)),
-            }
+            draws.append([_uniform(rng, (d_in, d_head), d_in) for _ in range(3)])
         else:
             # The query half of beta and the query weights are drawn and dropped
             # (the softmax cancels them), so a seed yields the same wr and key
             # half of beta as the full score's parameters would.
             beta = _uniform(rng, (2 * d_head,), 2 * d_head)[d_head:]
             _uniform(rng, (d_in, d_head), d_in)
-            head = {
-                "wr": Parameter(f"{tag}.wr", _uniform(rng, (d_in, d_head), d_in)),
-                "beta": Parameter(f"{tag}.beta", beta),
-            }
-        heads.append(head)
-    return AggParams(mechanism, heads)
+            draws.append([_uniform(rng, (d_in, d_head), d_in), beta])
+    if mechanism == "sam":
+        stacked = {role: np.stack(w) for role, w in zip(("wq", "wk", "wv"), zip(*draws))}
+    else:
+        wr, beta = zip(*draws)
+        stacked = {"wr": np.concatenate(wr, axis=1), "beta": np.stack(beta)}
+    return AggParams(mechanism, {role: Parameter(f"{prefix}.{role}", value)
+                                 for role, value in stacked.items()})
 
 
 def init_stack_params(mechanism: str, n_blocks: int, d: int, n_heads: int,
@@ -187,7 +196,7 @@ def _checked_mask(x: Tensor, a, params: AggParams, mechanism: str) -> np.ndarray
         raise ValueError(f"params carry mechanism {params.mechanism!r}, expected {mechanism!r}")
     if x.ndim < 2:
         raise dc.ShapeError("aggregation input must be (..., N, D)")
-    d_in = params.parameters()[0].shape[0]
+    d_in = params.parameters()[0].shape[-2]
     if x.shape[-1] != d_in:
         raise dc.ShapeError(f"input dim {x.shape[-1]} != parameter dim {d_in}")
     n = x.shape[-2]
@@ -199,8 +208,9 @@ def sam_agg(x, a, params: AggParams) -> Tensor:
 
     Per head: Q, K, V are linear maps of the input; scores Q K' / sqrt(d)
     are normalized over each node's neighbors only; the head output is
-    the weighted value sum.  Heads are concatenated, so the output width
-    equals the input width.
+    the weighted value sum.  Every head runs at once, as one product over a
+    head axis that the input and the mask broadcast over; the heads' outputs
+    are laid side by side, so the output width equals the input width.
 
     ``x``: (..., N, D); leading axes are independent batch slices.
     ``a``: a boolean (N, N) adjacency, or a mask array broadcastable over
@@ -208,21 +218,20 @@ def sam_agg(x, a, params: AggParams) -> Tensor:
     """
     x = _as_tensor(x)
     mask = _checked_mask(x, a, params, "sam")
-    outs = []
-    for head in params.heads:
-        q = dc.matmul(x, head["wq"])
-        k = dc.matmul(x, head["wk"])
-        v = dc.matmul(x, head["wv"])
-        scores = dc.scale(dc.matmul(q, _swap_last(k)), 1.0 / math.sqrt(q.shape[-1]))
-        outs.append(dc.matmul(dc.masked_softmax(scores, mask), v))
-    return dc.concat(outs, axis=-1)
+    lead, n = x.shape[:-2], x.shape[-2]
+    xh = dc.reshape(x, lead + (1, n, x.shape[-1]))  # broadcasts over the head axis
+    q, k, v = (dc.matmul(xh, params.weights[role]) for role in ("wq", "wk", "wv"))
+    scores = dc.scale(dc.matmul(q, _swap_last(k)), 1.0 / math.sqrt(q.shape[-1]))
+    out = dc.matmul(dc.masked_softmax(scores, mask[..., None, :, :]), v)  # (..., H, N, d_head)
+    out = dc.transpose(out, tuple(range(len(lead))) + tuple(len(lead) + i for i in (1, 0, 2)))
+    return dc.reshape(out, lead + (n, -1))
 
 
 def gcn_agg(x, a, params: AggParams) -> Tensor:
     """Additive-attention graph aggregation with static scores, as one masked pool.
 
-    All heads at once: g = x [W_r,0 | ... | W_r,H-1]; node j's score for
-    head h is s_jh = beta_h . LeakyReLU(g_j) over head h's dims, and
+    All heads at once: g = x W_r, whose column block h is head h's; node
+    j's score for head h is s_jh = beta_h . LeakyReLU(g_j) over head h's dims, and
     w = exp(s - max s), the max taken per batch slice and head and held
     constant.  Node i's head-h output is sum_j M_ij w_jh g_jh / sum_j M_ij
     w_jh, the softmax-weighted sum of its neighbors' g rows (see the
@@ -234,11 +243,10 @@ def gcn_agg(x, a, params: AggParams) -> Tensor:
     """
     x = _as_tensor(x)
     mask = _checked_mask(x, a, params, "gcn")
-    lead, n, h = x.shape[:-2], x.shape[-2], len(params.heads)
-    d_head = params.heads[0]["wr"].shape[1]
+    wr, beta = params.weights["wr"], params.weights["beta"]
+    lead, n, (h, d_head) = x.shape[:-2], x.shape[-2], beta.shape
     split, flat, per_head = lead + (n, h, d_head), lead + (n, h * d_head), lead + (n, h, 1)
-    g = dc.reshape(dc.matmul(x, dc.concat([hd["wr"] for hd in params.heads], axis=-1)), split)
-    beta = dc.reshape(dc.concat([hd["beta"] for hd in params.heads]), (h, d_head))
+    g = dc.reshape(dc.matmul(x, wr), split)
     s = dc.sum_axis(dc.mul(dc.leaky_relu(g, LEAKY_SLOPE), beta), -1)  # (..., N, H)
     w = dc.exp(dc.add(s, -s.data.max(axis=-2, keepdims=True)))
     m = Tensor(mask.astype(np.float64))
@@ -320,12 +328,16 @@ def save_checkpoint(path, params: ParamSet, meta: dict | None = None) -> None:
     """Write parameters as a JSON manifest plus concatenated float64 blobs.
 
     Layout: 8-byte little-endian header length, UTF-8 JSON manifest
-    (names, shapes and caller metadata such as seed and config), then each
-    parameter's raw little-endian float64 data in manifest order.
+    (``CHECKPOINT_VERSION``, names, shapes and caller metadata such as seed
+    and config), then each parameter's raw little-endian float64 data in
+    manifest order.  Version 2 holds one blob per role of each aggregation
+    module, named ``block{b}.{temporal,spatial}.{role}`` with the shapes
+    of :class:`AggParams`.  Only the current version loads: a file of any
+    other version is refused, not converted.
     """
     manifest = dict(meta or {})
     manifest["format"] = "adhocsv-checkpoint"
-    manifest["version"] = 1
+    manifest["version"] = CHECKPOINT_VERSION
     manifest["params"] = [{"name": p.name, "shape": list(p.shape)} for p in params]
     header = json.dumps(manifest, sort_keys=True).encode("utf-8")
     with open(path, "wb") as f:
@@ -341,7 +353,8 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     Every length the file declares (header, parameter shapes) is checked
     against the bytes actually left in it before anything is read, so a
     corrupt or hostile file raises ``ValueError`` naming it, never a
-    ``MemoryError``.
+    ``MemoryError``.  So does a file of another version than
+    ``CHECKPOINT_VERSION``.
     """
     with open(path, "rb") as f:
         left = os.fstat(f.fileno()).st_size
@@ -358,8 +371,9 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         left -= header_len
         if not isinstance(manifest, dict) or manifest.get("format") != "adhocsv-checkpoint":
             raise ValueError(f"{path}: not a checkpoint file")
-        if manifest.get("version") != 1:
-            raise ValueError(f"{path}: unsupported checkpoint version {manifest.get('version')!r}")
+        if manifest.get("version") != CHECKPOINT_VERSION:
+            raise ValueError(f"{path}: unsupported checkpoint version {manifest.get('version')!r}"
+                             f"; only version {CHECKPOINT_VERSION} loads")
         entries = manifest.get("params")
         if not isinstance(entries, list):
             raise ValueError(f"{path}: manifest has no parameter list")

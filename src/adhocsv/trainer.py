@@ -66,7 +66,6 @@ __all__ = [
     "config_value",
     "config_from_json",
     "model_config_to_json",
-    "model_config_from_json",
     "save_model",
     "load_model",
 ]
@@ -99,21 +98,21 @@ class SelectionConfig:
     kind: str = "none"
     k: int | None = None  # gpool channel budget; None means ceil(C / 2) per utterance
     rho: float = 0.6
-    noise: bool = False
-    rho_noise: float = 0.2
+    rho_noise: float | None = None  # prior's noise threshold; None means no noise test
 
     def __post_init__(self):
         if self.kind not in SELECTION_KINDS:
             raise ValueError(f"unknown selection kind {self.kind!r}")
         if self.kind == "prior" and not 0.0 < self.rho <= 1.0:
             raise ValueError(f"rho must lie in (0, 1], got {self.rho}")
-        if self.noise and not 0.0 < self.rho_noise <= 1.0:
-            raise ValueError(f"rho_noise must lie in (0, 1], got {self.rho_noise}")
+        if self.rho_noise is not None and (
+                isinstance(self.rho_noise, bool) or not isinstance(self.rho_noise, (int, float))
+                or not 0.0 < self.rho_noise <= 1.0):
+            raise ValueError(f"rho_noise must lie in (0, 1], got {self.rho_noise!r}")
         if self.k is not None and (type(self.k) is not int or self.k < 1):
             raise ValueError(f"gpool k must be a positive channel count, got {self.k!r}")
-        unread = {"none": {"k", "rho", "noise", "rho_noise"},
-                  "gpool": {"rho", "noise", "rho_noise"}, "prior": {"k"}}[self.kind]
-        _reset_unread(self, unread if self.noise else unread | {"rho_noise"})
+        _reset_unread(self, {"none": {"k", "rho", "rho_noise"}, "gpool": {"rho", "rho_noise"},
+                             "prior": {"k"}}[self.kind])
 
 
 @dataclass(frozen=True)
@@ -254,11 +253,10 @@ def _forward(model: Model, feats, scenes: list[Scene | None]):
     x = np.zeros((b, c, t, cfg.d))
     keep = np.zeros((b, c), dtype=bool)  # padded channels stay False
     graph = np.zeros((b, c, c), dtype=bool)
-    rho_noise = sel.rho_noise if sel.noise else None
     for i, (f, scene) in enumerate(zip(feats, scenes)):
         n = f.shape[0]
         x[i, :n, :frames[i]] = f
-        keep[i, :n] = build_prior(scene, sel.rho, rho_noise) if sel.kind == "prior" else True
+        keep[i, :n] = build_prior(scene, sel.rho, sel.rho_noise) if sel.kind == "prior" else True
         if model.blocks:
             graph[i, :n, :n] = build_graph(cfg.spatial_graph, n,
                                            None if scene is None else scene.node_pos)
@@ -596,57 +594,9 @@ def model_config_to_json(cfg: ModelConfig) -> dict:
     return asdict(cfg)
 
 
-# Settings that older checkpoints record.  They load only at the value
-# that made them a no-op, because the model no longer implements them (or,
-# for leaky_slope, now fixes them: stagg.LEAKY_SLOPE).
-_REMOVED_SETTINGS = {"warm_start": False, "head": "linear", "head_scale": 10.0,
-                     "leaky_slope": 0.2}
-_REMOVED_SELECTION_SETTINGS = {"pool_all": False, "orientation": False}
-
-
-def _drop_removed(doc, removed: dict, where: str):
-    if not isinstance(doc, dict):
-        return doc  # config_from_json names the malformed section
-    for key, no_op in removed.items():
-        if key in doc and doc[key] != no_op:
-            raise ValueError(f"{where}.{key}={doc[key]!r} is no longer supported "
-                             f"(only {no_op!r} loads)")
-    return {key: value for key, value in doc.items() if key not in removed}
-
-
-def model_config_from_json(doc) -> ModelConfig:
-    """Read a checkpoint's model config, dropping removed settings at their no-op values.
-
-    A recorded ``"mechanism": "mean"``, once the MEAN baseline's own
-    mechanism, reads as the stack of zero blocks.
-    """
-    doc = _drop_removed(doc, _REMOVED_SETTINGS, "config")
-    if isinstance(doc, dict) and doc.get("mechanism") == "mean":
-        doc = {**doc, "mechanism": ModelConfig.mechanism, "n_blocks": 0}
-    if isinstance(doc, dict) and "selection" in doc:
-        doc = {**doc, "selection": _drop_removed(doc["selection"], _REMOVED_SELECTION_SETTINGS,
-                                                 "config.selection")}
-    return config_from_json(ModelConfig, doc, "config")
-
-
 def save_model(path, model: Model) -> None:
     meta = {"config": model_config_to_json(model.cfg), "n_speakers": model.n_speakers}
     save_checkpoint(path, model.params, meta)
-
-
-def _drop_gcn_query_side(path, values: dict[str, np.ndarray]) -> None:
-    """Read gcn heads written when they still held a query side.
-
-    Such a head holds ``{head}.wl`` and a 2 * d_head ``{head}.beta`` whose
-    first half scores the query node; the softmax cancels both, so the
-    query weights and that half are dropped.
-    """
-    for name in [n for n in values if n.endswith(".wl")]:
-        head = name[:-len(".wl")]
-        wl, beta = values.pop(name), values.get(f"{head}.beta")
-        if wl.ndim != 2 or beta is None or beta.shape != (2 * wl.shape[1],):
-            raise ValueError(f"{path}: {name!r} comes without a beta of twice its width")
-        values[f"{head}.beta"] = beta[wl.shape[1]:]
 
 
 def load_model(path) -> Model:
@@ -654,12 +604,10 @@ def load_model(path) -> Model:
     missing = [key for key in ("config", "n_speakers") if key not in manifest]
     if missing:
         raise ValueError(f"{path}: checkpoint manifest lacks {missing}")
-    cfg = model_config_from_json(manifest["config"])
+    cfg = config_from_json(ModelConfig, manifest["config"], "config")
     n_speakers = config_value(manifest["n_speakers"], 0, f"{path}: n_speakers")
     if n_speakers < 1:
         raise ValueError(f"{path}: n_speakers must be positive, got {n_speakers}")
-    if cfg.mechanism == "gcn":
-        _drop_gcn_query_side(path, values)
     model = Model.init(cfg, n_speakers=n_speakers)
     missing = [p.name for p in model.params if p.name not in values]
     extra = [name for name in values if name not in model.params]
@@ -699,7 +647,10 @@ def eval_per_node(model: Model, utterances: dict[str, Utterance],
                 features=FrameTensor(u.features.data[node:node + 1]),
                 scene=None if u.scene is None else u.scene.subset([node]),
             )
-        report = evaluate(single, sub, trials)
+        try:
+            report = evaluate(single, sub, trials)
+        except (ValueError, FloatingPointError) as err:
+            raise type(err)(f"node {node}: {err}") from err
         scenes = [u.scene for u in utterances.values() if u.scene is not None]
         if scenes:
             pos = np.mean([s.node_pos[node] for s in scenes], axis=0)

@@ -87,16 +87,18 @@ def reference_unmasked_mha(x, heads):
 def head_arrays(params):
     """Per-head arrays for the loop references.
 
-    A gcn head holds only the key side (wr and the key half of beta).  It is
-    padded with a random query side (wl and the query half of beta), which
-    the reference scores with and the softmax must cancel.
+    A gcn head holds only the key side (its column block of wr and its row of
+    beta).  It is padded with a random query side (wl and the query half of
+    beta), which the reference scores with and the softmax must cancel.
     """
+    w = {role: p.data for role, p in params.weights.items()}
     if params.mechanism == "sam":
-        return [(h["wq"].data, h["wk"].data, h["wv"].data) for h in params.heads]
+        return list(zip(w["wq"], w["wk"], w["wv"]))
     rng = np.random.default_rng(100)
-    return [(rng.standard_normal(h["wr"].shape), h["wr"].data,
-             np.concatenate([rng.standard_normal(h["beta"].shape), h["beta"].data]))
-            for h in params.heads]
+    h, d_head = w["beta"].shape
+    wr = np.split(w["wr"], h, axis=1)
+    return [(rng.standard_normal(wr[m].shape), wr[m],
+             np.concatenate([rng.standard_normal(d_head), w["beta"][m]])) for m in range(h)]
 
 
 def random_mask(rng, n):
@@ -106,20 +108,16 @@ def random_mask(rng, n):
 
 
 def make_sam_params(weights):
-    heads = [
-        {"wq": Parameter(f"h{m}.wq", wq), "wk": Parameter(f"h{m}.wk", wk),
-         "wv": Parameter(f"h{m}.wv", wv)}
-        for m, (wq, wk, wv) in enumerate(weights)
-    ]
-    return AggParams("sam", heads)
+    """sam weights from a list of per-head (wq, wk, wv) arrays."""
+    return AggParams("sam", {role: Parameter(f"t.{role}", np.stack(w))
+                             for role, w in zip(("wq", "wk", "wv"), zip(*weights))})
 
 
 def make_gcn_params(weights):
-    heads = [
-        {"wr": Parameter(f"h{m}.wr", wr), "beta": Parameter(f"h{m}.beta", beta)}
-        for m, (wr, beta) in enumerate(weights)
-    ]
-    return AggParams("gcn", heads)
+    """gcn weights from a list of per-head (wr, beta) arrays."""
+    wr, beta = zip(*weights)
+    return AggParams("gcn", {"wr": Parameter("t.wr", np.concatenate(wr, axis=1)),
+                             "beta": Parameter("t.beta", np.stack(beta))})
 
 
 def assert_unseen_nodes_leave_rows(agg, x, mask, params, tol):
@@ -138,6 +136,31 @@ def assert_unseen_nodes_leave_rows(agg, x, mask, params, tol):
         unseen = ~mask[..., :, j]
         assert np.max(np.abs(out - base)[unseen], initial=0.0) <= tol
         assert np.all(np.abs(out - base)[..., j, :].max(axis=-1) > 0.0)
+
+
+class TestInitAggParams:
+    @pytest.mark.parametrize("mechanism", ["gcn", "sam"])
+    def test_heads_stack_their_draws_in_turn(self, mechanism):
+        # Each head draws its weights in turn (gcn also draws and drops a query
+        # side), so a seed gives the numbers it gave heads of their own.
+        d, h, d_head = 8, 2, 4
+        params = init_agg_params(mechanism, d, h, np.random.default_rng(47), "t")
+        rng = np.random.default_rng(47)
+        b = 1.0 / math.sqrt(d)
+        for m in range(h):
+            if mechanism == "sam":
+                for role in ("wq", "wk", "wv"):
+                    want = rng.uniform(-b, b, (d, d_head))
+                    assert np.array_equal(params.weights[role].data[m], want), role
+            else:
+                beta = rng.uniform(-1 / math.sqrt(2 * d_head), 1 / math.sqrt(2 * d_head),
+                                   2 * d_head)
+                rng.uniform(-b, b, (d, d_head))
+                wr = rng.uniform(-b, b, (d, d_head))
+                assert np.array_equal(params.weights["beta"].data[m], beta[d_head:])
+                assert np.array_equal(np.split(params.weights["wr"].data, h, axis=1)[m], wr)
+        roles = ("wq", "wk", "wv") if mechanism == "sam" else ("wr", "beta")
+        assert [p.name for p in params.parameters()] == [f"t.{role}" for role in roles]
 
 
 class TestSamAgg:
@@ -254,8 +277,7 @@ class TestGcnAgg:
         while True:
             x = rng.standard_normal((n, d))
             params = init_agg_params("gcn", d, m, rng, "t")
-            margins = [np.abs(x @ h["wr"].data).min() for h in params.heads]
-            if min(margins) > 1e-3:
+            if np.abs(x @ params.weights["wr"].data).min() > 1e-3:
                 break
 
         def fn(xt, *ps):
@@ -658,11 +680,11 @@ class TestCheckpoint:
         (None, {"params": [{"name": "w", "shape": [2, 2]}]}, bytes(24)),
         (None, {"params": [{"name": "w", "shape": [2, 2.5]}]}, bytes(40)),
         (None, {"params": "w"}, b""),
-        (None, {"params": [], "version": 2}, b""),
+        (None, {"params": [], "version": 3}, b""),
     ], ids=["huge_header", "huge_param", "truncated_param", "fractional_shape", "params_not_a_list",
             "unknown_version"])
     def test_declared_sizes_are_bounded_by_the_file(self, tmp_path, header_len, manifest, tail):
-        header = json.dumps({"format": "adhocsv-checkpoint", "version": 1, **manifest}).encode()
+        header = json.dumps({"format": "adhocsv-checkpoint", "version": 2, **manifest}).encode()
         path = tmp_path / "bad.ckpt"
         path.write_bytes((header_len or len(header)).to_bytes(8, "little") + header + tail)
         with pytest.raises(ValueError, match="bad.ckpt"):

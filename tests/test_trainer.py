@@ -18,6 +18,7 @@ from adhocsv.diffcore import Parameter, ParamSet, Tensor
 from adhocsv.graphs import build_prior
 from adhocsv.scenesim import FrameTensor, SimConfig, make_codebook, sample_scene, synth_features
 from adhocsv.stagg import (
+    CHECKPOINT_VERSION,
     GraphSpec,
     build_graph,
     load_checkpoint,
@@ -44,8 +45,8 @@ from adhocsv.trainer import (
     eval_per_node,
     evaluate,
     generate_trials,
+    config_from_json,
     load_model,
-    model_config_from_json,
     model_config_to_json,
     read_trials_csv,
     save_model,
@@ -412,18 +413,20 @@ def test_knn_with_k_over_channel_count_links_every_channel():
 def test_noise_prior_needs_a_noise_source():
     scene = sample_scene(np.random.default_rng(43), SimConfig(n_nodes=4, with_noise_source=False))
     cfg = ModelConfig(n_blocks=1, heads=2, d=8,
-                      selection=SelectionConfig(kind="prior", noise=True))
+                      selection=SelectionConfig(kind="prior", rho_noise=0.2))
     with pytest.raises(MissingPriorError, match="noise source"):
         embed(Model.init(cfg, n_speakers=2), FrameTensor(np.ones((4, 3, 8))), scene)
 
 
 def test_noise_threshold_checked_when_noise_is_on():
-    with pytest.raises(ValueError, match="rho_noise must lie in"):
-        SelectionConfig(kind="prior", noise=True, rho_noise=5.0)
-    with pytest.raises(ValueError, match="rho_noise must lie in"):
-        SelectionConfig(kind="prior", noise=True, rho_noise=0.0)
-    # Unread while off, so it takes its default.
-    assert SelectionConfig(kind="prior", rho_noise=5.0) == SelectionConfig(kind="prior")
+    # The JSON reader passes this None-default field's value as given, so
+    # the config itself refuses what is no threshold.
+    for bad in (5.0, 0.0, 0, 1.5, True, "0.2"):
+        with pytest.raises(ValueError, match="rho_noise must lie in"):
+            SelectionConfig(kind="prior", rho_noise=bad)
+    # None, the default, is no noise test; an integer threshold is a number too.
+    assert SelectionConfig(kind="prior").rho_noise is None
+    assert SelectionConfig(kind="prior", rho_noise=1).rho_noise == 1
 
 
 @pytest.mark.parametrize("selection", ["none", "prior", "gpool"])
@@ -863,11 +866,10 @@ class TestModelIO:
         assert again.n_speakers == model.n_speakers
 
     def test_seed_checkpoint_loads_and_embeds_identically(self):
-        # Written before the removed settings were deleted: its config still
-        # records warm_start, head, head_scale, selection.pool_all and
-        # selection.orientation at their defaults.  The expected embedding was computed by that code,
-        # whose softmax added and then subtracted the query term of the gcn
-        # score; without that term the result moves by rounding only.
+        # The expected embedding was computed by code whose softmax added and
+        # then subtracted the query term of the gcn score, and whose heads were
+        # Parameters of their own; the file holds the same numbers with each
+        # module's heads stacked, and the result moves by rounding only.
         model = load_model(SEED_CHECKPOINT)
         assert model.cfg == ModelConfig(mechanism="gcn", n_blocks=1, heads=2, d=8,
                                         selection=SelectionConfig(kind="gpool"), seed=41)
@@ -875,10 +877,9 @@ class TestModelIO:
         assert np.max(np.abs(embed(model, x) - SEED_EMBEDDING)) <= 1e-15
 
     def test_mean_mechanism_checkpoint_loads_as_zero_blocks(self):
-        # Written when MEAN was its own mechanism: its config records
-        # "mechanism": "mean", n_blocks 2 and leaky_slope 0.2.  It holds the
-        # head after 2 epochs on the toy set below, and MEAN_EMBEDDING is what
-        # that code embedded.
+        # First written when MEAN was its own mechanism, and now recorded as the
+        # stack of zero blocks.  It holds the head after 2 epochs on the toy
+        # set below, and MEAN_EMBEDDING is what that code embedded.
         model = load_model(MEAN_CHECKPOINT)
         assert model.cfg == replace(MEAN, d=8, seed=5) and model.blocks == []
         x = FrameTensor(np.random.default_rng(40).standard_normal((5, 6, 8)))
@@ -888,29 +889,52 @@ class TestModelIO:
         for p in model.params:
             assert p.data.tobytes() == retrained.params[p.name].data.tobytes(), p.name
 
-    def test_seed_checkpoint_drops_the_gcn_query_side(self):
-        # Its gcn heads still hold wl and a beta of twice the head width.  It
-        # holds an untrained model, so it also pins the draws of Model.init.
-        _, blobs = load_checkpoint(SEED_CHECKPOINT)
+    def test_seed_checkpoint_holds_the_draws_of_model_init(self):
+        # It holds an untrained model, so it pins the draws of Model.init:
+        # each head's weights, drawn in turn before the heads were stacked.
         model = load_model(SEED_CHECKPOINT)
         fresh = Model.init(model.cfg, model.n_speakers)
-        assert all(np.array_equal(p.data, fresh.params[p.name].data) for p in model.params)
-        assert set(blobs) - set(model.params.names()) == {
-            f"block0.{axis}.head{m}.wl" for axis in ("temporal", "spatial") for m in range(2)}
         for p in model.params:
-            blob = blobs[p.name]
-            if p.name.endswith(".beta"):
-                assert blob.shape == (8,)
-                blob = blob[4:]
-            assert np.array_equal(p.data, blob), p.name
+            assert p.data.tobytes() == fresh.params[p.name].data.tobytes(), p.name
 
-    # A gcn head whose beta lacks the query half, and a sam head with a gcn
-    # query side, which sam must not read as one.
+    def test_version_1_checkpoint_refused(self, tmp_path):
+        header = json.dumps({"format": "adhocsv-checkpoint", "version": 1, "params": [],
+                             "config": {}, "n_speakers": 2}).encode()
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(len(header).to_bytes(8, "little") + header)
+        with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
+            load_model(path)
+
+    # Checkpoints record one Parameter per role of each aggregation module.
+    @pytest.mark.parametrize("cfg, layout", [
+        (ModelConfig(n_blocks=1, heads=2, d=8), {
+            "block0.temporal.wr": (8, 8), "block0.temporal.beta": (2, 4),
+            "block0.spatial.wr": (8, 8), "block0.spatial.beta": (2, 4)}),
+        (ModelConfig(mechanism="sam", n_blocks=1, heads=2, d=8), {
+            f"block0.{axis}.{role}": (2, 8, 4)
+            for axis in ("temporal", "spatial") for role in ("wq", "wk", "wv")}),
+        (ModelConfig(n_blocks=2, heads=4, d=8, selection=SelectionConfig(kind="gpool")), {
+            **{f"block{b}.{axis}.{role}": shape for b in range(2)
+               for axis in ("temporal", "spatial")
+               for role, shape in (("wr", (8, 8)), ("beta", (4, 2)))},
+            "gpool.p": (8,)}),
+        (ModelConfig(n_blocks=0, d=8), {}),
+    ], ids=["gcn", "sam", "gcn_gpool", "mean"])
+    def test_version_2_parameter_layout(self, tmp_path, cfg, layout):
+        path = tmp_path / "model.ckpt"
+        save_model(path, Model.init(cfg, n_speakers=3))
+        manifest, _ = load_checkpoint(path)
+        assert manifest["version"] == CHECKPOINT_VERSION == 2
+        assert {e["name"]: tuple(e["shape"]) for e in manifest["params"]} == {
+            **layout, "head.w": (8, 3), "head.b": (3,)}
+
+    # A version-1 query side (wl and a beta of twice the head width per
+    # head) is no parameter of any model, so it is refused by name.
     @pytest.mark.parametrize("mechanism, beta_width", [("gcn", 4), ("gcn", 6), ("sam", 8)])
     def test_query_side_without_its_beta_half_rejected(self, tmp_path, mechanism, beta_width):
         model = Model.init(ModelConfig(mechanism=mechanism, n_blocks=1, heads=2, d=8), 2)
         head = "block0.spatial.head1"
-        params = [p for p in model.params if p.name != f"{head}.beta"]
+        params = list(model.params)
         params.append(Parameter(f"{head}.wl", np.ones((8, 4))))
         params.append(Parameter(f"{head}.beta", np.ones(beta_width)))
         path = tmp_path / "model.ckpt"
@@ -931,11 +955,11 @@ class TestModelIO:
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, model.params, meta={"config": config, "n_speakers": 2})
         where = "config" if section is None else f"config.{section}"
-        with pytest.raises(ValueError, match=re.escape(f"{where}.{key}={value!r}")):
+        with pytest.raises(ValueError, match=re.escape(f"unknown keys in {where}: [{key!r}]")):
             load_model(path)
 
     @pytest.mark.parametrize("selection", [
-        SelectionConfig(), SelectionConfig(kind="prior", rho=0.5, noise=True),
+        SelectionConfig(), SelectionConfig(kind="prior", rho=0.5, rho_noise=0.2),
         SelectionConfig(kind="gpool"), SelectionConfig(kind="gpool", k=3),
     ], ids=["none", "prior", "gpool", "gpool_k3"])
     @pytest.mark.parametrize("spatial", [GraphSpec(), GraphSpec("span", delta=2),
@@ -943,19 +967,17 @@ class TestModelIO:
     def test_config_json_round_trip(self, selection, spatial):
         cfg = ModelConfig(n_blocks=1, heads=2, d=8, selection=selection,
                           temporal_graph=GraphSpec("span", delta=1), spatial_graph=spatial, seed=3)
-        assert model_config_from_json(model_config_to_json(cfg)) == cfg
+        assert config_from_json(ModelConfig, model_config_to_json(cfg), "config") == cfg
 
     def test_config_json_layout(self):
         # Checkpoints record this layout; its key order fixes their bytes.
         cfg = ModelConfig(mechanism="sam", n_blocks=3, heads=2, d=8,
-                          selection=SelectionConfig(kind="prior", rho=0.5, noise=True,
-                                                    rho_noise=0.3),
+                          selection=SelectionConfig(kind="prior", rho=0.5, rho_noise=0.3),
                           temporal_graph=GraphSpec("span", delta=2),
                           spatial_graph=GraphSpec("knn", k=3), seed=5)
         expected = {
             "mechanism": "sam", "n_blocks": 3, "heads": 2, "d": 8,
-            "selection": {"kind": "prior", "k": None, "rho": 0.5, "noise": True,
-                          "rho_noise": 0.3},
+            "selection": {"kind": "prior", "k": None, "rho": 0.5, "rho_noise": 0.3},
             "temporal_graph": {"kind": "span", "delta": 2, "k": 4},
             "spatial_graph": {"kind": "knn", "delta": 1, "k": 3},
             "seed": 5,
@@ -968,9 +990,9 @@ class TestModelIO:
         (ModelConfig(n_blocks=0), ModelConfig(n_blocks=0, mechanism="sam", heads=2)),
         (ModelConfig(n_blocks=0), ModelConfig(n_blocks=0, temporal_graph=GraphSpec("span"),
                                               spatial_graph=GraphSpec("knn", k=2))),
-        (SelectionConfig(kind="none", rho=0.3), SelectionConfig()),
-        (SelectionConfig(kind="gpool", k=2), SelectionConfig(kind="gpool", k=2, noise=True)),
-        (SelectionConfig(kind="prior"), SelectionConfig(kind="prior", k=3, rho_noise=0.5)),
+        (SelectionConfig(kind="none", rho=0.3), SelectionConfig(rho_noise=0.3)),
+        (SelectionConfig(kind="gpool", k=2), SelectionConfig(kind="gpool", k=2, rho_noise=0.5)),
+        (SelectionConfig(kind="prior"), SelectionConfig(kind="prior", k=3)),
         (GraphSpec("complete", delta=3), GraphSpec()),
         (GraphSpec("span", delta=2), GraphSpec("span", delta=2, k=1)),
         (GraphSpec("knn", k=2), GraphSpec("knn", delta=0, k=2)),
@@ -982,8 +1004,8 @@ class TestModelIO:
     @pytest.mark.parametrize("config, other", [
         (ModelConfig(n_blocks=1), ModelConfig(n_blocks=1, mechanism="sam")),
         (SelectionConfig(kind="prior"), SelectionConfig(kind="prior", rho=0.3)),
-        (SelectionConfig(kind="prior", noise=True), SelectionConfig(kind="prior", noise=True,
-                                                                    rho_noise=0.5)),
+        (SelectionConfig(kind="prior", rho_noise=0.2), SelectionConfig(kind="prior",
+                                                                       rho_noise=0.5)),
         (SelectionConfig(kind="gpool"), SelectionConfig(kind="gpool", k=2)),
         (GraphSpec("span"), GraphSpec("span", delta=3)),
         (GraphSpec("knn"), GraphSpec("knn", k=2)),
@@ -1081,6 +1103,20 @@ class TestChannelOps:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # prior fallbacks on one channel
                 assert row["eer"] == evaluate(reference, sub, trials).eer
+
+    def test_per_node_error_names_its_node(self):
+        # Channel 1 of every array is zero, so only its single-channel pass
+        # meets a zero embedding; the error keeps its type and names the node.
+        utts = ragged_utterances([(3, t) for t in (1, 4, 9, 9, 2, 6)], seed=39)
+        for utt_id, u in utts.items():
+            data = u.features.data.copy()
+            data[1] = 0.0
+            utts[utt_id] = replace(u, features=FrameTensor(data))
+        trials = all_pair_trials(utts)
+        model = Model.init(replace(MEAN, d=8), n_speakers=3)
+        evaluate(model, utts, trials)  # the whole arrays embed
+        with pytest.raises(ProtocolError, match=r"^node 1: utterance '\w+' has a zero embedding"):
+            eval_per_node(model, utts, trials)
 
     def test_per_node_runs_on_a_knn_spatial_graph(self):
         # knn over one channel is its self-loop whatever k is, as is the
