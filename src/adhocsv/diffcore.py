@@ -46,6 +46,7 @@ __all__ = [
     "exp",
     "check_mask",
     "masked_softmax",
+    "static_attention",
     "softmax_cross_entropy",
     "vjp_check",
 ]
@@ -146,14 +147,18 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A named leaf tensor with a zero-initialized gradient accumulator."""
+    """A named leaf tensor with a zero-initialized gradient accumulator.
+
+    With ``requires_grad=False`` it is a named constant instead: it has no
+    accumulator, and no kernel records an edge to it.
+    """
 
     __slots__ = ("name",)
 
-    def __init__(self, name: str, value):
-        super().__init__(value, requires_grad=True)
+    def __init__(self, name: str, value, requires_grad: bool = True):
+        super().__init__(value, requires_grad=requires_grad)
         self.name = name
-        self.grad = np.zeros_like(self.data)
+        self.grad = np.zeros_like(self.data) if requires_grad else None
 
     def zero_grad(self) -> None:
         self.grad = np.zeros_like(self.data)
@@ -239,17 +244,49 @@ def scale(a, c: float) -> Tensor:
 def matmul(a, b) -> Tensor:
     """Matrix product ``a @ b`` with shapes (..., N, P) x (..., P, Q).
 
-    A 2-D operand is shared across the other operand's batch axes; its
-    gradient sums over those axes.
+    An operand broadcast over batch axes of the other, such as a 2-D one
+    shared by every batch slice, gets a gradient summed over those axes.
+    The sum runs inside the product: the axes are merged into the
+    contracted one, so no batch-sized product is built and then summed.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError("matmul operands must be at least 2-D")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dims disagree: {a.shape} x {b.shape}")
+    batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    summed_a, summed_b = _broadcast_axes(a.shape, batch), _broadcast_axes(b.shape, batch)
     return Tensor(np.matmul(a.data, b.data), _edges=(
-        (a, lambda g: _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)),
-        (b, lambda g: _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))))
+        (a, lambda g: _unbroadcast(np.matmul(
+            _merge(g, batch, summed_a, -1),
+            np.swapaxes(_merge(b.data, batch, summed_a, -1), -1, -2)), a.shape)),
+        (b, lambda g: _unbroadcast(np.matmul(
+            np.swapaxes(_merge(a.data, batch, summed_b, -2), -1, -2),
+            _merge(g, batch, summed_b, -2)), b.shape))))
+
+
+def _broadcast_axes(shape, batch) -> list[int]:
+    """The axes of ``batch`` that an operand of ``shape`` is broadcast over."""
+    pad = len(batch) + 2 - len(shape)
+    return [i for i, n in enumerate(batch) if n != 1 and (i < pad or shape[i - pad] == 1)]
+
+
+def _merge(arr: np.ndarray, batch, axes: list[int], into: int) -> np.ndarray:
+    """``arr`` (..., R, K) with its batch ``axes`` merged into its matrix axis ``into``.
+
+    ``arr``'s batch axes are read against ``batch``, missing leading ones as
+    size 1.  ``into`` is -2 (rows) or -1 (columns); the merged axes go in
+    front of it, so a product contracting it also sums over them, and they
+    stay in place as axes of size 1.
+    """
+    arr = arr.reshape((1,) * (len(batch) + 2 - arr.ndim) + arr.shape)
+    if not axes:
+        return arr
+    lead = tuple(1 if i in axes else n for i, n in enumerate(arr.shape[:-2]))
+    rest = [i for i in range(len(batch)) if i not in axes]
+    rows, cols = len(batch), len(batch) + 1
+    arr = arr.transpose(rest + (axes + [rows, cols] if into == -2 else [rows] + axes + [cols]))
+    return arr.reshape(lead + ((-1, arr.shape[-1]) if into == -2 else (arr.shape[len(rest)], -1)))
 
 
 def transpose(a, axes) -> Tensor:
@@ -338,6 +375,26 @@ def exp(x) -> Tensor:
     return Tensor(out_data, _edges=((x, lambda g: g * out_data),))
 
 
+def _shared(fn, uses: int):
+    """``fn`` of a node's cotangent, shared by ``uses`` of its pullbacks.
+
+    The first pullback to ask computes it, and the last one drops it, so a
+    recorded graph does not keep it after its backward pass.
+    """
+    memo = []
+
+    def terms(g):
+        if not memo or memo[0] is not g:
+            memo[:] = [g, fn(g), uses]
+        value = memo[1]
+        memo[2] -= 1
+        if not memo[2]:
+            memo.clear()
+        return value
+
+    return terms
+
+
 def check_mask(mask, shape) -> np.ndarray:
     """A boolean neighbor mask, checked against the (..., R, K) array it masks.
 
@@ -387,6 +444,75 @@ def masked_softmax(logits, mask) -> Tensor:
         return grad
 
     return Tensor(out_data, _edges=((logits, pullback),))
+
+
+def static_attention(x, wr, beta, mask, slope: float) -> Tensor:
+    """Multi-head attention whose scores depend on the key alone, as one masked, normalized pool.
+
+    ``x`` is (..., N, D), ``wr`` (D, H * d) and ``beta`` (H, d).  With
+    g = x wr, split into H heads of width d, key j's head-h score is
+    s_jh = beta_h . lr_jh with lr = max(g, slope * g) (LeakyReLU), and its
+    weight is w_jh = exp(s_jh - max_j s_jh), the max taken per batch slice
+    and head and held constant.  Node i's head-h output is
+    out_ih = sum_j M_ij w_jh g_jh / den_ih with den_ih = sum_j M_ij w_jh,
+    for the bool neighbor mask M (see :func:`check_mask`); the heads lie
+    side by side, so the result is (..., N, H * d).  A row whose weights
+    all underflow to zero raises ``NonFiniteError``.
+
+    VJP, for the result's cotangent u split into heads like g: the shared
+    terms a = M' (u / den), the score cotangent
+    ds = w * (sum_d a * g - M' sum_d (u / den) * out) and the slope factor
+    1 where g >= 0, else ``slope``, give
+    dg = a * w + ds beta * slope factor.  Then dx = dg wr',
+    dwr = x' dg and dbeta = sum_j ds_j lr_j, each summed over the batch
+    axes.  The shared terms are computed once, whichever operands need a
+    gradient.
+    """
+    x, wr, beta = _as_tensor(x), _as_tensor(wr), _as_tensor(beta)
+    if x.ndim < 2 or wr.ndim != 2 or beta.ndim != 2:
+        raise ShapeError(f"static attention needs (..., N, D), (D, H * d) and (H, d) operands, "
+                         f"got {x.shape}, {wr.shape} and {beta.shape}")
+    (h, d), n = beta.shape, x.shape[-2]
+    if x.shape[-1] != wr.shape[0] or wr.shape[1] != h * d:
+        raise ShapeError(f"static attention shapes disagree: {x.shape}, {wr.shape}, {beta.shape}")
+    m = check_mask(mask, x.shape[:-1] + (n,)).astype(np.float64)
+    mt = np.swapaxes(m, -1, -2)
+    flat = x.shape[:-2] + (n, h * d)
+    # A fresh array of g's size costs more than a pass over it, so the passes
+    # below write into the few arrays of that size this kernel owns.
+    g = np.matmul(x.data, wr.data).reshape(flat[:-1] + (h, d))
+    buf = np.multiply(g, slope)
+    np.maximum(buf, g, out=buf)  # lr
+    s = np.einsum("...hd,hd->...h", buf, beta.data)  # (..., N, H)
+    w = np.exp(s - s.max(axis=-2, keepdims=True))
+    out = np.matmul(m, np.multiply(g, w[..., None], out=buf).reshape(flat)).reshape(g.shape)
+    den = np.matmul(m, w)
+    if den.min() < np.finfo(np.float64).tiny:
+        raise NonFiniteError("a node's neighbors all score too far below the max of its slice; "
+                             "their weights underflow to zero")
+    out /= den[..., None]
+
+    def terms(u):
+        c = u.reshape(g.shape) / den[..., None]
+        a = np.matmul(mt, c.reshape(flat)).reshape(g.shape)
+        ds = w * (np.einsum("...d,...d->...", a, g)
+                  - np.matmul(mt, np.einsum("...d,...d->...", c, out)))
+        np.maximum(np.multiply(g, slope, out=c), g, out=c)  # lr
+        dbeta = np.einsum("mh,mhd->hd", ds.reshape(-1, h), c.reshape(-1, h, d))
+        np.multiply(g >= 0, 1.0 - slope, out=c)
+        c += slope  # the slope factor: exactly 1 or slope
+        c *= beta.data
+        c *= ds[..., None]
+        a *= w[..., None]
+        a += c
+        return a.reshape(flat), dbeta
+
+    shared = _shared(terms, sum(t.requires_grad for t in (x, wr, beta)))
+    return Tensor(out.reshape(flat), _edges=(
+        (x, lambda u: np.matmul(shared(u)[0], wr.data.T)),
+        (wr, lambda u: np.matmul(x.data.reshape(-1, wr.shape[0]).T,
+                                 shared(u)[0].reshape(-1, h * d))),
+        (beta, lambda u: shared(u)[1])))
 
 
 def softmax_cross_entropy(logits, labels) -> Tensor:

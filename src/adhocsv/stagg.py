@@ -24,10 +24,13 @@ edge (i, j) from key j alone and holds no query weights (Brody et al.,
 arXiv:2105.14491, call this static attention).  Its softmax is then a
 masked, normalized pool: with w_j = exp(s_j - max s), node i's output is
 sum_j M_ij w_j g_j / sum_j M_ij w_j, two products with the mask M and no
-(..., N, N) attention.  One consequence: on a complete graph every node
-of a slice has the same neighbors and so gets the same output, so one
-gcn block on complete temporal and spatial graphs maps every channel and
-frame of an utterance to one vector.
+(..., N, N) attention.  The whole module is one recorded kernel,
+:func:`diffcore.static_attention`, with a hand-derived VJP that needs two
+products with M' (see :func:`gcn_agg` for both formulas).  One
+consequence: on a complete graph every node of a slice has the same
+neighbors and so gets the same output, so one gcn block on complete
+temporal and spatial graphs maps every channel and frame of an utterance
+to one vector.
 
 Output width equals input width (head dim = D / heads), so blocks stack
 without projections.  There are no residuals or inter-block
@@ -230,12 +233,17 @@ def sam_agg(x, a, params: AggParams) -> Tensor:
 def gcn_agg(x, a, params: AggParams) -> Tensor:
     """Additive-attention graph aggregation with static scores, as one masked pool.
 
-    All heads at once: g = x W_r, whose column block h is head h's; node
-    j's score for head h is s_jh = beta_h . LeakyReLU(g_j) over head h's dims, and
+    All heads run in one recorded kernel, :func:`diffcore.static_attention`.
+    Forward: g = x W_r, whose column block h is head h's;
+    lr = max(g, 0.2 g); node j's head-h score s_jh = beta_h . lr_jh; weights
     w = exp(s - max s), the max taken per batch slice and head and held
-    constant.  Node i's head-h output is sum_j M_ij w_jh g_jh / sum_j M_ij
-    w_jh, the softmax-weighted sum of its neighbors' g rows (see the
-    module docstring).
+    constant; out = (M (g * w)) / (M w), so node i's head-h output is the
+    softmax-weighted sum of its neighbors' g rows (see the module docstring).
+    Backward, for the output's cotangent u: a = M' (u / (M w)) and the score
+    cotangent ds = w * (sum_d a * g - M' sum_d (u / (M w)) * out) are
+    computed once; with the slope factor f = 1 where g >= 0, else 0.2,
+    dg = a * w + ds beta f, and the gradients are dx = dg W_r',
+    dW_r = x' dg and dbeta = sum_j ds_j lr_j.
 
     ``a`` as in :func:`sam_agg`.  A row whose neighbors all score more
     than about 708 below the max underflows to a zero denominator and
@@ -243,19 +251,11 @@ def gcn_agg(x, a, params: AggParams) -> Tensor:
     """
     x = _as_tensor(x)
     mask = _checked_mask(x, a, params, "gcn")
-    wr, beta = params.weights["wr"], params.weights["beta"]
-    lead, n, (h, d_head) = x.shape[:-2], x.shape[-2], beta.shape
-    split, flat, per_head = lead + (n, h, d_head), lead + (n, h * d_head), lead + (n, h, 1)
-    g = dc.reshape(dc.matmul(x, wr), split)
-    s = dc.sum_axis(dc.mul(dc.leaky_relu(g, LEAKY_SLOPE), beta), -1)  # (..., N, H)
-    w = dc.exp(dc.add(s, -s.data.max(axis=-2, keepdims=True)))
-    m = Tensor(mask.astype(np.float64))
-    num = dc.matmul(m, dc.reshape(dc.mul(g, dc.reshape(w, per_head)), flat))
-    den = dc.matmul(m, w)
-    if den.data.min() < np.finfo(np.float64).tiny:
-        raise dc.NonFiniteError("gcn: a node's neighbors all score too far below the max "
-                                "of its slice; their weights underflow to zero")
-    return dc.reshape(dc.div(dc.reshape(num, split), dc.reshape(den, per_head)), flat)
+    try:
+        return dc.static_attention(x, params.weights["wr"], params.weights["beta"], mask,
+                                   LEAKY_SLOPE)
+    except dc.NonFiniteError as err:
+        raise dc.NonFiniteError(f"gcn: {err}") from err
 
 
 def build_graph(spec: GraphSpec, n: int, positions=None) -> np.ndarray:

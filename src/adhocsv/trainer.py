@@ -9,7 +9,8 @@ computes the embeddings, and it is the one function that pads: it takes
 utterances of any channel and frame counts, zero-fills them to the
 batch's largest, and masks the padding so that it changes no embedding.
 Training runs it on each batch as drawn, :func:`embed` on one utterance,
-and :func:`evaluate` on batches of utterances sorted by shape.
+and :func:`evaluate` on batches of utterances sorted by shape; the last two
+read the parameters as constants, so inference records no graph.
 Verification scores utterance-embedding pairs with cosine similarity and
 reports the equal error rate from a full threshold sweep.
 """
@@ -276,6 +277,24 @@ def _forward(model: Model, feats, scenes: list[Scene | None]):
     return weighted_pool(zbar, keep, gate), keep, gate.data
 
 
+def _constants(model: Model) -> Model:
+    """``model`` with its parameters read as constants, so a forward through it records nothing.
+
+    Each parameter keeps its name and shares its data array; inference runs
+    :func:`_forward` on this view, so every op frees its arrays once the
+    next op has read them.
+    """
+    def const(p):
+        return None if p is None else Parameter(p.name, p.data, requires_grad=False)
+
+    def const_agg(agg):
+        return replace(agg, weights={role: const(p) for role, p in agg.weights.items()})
+
+    blocks = [BlockParams(const_agg(b.temporal), const_agg(b.spatial)) for b in model.blocks]
+    return Model(model.cfg, model.n_speakers, blocks, const(model.gpool), const(model.head_w),
+                 const(model.head_b))
+
+
 def embed(model: Model, x, scene: Scene | None = None) -> np.ndarray:
     """Utterance-level embedding as a plain (D,) array."""
     return embed_with_info(model, x, scene)[0]
@@ -288,7 +307,7 @@ def embed_with_info(model: Model, x, scene: Scene | None = None):
     gpool's gates of those channels (None for the other kinds).
     """
     data = x.data if isinstance(x, FrameTensor) else np.asarray(x, dtype=np.float64)
-    embs, keep, gate = _forward(model, [data], [scene])
+    embs, keep, gate = _forward(_constants(model), [data], [scene])
     kept = keep[0]
     return np.array(embs.data[0]), {
         "mechanism": model.cfg.selection.kind,
@@ -419,15 +438,16 @@ class EvalReport:
 # :func:`_forward` pads every utterance of the batch to them.  The temporal
 # pass masks B * C * T * T entries and the spatial pass B * T * C * C;
 # counting only the temporal ones would let batches of many-channel, short
-# utterances grow without bound in the spatial pass.  A batch's recorded
-# graph holds every block's arrays until its embeddings are read out, so
-# the budget bounds the memory of evaluation.  Measured on the verify-ragged
-# inputs (400 arrays of 4-16 channels and 10-40 frames, batches mixing
-# channel counts) with its trained gcn + gpool model, one BLAS thread on a
-# 2-core x86_64 machine: peak RSS, 53 MiB after training, reached 66, 66
-# and 69 MiB at budgets of 32768, 65536 and 131072; evaluate took a median
-# 0.44, 0.49 and 0.52 s, within timing noise of each other, and 0.55 s at
-# 16384.  An utterance over the budget on its own runs as a batch of one.
+# utterances grow without bound in the spatial pass.  Evaluation records
+# no graph (:func:`_constants`), so each op's arrays are freed once the next
+# op has read them, and the budget bounds the size of the largest of them.
+# Measured on the verify-ragged inputs (400 arrays of 4-16 channels and
+# 10-40 frames, batches mixing channel counts, seed 7) with its trained
+# gcn + gpool model, one BLAS thread on a 2-core x86_64 machine: peak RSS,
+# 52 MiB after training, reached 65-66 MiB at every budget from 16384 to
+# 262144; evaluate took a median 0.17-0.25 s at all of them, within timing
+# noise of each other.  An utterance over the budget on its own runs as a
+# batch of one.
 EVAL_BATCH_ENTRIES = 65536
 
 
@@ -449,9 +469,9 @@ def _embed_all(model: Model, utterances: dict[str, Utterance]) -> dict[str, np.n
         batches[-1].append(item)
         t_max = t
     embs: dict[str, np.ndarray] = {}
+    constants = _constants(model)
     for batch in batches:
-        # Only the embeddings' array outlives the call: the batch's graph is freed here.
-        vectors = _forward(model, [u.features.data for _, u in batch],
+        vectors = _forward(constants, [u.features.data for _, u in batch],
                            [u.scene for _, u in batch])[0].data
         embs.update(zip([utt_id for utt_id, _ in batch], vectors))
     return embs

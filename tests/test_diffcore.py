@@ -160,6 +160,17 @@ class TestMatmul:
                         rng=rng)
         assert err < 1e-6
 
+    @pytest.mark.parametrize("a_shape, b_shape", [((2, 3, 1, 4, 5), (6, 5, 3)),
+                                                  ((3, 1, 4, 5), (1, 2, 5, 6)),
+                                                  ((4, 5), (2, 3, 5, 2))],
+                             ids=["over-heads", "each-over-the-other", "shared-left"])
+    def test_gradient_broadcast_over_batch_axes(self, a_shape, b_shape):
+        # Each operand's gradient sums over the batch axes it is broadcast over.
+        rng = np.random.default_rng(14)
+        err = vjp_check(dc.matmul, [rng.standard_normal(a_shape), rng.standard_normal(b_shape)],
+                        rng=rng)
+        assert err < 1e-6
+
     def test_constant_operand_gets_no_gradient_product(self, monkeypatch):
         rng = np.random.default_rng(12)
         leaf = Tensor(rng.standard_normal((4, 3, 2)), requires_grad=True)
@@ -260,6 +271,48 @@ class TestMaskedSoftmax:
         assert np.all(out >= 0.0)
         assert np.all(out[~mask] == 0.0)
         assert np.max(np.abs(out.sum(axis=1) - 1.0)) <= 1e-12
+
+
+class TestStaticAttention:
+    """The fused kernel behind gcn; its values and VJP are checked through ``stagg.gcn_agg``."""
+
+    def test_shape_mismatches_raise(self):
+        x, wr, beta, mask = np.ones((2, 3, 4)), np.ones((4, 4)), np.ones((2, 2)), np.eye(3)
+        for args in [(x[0, 0], wr, beta), (x, wr[:3], beta), (x, wr, beta[:1]),
+                     (x, wr, beta.ravel())]:
+            with pytest.raises(ShapeError):
+                dc.static_attention(*args, mask, 0.2)
+        with pytest.raises(EmptyNeighborhoodError):
+            dc.static_attention(x, wr, beta, np.zeros((3, 3)), 0.2)
+
+    @pytest.mark.parametrize("leaves, products", [("x wr beta", 4), ("wr", 3), ("beta", 2)])
+    def test_backward_shares_its_mask_products(self, leaves, products, monkeypatch):
+        # Two products with the transposed mask serve every operand; x and wr
+        # add one product each.
+        rng = np.random.default_rng(15)
+        operands = [Tensor(rng.standard_normal(shape), requires_grad=name in leaves.split())
+                    for name, shape in (("x", (2, 5, 4)), ("wr", (4, 4)), ("beta", (2, 2)))]
+        out = dc.static_attention(*operands, np.ones((5, 5), dtype=bool), 0.2)
+        calls = []
+        real = np.matmul
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counting)
+        out.backward(rng.standard_normal(out.shape))
+        assert len(calls) == products
+        assert all((t.grad is not None) == t.requires_grad for t in operands)
+
+    def test_shared_terms_are_dropped_after_their_last_use(self):
+        calls = []
+        terms = dc._shared(lambda g: calls.append(g) or 2.0 * g, uses=2)
+        g = np.ones(3)
+        assert terms(g) is terms(g)
+        assert len(calls) == 1
+        terms(g)  # a third pullback (a second backward pass) computes them again
+        assert len(calls) == 2
 
 
 class TestActivations:

@@ -310,6 +310,85 @@ class TestGcnAgg:
         with pytest.raises(dc.NonFiniteError, match="gcn"):
             gcn_agg(Tensor(x), build_graph(GraphSpec("span", delta=1), 6), params)
 
+    @pytest.mark.parametrize("leaves", ["x", "weights"])
+    def test_batched_gradients_with_padded_and_per_utterance_masks(self, leaves):
+        # A temporal then a spatial call on (B, C, T, D): utterance 1 pads its
+        # last two frames, and each utterance brings its own channel graph.
+        b, c, t, d = 2, 3, 5, 4
+        rng = np.random.default_rng(48)
+        a_t = restrict(build_graph(GraphSpec("span", delta=1), t),
+                       np.arange(t) < np.array([[t], [t - 2]]))[:, None]
+        a_s = np.stack([random_mask(rng, c) for _ in range(b)])[:, None]
+        while True:  # away from the LeakyReLU kinks of both calls
+            x = rng.standard_normal((b, c, t, d))
+            temporal, spatial = (init_agg_params("gcn", d, 2, rng, f"block0.{axis}")
+                                 for axis in ("temporal", "spatial"))
+            mid = gcn_agg(Tensor(x), a_t, temporal).data
+            g = [x @ temporal.weights["wr"].data, mid @ spatial.weights["wr"].data]
+            if min(np.abs(v).min() for v in g) > 1e-3:
+                break
+        if leaves == "x":
+            temporal, spatial = (
+                AggParams("gcn", {role: Parameter(p.name, p.data, requires_grad=False)
+                                  for role, p in agg.weights.items()})
+                for agg in (temporal, spatial))
+
+        def fn(*args):
+            xt = args[0] if leaves == "x" else Tensor(x)
+            mid = dc.transpose(gcn_agg(xt, a_t, temporal), (0, 2, 1, 3))
+            return dc.transpose(gcn_agg(mid, a_s, spatial), (0, 2, 1, 3))
+
+        inputs = [x] if leaves == "x" else temporal.parameters() + spatial.parameters()
+        assert vjp_check(fn, inputs, rng=rng) < 1e-5
+
+    @pytest.mark.parametrize("needs", [("x",), ("wr", "beta"), ("x", "wr", "beta"), ()],
+                             ids=["x", "weights", "all", "none"])
+    def test_one_call_records_one_tensor(self, needs, monkeypatch):
+        rng = np.random.default_rng(49)
+        params = init_agg_params("gcn", 4, 2, rng, "t")
+        operands = {"x": Tensor(rng.standard_normal((2, 5, 4)), requires_grad="x" in needs)}
+        for role, p in params.weights.items():
+            operands[role] = Parameter(p.name, p.data, requires_grad=role in needs)
+        params = AggParams("gcn", {role: operands[role] for role in ("wr", "beta")})
+        built = []
+        real = Tensor.__init__
+
+        def counting(obj, *args, **kwargs):
+            real(obj, *args, **kwargs)
+            built.append(obj)
+
+        monkeypatch.setattr(Tensor, "__init__", counting)
+        out = gcn_agg(operands["x"], random_mask(rng, 5), params)
+        monkeypatch.undo()
+        assert built == [out]
+        assert [parent for parent, _ in out._edges] == [operands[name] for name in needs]
+        assert out.requires_grad == bool(needs)
+
+    @pytest.mark.parametrize("kind", ["complete", "span"])
+    def test_batch_gradients_equal_each_utterance_alone(self, kind):
+        # Utterance i holds frames[i] frames zero-padded to t, its graph in the
+        # top-left corner of its mask; the batch's parameter gradients are the
+        # sum of the utterances' own.
+        rng = np.random.default_rng(50)
+        frames, c, t, d = [2, 5, 7], 3, 7, 8
+        x = np.zeros((len(frames), c, t, d))
+        for i, n in enumerate(frames):
+            x[i, :, :n] = rng.standard_normal((c, n, d))
+        valid = np.arange(t) < np.array(frames)[:, None]
+        mask = restrict(build_graph(GraphSpec(kind, delta=1), t), valid)[:, None]
+        params = init_agg_params("gcn", d, 2, rng, "t")
+        u = rng.standard_normal(x.shape) * valid[:, None, :, None]
+        joint = run_agg(gcn_agg, x, mask, params, u)
+        summed = [np.zeros_like(p.data) for p in params.parameters()]
+        for i, n in enumerate(frames):
+            alone = run_agg(gcn_agg, x[i, :, :n], build_graph(GraphSpec(kind, delta=1), n), params,
+                            u[i, :, :n])
+            for got, want in zip(joint[:2], alone[:2]):
+                assert np.max(np.abs(got[i, :, :n] - want)) <= 1e-12
+            summed = [s + g for s, g in zip(summed, alone[2:])]
+        for got, want in zip(joint[2:], summed):
+            assert np.max(np.abs(got - want)) <= 1e-12
+
     def test_every_block_parameter_gets_a_gradient(self):
         # No parameter is cancelled by the softmax: each one moves the output.
         rng = np.random.default_rng(44)
@@ -323,11 +402,12 @@ class TestGcnAgg:
             assert np.max(np.abs(p.grad)) > 1e-8, p.name
 
 
-def run_agg(agg, x, mask, params):
+def run_agg(agg, x, mask, params, cotangent=None):
     """[output, input gradient, *parameter gradients] of one call."""
     xt = Tensor(x, requires_grad=True)
     out = agg(xt, mask, params)
-    out.backward(np.random.default_rng(0).standard_normal(out.shape))
+    out.backward(np.random.default_rng(0).standard_normal(out.shape) if cotangent is None
+                 else cotangent)
     grads = [p.grad.copy() for p in params.parameters()]
     for p in params.parameters():
         p.zero_grad()

@@ -655,6 +655,31 @@ class TestBatchedEvaluate:
         for b, c, t, _ in shapes:
             assert b * c * t * (t + c) <= trainer.EVAL_BATCH_ENTRIES
 
+    @pytest.mark.parametrize("mechanism", ["gcn", "sam"])
+    def test_inference_records_nothing(self, mechanism, monkeypatch):
+        # evaluate and embed read the parameters as constants: their forward
+        # records no edge, no parameter's grad changes, and the embeddings are
+        # the recording forward's, bit for bit.
+        model = Model.init(replace(self.CFG, mechanism=mechanism), n_speakers=3)
+        utts = ragged_utterances(RAGGED_SHAPES)
+        grads = {p.name: p.grad for p in model.params}
+        calls = []
+
+        def spy(m, feats, scenes):
+            result = _forward(m, feats, scenes)
+            calls.append((result[0], _forward(model, feats, scenes)[0]))
+            return result
+
+        monkeypatch.setattr(trainer, "_forward", spy)
+        evaluate(model, utts, all_pair_trials(utts))
+        embed(model, utts["r0"].features, utts["r0"].scene)
+        assert [inference.shape[0] for inference, _ in calls] == [len(utts), 1]
+        for inference, recording in calls:
+            assert inference._edges == () and not inference.requires_grad
+            assert recording.requires_grad
+            assert np.array_equal(inference.data, recording.data)
+        assert all(p.grad is grads[p.name] and not p.grad.any() for p in model.params)
+
     def test_feature_dim_mismatch_is_shape_error(self):
         model = Model.init(self.CFG, n_speakers=3)
         utts = ragged_utterances([(4, 5), (4, 6)])
