@@ -11,10 +11,13 @@ kernel checks ``requires_grad`` itself.  The recorded graph is the minimum
 needed by the aggregation, selection and training code; this is
 deliberately not a general autodiff engine.
 
-Shapes: kernels accept an optional leading batch axis (written ``...``).
+Shapes: kernels accept optional leading batch axes (written ``...``).
 The batched forms are what the aggregation stack runs on; they are
 defined so that the batched result equals stacking the unbatched results
-slice by slice.
+slice by slice.  ``add``, ``mul`` and ``div`` follow numpy broadcasting;
+``matmul`` takes equal batch axes or one 2-D right operand shared by
+every slice, and nothing else; a neighbor mask holds one graph for all
+slices or one per slice (see :func:`check_mask`).
 
 All arithmetic is float64 (gradient checks need the headroom).
 """
@@ -37,13 +40,10 @@ __all__ = [
     "matmul",
     "transpose",
     "reshape",
-    "concat",
     "sum_axis",
     "mean_axis",
     "l2_norm",
-    "leaky_relu",
     "sigmoid",
-    "exp",
     "check_mask",
     "masked_softmax",
     "static_attention",
@@ -242,51 +242,26 @@ def scale(a, c: float) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product ``a @ b`` with shapes (..., N, P) x (..., P, Q).
+    """Matrix product ``a @ b`` of (..., N, P) x (..., P, Q) operands.
 
-    An operand broadcast over batch axes of the other, such as a 2-D one
-    shared by every batch slice, gets a gradient summed over those axes.
-    The sum runs inside the product: the axes are merged into the
-    contracted one, so no batch-sized product is built and then summed.
+    Two shape pairs are accepted: equal batch axes, or a 2-D ``b`` shared
+    by every batch slice of ``a``.  In the shared case b's gradient is one
+    2-D product over all of a's rows, ``a.reshape(-1, P)' g.reshape(-1, Q)``.
+    Any other pair raises ``ShapeError``.
     """
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError("matmul operands must be at least 2-D")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dims disagree: {a.shape} x {b.shape}")
-    batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    summed_a, summed_b = _broadcast_axes(a.shape, batch), _broadcast_axes(b.shape, batch)
+    if (a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]
+            or (b.ndim > 2 and a.shape[:-2] != b.shape[:-2])):
+        raise ShapeError(f"matmul needs (..., N, P) x (..., P, Q) with equal batch axes or a 2-D "
+                         f"right operand, got {a.shape} x {b.shape}")
+
+    def pull_b(g):
+        if b.ndim == 2:
+            return np.matmul(a.data.reshape(-1, b.shape[0]).T, g.reshape(-1, b.shape[1]))
+        return np.matmul(np.swapaxes(a.data, -1, -2), g)
+
     return Tensor(np.matmul(a.data, b.data), _edges=(
-        (a, lambda g: _unbroadcast(np.matmul(
-            _merge(g, batch, summed_a, -1),
-            np.swapaxes(_merge(b.data, batch, summed_a, -1), -1, -2)), a.shape)),
-        (b, lambda g: _unbroadcast(np.matmul(
-            np.swapaxes(_merge(a.data, batch, summed_b, -2), -1, -2),
-            _merge(g, batch, summed_b, -2)), b.shape))))
-
-
-def _broadcast_axes(shape, batch) -> list[int]:
-    """The axes of ``batch`` that an operand of ``shape`` is broadcast over."""
-    pad = len(batch) + 2 - len(shape)
-    return [i for i, n in enumerate(batch) if n != 1 and (i < pad or shape[i - pad] == 1)]
-
-
-def _merge(arr: np.ndarray, batch, axes: list[int], into: int) -> np.ndarray:
-    """``arr`` (..., R, K) with its batch ``axes`` merged into its matrix axis ``into``.
-
-    ``arr``'s batch axes are read against ``batch``, missing leading ones as
-    size 1.  ``into`` is -2 (rows) or -1 (columns); the merged axes go in
-    front of it, so a product contracting it also sums over them, and they
-    stay in place as axes of size 1.
-    """
-    arr = arr.reshape((1,) * (len(batch) + 2 - arr.ndim) + arr.shape)
-    if not axes:
-        return arr
-    lead = tuple(1 if i in axes else n for i, n in enumerate(arr.shape[:-2]))
-    rest = [i for i in range(len(batch)) if i not in axes]
-    rows, cols = len(batch), len(batch) + 1
-    arr = arr.transpose(rest + (axes + [rows, cols] if into == -2 else [rows] + axes + [cols]))
-    return arr.reshape(lead + ((-1, arr.shape[-1]) if into == -2 else (arr.shape[len(rest)], -1)))
+        (a, lambda g: np.matmul(g, np.swapaxes(b.data, -1, -2))), (b, pull_b)))
 
 
 def transpose(a, axes) -> Tensor:
@@ -300,20 +275,6 @@ def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
     shape = tuple(shape)
     return Tensor(a.data.reshape(shape), _edges=((a, lambda g: g.reshape(a.shape)),))
-
-
-def concat(tensors, axis: int = -1) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
-    if not tensors:
-        raise ShapeError("concat needs at least one tensor")
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    ends = np.cumsum([t.shape[axis] for t in tensors])
-
-    def pullback(start, end):
-        return lambda g: np.split(g, (start, end), axis=axis)[1]
-
-    return Tensor(out_data, _edges=[(t, pullback(end - t.shape[axis], end))
-                                    for t, end in zip(tensors, ends)])
 
 
 def sum_axis(a, axis, keepdims: bool = False) -> Tensor:
@@ -345,19 +306,6 @@ def l2_norm(v) -> Tensor:
     return Tensor(np.asarray(nrm), _edges=((v, lambda g: g * (v.data / nrm)),))
 
 
-def leaky_relu(x, slope: float = 0.2) -> Tensor:
-    """Elementwise x if x >= 0 else slope * x.
-
-    The subgradient at the kink x = 0 is taken from the x >= 0 branch.
-    """
-    if not 0.0 < slope < 1.0:
-        raise ValueError(f"leaky_relu slope must lie in (0, 1), got {slope}")
-    x = _as_tensor(x)
-    positive = x.data >= 0
-    out_data = np.where(positive, x.data, slope * x.data)
-    return Tensor(out_data, _edges=((x, lambda g: np.where(positive, g, slope * g)),))
-
-
 def sigmoid(x) -> Tensor:
     x = _as_tensor(x)
     # Branch on sign so neither exp overflows.
@@ -365,14 +313,6 @@ def sigmoid(x) -> Tensor:
     z = np.exp(np.where(pos, -x.data, x.data))
     out_data = np.where(pos, 1.0 / (1.0 + z), z / (1.0 + z))
     return Tensor(out_data, _edges=((x, lambda g: g * out_data * (1.0 - out_data)),))
-
-
-def exp(x) -> Tensor:
-    """Elementwise e**x; an overflow to Inf raises ``NonFiniteError``."""
-    x = _as_tensor(x)
-    with np.errstate(over="ignore"):  # the Tensor below raises on Inf
-        out_data = np.exp(x.data)
-    return Tensor(out_data, _edges=((x, lambda g: g * out_data),))
 
 
 def _shared(fn, uses: int):

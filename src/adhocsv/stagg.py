@@ -188,13 +188,8 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _swap_last(t: Tensor) -> Tensor:
-    axes = tuple(range(t.ndim - 2)) + (t.ndim - 1, t.ndim - 2)
-    return dc.transpose(t, axes)
-
-
-def _checked_mask(x: Tensor, a, params: AggParams, mechanism: str) -> np.ndarray:
-    """The boolean (batched) mask array ``a``, checked against x."""
+def _check_input(x: Tensor, params: AggParams, mechanism: str) -> None:
+    """x is (..., N, D) for the module's D; the kernels check the mask."""
     if params.mechanism != mechanism:
         raise ValueError(f"params carry mechanism {params.mechanism!r}, expected {mechanism!r}")
     if x.ndim < 2:
@@ -202,8 +197,6 @@ def _checked_mask(x: Tensor, a, params: AggParams, mechanism: str) -> np.ndarray
     d_in = params.parameters()[0].shape[-2]
     if x.shape[-1] != d_in:
         raise dc.ShapeError(f"input dim {x.shape[-1]} != parameter dim {d_in}")
-    n = x.shape[-2]
-    return dc.check_mask(a, x.shape[:-2] + (n, n))
 
 
 def sam_agg(x, a, params: AggParams) -> Tensor:
@@ -211,23 +204,41 @@ def sam_agg(x, a, params: AggParams) -> Tensor:
 
     Per head: Q, K, V are linear maps of the input; scores Q K' / sqrt(d)
     are normalized over each node's neighbors only; the head output is
-    the weighted value sum.  Every head runs at once, as one product over a
-    head axis that the input and the mask broadcast over; the heads' outputs
-    are laid side by side, so the output width equals the input width.
+    the weighted value sum.  Each role's (H, D, d) weights are read as one
+    (D, H * d) matrix whose column block h is head h's, so one 2-D product
+    projects every head of every batch slice (the query matrix also carries
+    the 1 / sqrt(d), a (D, H * d) pass instead of an (..., H, N, N) one).
+    Reshape and transpose then split the heads onto an axis of their own,
+    which the mask broadcasts over.  The heads' outputs are laid side by
+    side, so the output width equals the input width.
 
     ``x``: (..., N, D); leading axes are independent batch slices.
     ``a``: a boolean (N, N) adjacency, or a mask array broadcastable over
     the batch axes (one graph per slice; see :func:`diffcore.check_mask`).
     """
     x = _as_tensor(x)
-    mask = _checked_mask(x, a, params, "sam")
+    _check_input(x, params, "sam")
     lead, n = x.shape[:-2], x.shape[-2]
-    xh = dc.reshape(x, lead + (1, n, x.shape[-1]))  # broadcasts over the head axis
-    q, k, v = (dc.matmul(xh, params.weights[role]) for role in ("wq", "wk", "wv"))
-    scores = dc.scale(dc.matmul(q, _swap_last(k)), 1.0 / math.sqrt(q.shape[-1]))
-    out = dc.matmul(dc.masked_softmax(scores, mask[..., None, :, :]), v)  # (..., H, N, d_head)
-    out = dc.transpose(out, tuple(range(len(lead))) + tuple(len(lead) + i for i in (1, 0, 2)))
-    return dc.reshape(out, lead + (n, -1))
+    h, d_in, d_head = params.weights["wq"].shape
+
+    def last_three(order):
+        return tuple(range(len(lead))) + tuple(len(lead) + i for i in order)
+
+    def project(role, order, c=1.0):
+        # x times the role's (D, H * d) matrix, split into (..., N, H, d), then
+        # those three axes put in ``order``.
+        w = dc.reshape(dc.transpose(params.weights[role], (1, 0, 2)), (d_in, h * d_head))
+        w = dc.scale(w, c)
+        return dc.transpose(dc.reshape(dc.matmul(x, w), lead + (n, h, d_head)), last_three(order))
+
+    q = project("wq", (1, 0, 2), 1.0 / math.sqrt(d_head))  # (..., H, N, d)
+    kt = project("wk", (1, 2, 0))  # (..., H, d, N)
+    v = project("wv", (1, 0, 2))
+    mask = np.asarray(a)
+    if mask.ndim >= 2:  # masked_softmax refuses the rest
+        mask = mask[..., None, :, :]
+    out = dc.matmul(dc.masked_softmax(dc.matmul(q, kt), mask), v)  # (..., H, N, d)
+    return dc.reshape(dc.transpose(out, last_three((1, 0, 2))), lead + (n, h * d_head))
 
 
 def gcn_agg(x, a, params: AggParams) -> Tensor:
@@ -250,9 +261,9 @@ def gcn_agg(x, a, params: AggParams) -> Tensor:
     raises ``NonFiniteError``.
     """
     x = _as_tensor(x)
-    mask = _checked_mask(x, a, params, "gcn")
+    _check_input(x, params, "gcn")
     try:
-        return dc.static_attention(x, params.weights["wr"], params.weights["beta"], mask,
+        return dc.static_attention(x, params.weights["wr"], params.weights["beta"], a,
                                    LEAKY_SLOPE)
     except dc.NonFiniteError as err:
         raise dc.NonFiniteError(f"gcn: {err}") from err

@@ -1,5 +1,6 @@
 """Kernel forwards against independent oracles, plus VJP finite-difference checks."""
 
+import itertools
 import math
 
 import numpy as np
@@ -72,26 +73,27 @@ class TestRecording:
         const = Tensor(rng.uniform(1.0, 2.0, (3, 3)))
         out = kernel(*((leaf, const) if leaf_first else (const, leaf)))
         assert [parent for parent, _ in out._edges] == [leaf]
-        # Each of these kernels' pullbacks calls _unbroadcast exactly once.
+        # Each of these kernels' pullbacks makes one gradient product: matmul's
+        # is one np.matmul, the elementwise kernels' one _unbroadcast.
+        owner, name = (np, "matmul") if kernel is dc.matmul else (dc, "_unbroadcast")
         calls = []
-        real = dc._unbroadcast
+        real = getattr(owner, name)
 
-        def counting(g, shape):
-            calls.append(shape)
-            return real(g, shape)
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
 
-        monkeypatch.setattr(dc, "_unbroadcast", counting)
+        monkeypatch.setattr(owner, name, counting)
         out.backward(np.ones(out.shape))
-        assert calls == [leaf.shape]
+        assert len(calls) == 1
         assert leaf.grad.shape == leaf.shape
 
     def test_constants_only_record_nothing(self):
         rng = np.random.default_rng(13)
         a = Tensor(rng.standard_normal((2, 3, 3)))
         outs = [dc.add(a, 1.0), dc.mul(a, a), dc.div(a, 2.0), dc.scale(a, 3.0), dc.matmul(a, a),
-                dc.transpose(a, (0, 2, 1)), dc.reshape(a, (6, 3)), dc.concat([a, a]),
-                dc.sum_axis(a, 1), dc.mean_axis(a, 1), dc.l2_norm(a.data.ravel()),
-                dc.leaky_relu(a), dc.sigmoid(a), dc.exp(a),
+                dc.transpose(a, (0, 2, 1)), dc.reshape(a, (6, 3)),
+                dc.sum_axis(a, 1), dc.mean_axis(a, 1), dc.l2_norm(a.data.ravel()), dc.sigmoid(a),
                 dc.masked_softmax(a, np.ones((3, 3), dtype=bool)),
                 dc.softmax_cross_entropy(a.data[0], [0, 1, 2])]
         assert all(out._edges == () and not out.requires_grad for out in outs)
@@ -160,21 +162,23 @@ class TestMatmul:
                         rng=rng)
         assert err < 1e-6
 
+    def test_gradient_equal_batch_axes(self):
+        rng = np.random.default_rng(14)
+        err = vjp_check(dc.matmul, [rng.standard_normal((2, 3, 4, 5)),
+                                    rng.standard_normal((2, 3, 5, 2))], rng=rng)
+        assert err < 1e-6
+
     @pytest.mark.parametrize("a_shape, b_shape", [((2, 3, 1, 4, 5), (6, 5, 3)),
                                                   ((3, 1, 4, 5), (1, 2, 5, 6)),
                                                   ((4, 5), (2, 3, 5, 2))],
                              ids=["over-heads", "each-over-the-other", "shared-left"])
-    def test_gradient_broadcast_over_batch_axes(self, a_shape, b_shape):
-        # Each operand's gradient sums over the batch axes it is broadcast over.
-        rng = np.random.default_rng(14)
-        err = vjp_check(dc.matmul, [rng.standard_normal(a_shape), rng.standard_normal(b_shape)],
-                        rng=rng)
-        assert err < 1e-6
+    def test_other_batch_broadcasts_raise(self, a_shape, b_shape):
+        # Only equal batch axes, or a 2-D right operand shared by every slice.
+        with pytest.raises(ShapeError):
+            dc.matmul(Tensor(np.ones(a_shape)), Tensor(np.ones(b_shape)))
 
     def test_constant_operand_gets_no_gradient_product(self, monkeypatch):
         rng = np.random.default_rng(12)
-        leaf = Tensor(rng.standard_normal((4, 3, 2)), requires_grad=True)
-        out = dc.matmul(Tensor(rng.standard_normal((3, 3))), leaf)
         calls = []
         real = np.matmul
 
@@ -182,9 +186,18 @@ class TestMatmul:
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(np, "matmul", counting)
-        out.backward(np.ones(out.shape))
-        assert len(calls) == 1
+        for (a_shape, b_shape), leaf_first in itertools.product(
+                [((4, 3, 3), (4, 3, 2)), ((4, 3, 3), (3, 2))], (True, False)):
+            leaf = Tensor(rng.standard_normal(a_shape if leaf_first else b_shape),
+                          requires_grad=True)
+            const = Tensor(rng.standard_normal(b_shape if leaf_first else a_shape))
+            out = dc.matmul(*((leaf, const) if leaf_first else (const, leaf)))
+            calls.clear()
+            monkeypatch.setattr(np, "matmul", counting)
+            out.backward(np.ones(out.shape))
+            monkeypatch.undo()
+            assert len(calls) == 1
+            assert leaf.grad.shape == leaf.shape
 
 
 class TestMaskedSoftmax:
@@ -316,28 +329,6 @@ class TestStaticAttention:
 
 
 class TestActivations:
-    def test_leaky_relu_values(self):
-        out = dc.leaky_relu(Tensor([2.0, -1.0, 0.0]), slope=0.2)
-        assert np.allclose(out.data, [2.0, -0.2, 0.0])
-
-    def test_leaky_relu_slope_domain(self):
-        for bad in (0.0, 1.0, -0.5, 2.0):
-            with pytest.raises(ValueError):
-                dc.leaky_relu(Tensor([1.0]), slope=bad)
-
-    def test_leaky_relu_gradient_away_from_kink(self):
-        rng = np.random.default_rng(15)
-        x = rng.standard_normal(12)
-        x[np.abs(x) < 0.1] += 0.2  # keep clear of the kink
-        err = vjp_check(lambda t: dc.leaky_relu(t, 0.2), [x], rng=rng)
-        assert err < 1e-8
-
-    def test_leaky_relu_kink_skipped(self):
-        x = np.array([0.0, 1.0, -1.0])
-        err = vjp_check(lambda t: dc.leaky_relu(t, 0.2), [x],
-                        skip=[np.abs(x) < 1e-3], rng=np.random.default_rng(0))
-        assert err < 1e-8
-
     def test_sigmoid_values(self):
         out = dc.sigmoid(Tensor([0.0, 3.0]))
         assert out.data[0] == 0.5
@@ -353,27 +344,8 @@ class TestActivations:
         err = vjp_check(dc.sigmoid, [np.zeros(3)], rng=np.random.default_rng(16))
         assert err < 1e-9
 
-    def test_exp_values_and_gradient(self):
-        rng = np.random.default_rng(20)
-        x = rng.standard_normal((3, 4)) * 3
-        assert np.array_equal(dc.exp(Tensor(x)).data, np.exp(x))
-        err = vjp_check(dc.exp, [x], rng=rng)
-        assert err < 1e-8
-
-    def test_exp_overflow_raises(self):
-        with pytest.raises(NonFiniteError):
-            dc.exp(Tensor([1000.0]))
-
 
 class TestPlumbingKernels:
-    def test_concat_and_gradient(self):
-        rng = np.random.default_rng(17)
-        a, b = rng.standard_normal((3, 2)), rng.standard_normal((3, 4))
-        out = dc.concat([Tensor(a), Tensor(b)], axis=-1)
-        assert out.shape == (3, 6)
-        err = vjp_check(lambda x, y: dc.concat([x, y], axis=-1), [a, b], rng=rng)
-        assert err < 1e-8
-
     def test_mean_axis_tuple(self):
         rng = np.random.default_rng(18)
         x = rng.standard_normal((2, 3, 4))
@@ -424,7 +396,6 @@ class TestPurity:
         dc.matmul(ta, tb)
         dc.masked_softmax(ta, np.ones((3, 3), dtype=bool))
         dc.sigmoid(ta)
-        dc.leaky_relu(tb, 0.2)
         assert np.array_equal(ta.data, a)
         assert np.array_equal(tb.data, b)
 

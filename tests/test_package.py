@@ -62,3 +62,42 @@ def adhocsv_imports(name: str) -> set[str]:
 ], ids=["diffcore", "scenesim", "graphs", "chansel", "stagg"])
 def test_import_layering(name, allowed):
     assert adhocsv_imports(name) <= allowed
+
+
+# diffcore functions with no caller in the package, each kept on purpose.
+UNCALLED_KERNELS = {
+    "mean_axis",  # perfbench/tests/test_tracing.py pins how its spans nest
+    "vjp_check",  # the tests' finite-difference gradient checker
+}
+
+
+def diffcore_names_read(name: str) -> set[str]:
+    """The diffcore names that module ``name``'s code reads (its own names, in diffcore)."""
+    tree = ast.parse(inspect.getsource(importlib.import_module(f"adhocsv.{name}")))
+    if name == "diffcore":
+        return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    aliases, imported = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level and node.module == "diffcore":
+            imported.update({alias.asname or alias.name: alias.name for alias in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.level and node.module is None:
+            aliases |= {alias.asname or alias.name for alias in node.names
+                        if alias.name == "diffcore"}
+    found = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            found.add(node.attr)
+        elif isinstance(node, ast.Name) and node.id in imported:
+            found.add(imported[node.id])
+    return found
+
+
+def test_every_diffcore_function_has_a_caller_in_the_package():
+    from adhocsv import diffcore
+
+    functions = {name for name in diffcore.__all__ if inspect.isfunction(getattr(diffcore, name))}
+    read = set().union(*(diffcore_names_read(module.name)
+                         for module in pkgutil.iter_modules(adhocsv.__path__)))
+    assert UNCALLED_KERNELS <= functions
+    assert sorted(functions - read - UNCALLED_KERNELS) == []

@@ -101,6 +101,34 @@ def head_arrays(params):
              np.concatenate([rng.standard_normal(d_head), w["beta"][m]])) for m in range(h)]
 
 
+def temporal_spatial_vjp(agg, x, a_t, a_s, temporal, spatial, leaves, rng):
+    """vjp_check of a temporal then a spatial call on (B, C, T, D) ``x``.
+
+    ``leaves`` is "x" (the weights held constant) or "weights" (x constant).
+    """
+    if leaves == "x":
+        temporal, spatial = (
+            AggParams(params.mechanism, {role: Parameter(p.name, p.data, requires_grad=False)
+                                         for role, p in params.weights.items()})
+            for params in (temporal, spatial))
+
+    def fn(*args):
+        xt = args[0] if leaves == "x" else Tensor(x)
+        mid = dc.transpose(agg(xt, a_t, temporal), (0, 2, 1, 3))
+        return dc.transpose(agg(mid, a_s, spatial), (0, 2, 1, 3))
+
+    inputs = [x] if leaves == "x" else temporal.parameters() + spatial.parameters()
+    return vjp_check(fn, inputs, rng=rng)
+
+
+def padded_and_per_utterance_masks(rng, c, t):
+    """Masks for two utterances: a (2, 1, T, T) span mask whose utterance 1 pads
+    its last two frames, and a (2, 1, C, C) mask holding each one's channel graph."""
+    a_t = restrict(build_graph(GraphSpec("span", delta=1), t),
+                   np.arange(t) < np.array([[t], [t - 2]]))[:, None]
+    return a_t, np.stack([random_mask(rng, c) for _ in range(2)])[:, None]
+
+
 def random_mask(rng, n):
     mask = rng.random((n, n)) < 0.5
     np.fill_diagonal(mask, True)
@@ -224,6 +252,17 @@ class TestSamAgg:
         err = vjp_check(fn, [x] + params.parameters(), rng=rng)
         assert err < 1e-5
 
+    @pytest.mark.parametrize("leaves", ["x", "weights"])
+    def test_batched_gradients_with_padded_and_per_utterance_masks(self, leaves):
+        # A temporal then a spatial call on (B, C, T, D), as in the gcn test.
+        b, c, t, d = 2, 3, 5, 4
+        rng = np.random.default_rng(47)
+        a_t, a_s = padded_and_per_utterance_masks(rng, c, t)
+        x = rng.standard_normal((b, c, t, d))
+        temporal, spatial = (init_agg_params("sam", d, 2, rng, f"block0.{axis}")
+                             for axis in ("temporal", "spatial"))
+        assert temporal_spatial_vjp(sam_agg, x, a_t, a_s, temporal, spatial, leaves, rng) < 1e-5
+
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(6)
         params = init_agg_params("sam", 4, 2, rng, "t")
@@ -316,9 +355,7 @@ class TestGcnAgg:
         # last two frames, and each utterance brings its own channel graph.
         b, c, t, d = 2, 3, 5, 4
         rng = np.random.default_rng(48)
-        a_t = restrict(build_graph(GraphSpec("span", delta=1), t),
-                       np.arange(t) < np.array([[t], [t - 2]]))[:, None]
-        a_s = np.stack([random_mask(rng, c) for _ in range(b)])[:, None]
+        a_t, a_s = padded_and_per_utterance_masks(rng, c, t)
         while True:  # away from the LeakyReLU kinks of both calls
             x = rng.standard_normal((b, c, t, d))
             temporal, spatial = (init_agg_params("gcn", d, 2, rng, f"block0.{axis}")
@@ -327,19 +364,7 @@ class TestGcnAgg:
             g = [x @ temporal.weights["wr"].data, mid @ spatial.weights["wr"].data]
             if min(np.abs(v).min() for v in g) > 1e-3:
                 break
-        if leaves == "x":
-            temporal, spatial = (
-                AggParams("gcn", {role: Parameter(p.name, p.data, requires_grad=False)
-                                  for role, p in agg.weights.items()})
-                for agg in (temporal, spatial))
-
-        def fn(*args):
-            xt = args[0] if leaves == "x" else Tensor(x)
-            mid = dc.transpose(gcn_agg(xt, a_t, temporal), (0, 2, 1, 3))
-            return dc.transpose(gcn_agg(mid, a_s, spatial), (0, 2, 1, 3))
-
-        inputs = [x] if leaves == "x" else temporal.parameters() + spatial.parameters()
-        assert vjp_check(fn, inputs, rng=rng) < 1e-5
+        assert temporal_spatial_vjp(gcn_agg, x, a_t, a_s, temporal, spatial, leaves, rng) < 1e-5
 
     @pytest.mark.parametrize("needs", [("x",), ("wr", "beta"), ("x", "wr", "beta"), ()],
                              ids=["x", "weights", "all", "none"])
