@@ -7,8 +7,9 @@ Every selection kind ends in one weighted mean over channels:
 ``zbar`` is (B, C, D): each channel's mean over its utterance's valid
 frames, which the caller computes, so nothing here sees a frame.
 ``keep`` is the (B, C) choice of channels, 0/1 or bool, never a channel
-that only pads an utterance: all its own channels without selection, the
-geometry prior's mask (:func:`graphs.build_prior`) for prior selection,
+that only pads an utterance: all its own channels without selection, all
+that are left for prior selection (the caller narrows each utterance to
+the geometry prior's mask, :func:`graphs.build_prior`, before the stack),
 and for gpool the top k of its own channels by the score q = zbar p / ||p||
 of one learned (D,) projection Parameter p.  ``gate`` is 1, except for
 gpool, which gates each channel by sigmoid(q).

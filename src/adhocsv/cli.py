@@ -5,8 +5,10 @@ construction from a scene), train (second-stage training), eval
 (verification report), report (aggregate eval reports).  Every command is
 deterministic given (config, seed); outputs are written atomically.
 ``graph --kind prior`` prints the prior's clique: the spatial mask of a
-prior-selection model over a complete spatial graph.  A knn + prior model
-uses knn AND that clique instead (as does a span + prior one with span).
+prior-selection model over a complete spatial graph, in the array's own
+channel indices (the model narrows the array to the clique's channels
+before its stack).  A knn + prior model uses knn AND that clique instead
+(as does a span + prior one with span).
 
 Config keys: a top-level ``seed`` and sections ``model``, ``train`` and
 ``eval`` whose keys are the fields, with the defaults, of ModelConfig,

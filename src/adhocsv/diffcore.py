@@ -71,13 +71,18 @@ class Tensor:
     input's ``data``.  The only sanctioned mutation is an optimizer (or
     finite-difference probe) updating a leaf ``Parameter`` between two
     recorded graphs.
+
+    Every tensor's data is checked to be finite, except the result of a
+    view kernel (``transpose``, ``reshape``: ``_view``), which holds the
+    values of an operand that was checked when it was made.  A leaf updated
+    to NaN after that is refused by the next kernel that computes from it.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_edges")
 
-    def __init__(self, data, requires_grad: bool = False, _edges=()):
+    def __init__(self, data, requires_grad: bool = False, _edges=(), _view: bool = False):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.isfinite(arr).all():
+        if not (_view or np.isfinite(arr).all()):
             raise NonFiniteError("tensor holds NaN or Inf")
         self.data = arr
         # (parent, pullback) pairs; a parent that needs no gradient is dropped.
@@ -268,13 +273,14 @@ def transpose(a, axes) -> Tensor:
     a = _as_tensor(a)
     axes = tuple(axes)
     inverse = tuple(np.argsort(axes))
-    return Tensor(np.transpose(a.data, axes), _edges=((a, lambda g: np.transpose(g, inverse)),))
+    return Tensor(np.transpose(a.data, axes), _edges=((a, lambda g: np.transpose(g, inverse)),),
+                  _view=True)
 
 
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
     shape = tuple(shape)
-    return Tensor(a.data.reshape(shape), _edges=((a, lambda g: g.reshape(a.shape)),))
+    return Tensor(a.data.reshape(shape), _edges=((a, lambda g: g.reshape(a.shape)),), _view=True)
 
 
 def sum_axis(a, axis, keepdims: bool = False) -> Tensor:

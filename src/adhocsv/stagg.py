@@ -365,7 +365,7 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     against the bytes actually left in it before anything is read, so a
     corrupt or hostile file raises ``ValueError`` naming it, never a
     ``MemoryError``.  So does a file of another version than
-    ``CHECKPOINT_VERSION``.
+    ``CHECKPOINT_VERSION``, and a parameter that holds NaN or Inf.
     """
     with open(path, "rb") as f:
         left = os.fstat(f.fileno()).st_size
@@ -402,6 +402,8 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
             raw = f.read(nbytes)
             left -= nbytes
             values[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+            if not np.isfinite(values[name]).all():
+                raise ValueError(f"{path}: parameter {name!r} holds NaN or Inf")
         if left:
             raise ValueError(f"{path}: trailing bytes after last parameter")
     return manifest, values

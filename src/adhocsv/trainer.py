@@ -8,6 +8,9 @@ Frame-level features are frozen inputs.  One batched forward pass
 computes the embeddings, and it is the one function that pads: it takes
 utterances of any channel and frame counts, zero-fills them to the
 batch's largest, and masks the padding so that it changes no embedding.
+Prior selection is known before the stack, so the pass narrows each
+utterance to its kept channels first and never aggregates a dropped one;
+gpool picks its channels from the stack's output, so it cannot narrow.
 Training runs it on each batch as drawn, :func:`embed` on one utterance,
 and :func:`evaluate` on batches of utterances sorted by shape; the last two
 read the parameters as constants, so inference records no graph.
@@ -217,23 +220,28 @@ def _forward(model: Model, feats, scenes: list[Scene | None]):
     """Differentiable embeddings of a batch of utterances of any channel and frame counts.
 
     ``feats`` holds one (C_i, T_i, D) frame array per utterance and ``scenes``
-    one scene (or None) each.  This is the one function that pads: it
-    zero-fills the batch to (B, max C_i, max T_i, D).  Each utterance's
-    temporal graph is the configured frame graph restricted to its valid
-    frames (:func:`stagg.restrict`), so its padded frames see only
-    themselves, and the channels' frame means zbar (B, C, D) average valid
-    frames only.
+    one scene (or None) each.  A bool (B, C) array ``keep`` states which of
+    its own channels each utterance uses: all of them, the prior's mask
+    (:func:`graphs.build_prior`, known before the stack), or gpool's top k
+    (picked from the frame means after it).
 
-    A bool (B, C) array ``keep`` states which of its own channels each
-    utterance uses: all of them, the prior's mask (:func:`graphs.build_prior`,
-    known before the stack), or gpool's top k (picked from zbar after it).
-    The spatial masks derive from it once, as the configured graph restricted
-    to the kept channels, so a padded channel sees only itself; a model of
-    zero blocks builds no graph.  So padding changes no embedding beyond
-    rounding.  The kept channels are gated and pooled in one weighted mean
-    (:func:`chansel.weighted_pool`).
-    Returns the (B, D) embeddings, ``keep``, and gpool's (B, C) gate
-    array (None for the other kinds).
+    Prior selection narrows each utterance to its kept channels before the
+    stack, so no kernel reads a dropped one; the other kinds bring every
+    channel.  This is the one function that pads: it zero-fills what the
+    utterances bring to the batch's largest channel and frame counts.  Each
+    utterance's temporal graph is the configured frame graph restricted to
+    its valid frames (:func:`stagg.restrict`), so its padded frames see only
+    themselves.  Its spatial graph is the configured graph over all C_i of
+    its channels (so knn neighbours are picked among all of them), narrowed
+    to the rows and columns of the channels it brings and restricted to
+    them, so a padded channel sees only itself; a model of zero blocks
+    builds no graph.  The channels' frame means zbar average valid frames
+    only, and are gated and pooled in one weighted mean
+    (:func:`chansel.weighted_pool`).  So padding changes no embedding beyond
+    rounding, and a dropped channel's frames change none at all.  Frames
+    that are not finite raise ``NonFiniteError``, in a dropped channel too.
+    Returns the (B, D) embeddings, ``keep`` in each utterance's own channel
+    indices, and gpool's (B, C) gate array (None for the other kinds).
     """
     cfg = model.cfg
     sel = cfg.selection
@@ -250,29 +258,46 @@ def _forward(model: Model, feats, scenes: list[Scene | None]):
         if model.blocks and cfg.spatial_graph.kind == "knn":
             raise MissingPriorError("knn spatial graph needs the utterance's scene")
     frames = np.array([f.shape[1] for f in feats])
-    b, c, t = len(feats), max(f.shape[0] for f in feats), frames.max()
+    # The channels each utterance brings to the stack: prior's kept ones, or
+    # all of them through a slice, which copies nothing.
+    own = [slice(None)] * len(feats)
+    if sel.kind == "prior":
+        keep = np.zeros((len(feats), max(f.shape[0] for f in feats)), dtype=bool)
+        for i, (f, scene) in enumerate(zip(feats, scenes)):
+            kept = build_prior(scene, sel.rho, sel.rho_noise)
+            # Tensor(x) below checks the frames of the kept channels only.
+            if not np.isfinite(f[~kept]).all():
+                raise NonFiniteError(f"utterance {i} of the batch holds NaN or Inf frames "
+                                     "in a dropped channel")
+            keep[i, :f.shape[0]] = kept
+            own[i] = np.flatnonzero(kept)
+    stacked = [f[idx] for f, idx in zip(feats, own)]
+    b, c, t = len(feats), max(f.shape[0] for f in stacked), frames.max()
     x = np.zeros((b, c, t, cfg.d))
-    keep = np.zeros((b, c), dtype=bool)  # padded channels stay False
+    rows = np.zeros((b, c), dtype=bool)  # the rows of x that hold a channel
     graph = np.zeros((b, c, c), dtype=bool)
-    for i, (f, scene) in enumerate(zip(feats, scenes)):
+    for i, (f, scene) in enumerate(zip(stacked, scenes)):
         n = f.shape[0]
         x[i, :n, :frames[i]] = f
-        keep[i, :n] = build_prior(scene, sel.rho, sel.rho_noise) if sel.kind == "prior" else True
+        rows[i, :n] = True
         if model.blocks:
-            graph[i, :n, :n] = build_graph(cfg.spatial_graph, n,
-                                           None if scene is None else scene.node_pos)
+            full = build_graph(cfg.spatial_graph, feats[i].shape[0],
+                               None if scene is None else scene.node_pos)
+            graph[i, :n, :n] = full[own[i]][:, own[i]]
+    if sel.kind != "prior":
+        keep = rows
     valid = np.arange(t) < frames[:, None]  # (B, T)
     out = Tensor(x)
     if model.blocks:
         # The T-node graph's top-left n x n block is the n-node graph for
         # complete and span graphs (ModelConfig refuses knn over frames).
         a_temporal = restrict(build_graph(cfg.temporal_graph, t), valid)[:, None]
-        out = st_stack(out, model.blocks, a_temporal, restrict(graph, keep))
+        out = st_stack(out, model.blocks, a_temporal, restrict(graph, rows))
     zbar = dc.div(dc.sum_axis(dc.mul(out, valid[:, None, :, None]), axis=2),
                   frames[:, None, None])  # (B, C, D)
 
     if sel.kind != "gpool":
-        return weighted_pool(zbar, keep, 1.0), keep, None
+        return weighted_pool(zbar, rows, 1.0), keep, None
     keep, gate = gpool_weights(zbar, model.gpool, sel.k, keep)
     return weighted_pool(zbar, keep, gate), keep, gate.data
 
@@ -435,7 +460,9 @@ class EvalReport:
 
 # Upper bound on the padded mask entries B * C * T * (T + C) of one
 # evaluation batch, where C and T are its largest channel and frame counts:
-# :func:`_forward` pads every utterance of the batch to them.  The temporal
+# :func:`_forward` pads every utterance of the batch to them.  C counts each
+# utterance's own channels, an upper bound on the kept channels that prior
+# selection narrows it to before the stack.  The temporal
 # pass masks B * C * T * T entries and the spatial pass B * T * C * C;
 # counting only the temporal ones would let batches of many-channel, short
 # utterances grow without bound in the spatial pass.  Evaluation records

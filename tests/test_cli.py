@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import re
 import struct
@@ -16,7 +17,7 @@ from adhocsv.scenesim import (FrameTensor, Scene, SimConfig, read_features, samp
                               save_scene, write_features)
 from adhocsv.stagg import GraphSpec, build_graph, load_checkpoint, restrict, save_checkpoint
 from adhocsv.trainer import (Model, ModelConfig, SelectionConfig, TrainHyper, embed_with_info,
-                             load_model, model_config_to_json, read_trials_csv)
+                             load_model, model_config_to_json, read_trials_csv, save_model)
 
 TINY_CONFIG = {
     "seed": 7,
@@ -62,6 +63,10 @@ CORRUPT_CHECKPOINTS = {
     "n_speakers_zero": checkpoint_bytes(_CKPT | {"params": [], "config": {}, "n_speakers": 0}),
     "version_1": checkpoint_bytes(_CKPT | {"version": 1, "params": [], "config": {},
                                            "n_speakers": 2}),
+    "non_finite": checkpoint_bytes(_CKPT | {"params": [{"name": "w", "shape": [2]}], "config": {},
+                                            "n_speakers": 2}, blobs=struct.pack("<2d", 0.5, math.nan)),
+    "inf": checkpoint_bytes(_CKPT | {"params": [{"name": "w", "shape": [2]}], "config": {},
+                                     "n_speakers": 2}, blobs=struct.pack("<2d", -math.inf, 0.5)),
 }
 
 
@@ -659,6 +664,26 @@ class TestTrainEval:
                      "--out", str(run), "--resume", "--quiet"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "model.ckpt" in err and "block1" in err
+
+    def test_non_finite_parameter_is_data_error_naming_it(self, tmp_path, config_path, dataset,
+                                                          capsys):
+        # With its config matching, such a file used to resume as "nothing to
+        # do", and eval failed at the first embedding without naming the file.
+        run = tmp_path / "run"
+        main(["train", "--config", config_path, "--data", dataset, "--out", str(run), "--quiet"])
+        model = load_model(run / "model.ckpt")
+        model.params["head.w"].data[1, 0] = np.nan
+        save_model(run / "model.ckpt", model)
+        capsys.readouterr()
+        assert main(["train", "--config", config_path, "--data", dataset,
+                     "--out", str(run), "--resume", "--quiet"]) == 3
+        assert main(["eval", "--config", config_path, "--ckpt", str(run / "model.ckpt"),
+                     "--data", dataset, "--out", str(tmp_path / "e"), "--quiet"]) == 3
+        errors = capsys.readouterr().err.strip().splitlines()
+        assert len(errors) == 2
+        for err in errors:
+            assert err.startswith("data error:") and "model.ckpt" in err and "'head.w'" in err
+        assert not (tmp_path / "e").exists()
 
     @pytest.mark.filterwarnings("error")  # the missing source is reported before any fallback
     def test_noise_prior_without_noise_source_is_data_error(self, tmp_path, capsys):

@@ -42,6 +42,27 @@ class TestTensor:
         with pytest.raises(NonFiniteError):
             Tensor([np.inf])
 
+    def test_views_skip_the_finiteness_pass(self, monkeypatch):
+        # transpose and reshape results hold the values of a checked operand;
+        # a leaf updated to NaN since is refused by the next computing kernel.
+        w = Parameter("w", np.ones((2, 3)))
+        calls = []
+        isfinite = np.isfinite
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return isfinite(*args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counting)
+        w.data[0, 1] = np.nan
+        view = dc.reshape(dc.transpose(w, (1, 0)), (6,))
+        assert calls == [] and view.requires_grad
+        with pytest.raises(NonFiniteError):
+            dc.scale(view, 2.0)
+        assert calls == [(6,)]
+        with pytest.raises(NonFiniteError):
+            Tensor(np.nan)
+
     def test_parameter_grad_zero_initialized(self):
         p = Parameter("w", np.ones((2, 3)))
         assert p.grad.shape == (2, 3)

@@ -365,38 +365,156 @@ def test_batched_prior_pooling_matches_per_utterance_reference():
         assert np.max(np.abs(embs.data[i] - reference)) <= 1e-12
 
 
+def spy_on_stack(monkeypatch):
+    """Record the (x, a_temporal, a_spatial) arrays of every ``st_stack`` call of ``_forward``."""
+    seen = []
+
+    def spy(x, blocks, a_temporal, a_spatial):
+        seen.append((x.data, a_temporal, a_spatial))
+        return st_stack(x, blocks, a_temporal, a_spatial)
+
+    monkeypatch.setattr(trainer, "st_stack", spy)
+    return seen
+
+
+def assert_narrowed_stack_input(x, a_spatial, feats, scenes, spatial, rho):
+    """The stack sees each utterance's prior channels only, bit for bit, and their graph.
+
+    Utterance i's n kept channels fill rows :n, in their own order; its
+    spatial mask's top-left n x n block is the configured graph over all of
+    its channels narrowed to the kept rows and columns, and every padded
+    channel sees only itself.
+    """
+    kept = [build_prior(scene, rho) for scene in scenes]
+    c = max(k.sum() for k in kept)
+    assert x.shape == (len(feats), c) + x.shape[2:] and a_spatial.shape == (len(feats), c, c)
+    assert a_spatial.dtype == np.bool_
+    for i, (f, scene, mask) in enumerate(zip(feats, scenes, kept)):
+        n, t = mask.sum(), f.shape[1]
+        assert x[i, :n, :t].tobytes() == f[mask].tobytes()
+        assert not x[i, n:].any() and not x[i, :, t:].any()
+        full = build_graph(spatial, f.shape[0], scene.node_pos)
+        assert np.array_equal(a_spatial[i, :n, :n], full[np.ix_(mask, mask)])
+        assert np.array_equal(a_spatial[i, n:], np.eye(c, dtype=bool)[n:])
+        assert not a_spatial[i, :n, n:].any()
+    return kept
+
+
 @pytest.mark.parametrize("spatial",
                          [GraphSpec(), GraphSpec("knn", k=2), GraphSpec("span", delta=1)],
                          ids=lambda g: g.kind)
 def test_prior_masks_the_configured_spatial_graph(spatial, monkeypatch):
-    # The batched spatial mask is each utterance's configured graph ANDed
-    # with the clique over its prior channels; on a complete graph that is
-    # the clique itself.
+    # Prior selection narrows each utterance to its kept channels before the
+    # stack.  Its spatial mask is its configured graph narrowed to them; on a
+    # complete graph that is the clique over them.
     rng = np.random.default_rng(42)
     b, c = 3, 8
     scenes = [sample_scene(rng, SimConfig(n_nodes=c)) for _ in range(b)]
     cfg = ModelConfig(n_blocks=1, heads=2, d=8, spatial_graph=spatial,
                       selection=SelectionConfig(kind="prior", rho=0.7))
-    seen = []
-
-    def spy(x, blocks, a_temporal, a_spatial):
-        seen.append(a_spatial)
-        return st_stack(x, blocks, a_temporal, a_spatial)
-
-    monkeypatch.setattr(trainer, "st_stack", spy)
-    _, keep, _ = _forward(Model.init(cfg, n_speakers=2), np.ones((b, c, 3, 8)), scenes)
-    (a_spatial,) = seen
-    assert a_spatial.dtype == np.bool_ and a_spatial.shape == (b, c, c)
-    for i, scene in enumerate(scenes):
-        mask = build_prior(scene, 0.7)
+    seen = spy_on_stack(monkeypatch)
+    feats = list(rng.standard_normal((b, c, 3, 8)))
+    _, keep, _ = _forward(Model.init(cfg, n_speakers=2), feats, scenes)
+    ((x, _, a_spatial),) = seen
+    kept = assert_narrowed_stack_input(x, a_spatial, feats, scenes, spatial, 0.7)
+    assert len({int(k.sum()) for k in kept}) > 1  # some utterance's channels are padded
+    cliques = [np.ones((k.sum(), k.sum()), dtype=bool) for k in kept]
+    for i, mask in enumerate(kept):
         assert np.array_equal(keep[i], mask)
-        graph = build_graph(spatial, c, scene.node_pos)
-        assert np.array_equal(a_spatial[i], graph & restrict(build_graph(GraphSpec(), c), mask))
         if spatial.kind == "complete":
-            assert np.array_equal(a_spatial[i], restrict(build_graph(GraphSpec(), c), mask))
+            assert np.array_equal(a_spatial[i, :mask.sum(), :mask.sum()], cliques[i])
     if spatial.kind != "complete":
-        assert not all(np.array_equal(a_spatial[i], restrict(build_graph(GraphSpec(), c), keep[i]))
-                       for i in range(b))
+        assert not all(np.array_equal(a_spatial[i, :k.sum(), :k.sum()], cliques[i])
+                       for i, k in enumerate(kept))
+
+
+NARROWING_CASES = [(m, g) for m in ("gcn", "sam") for g in ("complete", "knn", "span")] + [
+    ("mean", "complete")]
+
+
+def prior_model(mechanism, spatial, seed, rho=0.7):
+    """Two blocks of ``mechanism`` (none for "mean") with prior selection at ``rho``."""
+    stack = {"n_blocks": 0} if mechanism == "mean" else {"mechanism": mechanism, "n_blocks": 2}
+    cfg = ModelConfig(**stack, heads=2, d=8, spatial_graph=GraphSpec(spatial, delta=1, k=2),
+                      temporal_graph=GraphSpec("span", delta=1),
+                      selection=SelectionConfig(kind="prior", rho=rho), seed=seed)
+    return Model.init(cfg, n_speakers=2)
+
+
+@pytest.mark.parametrize("mechanism,spatial", NARROWING_CASES)
+def test_dropped_channels_change_no_embedding_bit_for_bit(mechanism, spatial):
+    # No kernel reads a channel that the prior drops: new frames in every
+    # dropped channel leave the embeddings and the choice exactly as they were.
+    rng = np.random.default_rng(46)
+    shapes = [(8, 5), (6, 9), (8, 9), (3, 2)]
+    scenes = [sample_scene(rng, SimConfig(n_nodes=c)) for c, _ in shapes]
+    feats = [rng.standard_normal((c, t, 8)) for c, t in shapes]
+    model = prior_model(mechanism, spatial, seed=46)
+    embs, keep, _ = _forward(model, feats, scenes)
+    assert all(not keep[i, :f.shape[0]].all() for i, f in enumerate(feats))
+    changed = [np.where(keep[i, :f.shape[0], None, None], f, 1e3 * rng.standard_normal(f.shape))
+               for i, f in enumerate(feats)]
+    again, keep_again, _ = _forward(model, changed, scenes)
+    assert again.data.tobytes() == embs.data.tobytes() and np.array_equal(keep_again, keep)
+    for f, g, scene in zip(feats, changed, scenes):
+        assert embed(model, g, scene).tobytes() == embed(model, f, scene).tobytes()
+
+
+def test_knn_neighbours_are_picked_among_all_channels(monkeypatch):
+    # A kept channel's knn neighbours are those it has among all of its
+    # array's channels, narrowed to the kept ones, not a fresh knn among them.
+    scene = sample_scene(np.random.default_rng(48), SimConfig(n_nodes=8))
+    mask = build_prior(scene, 0.7)
+    knn = GraphSpec("knn", k=2)
+    narrowed = build_graph(knn, 8, scene.node_pos)[np.ix_(mask, mask)]
+    fresh = build_graph(knn, int(mask.sum()), scene.node_pos[mask])
+    assert not np.array_equal(narrowed, fresh)
+    model = prior_model("gcn", "knn", seed=48)
+    x = np.random.default_rng(48).standard_normal((8, 4, 8))
+    seen = spy_on_stack(monkeypatch)
+    emb = embed(model, x, scene)
+    ((_, a_temporal, a_spatial),) = seen
+    assert np.array_equal(a_spatial[0], narrowed)
+
+    def reference(graph):
+        z = st_stack(Tensor(x[mask][None]), model.blocks, a_temporal, graph[None]).data
+        return z[0].mean(axis=(0, 1))
+
+    assert np.max(np.abs(emb - reference(narrowed))) <= 1e-12
+    assert np.max(np.abs(emb - reference(fresh))) > 1e-6
+
+
+@pytest.mark.parametrize("kind", ["none", "prior", "gpool"])
+def test_non_finite_frames_raise_in_any_channel(kind):
+    # Prior selection leaves dropped channels out of the stack's input, which
+    # is checked; their frames are checked on their own.
+    scene = sample_scene(np.random.default_rng(48), SimConfig(n_nodes=8))
+    mask = build_prior(scene, 0.7)
+    x = np.random.default_rng(49).standard_normal((8, 3, 8))
+    model = Model.init(ModelConfig(n_blocks=1, heads=2, d=8, selection=SelectionConfig(kind=kind),
+                                   seed=49), n_speakers=2)
+    for channel in (np.flatnonzero(~mask)[-1], np.flatnonzero(mask)[0]):
+        for bad in (np.nan, -np.inf):
+            y = x.copy()
+            y[channel, 2, 5] = bad
+            with pytest.raises(dc.NonFiniteError):
+                embed(model, y, scene)
+            with pytest.raises(dc.NonFiniteError):
+                _forward(model, [x, y], [scene, scene])
+
+
+def test_selected_indices_are_the_utterances_own_channels():
+    # The report names kept channels by their index in the utterance, not by
+    # their row in the narrowed stack input.
+    scene = sample_scene(np.random.default_rng(48), SimConfig(n_nodes=8))
+    kept = np.flatnonzero(build_prior(scene, 0.7)).tolist()
+    assert kept != list(range(len(kept)))
+    x = np.random.default_rng(50).standard_normal((8, 4, 8))
+    emb, info = embed_with_info(prior_model("gcn", "complete", seed=50), x, scene)
+    assert info == {"mechanism": "prior", "selected_indices": kept, "gates": None}
+    _, keep, _ = _forward(prior_model("gcn", "complete", seed=50), [x[:3], x],
+                          [scene.subset([0, 1, 2]), scene])
+    assert np.flatnonzero(keep[1]).tolist() == kept and not keep[0, 3:].any()
 
 
 def test_knn_with_k_over_channel_count_links_every_channel():
@@ -431,9 +549,10 @@ def test_noise_threshold_checked_when_noise_is_on():
 
 @pytest.mark.parametrize("selection", ["none", "prior", "gpool"])
 def test_equal_frame_counts_take_the_unpadded_path_bit_for_bit(selection, monkeypatch):
-    # Utterances of one shape need no padding: the stack receives their
-    # frames bit for bit, with every frame valid and each utterance's own
-    # channel graph.
+    # Utterances of one shape need no frame padding: the stack receives every
+    # frame valid, and each utterance's frames bit for bit with its own
+    # channel graph.  Prior selection narrows each utterance to its kept
+    # channels first, so only the channels past its own count are padding.
     rng = np.random.default_rng(33)
     b, c, t, d = 3, 5, 12, 8
     sim = SimConfig(n_nodes=c, t=t, d=d)
@@ -442,21 +561,17 @@ def test_equal_frame_counts_take_the_unpadded_path_bit_for_bit(selection, monkey
     cfg = ModelConfig(mechanism="gcn", n_blocks=2, heads=2, d=d,
                       selection=SelectionConfig(kind=selection),
                       temporal_graph=GraphSpec(kind="span", delta=1), seed=33)
-    seen = []
-
-    def spy(x, blocks, a_temporal, a_spatial):
-        seen.append((x.data, a_temporal, a_spatial))
-        return st_stack(x, blocks, a_temporal, a_spatial)
-
-    monkeypatch.setattr(trainer, "st_stack", spy)
+    seen = spy_on_stack(monkeypatch)
     _forward(Model.init(cfg, n_speakers=2), list(xs), scenes)
     ((x, a_temporal, a_spatial),) = seen
-    assert x.tobytes() == xs.tobytes()
     assert np.array_equal(a_temporal, np.broadcast_to(build_graph(cfg.temporal_graph, t),
                                                       (b, 1, t, t)))
-    for i, scene in enumerate(scenes):
-        kept = build_prior(scene, cfg.selection.rho) if selection == "prior" else np.ones(c, bool)
-        assert np.array_equal(a_spatial[i], restrict(build_graph(GraphSpec(), c), kept))
+    if selection == "prior":
+        assert_narrowed_stack_input(x, a_spatial, list(xs), scenes, GraphSpec(),
+                                    cfg.selection.rho)
+    else:
+        assert x.tobytes() == xs.tobytes()
+        assert np.array_equal(a_spatial, np.ones((b, c, c), dtype=bool))
 
 
 def test_forward_rejects_shapes_that_miss_the_model_or_scene():
@@ -502,19 +617,19 @@ PADDING_CASES = [pytest.param(*case, fill, id="-".join(case + (() if fill == "ze
                  for case in PARITY_CASES for fill in ("zeros", "noise")]
 
 
-def noisy_padding(monkeypatch, feats, seed):
+def noisy_padding(monkeypatch, shapes, seed):
     """Make ``_forward`` fill its padding with unit normal noise instead of zeros.
 
-    The noise goes wherever none of ``feats``, the batch's frame arrays,
-    lies in the padded input array.  Returns the list of noise entry counts,
-    one per padded input built.
+    ``shapes`` holds each utterance's (channels it brings to the stack,
+    frames); the noise goes everywhere else in the padded input array.
+    Returns the list of noise entry counts, one per padded input built.
     """
     written = []
 
     def tensor(x):
         pad = np.ones(x.shape, dtype=bool)
-        for i, f in enumerate(feats):
-            pad[i, :f.shape[0], :f.shape[1]] = False
+        for i, (c, t) in enumerate(shapes):
+            pad[i, :c, :t] = False
         written.append(int(pad.sum()))
         return Tensor(np.where(pad, np.random.default_rng(seed).standard_normal(x.shape), x))
 
@@ -535,7 +650,11 @@ def test_padded_batch_matches_each_utterance_alone(mechanism, selection, tempora
         # Every channel and frame count in one batch, padded by the forward pass itself.
         with monkeypatch.context() as patch:
             if fill == "noise":
-                written = noisy_padding(patch, feats, seed=35)
+                # Prior selection brings only each utterance's kept channels.
+                widths = [build_prior(u.scene, cfg.selection.rho).sum() if selection == "prior"
+                          else u.features.c for u in utts.values()]
+                written = noisy_padding(patch, list(zip(widths, (f.shape[1] for f in feats))),
+                                        seed=35)
             embs, keep, gate = _forward(model, feats, [u.scene for u in utts.values()])
         if fill == "noise":
             assert written[0] > 0
@@ -585,7 +704,14 @@ def test_padded_batch_gradients_match_each_utterance_alone(mechanism, selection,
             assert np.max(np.abs(embs[i] - alone[0])) <= 1e-12
             for name, g in alone_grads.items():
                 summed[name] += g
-    assert all(np.any(g) for g in grads.values())
+    # Under prior selection every array here keeps one or two channels, and
+    # every graph over two nodes is complete.  So block 0's gcn spatial pass
+    # gives the kept channels one output, block 1's temporal pass keeps them
+    # equal, and the mean pool sends each the same cotangent: block 1's
+    # spatial score cotangent, and with it beta's gradient, is exactly zero.
+    zero = {"block1.spatial.beta"} if (mechanism, selection) == ("gcn", "prior") else set()
+    for name, g in grads.items():
+        assert np.any(g) != (name in zero), name
     for name, g in grads.items():
         assert np.max(np.abs(g - summed[name])) <= 1e-12, name
 
