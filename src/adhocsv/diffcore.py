@@ -11,6 +11,15 @@ kernel checks ``requires_grad`` itself.  The recorded graph is the minimum
 needed by the aggregation, selection and training code; this is
 deliberately not a general autodiff engine.
 
+A recorded graph lives until its one backward pass: :meth:`Tensor.backward`
+drops each node's edges as soon as their pullbacks have run, so the
+pullbacks and the arrays they saved are freed while the pass walks on, and
+a training step's graph is gone when its backward returns.  A result keeps
+its ``data``; only what it recorded is dropped.  The rule is one backward
+per graph: a second backward through any consumed node, including one
+from a new graph built on a consumed intermediate, raises
+``GraphConsumedError``.  Leaves are never consumed.
+
 Shapes: kernels accept optional leading batch axes (written ``...``).
 The batched forms are what the aggregation stack runs on; they are
 defined so that the batched result equals stacking the unbatched results
@@ -33,6 +42,7 @@ __all__ = [
     "ShapeError",
     "EmptyNeighborhoodError",
     "NonFiniteError",
+    "GraphConsumedError",
     "add",
     "mul",
     "div",
@@ -62,6 +72,10 @@ class EmptyNeighborhoodError(ValueError):
 
 class NonFiniteError(FloatingPointError):
     """A NaN or Inf appeared where only finite values are allowed."""
+
+
+class GraphConsumedError(RuntimeError):
+    """A backward pass reached a graph that an earlier backward pass consumed."""
 
 
 class Tensor:
@@ -108,8 +122,14 @@ class Tensor:
     def backward(self, cotangent=None) -> None:
         """Accumulate cotangents into every reachable leaf's ``grad``.
 
-        ``cotangent`` defaults to 1 for scalar outputs.  One call per
-        recorded graph; leaves keep their accumulated grads until cleared.
+        ``cotangent`` defaults to 1 for scalar outputs.  Leaves keep their
+        accumulated grads until cleared; this tensor keeps its cotangent.
+
+        One call per recorded graph: the pass consumes every non-leaf node
+        it reaches, dropping its edges once their pullbacks have run, so
+        the graph is freed as it is walked.  Raises ``GraphConsumedError``,
+        before any pullback runs, when the graph reaches a node that an
+        earlier call consumed.
         """
         if cotangent is None:
             if self.size != 1:
@@ -121,12 +141,14 @@ class Tensor:
 
         order = self._toposort()
         self.grad = cotangent if self.grad is None else self.grad + cotangent
-        for node in order:
-            if not node._edges or node.grad is None:
+        while order:
+            node = order.pop()  # the walk drops its reference as it goes
+            if not node._edges:
                 continue  # a leaf keeps its grad
             for parent, pullback in node._edges:
                 g = pullback(node.grad)
                 parent.grad = g if parent.grad is None else parent.grad + g
+            node._edges = None  # consumed: the pullbacks and what they saved die here
             if node is not self:
                 node.grad = None  # intermediates do not keep grads
 
@@ -141,11 +163,14 @@ class Tensor:
             if id(node) in visited:
                 continue
             visited.add(id(node))
+            if node._edges is None:
+                raise GraphConsumedError("backward() reached a node whose recorded graph was "
+                                         "already consumed by an earlier backward(); "
+                                         "the rule is one backward per recorded graph")
             stack.append((node, True))
             for parent, _ in node._edges:
                 stack.append((parent, False))
-        order.reverse()
-        return order
+        return order  # parents first: the walk pops its tail end, the output, first
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
