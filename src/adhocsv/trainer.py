@@ -13,7 +13,10 @@ utterance to its kept channels first and never aggregates a dropped one;
 gpool picks its channels from the stack's output, so it cannot narrow.
 Training runs it on each batch as drawn, :func:`embed` on one utterance,
 and :func:`evaluate` on batches of utterances sorted by shape; the last two
-read the parameters as constants, so inference records no graph.
+read the parameters as constants, so inference records no graph.  A
+training step's graph dies in its own backward pass, which frees it as it
+walks it (see :mod:`adhocsv.diffcore`), so the next step's forward never
+runs beside it.
 Verification scores utterance-embedding pairs with cosine similarity and
 reports the equal error rate from a full threshold sweep.
 """

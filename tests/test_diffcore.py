@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from adhocsv import diffcore as dc
 from adhocsv.diffcore import (
     EmptyNeighborhoodError,
+    GraphConsumedError,
     NonFiniteError,
     Parameter,
     ParamSet,
@@ -307,6 +309,75 @@ class TestMaskedSoftmax:
         assert np.max(np.abs(out.sum(axis=1) - 1.0)) <= 1e-12
 
 
+class TestGraphLifetime:
+    """A recorded graph is freed by its one backward pass, and refuses a second."""
+
+    def test_second_backward_raises_and_accumulates_nothing(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        y = dc.sum_axis(dc.mul(x, x), 0)
+        y.backward()
+        assert np.array_equal(x.grad, [2.0, 4.0])
+        with pytest.raises(GraphConsumedError, match="one backward per recorded graph"):
+            y.backward()
+        assert np.array_equal(x.grad, [2.0, 4.0])
+        assert y.item() == 5.0 and y.grad == 1.0  # the output keeps its value and cotangent
+
+    def test_new_graph_on_a_consumed_intermediate_raises(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        w = Tensor([3.0, 4.0], requires_grad=True)
+        h = dc.scale(x, 2.0)
+        dc.sum_axis(h, 0).backward()
+        z = dc.sum_axis(dc.mul(h, w), 0)  # its data is still there to compute with
+        assert z.item() == 22.0
+        with pytest.raises(GraphConsumedError):
+            z.backward()
+        # Refused before any pullback ran: w, reached first, got nothing either.
+        assert np.array_equal(x.grad, [2.0, 2.0]) and w.grad is None
+
+    def test_leaves_are_never_consumed(self):
+        x = Parameter("x", [1.0, 2.0])
+        for _ in range(2):
+            dc.sum_axis(dc.scale(x, 3.0), 0).backward()
+        assert np.array_equal(x.grad, [6.0, 6.0])
+        leaf = Tensor([1.0], requires_grad=True)
+        leaf.backward(np.ones(1))
+        leaf.backward(np.ones(1))
+        assert np.array_equal(leaf.grad, [2.0])
+
+    def test_intermediate_data_dies_in_backward(self):
+        x = Tensor(np.arange(4.0), requires_grad=True)
+        w = Tensor(np.ones(4), requires_grad=True)
+        h = dc.mul(x, x)
+        y = dc.sum_axis(dc.mul(h, w), 0)  # w's pullback reads h.data
+        ref = weakref.ref(h.data)
+        del h
+        assert ref() is not None  # the recorded graph holds it
+        y.backward()
+        assert ref() is None
+        assert np.array_equal(w.grad, np.arange(4.0) ** 2)
+
+    def test_static_attention_saved_g_dies_in_backward(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        x, wr, beta = (Tensor(rng.standard_normal(shape), requires_grad=True)
+                       for shape in ((2, 5, 4), (4, 4), (2, 2)))
+        products = []
+        real = np.matmul
+
+        def recording(*args, **kwargs):
+            out = real(*args, **kwargs)
+            products.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(np, "matmul", recording)
+        out = dc.static_attention(x, wr, beta, np.ones((5, 5), dtype=bool), 0.2)
+        monkeypatch.undo()
+        g = products[0]  # x wr, the array the pullbacks read g from
+        assert g() is not None
+        out.backward(rng.standard_normal(out.shape))
+        assert g() is None
+        assert all(t.grad is not None for t in (x, wr, beta))
+
+
 class TestStaticAttention:
     """The fused kernel behind gcn; its values and VJP are checked through ``stagg.gcn_agg``."""
 
@@ -345,7 +416,7 @@ class TestStaticAttention:
         g = np.ones(3)
         assert terms(g) is terms(g)
         assert len(calls) == 1
-        terms(g)  # a third pullback (a second backward pass) computes them again
+        terms(g)  # a call after the last use computes them again
         assert len(calls) == 2
 
 

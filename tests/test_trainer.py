@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -96,6 +97,19 @@ MEAN_CHECKPOINT = Path(__file__).parent / "data" / "mean_mechanism.ckpt"
 MEAN_EMBEDDING = np.array([
     -0.32910246972349594, 0.0036810576706843125, 0.2830686627539886, 0.4050285097691052,
     0.03118813294292433, 0.0026462161273077987, -0.1298421794230406, 0.34785126829457064])
+
+
+# float.hex of a seeded gcn + prior job: its per-epoch losses, and the
+# embeddings of a 4-channel and a 7-channel utterance after training.
+PINNED_CURVE = ["0x1.175911599d269p+0", "0x1.170b70ad069d1p+0", "0x1.16bbe5b40cd6dp+0"]
+PINNED_EMBEDDINGS = {
+    0: ["-0x1.0ae9f2badabcdp-8", "0x1.e86e469a06288p-6", "-0x1.6cb59a795809cp-6",
+        "0x1.06d913c31a59dp-6", "-0x1.175116f64d874p-5", "-0x1.10bdc2e884e75p-8",
+        "-0x1.653930c6f0d93p-5", "0x1.11dd71969aa4bp-6"],
+    5: ["-0x1.36faa9164a1d3p-6", "-0x1.b62bf75a88ec0p-5", "0x1.181d304e1d496p-6",
+        "-0x1.afe2b0675054dp-6", "0x1.903a7010d217bp-5", "-0x1.19720b6e1efefp-6",
+        "0x1.ef3348b3863c5p-6", "-0x1.5b48cc9317428p-7"],
+}
 
 
 def toy_dataset(n_speakers=2, per_speaker=8, c=4, t=10, d=16, noise=0.05, seed=0):
@@ -897,6 +911,36 @@ class TestTraining:
         cfg = ModelConfig(n_blocks=1, heads=2, d=8)
         with pytest.raises(dc.ShapeError, match=r"model.d = 8.*'wide'"):
             train_second_stage(dataset, cfg, TrainHyper(epochs=1))
+
+    def test_gcn_prior_training_is_pinned_bit_for_bit(self):
+        # Freeing each graph inside its backward changes no arithmetic, so
+        # the loss curve and the embeddings match these values exactly.
+        utts = list(ragged_utterances([(c, t) for c in (4, 6, 7) for t in (3, 5)] * 2,
+                                      seed=61).values())
+        cfg = ModelConfig(mechanism="gcn", n_blocks=2, heads=2, d=8,
+                          spatial_graph=GraphSpec("knn", k=2),
+                          temporal_graph=GraphSpec("span", delta=1),
+                          selection=SelectionConfig(kind="prior", rho=0.7), seed=61)
+        model, curve = train_second_stage(utts, cfg, TrainHyper(epochs=3, batch_size=4))
+        assert [v.hex() for v in curve] == PINNED_CURVE
+        for i, pinned in PINNED_EMBEDDINGS.items():
+            emb = embed(model, utts[i].features.data, utts[i].scene)
+            assert [float(v).hex() for v in emb] == pinned
+
+    def test_a_step_graph_dies_in_its_backward(self):
+        # The next step's forward never runs beside the last step's graph, so
+        # a second step adds nothing to a job's traced peak.
+        utts = list(ragged_utterances([(12, 30)] * 8, d=16, seed=5).values())
+        cfg = ModelConfig(mechanism="gcn", n_blocks=2, heads=2, d=16, seed=3)
+        peaks = []
+        for epochs in (1, 2):
+            tracemalloc.start()
+            try:
+                train_second_stage(utts, cfg, TrainHyper(epochs=epochs, batch_size=8))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.3 * peaks[0]
 
     def test_mean_baseline_trains_only_head(self):
         dataset = toy_dataset(c=2, t=3, d=8)
