@@ -113,6 +113,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _check_budget(self.train_channels, "config.train.channels")
+        for name in ("n_train", "n_test"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"config.sim.{name} must be nonnegative, "
+                                  f"got {getattr(self, name)}")
 
 
 def _check_keys(doc, allowed: set[str], where: str) -> None:

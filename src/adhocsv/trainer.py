@@ -227,10 +227,11 @@ def subsample_channels(utt: Utterance, k: int, rng: np.random.Generator) -> Utte
 
 # glibc's mallopt parameters (malloc.h) and the values the policy sets.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-# 32 MiB is the largest mmap threshold glibc accepts on 64-bit systems.  It
-# keeps every array of a paper-size step on the reusable heap (the largest,
-# the temporal pass's float neighbour mask at (8, 40, 100, 100), is 25.6 MB);
-# a larger array is still mapped for itself and unmapped when it is freed.
+# 32 MiB is the ceiling glibc's own dynamic threshold can reach on 64-bit
+# systems.  It keeps every array of a paper-size step on the reusable heap
+# (the largest, the temporal pass's float neighbour mask at (8, 40, 100,
+# 100), is 25.6 MB), while a larger array is still mapped for itself and
+# returned to the system when it is freed.
 _MMAP_THRESHOLD_BYTES = 32 << 20
 # 256 MiB holds the whole freed heap of a paper-size training step, so
 # the next step reuses it without a page fault; 128 MiB still left about
@@ -252,7 +253,8 @@ def _set_allocator_policy() -> None:
     trims the heap top after each step frees its graph and moves its mmap
     threshold with each large free, so every step faults its pages back
     in.  With fixed thresholds a step reuses the heap the last one freed.
-    The cost: up to ``_TRIM_THRESHOLD_BYTES`` of freed heap stays resident.
+    The cost: up to ``_TRIM_THRESHOLD_BYTES`` (256 MiB) of freed heap stays
+    resident.
     Both thresholds are set, because a trim threshold alone also freezes
     the mmap threshold at glibc's 128 KiB default.  Where ``mallopt`` is
     missing, or refuses the mmap threshold, nothing is set.  No arithmetic
@@ -264,8 +266,9 @@ def _set_allocator_policy() -> None:
     _allocator_policy_set = True
     try:
         mallopt = _libc().mallopt
-    except (OSError, AttributeError):
+    except (OSError, TypeError, AttributeError):  # no C library by that call, or no mallopt
         return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES):
         mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
@@ -525,11 +528,12 @@ class EvalReport:
 # op has read them, and the budget bounds the size of the largest of them.
 # Measured on the verify-ragged inputs (400 arrays of 4-16 channels and
 # 10-40 frames, batches mixing channel counts, seed 7) with its trained
-# gcn + gpool model, one BLAS thread on a 2-core x86_64 machine: peak RSS,
-# 52 MiB after training, reached 65-66 MiB at every budget from 16384 to
-# 262144; evaluate took a median 0.17-0.25 s at all of them, within timing
-# noise of each other.  An utterance over the budget on its own runs as a
-# batch of one.
+# gcn + gpool model, one BLAS thread on a 2-core x86_64 machine, under the
+# allocator policy of :func:`_set_allocator_policy`: peak RSS, 58.6-58.8 MiB
+# after training, reached 68.5-68.7 MiB at every budget from 16384 to
+# 262144; evaluate took a median 0.19 s at 16384, 0.15 s at 32768 and
+# 0.13 s from 65536 up (seven calls at each).  An utterance over the budget
+# on its own runs as a batch of one.
 EVAL_BATCH_ENTRIES = 65536
 
 

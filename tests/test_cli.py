@@ -293,6 +293,20 @@ class TestConfigErrors:
                      "--quiet"]) == 2
         assert "seed must be nonnegative" in capsys.readouterr().err and not out.exists()
 
+    def test_negative_utterance_counts_exit_2(self, tmp_path, capsys):
+        config = edited_config(tmp_path, ("sim", "n_train"), -3)
+        doc = json.loads(config.read_text())
+        doc["sim"]["n_test"] = -2
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "data"
+        assert main(["simulate", "--config", str(config), "--out", str(out), "--quiet"]) == 2
+        assert "config.sim.n_train must be nonnegative, got -3" in capsys.readouterr().err
+        assert not out.exists()
+        doc["sim"]["n_train"] = 3
+        config.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="config.sim.n_test must be nonnegative, got -2"):
+            load_experiment_config(config)
+
     def test_channels_flag_below_one_exits_2(self, tmp_path, config_path, capsys):
         assert main(["eval", "--config", config_path, "--ckpt", str(tmp_path / "absent.ckpt"),
                      "--data", str(tmp_path / "absent"), "--out", str(tmp_path / "e"),
