@@ -1,14 +1,16 @@
 """Command-line entry point for reproducible experiments.
 
-Subcommands: simulate (scenes + synthetic features), graph (adjacency
-construction from a scene), train (second-stage training), eval
+Subcommands: simulate (scenes + synthetic features), graph (the graphs a
+configured model reads for one scene), train (second-stage training), eval
 (verification report), report (aggregate eval reports).  Every command is
 deterministic given (config, seed); outputs are written atomically.
-``graph --kind prior`` prints the prior's clique: the spatial mask of a
-prior-selection model over a complete spatial graph, in the array's own
-channel indices (the model narrows the array to the clique's channels
-before its stack).  A knn + prior model uses knn AND that clique instead
-(as does a span + prior one with span).
+``graph --config CONFIG --scene SCENE [--frames T]`` prints, for the model
+of CONFIG and the array of SCENE, what :func:`trainer.channel_graph` gives
+its stack: ``channels``, the indices of the channels it reads (the prior's,
+or all of them: gpool picks after the stack, and ``eval --dump-selection``
+shows its choice), and ``spatial``, the graph among them; ``temporal`` is
+the frame graph over T frames.  A graph the model does not read
+(``model.n_blocks: 0``) or that was not asked for is null.
 
 Config keys: a top-level ``seed`` and sections ``model``, ``train`` and
 ``eval`` whose keys are the fields, with the defaults, of ModelConfig,
@@ -39,7 +41,7 @@ import numpy as np
 
 from .chansel import ChannelBudgetError, DegenerateProjectionError
 from .diffcore import NonFiniteError, ShapeError
-from .graphs import adjacency_to_json, build_prior
+from .graphs import adjacency_to_json
 from .scenesim import (
     SimConfig,
     load_scene,
@@ -50,7 +52,7 @@ from .scenesim import (
     synth_features,
     write_features,
 )
-from .stagg import GraphSpec, build_graph, restrict
+from .stagg import build_graph
 from .trainer import (
     DegenerateTaskError,
     MissingPriorError,
@@ -59,6 +61,7 @@ from .trainer import (
     TrainHyper,
     TrialSet,
     Utterance,
+    channel_graph,
     config_from_json,
     config_value,
     embed_with_info,
@@ -248,11 +251,9 @@ def cmd_simulate(args) -> int:
     shared = sample_scene(np.random.default_rng([cfg.seed, 11]), cfg.sim) if cfg.shared_scene else None
 
     entries = []
-    counters = {"train": 0, "test": 0}
     for split, count in (("train", cfg.n_train), ("test", cfg.n_test)):
         for i in range(count):
-            utt_id = f"utt_{split}_{counters[split]:05d}"
-            counters[split] += 1
+            utt_id = f"utt_{split}_{i:05d}"
             speaker = i % cfg.sim.n_speakers
             scene = shared if shared is not None else sample_scene(
                 np.random.default_rng([cfg.seed, 11, 0 if split == "train" else 1, i]), cfg.sim)
@@ -413,39 +414,24 @@ def cmd_eval(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    scene = None
-    if args.scene is not None:
-        try:
-            scene = load_scene(args.scene)
-        except FileNotFoundError as err:
-            raise DataError(f"scene not found: {args.scene}") from err
-        except ValueError as err:
-            raise DataError(f"malformed scene: {err}") from err
-
-    mask_doc = None
-    if args.kind in ("knn", "prior"):
-        if scene is None:
-            raise ConfigError(f"{args.kind} graph needs --scene")
-        n, positions = scene.n_nodes, scene.node_pos
-    elif args.n is None:
-        raise ConfigError(f"{args.kind} graph needs --n (node or frame count)")
-    else:
-        n, positions = args.n, None
+    cfg = load_experiment_config(args.config, args.seed).model
+    if args.scene is None:
+        raise ConfigError("graph needs --scene")
     try:
-        if args.kind == "prior":
-            mask = build_prior(scene, args.rho, args.noise_rho)
-            adjacency = restrict(build_graph(GraphSpec(), n), mask)
-            mask_doc = {"selected_indices": np.flatnonzero(mask).tolist(),
-                        "bits": "".join("1" if x else "0" for x in mask),
-                        "k": int(mask.sum())}
-        else:
-            adjacency = build_graph(GraphSpec(args.kind, args.delta, args.k), n, positions)
-    except MissingPriorError:
-        raise  # a data error: the scene lacks the noise source
+        scene = load_scene(args.scene)
+    except FileNotFoundError as err:
+        raise DataError(f"scene not found: {args.scene}") from err
     except ValueError as err:
-        raise ConfigError(str(err)) from err
-
-    doc = {"adjacency": adjacency_to_json(adjacency), "mask": mask_doc}
+        raise DataError(f"malformed scene: {err}") from err
+    channels, spatial = channel_graph(cfg, scene, scene.n_nodes)
+    try:
+        temporal = None if args.frames is None else build_graph(cfg.temporal_graph, args.frames)
+    except ValueError as err:
+        raise ConfigError(f"--frames: {err}") from err
+    stack = cfg.n_blocks > 0
+    doc = {"channels": channels.tolist(),
+           "spatial": adjacency_to_json(spatial) if stack else None,
+           "temporal": adjacency_to_json(temporal) if stack and temporal is not None else None}
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
         _atomic_write_json(os.path.join(args.out, "graph.json"), doc)
@@ -505,18 +491,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", parents=[common], help="generate scenes and features")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("graph", parents=[common], help="build an adjacency from a scene")
+    p = sub.add_parser("graph", parents=[common],
+                       help="print the channels and graphs a configured model reads for a scene")
     p.add_argument("--scene", help="scene JSON file")
-    p.add_argument("--kind", choices=["complete", "span", "knn", "prior"], required=True,
-                   help="graph family; prior prints the prior's clique, the spatial mask of a "
-                        "prior model over a complete spatial graph (a knn + prior model uses "
-                        "knn AND the clique instead)")
-    p.add_argument("--n", type=int, help="node/frame count for complete and span")
-    p.add_argument("--delta", type=int, default=1, help="span half-window")
-    p.add_argument("--k", type=int, default=4, help="neighbor count for knn")
-    p.add_argument("--rho", type=float, default=0.6, help="prior distance-ratio threshold")
-    p.add_argument("--noise-rho", type=float, default=None,
-                   help="also mask nodes with noise-distance ratio below this value")
+    p.add_argument("--frames", type=int, default=None,
+                   help="also print the temporal graph over this many frames")
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("train", parents=[common], help="train the channel-fusion model")
@@ -545,7 +524,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "config", None) is None and args.command in ("simulate", "train", "eval"):
+        if getattr(args, "config", None) is None and args.command != "report":
             raise ConfigError(f"{args.command} needs --config")
         return args.func(args)
     except ConfigError as err:

@@ -346,22 +346,19 @@ def sigmoid(x) -> Tensor:
     return Tensor(out_data, _edges=((x, lambda g: g * out_data * (1.0 - out_data)),))
 
 
-def _shared(fn, uses: int):
-    """``fn`` of a node's cotangent, shared by ``uses`` of its pullbacks.
+def _shared(fn):
+    """``fn`` of a node's cotangent, computed once for all of its pullbacks.
 
-    The first pullback to ask computes it, and the last one drops it, so a
-    recorded graph does not keep it after its backward pass.
+    The first pullback to ask computes it.  The memo lives in the
+    pullbacks' closures, which :meth:`Tensor.backward` drops once they
+    have run, so it dies with them.
     """
     memo = []
 
     def terms(g):
         if not memo or memo[0] is not g:
-            memo[:] = [g, fn(g), uses]
-        value = memo[1]
-        memo[2] -= 1
-        if not memo[2]:
-            memo.clear()
-        return value
+            memo[:] = [g, fn(g)]
+        return memo[1]
 
     return terms
 
@@ -478,7 +475,7 @@ def static_attention(x, wr, beta, mask, slope: float) -> Tensor:
         a += c
         return a.reshape(flat), dbeta
 
-    shared = _shared(terms, sum(t.requires_grad for t in (x, wr, beta)))
+    shared = _shared(terms)
     return Tensor(out.reshape(flat), _edges=(
         (x, lambda u: np.matmul(shared(u)[0], wr.data.T)),
         (wr, lambda u: np.matmul(x.data.reshape(-1, wr.shape[0]).T,

@@ -11,6 +11,8 @@ batch's largest, and masks the padding so that it changes no embedding.
 Prior selection is known before the stack, so the pass narrows each
 utterance to its kept channels first and never aggregates a dropped one;
 gpool picks its channels from the stack's output, so it cannot narrow.
+:func:`channel_graph` states, for one utterance, the channels the stack
+reads and the spatial graph among them; ``adhocsv graph`` prints it.
 Training runs it on each batch as drawn, :func:`embed` on one utterance,
 and :func:`evaluate` on batches of utterances sorted by shape; the last two
 read the parameters as constants, so inference records no graph.  A
@@ -65,6 +67,7 @@ __all__ = [
     "ProtocolError",
     "DegenerateTaskError",
     "MissingPriorError",
+    "channel_graph",
     "train_second_stage",
     "embed",
     "embed_with_info",
@@ -150,6 +153,9 @@ class ModelConfig:
             raise ValueError(f"d={self.d} must split evenly over {self.heads} heads")
         if self.temporal_graph.kind == "knn":
             raise ValueError("the temporal graph cannot be knn: frames have no positions")
+        if self.spatial_graph.kind == "span":
+            raise ValueError("the spatial graph cannot be span: it links channels by their "
+                             "index, so embeddings would depend on channel order")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.n_blocks == 0:
@@ -273,27 +279,49 @@ def _set_allocator_policy() -> None:
         mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 
+def channel_graph(cfg: ModelConfig, scene: Scene | None, n_channels: int):
+    """The channels of one utterance that the stack reads, and the spatial graph over them.
+
+    Returns the (n,) indices of those channels in the utterance's own order,
+    and the bool (n, n) graph among them.  Prior selection keeps the
+    prior's channels (:func:`graphs.build_prior`, known before the stack);
+    the other kinds keep all ``n_channels``, gpool because it picks its
+    channels from the stack's output.  The graph is the configured spatial
+    graph over all ``n_channels`` channels (so knn neighbours are picked
+    among all of them, with the scene's node positions), narrowed to the
+    rows and columns of the kept ones; a model of zero blocks reads none
+    (its config's spatial graph is the complete one).  Raises
+    ``MissingPriorError`` when the prior or a knn graph has no ``scene``.
+    """
+    sel = cfg.selection
+    if scene is None and sel.kind == "prior":
+        raise MissingPriorError("prior channel selection needs the utterance's scene")
+    if scene is None and cfg.spatial_graph.kind == "knn":
+        raise MissingPriorError("knn spatial graph needs the utterance's scene")
+    kept = (np.flatnonzero(build_prior(scene, sel.rho, sel.rho_noise)) if sel.kind == "prior"
+            else np.arange(n_channels))
+    full = build_graph(cfg.spatial_graph, n_channels, None if scene is None else scene.node_pos)
+    return kept, full.take(kept, 0).take(kept, 1)  # take: a fraction of fancy indexing's cost
+
+
 def _forward(model: Model, feats, scenes: list[Scene | None]):
     """Differentiable embeddings of a batch of utterances of any channel and frame counts.
 
     ``feats`` holds one (C_i, T_i, D) frame array per utterance and ``scenes``
     one scene (or None) each.  A bool (B, C) array ``keep`` states which of
     its own channels each utterance uses: all of them, the prior's mask
-    (:func:`graphs.build_prior`, known before the stack), or gpool's top k
-    (picked from the frame means after it).
+    (known before the stack), or gpool's top k (picked from the frame means
+    after it).
 
-    Prior selection narrows each utterance to its kept channels before the
-    stack, so no kernel reads a dropped one; the other kinds bring every
-    channel.  This is the one function that pads: it zero-fills what the
-    utterances bring to the batch's largest channel and frame counts.  Each
-    utterance's temporal graph is the configured frame graph restricted to
-    its valid frames (:func:`stagg.restrict`), so its padded frames see only
-    themselves.  Its spatial graph is the configured graph over all C_i of
-    its channels (so knn neighbours are picked among all of them), narrowed
-    to the rows and columns of the channels it brings and restricted to
-    them, so a padded channel sees only itself; a model of zero blocks
-    builds no graph.  The channels' frame means zbar average valid frames
-    only, and are gated and pooled in one weighted mean
+    Each utterance brings to the stack the channels, and their spatial
+    graph, that :func:`channel_graph` gives it, so no kernel reads a channel
+    the prior drops.  This is the one function that pads: it zero-fills
+    what the utterances bring to the batch's largest channel and frame
+    counts, and a padded channel sees only itself.  Each utterance's
+    temporal graph is the configured frame graph restricted to its valid
+    frames (:func:`stagg.restrict`), so its padded frames see only
+    themselves.  The channels' frame means zbar average valid frames only,
+    and are gated and pooled in one weighted mean
     (:func:`chansel.weighted_pool`).  So padding changes no embedding beyond
     rounding, and a dropped channel's frames change none at all.  Frames
     that are not finite raise ``NonFiniteError``, in a dropped channel too.
@@ -302,7 +330,6 @@ def _forward(model: Model, feats, scenes: list[Scene | None]):
     """
     _set_allocator_policy()
     cfg = model.cfg
-    sel = cfg.selection
     for i, (f, scene) in enumerate(zip(feats, scenes, strict=True)):
         if f.ndim != 3 or 0 in f.shape or f.shape[2] != cfg.d:
             raise dc.ShapeError(f"utterance {i} of the batch: expected (C, T, {cfg.d}) frames "
@@ -310,40 +337,21 @@ def _forward(model: Model, feats, scenes: list[Scene | None]):
         if scene is not None and scene.n_nodes != f.shape[0]:
             raise dc.ShapeError(f"utterance {i} of the batch has {f.shape[0]} channels, "
                                 f"but its scene has {scene.n_nodes} nodes")
-    if any(scene is None for scene in scenes):
-        if sel.kind == "prior":
-            raise MissingPriorError("prior channel selection needs the utterance's scene")
-        if model.blocks and cfg.spatial_graph.kind == "knn":
-            raise MissingPriorError("knn spatial graph needs the utterance's scene")
+        if not np.isfinite(f).all():  # the stack's input holds only the kept channels
+            raise NonFiniteError(f"utterance {i} of the batch holds NaN or Inf frames")
+    chosen = [channel_graph(cfg, scene, f.shape[0]) for f, scene in zip(feats, scenes)]
     frames = np.array([f.shape[1] for f in feats])
-    # The channels each utterance brings to the stack: prior's kept ones, or
-    # all of them through a slice, which copies nothing.
-    own = [slice(None)] * len(feats)
-    if sel.kind == "prior":
-        keep = np.zeros((len(feats), max(f.shape[0] for f in feats)), dtype=bool)
-        for i, (f, scene) in enumerate(zip(feats, scenes)):
-            kept = build_prior(scene, sel.rho, sel.rho_noise)
-            # Tensor(x) below checks the frames of the kept channels only.
-            if not np.isfinite(f[~kept]).all():
-                raise NonFiniteError(f"utterance {i} of the batch holds NaN or Inf frames "
-                                     "in a dropped channel")
-            keep[i, :f.shape[0]] = kept
-            own[i] = np.flatnonzero(kept)
-    stacked = [f[idx] for f, idx in zip(feats, own)]
-    b, c, t = len(feats), max(f.shape[0] for f in stacked), frames.max()
+    b, c, t = len(feats), max(kept.size for kept, _ in chosen), frames.max()
     x = np.zeros((b, c, t, cfg.d))
+    keep = np.zeros((b, max(f.shape[0] for f in feats)), dtype=bool)
     rows = np.zeros((b, c), dtype=bool)  # the rows of x that hold a channel
     graph = np.zeros((b, c, c), dtype=bool)
-    for i, (f, scene) in enumerate(zip(stacked, scenes)):
-        n = f.shape[0]
-        x[i, :n, :frames[i]] = f
+    for i, (f, (kept, block)) in enumerate(zip(feats, chosen)):
+        keep[i, kept] = True
+        n = kept.size
+        x[i, :n, :frames[i]] = f.take(kept, 0)
         rows[i, :n] = True
-        if model.blocks:
-            full = build_graph(cfg.spatial_graph, feats[i].shape[0],
-                               None if scene is None else scene.node_pos)
-            graph[i, :n, :n] = full[own[i]][:, own[i]]
-    if sel.kind != "prior":
-        keep = rows
+        graph[i, :n, :n] = block
     valid = np.arange(t) < frames[:, None]  # (B, T)
     out = Tensor(x)
     if model.blocks:
@@ -354,6 +362,7 @@ def _forward(model: Model, feats, scenes: list[Scene | None]):
     zbar = dc.div(dc.sum_axis(dc.mul(out, valid[:, None, :, None]), axis=2),
                   frames[:, None, None])  # (B, C, D)
 
+    sel = cfg.selection
     if sel.kind != "gpool":
         return weighted_pool(zbar, rows, 1.0), keep, None
     keep, gate = gpool_weights(zbar, model.gpool, sel.k, keep)

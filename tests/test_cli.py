@@ -10,12 +10,12 @@ import struct
 import numpy as np
 import pytest
 
-from adhocsv import cli
+from adhocsv import cli, trainer
 from adhocsv.cli import ConfigError, EvalSpec, load_experiment_config, main
 from adhocsv.graphs import adjacency_to_json, build_prior
 from adhocsv.scenesim import (FrameTensor, Scene, SimConfig, read_features, sample_scene,
                               save_scene, write_features)
-from adhocsv.stagg import GraphSpec, build_graph, load_checkpoint, restrict, save_checkpoint
+from adhocsv.stagg import load_checkpoint, save_checkpoint
 from adhocsv.trainer import (Model, ModelConfig, SelectionConfig, TrainHyper, embed_with_info,
                              load_model, model_config_to_json, read_trials_csv, save_model)
 
@@ -183,7 +183,8 @@ class TestGraphSpecConfig:
         ("temporal_graph", {"kind": "span", "delta": -1}),
         ("spatial_graph", {"kind": "knn", "k": -1}),
         ("temporal_graph", {"kind": "knn"}),
-    ], ids=["unknown_kind", "negative_delta", "negative_k", "knn_over_frames"])
+        ("spatial_graph", {"kind": "span", "delta": 1}),
+    ], ids=["unknown_kind", "negative_delta", "negative_k", "knn_over_frames", "span_over_channels"])
     def test_bad_graph_is_config_error_before_data_is_read(self, tmp_path, capsys, section,
                                                            spec):
         cfg = json.loads(json.dumps(TINY_CONFIG))
@@ -717,7 +718,11 @@ class TestTrainEval:
         (lambda config: [config], "config must be an object"),
         (lambda config: config | {"selection": "gpool"}, "config.selection must be an object"),
         (lambda config: config | {"typo": 1}, "unknown keys in config: ['typo']"),
-    ], ids=["config_list", "selection_string", "unknown_key"])
+        # Spatial span makes embeddings depend on channel order, so no model
+        # may carry it, one saved before it was refused included.
+        (lambda config: config | {"spatial_graph": {"kind": "span", "delta": 1, "k": 4}},
+         "spatial graph cannot be span"),
+    ], ids=["config_list", "selection_string", "unknown_key", "spatial_span"])
     def test_malformed_checkpoint_config_is_data_error(self, tmp_path, config_path, capsys, edit,
                                                        named):
         model = Model.init(ModelConfig(n_blocks=1, heads=2, d=8), n_speakers=4)
@@ -797,7 +802,7 @@ class TestTrainEval:
             json.dump([[1.0, 2.0, 1.0]], f)
         args = {"train": ["train", "--config", config_path, "--data", dataset,
                           "--out", str(tmp_path / "run"), "--quiet"],
-                "graph": ["graph", "--kind", "knn", "--scene", scene]}[command]
+                "graph": ["graph", "--config", config_path, "--scene", scene]}[command]
         assert main(args) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "scene must be a JSON object" in err
@@ -811,25 +816,44 @@ class TestTrainEval:
                      "--out", str(tmp_path / "run"), "--quiet"]) == 3
 
 
-class TestGraphCommand:
-    def test_complete_graph_json(self, capsys):
-        assert main(["graph", "--kind", "complete", "--n", "3"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["adjacency"]["n"] == 3
-        assert doc["adjacency"]["rows"] == ["111", "111", "111"]
-        assert doc["mask"] is None
+def graph_config(tmp_path, **model):
+    """TINY_CONFIG with the given ``model`` keys replaced, written to a file."""
+    cfg = json.loads(json.dumps(TINY_CONFIG))
+    cfg["model"].update(model)
+    path = tmp_path / "graph_config.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
 
-    def test_span_graph(self, capsys):
-        assert main(["graph", "--kind", "span", "--n", "4", "--delta", "0"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["adjacency"]["rows"] == ["1000", "0100", "0010", "0001"]
+
+def run_graph(capsys, config, scene, *extra):
+    """The JSON that ``graph`` prints for ``config`` and the scene file ``scene``."""
+    assert main(["graph", "--config", config, "--scene", scene, *extra]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def complete_json(n):
+    return adjacency_to_json(np.ones((n, n), dtype=bool))
+
+
+class TestGraphCommand:
+    def test_complete_graph_json(self, tmp_path, capsys):
+        scene = line_scene_file(tmp_path, [1.0, 2.0, 3.0])
+        doc = run_graph(capsys, graph_config(tmp_path), scene, "--frames", "2")
+        assert doc == {"channels": [0, 1, 2], "spatial": {"n": 3, "rows": ["111"] * 3},
+                       "temporal": {"n": 2, "rows": ["11", "11"]}}
+
+    def test_span_graph(self, tmp_path, capsys):
+        config = graph_config(tmp_path, temporal_graph={"kind": "span", "delta": 0})
+        scene = line_scene_file(tmp_path, [1.0, 2.0])
+        doc = run_graph(capsys, config, scene, "--frames", "4")
+        assert doc["temporal"]["rows"] == ["1000", "0100", "0010", "0001"]
+        assert run_graph(capsys, config, scene)["temporal"] is None  # no --frames
 
     def test_prior_forced_mask(self, tmp_path, capsys):
         scene = line_scene_file(tmp_path, [1.0, 2.0, 3.0, 4.0])
-        assert main(["graph", "--kind", "prior", "--scene", scene, "--rho", "0.6"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["mask"]["bits"] == "1100"
-        assert doc["mask"]["selected_indices"] == [0, 1]
+        config = graph_config(tmp_path, selection={"kind": "prior", "rho": 0.6})
+        assert run_graph(capsys, config, scene) == {"channels": [0, 1], "spatial": complete_json(2),
+                                                    "temporal": None}
 
     def test_prior_with_noise_composes(self, tmp_path, capsys):
         # Noise sits on node 0 (distance 0.5 from speaker along +x), so the
@@ -841,13 +865,12 @@ class TestGraphCommand:
                       noise_pos=nodes[0].copy(), node_pos=nodes, snr_db=10.0)
         path = tmp_path / "scene.json"
         save_scene(path, scene)
-        assert main(["graph", "--kind", "prior", "--scene", str(path), "--rho", "0.6",
-                     "--noise-rho", "0.2"]) == 0
-        doc = json.loads(capsys.readouterr().out)
+        config = graph_config(tmp_path, selection={"kind": "prior", "rho": 0.6, "rho_noise": 0.2})
+        doc = run_graph(capsys, config, str(path))
         mask = build_prior(scene, 0.6, 0.2)
-        assert doc["mask"]["selected_indices"] == np.flatnonzero(mask).tolist()
-        assert 0 not in doc["mask"]["selected_indices"]
-        assert doc["adjacency"] == adjacency_to_json(restrict(build_graph(GraphSpec(), 4), mask))
+        assert doc["channels"] == np.flatnonzero(mask).tolist()
+        assert 0 not in doc["channels"]
+        assert doc["spatial"] == complete_json(int(mask.sum()))
 
     def test_prior_mask_matches_embed_selection(self, tmp_path, capsys):
         sampled = sample_scene(np.random.default_rng(7), SimConfig(n_nodes=10, d=8, t=3))
@@ -857,9 +880,8 @@ class TestGraphCommand:
         scene = dataclasses.replace(sampled, noise_pos=sampled.node_pos[nearest])
         path = tmp_path / "scene.json"
         save_scene(path, scene)
-        assert main(["graph", "--kind", "prior", "--scene", str(path), "--rho", "0.7",
-                     "--noise-rho", "0.3"]) == 0
-        selected = json.loads(capsys.readouterr().out)["mask"]["selected_indices"]
+        config = graph_config(tmp_path, selection={"kind": "prior", "rho": 0.7, "rho_noise": 0.3})
+        selected = run_graph(capsys, config, str(path))["channels"]
         cfg = ModelConfig(mechanism="gcn", n_blocks=1, heads=2, d=8, selection=SelectionConfig(
             kind="prior", rho=0.7, rho_noise=0.3))
         x = FrameTensor(np.random.default_rng(8).standard_normal((10, 3, 8)))
@@ -869,19 +891,23 @@ class TestGraphCommand:
 
     def test_knn_graph(self, tmp_path, capsys):
         scene = line_scene_file(tmp_path, [1.0, 2.0, 3.0, 4.0])
-        assert main(["graph", "--kind", "knn", "--scene", scene, "--k", "1"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["adjacency"]["rows"][0] == "1100"
+        config = graph_config(tmp_path, spatial_graph={"kind": "knn", "k": 1})
+        assert run_graph(capsys, config, scene)["spatial"]["rows"][0] == "1100"
 
-    def test_graph_writes_file_with_out(self, tmp_path):
+    def test_graph_writes_file_with_out(self, tmp_path, capsys):
         out = tmp_path / "g"
-        assert main(["graph", "--kind", "complete", "--n", "2", "--out", str(out),
-                     "--quiet"]) == 0
+        scene = line_scene_file(tmp_path, [1.0, 2.0])
+        assert main(["graph", "--config", graph_config(tmp_path), "--scene", scene,
+                     "--out", str(out), "--quiet"]) == 0
+        assert capsys.readouterr().out == ""
         doc = json.loads((out / "graph.json").read_text())
-        assert doc["adjacency"]["rows"] == ["11", "11"]
+        assert doc == {"channels": [0, 1], "spatial": complete_json(2), "temporal": None}
 
-    def test_missing_scene_is_config_error(self):
-        assert main(["graph", "--kind", "prior", "--rho", "0.5"]) == 2
+    def test_missing_scene_is_config_error(self, tmp_path, capsys):
+        config = graph_config(tmp_path, selection={"kind": "prior", "rho": 0.5})
+        for args in (["--config", config], ["--scene", line_scene_file(tmp_path, [1.0])]):
+            assert main(["graph", *args]) == 2
+            assert capsys.readouterr().err.startswith("config error:")
 
     @pytest.mark.filterwarnings("error")  # the missing source is reported before any fallback
     def test_noise_prior_without_noise_source_is_data_error(self, tmp_path, capsys):
@@ -889,27 +915,69 @@ class TestGraphCommand:
                                                                  with_noise_source=False))
         path = tmp_path / "scene.json"
         save_scene(path, scene)
-        # --rho 0.05 keeps no channel by the speaker distances alone.
-        for rho in ([], ["--rho", "0.05"]):
-            assert main(["graph", "--kind", "prior", "--scene", str(path), *rho,
-                         "--noise-rho", "0.2"]) == 3
+        # rho 0.05 keeps no channel by the speaker distances alone.
+        for rho in (0.6, 0.05):
+            config = graph_config(tmp_path, selection={"kind": "prior", "rho": rho,
+                                                       "rho_noise": 0.2})
+            assert main(["graph", "--config", config, "--scene", str(path)]) == 3
             err = capsys.readouterr().err
             assert err.startswith("data error:") and "noise source" in err
 
-    @pytest.mark.parametrize("args, code", [
-        (["--kind", "span", "--n", "5", "--delta", "-1"], 2),
-        (["--kind", "complete", "--n", "0"], 2),
+    @pytest.mark.parametrize("model, args, code", [
+        ({"temporal_graph": {"kind": "span", "delta": -1}}, [], 2),
+        ({}, ["--frames", "0"], 2),
         # knn links each node to its min(k, n - 1) nearest: one node keeps its self-loop.
-        (["--kind", "knn", "--k", "5", "--scene", None], 0),
+        ({"spatial_graph": {"kind": "knn", "k": 5}}, [], 0),
     ], ids=["negative_delta", "no_nodes", "k_over_node_count"])
-    def test_out_of_range_argument_is_config_error(self, tmp_path, capsys, args, code):
-        args = [line_scene_file(tmp_path, [1.0]) if a is None else a for a in args]
-        assert main(["graph", *args]) == code
+    def test_out_of_range_argument_is_config_error(self, tmp_path, capsys, model, args, code):
+        assert main(["graph", "--config", graph_config(tmp_path, **model),
+                     "--scene", line_scene_file(tmp_path, [1.0]), *args]) == code
         captured = capsys.readouterr()
         if code:
             assert captured.err.startswith("config error:")
         else:
-            assert json.loads(captured.out)["adjacency"] == {"n": 1, "rows": ["1"]}
+            assert json.loads(captured.out)["spatial"] == {"n": 1, "rows": ["1"]}
+
+    # Every selection kind on complete and knn spatial graphs, for each
+    # mechanism and for MEAN: graph prints exactly the channels whose frames
+    # the stack reads, and the graphs it reads them with.
+    @pytest.mark.parametrize("selection", ["none", "prior", "gpool"])
+    @pytest.mark.parametrize("mechanism, spatial", [
+        ("gcn", "complete"), ("gcn", "knn"), ("sam", "complete"), ("sam", "knn"),
+        ("mean", "complete")])
+    def test_graph_prints_what_the_stack_reads(self, tmp_path, capsys, monkeypatch, mechanism,
+                                               spatial, selection):
+        scene = sample_scene(np.random.default_rng(9), SimConfig(n_nodes=8, d=8))
+        path = tmp_path / "scene.json"
+        save_scene(path, scene)
+        stack = ({"n_blocks": 0} if mechanism == "mean"
+                 else {"mechanism": mechanism, "n_blocks": 2})
+        config = graph_config(tmp_path, **stack, spatial_graph={"kind": spatial, "k": 2},
+                              temporal_graph={"kind": "span", "delta": 1},
+                              selection={"kind": selection, "rho": 0.7})
+        doc = run_graph(capsys, config, str(path), "--frames", "5")
+        seen, stack_fn = [], trainer.st_stack
+
+        def spy(x, blocks, a_temporal, a_spatial):
+            seen.append((x.data, a_temporal, a_spatial))
+            return stack_fn(x, blocks, a_temporal, a_spatial)
+
+        monkeypatch.setattr(trainer, "st_stack", spy)
+        x = np.random.default_rng(10).standard_normal((8, 5, 8))
+        model = Model.init(load_experiment_config(config).model, n_speakers=2)
+        _, info = embed_with_info(model, x, scene)
+        channels = doc["channels"]
+        assert channels == (info["selected_indices"] if selection == "prior" else list(range(8)))
+        if selection == "prior":
+            assert len(channels) < 8
+        if mechanism == "mean":
+            assert seen == [] and doc["spatial"] is None and doc["temporal"] is None
+            return
+        ((stack_x, a_temporal, a_spatial),) = seen
+        assert stack_x[0].tobytes() == x[channels].tobytes()
+        assert doc["spatial"] == adjacency_to_json(a_spatial[0])
+        assert doc["temporal"] == adjacency_to_json(a_temporal[0, 0])
+        assert (spatial == "knn") == (doc["spatial"] != complete_json(len(channels)))
 
 
 class TestReportCommand:

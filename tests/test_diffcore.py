@@ -410,14 +410,38 @@ class TestStaticAttention:
         assert len(calls) == products
         assert all((t.grad is not None) == t.requires_grad for t in operands)
 
-    def test_shared_terms_are_dropped_after_their_last_use(self):
+    def test_shared_terms_are_computed_once_per_cotangent(self):
         calls = []
-        terms = dc._shared(lambda g: calls.append(g) or 2.0 * g, uses=2)
+        terms = dc._shared(lambda g: calls.append(g) or 2.0 * g)
         g = np.ones(3)
-        assert terms(g) is terms(g)
+        assert terms(g) is terms(g) is terms(g)
         assert len(calls) == 1
-        terms(g)  # a call after the last use computes them again
+        terms(np.ones(3))  # an equal cotangent, but another object
         assert len(calls) == 2
+
+    def test_shared_terms_are_dropped_after_their_last_use(self, monkeypatch):
+        # The memo lives in the node's pullbacks, which backward() drops once
+        # they have run: the terms are gone before the next node's pullback.
+        refs, shared = [], dc._shared
+
+        def recording(fn):
+            def recorded(g):
+                value = fn(g)
+                refs.append(weakref.ref(value[0]))
+                return value
+            return shared(recorded)
+
+        monkeypatch.setattr(dc, "_shared", recording)
+        rng = np.random.default_rng(17)
+        leaf = Tensor(rng.standard_normal((2, 5, 4)), requires_grad=True)
+        alive = []
+        x = Tensor(leaf.data.copy(), _edges=((leaf, lambda g: alive.append(refs[0]() is not None)
+                                              or g),))
+        out = dc.static_attention(x, Tensor(rng.standard_normal((4, 4)), requires_grad=True),
+                                  Tensor(rng.standard_normal((2, 2)), requires_grad=True),
+                                  np.ones((5, 5), dtype=bool), 0.2)
+        out.backward(rng.standard_normal(out.shape))
+        assert len(refs) == 1 and alive == [False]
 
 
 class TestActivations:

@@ -7,6 +7,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -64,40 +65,54 @@ def test_import_layering(name, allowed):
     assert adhocsv_imports(name) <= allowed
 
 
-# diffcore functions with no caller in the package, each kept on purpose.
-UNCALLED_KERNELS = {
-    "mean_axis",  # perfbench/tests/test_tracing.py pins how its spans nest
-    "vjp_check",  # the tests' finite-difference gradient checker
+# Public functions with no caller in the package or the benchmark, each kept on purpose.
+UNCALLED_FUNCTIONS = {
+    "diffcore.mean_axis",  # perfbench/tests/test_tracing.py pins how its spans nest
+    "diffcore.vjp_check",  # the tests' finite-difference gradient checker
 }
 
+ROOT = Path(adhocsv.__file__).resolve().parents[2]
+CALLER_FILES = sorted(Path(adhocsv.__file__).parent.glob("*.py")) + sorted(
+    (ROOT / "perfbench").glob("*.py"))
 
-def diffcore_names_read(name: str) -> set[str]:
-    """The diffcore names that module ``name``'s code reads (its own names, in diffcore)."""
-    tree = ast.parse(inspect.getsource(importlib.import_module(f"adhocsv.{name}")))
-    if name == "diffcore":
-        return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    aliases, imported = set(), {}
+
+def adhocsv_names_read(path: Path) -> set[str]:
+    """The package's functions that the code in ``path`` reads, as "module.name".
+
+    A module reads its own names bare; other files read a module's names
+    through ``from adhocsv[.module] import ...`` or as attributes of the
+    module itself.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    own = path.stem if path.parent == Path(adhocsv.__file__).parent else None
+    modules, imported = {}, {}
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.level and node.module == "diffcore":
-            imported.update({alias.asname or alias.name: alias.name for alias in node.names})
-        elif isinstance(node, ast.ImportFrom) and node.level and node.module is None:
-            aliases |= {alias.asname or alias.name for alias in node.names
-                        if alias.name == "diffcore"}
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("adhocsv")):
+            source = (node.module or "").removeprefix("adhocsv").lstrip(".")
+            names = {alias.asname or alias.name: alias.name for alias in node.names}
+            if source:
+                imported.update({name: f"{source}.{attr}" for name, attr in names.items()})
+            else:
+                modules.update(names)
     found = set()
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                and node.value.id in aliases):
-            found.add(node.attr)
+                and node.value.id in modules):
+            found.add(f"{modules[node.value.id]}.{node.attr}")
         elif isinstance(node, ast.Name) and node.id in imported:
             found.add(imported[node.id])
+        elif isinstance(node, ast.Name) and own is not None:
+            found.add(f"{own}.{node.id}")
     return found
 
 
-def test_every_diffcore_function_has_a_caller_in_the_package():
-    from adhocsv import diffcore
-
-    functions = {name for name in diffcore.__all__ if inspect.isfunction(getattr(diffcore, name))}
-    read = set().union(*(diffcore_names_read(module.name)
-                         for module in pkgutil.iter_modules(adhocsv.__path__)))
-    assert UNCALLED_KERNELS <= functions
-    assert sorted(functions - read - UNCALLED_KERNELS) == []
+def test_every_public_function_has_a_caller_in_the_package():
+    functions = set()
+    for name in MODULES[1:]:
+        module = importlib.import_module(name)
+        functions |= {f"{name.removeprefix('adhocsv.')}.{attr}" for attr in module.__all__
+                      if inspect.isfunction(getattr(module, attr))
+                      and getattr(module, attr).__module__ == name}
+    read = set().union(*(adhocsv_names_read(path) for path in CALLER_FILES))
+    assert UNCALLED_FUNCTIONS <= functions
+    assert sorted(functions - read - UNCALLED_FUNCTIONS) == []

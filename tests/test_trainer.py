@@ -316,6 +316,13 @@ class TestEmbed:
         with pytest.raises(ValueError, match="temporal"):
             ModelConfig(temporal_graph=GraphSpec(kind="knn"))
 
+    @pytest.mark.parametrize("n_blocks", [0, 2])
+    def test_span_spatial_graph_rejected(self, n_blocks):
+        # Span links channels by their index, and an ad-hoc array's channels
+        # have no order; a MEAN config is refused it like a stack's.
+        with pytest.raises(ValueError, match="spatial graph cannot be span: .* channel order"):
+            ModelConfig(n_blocks=n_blocks, spatial_graph=GraphSpec("span", delta=1))
+
 
 def forward_alone(model, features, scene):
     """One utterance through ``_forward``: its embedding, keep row and gate row (or None)."""
@@ -415,9 +422,7 @@ def assert_narrowed_stack_input(x, a_spatial, feats, scenes, spatial, rho):
     return kept
 
 
-@pytest.mark.parametrize("spatial",
-                         [GraphSpec(), GraphSpec("knn", k=2), GraphSpec("span", delta=1)],
-                         ids=lambda g: g.kind)
+@pytest.mark.parametrize("spatial", [GraphSpec(), GraphSpec("knn", k=2)], ids=lambda g: g.kind)
 def test_prior_masks_the_configured_spatial_graph(spatial, monkeypatch):
     # Prior selection narrows each utterance to its kept channels before the
     # stack.  Its spatial mask is its configured graph narrowed to them; on a
@@ -443,14 +448,14 @@ def test_prior_masks_the_configured_spatial_graph(spatial, monkeypatch):
                        for i, k in enumerate(kept))
 
 
-NARROWING_CASES = [(m, g) for m in ("gcn", "sam") for g in ("complete", "knn", "span")] + [
+NARROWING_CASES = [(m, g) for m in ("gcn", "sam") for g in ("complete", "knn")] + [
     ("mean", "complete")]
 
 
 def prior_model(mechanism, spatial, seed, rho=0.7):
     """Two blocks of ``mechanism`` (none for "mean") with prior selection at ``rho``."""
     stack = {"n_blocks": 0} if mechanism == "mean" else {"mechanism": mechanism, "n_blocks": 2}
-    cfg = ModelConfig(**stack, heads=2, d=8, spatial_graph=GraphSpec(spatial, delta=1, k=2),
+    cfg = ModelConfig(**stack, heads=2, d=8, spatial_graph=GraphSpec(spatial, k=2),
                       temporal_graph=GraphSpec("span", delta=1),
                       selection=SelectionConfig(kind="prior", rho=rho), seed=seed)
     return Model.init(cfg, n_speakers=2)
@@ -475,9 +480,6 @@ def test_dropped_channels_change_no_embedding_bit_for_bit(mechanism, spatial):
         assert embed(model, g, scene).tobytes() == embed(model, f, scene).tobytes()
 
 
-# Spatial span links channels by their index, so permuting an array's
-# channels changes its embedding; ROADMAP item 10 has it refused or deleted,
-# and it is left out here.
 @pytest.mark.parametrize("mechanism", ["gcn", "sam"])
 @pytest.mark.parametrize("spatial", ["complete", "knn"])
 @pytest.mark.parametrize("selection", ["none", "prior"])
@@ -490,6 +492,10 @@ def test_permuting_channels_with_their_nodes_changes_no_embedding(mechanism, spa
                       spatial_graph=GraphSpec(spatial, k=2),
                       temporal_graph=GraphSpec("span", delta=1),
                       selection=SelectionConfig(kind=selection, rho=0.7), seed=49)
+    # Spatial span links channels by their index, so permuting them would
+    # move the embedding: the config refuses it.
+    with pytest.raises(ValueError, match="depend on channel order"):
+        replace(cfg, spatial_graph=GraphSpec("span", delta=1))
     model = Model.init(cfg, n_speakers=2)
     embs, keep, _ = _forward(model, feats, scenes)
     perms = [rng.permutation(f.shape[0]) for f in feats]
@@ -526,8 +532,8 @@ def test_knn_neighbours_are_picked_among_all_channels(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["none", "prior", "gpool"])
 def test_non_finite_frames_raise_in_any_channel(kind):
-    # Prior selection leaves dropped channels out of the stack's input, which
-    # is checked; their frames are checked on their own.
+    # Prior selection leaves dropped channels out of the stack's input, so
+    # every utterance's frames are checked before it is narrowed.
     scene = sample_scene(np.random.default_rng(48), SimConfig(n_nodes=8))
     mask = build_prior(scene, 0.7)
     x = np.random.default_rng(49).standard_normal((8, 3, 8))
@@ -539,7 +545,7 @@ def test_non_finite_frames_raise_in_any_channel(kind):
             y[channel, 2, 5] = bad
             with pytest.raises(dc.NonFiniteError):
                 embed(model, y, scene)
-            with pytest.raises(dc.NonFiniteError):
+            with pytest.raises(dc.NonFiniteError, match="utterance 1 of the batch holds NaN"):
                 _forward(model, [x, y], [scene, scene])
 
 
@@ -720,8 +726,8 @@ def embeddings_and_gradients(model, utts, cotangent):
 
 
 GRADIENT_CASES = [(m, s, g) for m in ("sam", "gcn") for s in ("none", "prior", "gpool")
-                  for g in ("complete", "span", "knn")] + [("mean", s, "complete")
-                                                           for s in ("none", "prior", "gpool")]
+                  for g in ("complete", "knn")] + [("mean", s, "complete")
+                                                   for s in ("none", "prior", "gpool")]
 
 
 @pytest.mark.parametrize("mechanism,selection,spatial", GRADIENT_CASES)
@@ -731,7 +737,7 @@ def test_padded_batch_gradients_match_each_utterance_alone(mechanism, selection,
     stack = {"n_blocks": 0} if mechanism == "mean" else {"mechanism": mechanism, "n_blocks": 2}
     cfg = ModelConfig(**stack, heads=2, d=8, selection=SelectionConfig(kind=selection),
                       temporal_graph=GraphSpec("span", delta=1),
-                      spatial_graph=GraphSpec(spatial, delta=1, k=2), seed=41)
+                      spatial_graph=GraphSpec(spatial, k=2), seed=41)
     model = Model.init(cfg, n_speakers=3)
     utts = list(ragged_utterances(RAGGED_SHAPES, seed=41).values())
     cotangent = np.random.default_rng(41).standard_normal((len(utts), 3))
@@ -1247,8 +1253,8 @@ class TestModelIO:
         SelectionConfig(), SelectionConfig(kind="prior", rho=0.5, rho_noise=0.2),
         SelectionConfig(kind="gpool"), SelectionConfig(kind="gpool", k=3),
     ], ids=["none", "prior", "gpool", "gpool_k3"])
-    @pytest.mark.parametrize("spatial", [GraphSpec(), GraphSpec("span", delta=2),
-                                         GraphSpec("knn", k=3)], ids=lambda g: g.kind)
+    @pytest.mark.parametrize("spatial", [GraphSpec(), GraphSpec("knn", k=3)],
+                             ids=lambda g: g.kind)
     def test_config_json_round_trip(self, selection, spatial):
         cfg = ModelConfig(n_blocks=1, heads=2, d=8, selection=selection,
                           temporal_graph=GraphSpec("span", delta=1), spatial_graph=spatial, seed=3)
