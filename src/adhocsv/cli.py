@@ -25,13 +25,15 @@ null (the default) means no noise test.
 (``with_noise_source``) and ``n_train``/``n_test``/``shared_scene``.
 Unknown keys are config errors.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
+Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure,
+141 stdout closed before the output was written (a reader such as
+``head`` quit early; 128 + SIGPIPE, the shell's code for a process that
+signal ends).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -59,7 +61,6 @@ from .trainer import (
     ModelConfig,
     ProtocolError,
     TrainHyper,
-    TrialSet,
     Utterance,
     channel_graph,
     config_from_json,
@@ -230,9 +231,29 @@ def _atomic_write_json(path: str, doc) -> None:
     _atomic_write_bytes(path, (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8"))
 
 
+# Output to stdout is flushed as it is printed, so a closed stdout fails
+# inside main(), which then exits with this code (128 + SIGPIPE).
+EXIT_CLOSED_STDOUT = 141
+
+
 def _say(quiet: bool, message: str) -> None:
     if not quiet:
-        print(message)
+        print(message, flush=True)
+
+
+def _write_or_print(args, name: str, doc, message: str = "") -> int:
+    """Print ``doc`` as JSON, or with ``--out`` write it there as ``name`` and say ``message``.
+
+    The default message names the file written.
+    """
+    if args.out is None:
+        print(json.dumps(doc, sort_keys=True, indent=2), flush=True)
+        return 0
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, name)
+    _atomic_write_json(path, doc)
+    _say(args.quiet, message or f"wrote {path}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -432,13 +453,7 @@ def cmd_graph(args) -> int:
     doc = {"channels": channels.tolist(),
            "spatial": adjacency_to_json(spatial) if stack else None,
            "temporal": adjacency_to_json(temporal) if stack and temporal is not None else None}
-    if args.out is not None:
-        os.makedirs(args.out, exist_ok=True)
-        _atomic_write_json(os.path.join(args.out, "graph.json"), doc)
-        _say(args.quiet, f"wrote {os.path.join(args.out, 'graph.json')}")
-    else:
-        print(json.dumps(doc, sort_keys=True, indent=2))
-    return 0
+    return _write_or_print(args, "graph.json", doc)
 
 
 # ---------------------------------------------------------------------------
@@ -465,13 +480,8 @@ def cmd_report(args) -> int:
         "max_eer": float(np.max(eers)),
         "reports": reports,
     }
-    if args.out is not None:
-        os.makedirs(args.out, exist_ok=True)
-        _atomic_write_json(os.path.join(args.out, "summary.json"), summary)
-        _say(args.quiet, f"mean eer {summary['mean_eer']:.4f} over {len(reports)} reports")
-    else:
-        print(json.dumps(summary, sort_keys=True, indent=2))
-    return 0
+    return _write_or_print(args, "summary.json", summary,
+                           f"mean eer {summary['mean_eer']:.4f} over {len(reports)} reports")
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +547,8 @@ def main(argv=None) -> int:
     except (NonFiniteError, DegenerateProjectionError, FloatingPointError) as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return 4
+    except BrokenPipeError:
+        return EXIT_CLOSED_STDOUT
 
 
 if __name__ == "__main__":

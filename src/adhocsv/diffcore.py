@@ -29,6 +29,20 @@ every slice, and nothing else; a neighbor mask holds one graph for all
 slices or one per slice (see :func:`check_mask`).
 
 All arithmetic is float64 (gradient checks need the headroom).
+
+Finiteness is checked where values enter the program and where it keeps
+or returns what it made, not in the kernels.  Frames
+(``scenesim.FrameTensor`` and ``trainer._forward``), scene fields,
+checkpoints (``stagg.load_checkpoint``) and config floats are checked as
+they are read; ``trainer._forward`` checks the embeddings it returns, and
+each training step the parameters its update wrote.  A kernel computes on
+whatever it is given, so a NaN or Inf flows on to one of those checks.
+The errors a kernel raises are those where its result is undefined:
+``ShapeError`` for operands outside its contract,
+``EmptyNeighborhoodError`` for a mask row with no neighbor,
+``NonFiniteError`` from :func:`static_attention` when a row's weights
+all underflow to zero, and :func:`l2_norm`'s ``ValueError`` for the zero
+vector.
 """
 
 from __future__ import annotations
@@ -84,21 +98,14 @@ class Tensor:
     Tensors are immutable by convention: kernels never write into an
     input's ``data``.  The only sanctioned mutation is an optimizer (or
     finite-difference probe) updating a leaf ``Parameter`` between two
-    recorded graphs.
-
-    Every tensor's data is checked to be finite, except the result of a
-    view kernel (``transpose``, ``reshape``: ``_view``), which holds the
-    values of an operand that was checked when it was made.  A leaf updated
-    to NaN after that is refused by the next kernel that computes from it.
+    recorded graphs.  A tensor's data is not checked to be finite (see the
+    module docstring for where that is checked).
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_edges")
 
-    def __init__(self, data, requires_grad: bool = False, _edges=(), _view: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
-        if not (_view or np.isfinite(arr).all()):
-            raise NonFiniteError("tensor holds NaN or Inf")
-        self.data = arr
+    def __init__(self, data, requires_grad: bool = False, _edges=()):
+        self.data = np.asarray(data, dtype=np.float64)
         # (parent, pullback) pairs; a parent that needs no gradient is dropped.
         self._edges = tuple([edge for edge in _edges if edge[0].requires_grad])
         self.requires_grad = bool(requires_grad) or bool(self._edges)
@@ -298,14 +305,13 @@ def transpose(a, axes) -> Tensor:
     a = _as_tensor(a)
     axes = tuple(axes)
     inverse = tuple(np.argsort(axes))
-    return Tensor(np.transpose(a.data, axes), _edges=((a, lambda g: np.transpose(g, inverse)),),
-                  _view=True)
+    return Tensor(np.transpose(a.data, axes), _edges=((a, lambda g: np.transpose(g, inverse)),))
 
 
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
     shape = tuple(shape)
-    return Tensor(a.data.reshape(shape), _edges=((a, lambda g: g.reshape(a.shape)),), _view=True)
+    return Tensor(a.data.reshape(shape), _edges=((a, lambda g: g.reshape(a.shape)),))
 
 
 def sum_axis(a, axis, keepdims: bool = False) -> Tensor:

@@ -19,6 +19,12 @@ read the parameters as constants, so inference records no graph.  A
 training step's graph dies in its own backward pass, which frees it as it
 walks it (see :mod:`adhocsv.diffcore`), so the next step's forward never
 runs beside it.
+Finiteness is checked here, not in the kernels: :func:`_forward` checks the
+frames it is given and the embeddings it returns, and each training step
+the parameters its update wrote.  So a NaN or Inf, in a parameter or made
+by a kernel, fails as a ``NonFiniteError`` in the forward pass or step
+that meets it; training adds the epoch and step to the message, and never
+returns a model with a non-finite parameter.
 The first forward pass of a process fixes glibc's mmap and trim
 thresholds for the rest of it (:func:`_set_allocator_policy`), so each
 step reuses the heap the last one freed instead of faulting fresh pages
@@ -324,7 +330,10 @@ def _forward(model: Model, feats, scenes: list[Scene | None]):
     and are gated and pooled in one weighted mean
     (:func:`chansel.weighted_pool`).  So padding changes no embedding beyond
     rounding, and a dropped channel's frames change none at all.  Frames
-    that are not finite raise ``NonFiniteError``, in a dropped channel too.
+    that are not finite raise ``NonFiniteError``, in a dropped channel too,
+    and so does an embedding that is not: the kernels do not check their
+    results, so this is where a NaN or Inf parameter, or a value that
+    overflowed on the way, is caught.
     Returns the (B, D) embeddings, ``keep`` in each utterance's own channel
     indices, and gpool's (B, C) gate array (None for the other kinds).
     """
@@ -364,9 +373,14 @@ def _forward(model: Model, feats, scenes: list[Scene | None]):
 
     sel = cfg.selection
     if sel.kind != "gpool":
-        return weighted_pool(zbar, rows, 1.0), keep, None
-    keep, gate = gpool_weights(zbar, model.gpool, sel.k, keep)
-    return weighted_pool(zbar, keep, gate), keep, gate.data
+        embs, gates = weighted_pool(zbar, rows, 1.0), None
+    else:
+        keep, gate = gpool_weights(zbar, model.gpool, sel.k, keep)
+        embs, gates = weighted_pool(zbar, keep, gate), gate.data
+    bad = np.flatnonzero(~np.isfinite(embs.data).all(axis=1))
+    if bad.size:
+        raise NonFiniteError(f"utterance {bad[0]} of the batch has a NaN or Inf embedding")
+    return embs, keep, gates
 
 
 def _constants(model: Model) -> Model:
@@ -395,14 +409,15 @@ def embed(model: Model, x, scene: Scene | None = None) -> np.ndarray:
 def embed_with_info(model: Model, x, scene: Scene | None = None):
     """Embedding plus the channel-selection report for this utterance.
 
-    The report names the selection kind, the kept channels' indices, and
-    gpool's gates of those channels (None for the other kinds).
+    The report holds the selection kind (``selection``), the kept
+    channels' indices (``selected_indices``) and gpool's gates of those
+    channels (``gates``, None for the other kinds).
     """
     data = x.data if isinstance(x, FrameTensor) else np.asarray(x, dtype=np.float64)
     embs, keep, gate = _forward(_constants(model), [data], [scene])
     kept = keep[0]
     return np.array(embs.data[0]), {
-        "mechanism": model.cfg.selection.kind,
+        "selection": model.cfg.selection.kind,
         "selected_indices": np.flatnonzero(kept).tolist(),
         "gates": None if gate is None else gate[0, kept].tolist(),
     }
@@ -414,7 +429,9 @@ def train_second_stage(dataset: list[Utterance], cfg: ModelConfig,
 
     Deterministic given (cfg.seed, dataset order): initialization and the
     per-epoch shuffles derive from the seed.  Returns the trained model
-    and the per-epoch mean loss curve.
+    and the per-epoch mean loss curve.  A step whose embeddings, or whose
+    updated parameters, hold NaN or Inf raises ``NonFiniteError`` naming
+    its epoch and step.
     """
     if not dataset:
         raise DegenerateTaskError("empty training set")
@@ -443,16 +460,21 @@ def train_second_stage(dataset: list[Utterance], cfg: ModelConfig,
                 logits = dc.add(dc.matmul(embs, model.head_w), model.head_b)
                 labels = np.array([label_of[u.speaker] for u in batch])
                 loss = dc.softmax_cross_entropy(logits, labels)
+                loss.backward()
+                # An update that overflows is refused just below, by name.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for p in model.params:
+                        v = velocity[p.name]
+                        v *= hyper.momentum
+                        v += p.grad
+                        p.data -= hyper.lr * v
+                bad = [p.name for p in model.params if not np.isfinite(p.data).all()]
+                if bad:
+                    raise NonFiniteError(f"the update wrote NaN or Inf into {bad}")
             except NonFiniteError as err:
                 raise NonFiniteError(
                     f"training diverged at epoch {epoch}, step {start // hyper.batch_size}: {err}"
                 ) from err
-            loss.backward()
-            for p in model.params:
-                v = velocity[p.name]
-                v *= hyper.momentum
-                v += p.grad
-                p.data -= hyper.lr * v
             batch_losses.append(loss.item())
         curve.append(float(np.mean(batch_losses)))
     return model, curve

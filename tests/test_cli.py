@@ -1,11 +1,14 @@
 """End-to-end command behavior: artifacts, determinism, exit codes."""
 
 import dataclasses
+import io
 import json
 import math
 import os
 import re
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -554,7 +557,7 @@ class TestTrainEval:
         assert len(lines) == 1 + 4  # header + one row per node
         selection = json.loads((out / "selection.json").read_text())
         assert len(selection) == 8
-        assert all(s["mechanism"] == "none" for s in selection)
+        assert all(s["selection"] == "none" for s in selection)
 
     @pytest.mark.parametrize("per_node", [False, True], ids=["eval", "per_node"])
     def test_zero_embedding_is_data_error(self, tmp_path, config_path, dataset, capsys,
@@ -699,6 +702,24 @@ class TestTrainEval:
         for err in errors:
             assert err.startswith("data error:") and "model.ckpt" in err and "'head.w'" in err
         assert not (tmp_path / "e").exists()
+
+    def test_update_that_overflows_exits_4_and_writes_nothing(self, tmp_path, capsys):
+        # Features of order 100 (SNR -40 dB) give head.w a gradient over 1.8,
+        # so lr * v overflows in the one step of the one epoch.
+        cfg = json.loads(json.dumps(TINY_CONFIG))
+        cfg["sim"].update({"n_train": 8, "snr_db": [-40.0, -40.0]})
+        cfg["model"] = {"n_blocks": 0}
+        cfg["train"] = {"epochs": 1, "batch_size": 8, "lr": 1e308}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg))
+        data, run = str(tmp_path / "data"), tmp_path / "run"
+        assert main(["simulate", "--config", str(config), "--out", data, "--quiet"]) == 0
+        assert main(["train", "--config", str(config), "--data", data,
+                     "--out", str(run), "--quiet"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: training diverged at epoch 0, step 0:")
+        assert "'head.w'" in err
+        assert not (run / "model.ckpt").exists() and not (run / "loss.csv").exists()
 
     @pytest.mark.filterwarnings("error")  # the missing source is reported before any fallback
     def test_noise_prior_without_noise_source_is_data_error(self, tmp_path, capsys):
@@ -1016,6 +1037,47 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: cannot read report {bad}")
         assert not out.exists()
+
+
+class ClosedStdout(io.TextIOBase):
+    """A stdout whose reader has gone: every write fails as one to a closed pipe does."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def printing_commands(tmp_path):
+    """The commands that print JSON without ``--out``: graph and report."""
+    report = tmp_path / "r.json"
+    report.write_text(json.dumps({"eer": 0.25}))
+    scene = line_scene_file(tmp_path, [1.0, 2.0, 3.0])
+    return {"graph": ["graph", "--config", graph_config(tmp_path), "--scene", scene],
+            "report": ["report", str(report)]}
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("command", ["graph", "report"])
+    def test_exits_141_without_a_traceback(self, tmp_path, capsys, monkeypatch, command):
+        args = printing_commands(tmp_path)[command]
+        monkeypatch.setattr(sys, "stdout", ClosedStdout())
+        assert main(args) == cli.EXIT_CLOSED_STDOUT == 141
+        assert capsys.readouterr().err == ""
+
+    def test_a_pipe_closed_before_the_output_exits_141(self, tmp_path):
+        # A whole process, so that its exit, which flushes stdout again, is checked too.
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run([sys.executable, "-m", "adhocsv.cli",
+                                     *printing_commands(tmp_path)["report"]],
+                                    stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                    env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (141, "")
 
 
 def test_missing_config_is_config_error(tmp_path):

@@ -65,6 +65,28 @@ def test_import_layering(name, allowed):
     assert adhocsv_imports(name) <= allowed
 
 
+PACKAGE_FILES = sorted(Path(adhocsv.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", PACKAGE_FILES, ids=[path.stem for path in PACKAGE_FILES])
+def test_every_imported_name_is_read(path):
+    # A re-export is read through the module's __all__, or marked "# noqa: F401"
+    # on the line that imports it.
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module != "__future__"):
+            imported |= {alias.asname or alias.name.partition(".")[0] for alias in node.names
+                         if "# noqa: F401" not in lines[alias.lineno - 1]}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    module = importlib.import_module(
+        "adhocsv" if path.stem == "__init__" else f"adhocsv.{path.stem}")
+    assert sorted(imported - read - set(module.__all__)) == []
+
+
 # Public functions with no caller in the package or the benchmark, each kept on purpose.
 UNCALLED_FUNCTIONS = {
     "diffcore.mean_axis",  # perfbench/tests/test_tracing.py pins how its spans nest

@@ -277,7 +277,7 @@ class TestEmbed:
                           selection=SelectionConfig(kind="prior", rho=0.6), seed=7)
         model = Model.init(cfg, n_speakers=2)
         _, info = embed_with_info(model, FrameTensor(x), scene)
-        assert info["mechanism"] == "prior"
+        assert info["selection"] == "prior"
         d = np.linalg.norm(scene.node_pos - scene.speaker_pos, axis=1)
         expected = {i for i in range(6) if d[i] / d.max() < 0.6} or {int(np.argmin(d))}
         assert set(info["selected_indices"]) == expected
@@ -557,7 +557,7 @@ def test_selected_indices_are_the_utterances_own_channels():
     assert kept != list(range(len(kept)))
     x = np.random.default_rng(50).standard_normal((8, 4, 8))
     emb, info = embed_with_info(prior_model("gcn", "complete", seed=50), x, scene)
-    assert info == {"mechanism": "prior", "selected_indices": kept, "gates": None}
+    assert info == {"selection": "prior", "selected_indices": kept, "gates": None}
     _, keep, _ = _forward(prior_model("gcn", "complete", seed=50), [x[:3], x],
                           [scene.subset([0, 1, 2]), scene])
     assert np.flatnonzero(keep[1]).tolist() == kept and not keep[0, 3:].any()
@@ -979,6 +979,57 @@ class TestTraining:
         cfg = replace(MEAN, d=8, seed=15)
         model, _ = train_second_stage(dataset, cfg, TrainHyper(epochs=2))
         assert model.params.names() == ["head.w", "head.b"]
+
+
+class TestFinitenessChecks:
+    """A step checks the parameters its update wrote, and the forward pass its embeddings."""
+
+    def test_an_update_that_overflows_is_refused_naming_epoch_and_step(self):
+        # Features of order 100 give head.w a gradient over 1.8, so lr * v
+        # overflows in the first update.  The suite turns numpy's overflow
+        # warning into an error, so the typed error must come first.
+        dataset = [replace(u, features=FrameTensor(100.0 * u.features.data))
+                   for u in toy_dataset(per_speaker=4, c=2, t=3, d=8)]
+        with pytest.raises(dc.NonFiniteError,
+                           match=r"training diverged at epoch 0, step 0: .*'head\.w'"):
+            train_second_stage(dataset, replace(MEAN, d=8),
+                               TrainHyper(lr=1e308, epochs=1, batch_size=8))
+
+    def test_a_nan_embedding_is_refused_naming_epoch_and_step(self, monkeypatch):
+        init = Model.init.__func__
+
+        def poisoned(cls, cfg, n_speakers):
+            model = init(cls, cfg, n_speakers)
+            model.params["block0.spatial.wr"].data[0, 0] = np.nan
+            return model
+
+        monkeypatch.setattr(Model, "init", classmethod(poisoned))
+        cfg = ModelConfig(mechanism="gcn", n_blocks=1, heads=2, d=8, seed=17)
+        with pytest.raises(dc.NonFiniteError, match="training diverged at epoch 0, step 0: "
+                                                    "utterance 0 of the batch has a NaN"):
+            train_second_stage(toy_dataset(c=2, t=3, d=8), cfg, TrainHyper(epochs=1))
+
+    @pytest.mark.parametrize("n_blocks, mechanism, selection", [
+        (1, "gcn", "none"), (1, "gcn", "gpool"), (1, "gcn", "prior"),
+        (1, "sam", "none"), (1, "sam", "gpool"), (1, "sam", "prior"), (0, "gcn", "gpool"),
+    ], ids=["gcn-none", "gcn-gpool", "gcn-prior", "sam-none", "sam-gpool", "sam-prior",
+            "mean-gpool"])
+    def test_a_nan_parameter_makes_embed_and_evaluate_raise(self, n_blocks, mechanism, selection):
+        utts = ragged_utterances([(4, 5)] * 6, seed=62)
+        cfg = ModelConfig(mechanism=mechanism, n_blocks=n_blocks, heads=2, d=8,
+                          selection=SelectionConfig(kind=selection, rho=0.7), seed=62)
+        model, _ = train_second_stage(list(utts.values()), cfg, TrainHyper(epochs=1, batch_size=4))
+        trials = all_pair_trials(utts)
+        read = [p for p in model.params if not p.name.startswith("head.")]  # the head trains only
+        assert read
+        for p in read:
+            kept = p.data.flat[0]
+            p.data.flat[0] = np.nan
+            with pytest.raises(dc.NonFiniteError):
+                embed(model, utts["r0"].features, utts["r0"].scene)
+            with pytest.raises(dc.NonFiniteError):
+                evaluate(model, utts, trials)
+            p.data.flat[0] = kept
 
 
 class FakeLibc:
