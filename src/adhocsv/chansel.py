@@ -10,8 +10,9 @@ frames, which the caller computes, so nothing here sees a frame.
 that only pads an utterance: all its own channels without selection, all
 that are left for prior selection (the caller narrows each utterance to
 the geometry prior's mask, :func:`graphs.build_prior`, before the stack),
-and for gpool the top k of its own channels by the score q = zbar p / ||p||
-of one learned (D,) projection Parameter p.  ``gate`` is 1, except for
+and for gpool the ceil(C / 2) of its C own channels with the largest
+score q = zbar p / ||p|| of one learned (D,) projection Parameter p, so
+the budget follows each ad-hoc array's size.  ``gate`` is 1, except for
 gpool, which gates each channel by sigmoid(q).
 """
 
@@ -26,7 +27,6 @@ from .diffcore import Parameter, Tensor
 
 __all__ = [
     "DegenerateProjectionError",
-    "ChannelBudgetError",
     "init_gpool_params",
     "channel_scores",
     "gpool_weights",
@@ -36,10 +36,6 @@ __all__ = [
 
 class DegenerateProjectionError(ValueError):
     """The gpool projection vector has zero norm."""
-
-
-class ChannelBudgetError(ValueError):
-    """gpool is asked to keep more channels than an utterance has (or none)."""
 
 
 def init_gpool_params(d: int, rng: np.random.Generator, name: str = "gpool.p") -> Parameter:
@@ -70,26 +66,20 @@ def channel_scores(zbar, p: Parameter) -> Tensor:
     return dc.div(dc.sum_axis(dc.mul(zbar, p), -1), dc.l2_norm(p))
 
 
-def gpool_weights(zbar, p: Parameter, k: int | None, valid) -> tuple[np.ndarray, Tensor]:
+def gpool_weights(zbar, p: Parameter, valid) -> tuple[np.ndarray, Tensor]:
     """gpool's channel choice for a batch of frame means: keep (B, C) and gate (B, C).
 
     ``valid`` is a bool (B, C) array of each utterance's own channels; the
-    others pad it.  ``keep`` is True at each utterance's k own channels with
-    the largest scores, where k = ceil(C_i / 2) of its C_i own channels when
-    ``k`` is None; ties break toward the lower channel index, and a padded
-    channel is never kept.  ``gate`` is
+    others pad it.  ``keep`` is True at the ceil(C_i / 2) of utterance i's
+    C_i own channels with the largest scores; ties break toward the lower
+    channel index, and a padded channel is never kept.  ``gate`` is
     sigmoid(q) for every channel; :func:`weighted_pool` reads it only where
     ``keep`` is True.  Gradients flow through the gates; the choice itself
     is treated as constant (subgradient at ties).
     """
     q = channel_scores(zbar, p)
     b, c = q.shape
-    own = valid.sum(axis=1)
-    if k is not None and not 1 <= k <= own.min():
-        i = int(np.argmin(own))
-        raise ChannelBudgetError(
-            f"gpool keeps k={k} channels, but utterance {i} of the batch has C={own[i]}")
-    budget = -(-own // 2) if k is None else np.full(b, k)
+    budget = -(-valid.sum(axis=1) // 2)  # ceil(C_i / 2)
     # stable: ties keep the lower index first; padded channels rank last
     order = np.argsort(np.where(valid, -q.data, np.inf), axis=1, kind="stable")
     keep = np.zeros((b, c), dtype=bool)

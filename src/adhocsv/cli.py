@@ -9,15 +9,17 @@ of CONFIG and the array of SCENE, what :func:`trainer.channel_graph` gives
 its stack: ``channels``, the indices of the channels it reads (the prior's,
 or all of them: gpool picks after the stack, and ``eval --dump-selection``
 shows its choice), and ``spatial``, the graph among them; ``temporal`` is
-the frame graph over T frames.  A graph the model does not read
-(``model.n_blocks: 0``) or that was not asked for is null.
+the frame graph over T frames, T at most 4096.  A graph the model does
+not read (``model.n_blocks: 0``) or that was not asked for is null.
 
 Config keys: a top-level ``seed`` and sections ``model``, ``train`` and
 ``eval`` whose keys are the fields, with the defaults, of ModelConfig,
-TrainHyper and EvalSpec (``model.d`` defaults to ``sim.d``, and
-``train.channels`` subsamples training channels).  ``model.mechanism`` is
-``sam`` or ``gcn``; ``model.n_blocks: 0`` is the MEAN baseline, which
-pools the features without a stack and may still select channels.
+TrainHyper and EvalSpec, but ``model.d`` is ``sim.d`` and ``model.seed``
+the top-level seed (``train.channels`` subsamples training channels).
+``model.mechanism`` is ``sam`` or ``gcn``; ``model.n_blocks: 0`` is the
+MEAN baseline, which pools the features without a stack and may still
+select channels; gpool keeps the ceil(C / 2) of an array's C channels
+that it scores highest.
 ``model.selection.rho_noise`` is prior selection's noise threshold, and
 null (the default) means no noise test.
 ``sim`` keys name SimConfig fields, except the pairs ``snr_db`` and
@@ -41,7 +43,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .chansel import ChannelBudgetError, DegenerateProjectionError
+from .chansel import DegenerateProjectionError
 from .diffcore import NonFiniteError, ShapeError
 from .graphs import adjacency_to_json
 from .scenesim import (
@@ -184,10 +186,8 @@ def load_experiment_config(path, seed_override: int | None = None) -> Experiment
     sim = _read(SimConfig, sim_fields, "sim")
 
     model_doc = doc.get("model", {})
-    _check_keys(model_doc, {f.name for f in fields(ModelConfig)} - {"seed"}, "config.model")
-    model = _read(ModelConfig, {"d": sim.d, **model_doc, "seed": seed}, "model")
-    if model.d != sim.d:
-        raise ConfigError(f"model.d={model.d} must equal sim.d={sim.d}")
+    _check_keys(model_doc, {f.name for f in fields(ModelConfig)} - {"d", "seed"}, "config.model")
+    model = _read(ModelConfig, {**model_doc, "d": sim.d, "seed": seed}, "model")
 
     train_doc = doc.get("train", {})
     _check_keys(train_doc, {f.name for f in fields(TrainHyper)} | {"channels"}, "config.train")
@@ -434,10 +434,16 @@ def cmd_eval(args) -> int:
 # graph
 
 
+# graph prints T rows of T characters (16 MiB at 4096), built as T * T bools.
+MAX_GRAPH_FRAMES = 4096
+
+
 def cmd_graph(args) -> int:
     cfg = load_experiment_config(args.config, args.seed).model
     if args.scene is None:
         raise ConfigError("graph needs --scene")
+    if (args.frames or 0) > MAX_GRAPH_FRAMES:
+        raise ConfigError(f"--frames {args.frames} is over graph's {MAX_GRAPH_FRAMES} frames")
     try:
         scene = load_scene(args.scene)
     except FileNotFoundError as err:
@@ -540,8 +546,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (DataError, ProtocolError, DegenerateTaskError, MissingPriorError,
-            ChannelBudgetError, ShapeError) as err:
+    except (DataError, ProtocolError, DegenerateTaskError, MissingPriorError, ShapeError) as err:
         print(f"data error: {err}", file=sys.stderr)
         return 3
     except (NonFiniteError, DegenerateProjectionError, FloatingPointError) as err:

@@ -117,8 +117,7 @@ def _reset_unread(cfg, names) -> None:
 
 @dataclass(frozen=True)
 class SelectionConfig:
-    kind: str = "none"
-    k: int | None = None  # gpool channel budget; None means ceil(C / 2) per utterance
+    kind: str = "none"  # or "prior", or "gpool": the ceil(C / 2) channels it scores highest
     rho: float = 0.6
     rho_noise: float | None = None  # prior's noise threshold; None means no noise test
 
@@ -131,10 +130,8 @@ class SelectionConfig:
                 isinstance(self.rho_noise, bool) or not isinstance(self.rho_noise, (int, float))
                 or not 0.0 < self.rho_noise <= 1.0):
             raise ValueError(f"rho_noise must lie in (0, 1], got {self.rho_noise!r}")
-        if self.k is not None and (type(self.k) is not int or self.k < 1):
-            raise ValueError(f"gpool k must be a positive channel count, got {self.k!r}")
-        _reset_unread(self, {"none": {"k", "rho", "rho_noise"}, "gpool": {"rho", "rho_noise"},
-                             "prior": {"k"}}[self.kind])
+        if self.kind != "prior":
+            _reset_unread(self, {"rho", "rho_noise"})
 
 
 @dataclass(frozen=True)
@@ -241,9 +238,10 @@ def subsample_channels(utt: Utterance, k: int, rng: np.random.Generator) -> Utte
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 # 32 MiB is the ceiling glibc's own dynamic threshold can reach on 64-bit
 # systems.  It keeps every array of a paper-size step on the reusable heap
-# (the largest, the temporal pass's float neighbour mask at (8, 40, 100,
-# 100), is 25.6 MB), while a larger array is still mapped for itself and
-# returned to the system when it is freed.
+# (the largest, gcn's (8, C, 100, 64) float64 arrays of g's size over the
+# C <= 40 channels the prior keeps, are at most 16.4 MB; its masks are
+# (8, 1, 100, 100) and (8, 1, C, C)), while a larger array is still mapped
+# for itself and returned to the system when it is freed.
 _MMAP_THRESHOLD_BYTES = 32 << 20
 # 256 MiB holds the whole freed heap of a paper-size training step, so
 # the next step reuses it without a page fault; 128 MiB still left about
@@ -310,14 +308,15 @@ def channel_graph(cfg: ModelConfig, scene: Scene | None, n_channels: int):
     return kept, full.take(kept, 0).take(kept, 1)  # take: a fraction of fancy indexing's cost
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the embedding check below refuses the result
 def _forward(model: Model, feats, scenes: list[Scene | None]):
     """Differentiable embeddings of a batch of utterances of any channel and frame counts.
 
     ``feats`` holds one (C_i, T_i, D) frame array per utterance and ``scenes``
     one scene (or None) each.  A bool (B, C) array ``keep`` states which of
     its own channels each utterance uses: all of them, the prior's mask
-    (known before the stack), or gpool's top k (picked from the frame means
-    after it).
+    (known before the stack), or the ceil(C_i / 2) of its C_i own channels
+    that gpool scores highest (picked from the frame means after it).
 
     Each utterance brings to the stack the channels, and their spatial
     graph, that :func:`channel_graph` gives it, so no kernel reads a channel
@@ -375,7 +374,7 @@ def _forward(model: Model, feats, scenes: list[Scene | None]):
     if sel.kind != "gpool":
         embs, gates = weighted_pool(zbar, rows, 1.0), None
     else:
-        keep, gate = gpool_weights(zbar, model.gpool, sel.k, keep)
+        keep, gate = gpool_weights(zbar, model.gpool, keep)
         embs, gates = weighted_pool(zbar, keep, gate), gate.data
     bad = np.flatnonzero(~np.isfinite(embs.data).all(axis=1))
     if bad.size:
@@ -457,12 +456,12 @@ def train_second_stage(dataset: list[Utterance], cfg: ModelConfig,
             try:
                 embs, _, _ = _forward(model, [u.features.data for u in batch],
                                       [u.scene for u in batch])
-                logits = dc.add(dc.matmul(embs, model.head_w), model.head_b)
                 labels = np.array([label_of[u.speaker] for u in batch])
-                loss = dc.softmax_cross_entropy(logits, labels)
-                loss.backward()
-                # An update that overflows is refused just below, by name.
+                # A step that overflows is refused just below, by name.
                 with np.errstate(over="ignore", invalid="ignore"):
+                    logits = dc.add(dc.matmul(embs, model.head_w), model.head_b)
+                    loss = dc.softmax_cross_entropy(logits, labels)
+                    loss.backward()
                     for p in model.params:
                         v = velocity[p.name]
                         v *= hyper.momentum
@@ -547,16 +546,17 @@ class EvalReport:
     scores: tuple[float, ...]
 
 
-# Upper bound on the padded mask entries B * C * T * (T + C) of one
-# evaluation batch, where C and T are its largest channel and frame counts:
-# :func:`_forward` pads every utterance of the batch to them.  C counts each
-# utterance's own channels, an upper bound on the kept channels that prior
-# selection narrows it to before the stack.  The temporal
-# pass masks B * C * T * T entries and the spatial pass B * T * C * C;
-# counting only the temporal ones would let batches of many-channel, short
-# utterances grow without bound in the spatial pass.  Evaluation records
-# no graph (:func:`_constants`), so each op's arrays are freed once the next
-# op has read them, and the budget bounds the size of the largest of them.
+# Upper bound on B * C * T * (T + C) for one evaluation batch, where C and T
+# are its largest channel and frame counts: :func:`_forward` pads every
+# utterance of the batch to them.  C counts each utterance's own channels,
+# an upper bound on the kept channels that prior selection narrows it to
+# before the stack.  sam's temporal and spatial passes hold (B, C, H, T, T)
+# and (B, T, H, C, C) attention arrays, H times the two terms; gcn holds
+# none, and its largest arrays, (B, C, T, D), are D / (T + C) times the
+# bound.  Counting only the temporal term would let batches of
+# many-channel, short utterances grow without bound in the spatial pass.
+# Evaluation records no graph (:func:`_constants`), so each op's arrays are
+# freed once the next op has read them.
 # Measured on the verify-ragged inputs (400 arrays of 4-16 channels and
 # 10-40 frames, batches mixing channel counts, seed 7) with its trained
 # gcn + gpool model, one BLAS thread on a 2-core x86_64 machine, under the

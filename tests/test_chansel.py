@@ -5,7 +5,6 @@ import pytest
 
 from adhocsv import diffcore as dc
 from adhocsv.chansel import (
-    ChannelBudgetError,
     DegenerateProjectionError,
     channel_scores,
     gpool_weights,
@@ -24,10 +23,15 @@ def all_own(z):
     return np.ones(np.shape(z)[:2], dtype=bool)
 
 
-def gpool_one(zbar, params, k):
+def half(c):
+    """gpool's budget for an array of ``c`` channels: ceil(c / 2)."""
+    return -(-c // 2)
+
+
+def gpool_one(zbar, params):
     """gpool on one utterance's (C, D) frame means: selected indices, their gates, the embedding."""
     zbar = Tensor(np.asarray(zbar, dtype=float)[None])
-    keep, gate = gpool_weights(zbar, params, k, all_own(zbar))
+    keep, gate = gpool_weights(zbar, params, all_own(zbar))
     idx = np.flatnonzero(keep[0])
     return idx, gate.data[0, idx], weighted_pool(zbar, keep, gate).data[0]
 
@@ -44,10 +48,10 @@ def pool_one(zbar, selected=None):
 
 class TestGPool:
     def test_hand_evaluated_gates(self):
-        # p = [1, 0]; rows score 3, 1, 2; k = 2 keeps channels 0 and 2,
-        # gated to 3*sigmoid(3) and 2*sigmoid(2) and averaged.
+        # p = [1, 0]; rows score 3, 1, 2; ceil(3 / 2) = 2 keeps channels 0
+        # and 2, gated to 3*sigmoid(3) and 2*sigmoid(2) and averaged.
         z = np.array([[3.0, 0.0], [1.0, 0.0], [2.0, 0.0]])  # (C=3, D=2)
-        idx, gates, emb = gpool_one(z, gp([1.0, 0.0]), k=2)
+        idx, gates, emb = gpool_one(z, gp([1.0, 0.0]))
         assert idx.tolist() == [0, 2]
         assert abs(3.0 * gates[0] - 2.857722) < 1e-6
         assert abs(2.0 * gates[1] - 1.761594) < 1e-6
@@ -55,27 +59,27 @@ class TestGPool:
         assert emb[1] == 0.0
 
     def test_k_one_keeps_unique_max(self):
-        z = np.array([[0.0], [5.0], [1.0]])
-        idx, _, _ = gpool_one(z, gp([1.0]), k=1)
+        z = np.array([[0.0], [5.0]])  # ceil(2 / 2) = 1
+        idx, _, _ = gpool_one(z, gp([1.0]))
         assert idx.tolist() == [1]
 
     def test_tie_breaks_to_lower_index(self):
-        z = np.array([[2.0], [1.0], [2.0]])  # channels 0 and 2 tie
-        idx, _, _ = gpool_one(z, gp([1.0]), k=1)
-        assert idx.tolist() == [0]
+        z = np.array([[2.0], [3.0], [2.0]])  # channels 0 and 2 tie for the second place
+        idx, _, _ = gpool_one(z, gp([1.0]))
+        assert idx.tolist() == [0, 1]
 
     def test_identical_channels_keep_the_first_k(self):
         # Identical channels must score exactly equal, wherever they sit in the
-        # batch, so that the tie rule alone picks the first k.  A BLAS
-        # matrix-vector product can round equal rows differently by their
-        # position (three identical channels, k = 2, kept [0, 2]).
+        # batch, so that the tie rule alone picks the first k = ceil(C / 2).
+        # A BLAS matrix-vector product can round equal rows differently by
+        # their position (three identical channels, k = 2, kept [0, 2]).
         rng = np.random.default_rng(12)
         for _ in range(200):
             c, d = int(rng.integers(2, 17)), int(rng.integers(1, 33))
-            k = int(rng.integers(1, c + 1))
+            k = half(c)
             rows = rng.standard_normal((2, 1, d))
             z = np.repeat(rows, c, axis=1)  # two utterances, each with c identical channels
-            keep, gate = gpool_weights(Tensor(z), gp(rng.standard_normal(d)), k, all_own(z))
+            keep, gate = gpool_weights(Tensor(z), gp(rng.standard_normal(d)), all_own(z))
             assert keep.tolist() == [[1.0] * k + [0.0] * (c - k)] * 2
             assert np.all(gate.data == gate.data[:, :1])
 
@@ -99,9 +103,9 @@ class TestGPool:
         rng = np.random.default_rng(1)
         z = rng.standard_normal((6, 5))
         base = rng.standard_normal(5)
-        reference, _, _ = gpool_one(z, gp(base), k=3)
+        reference, _, _ = gpool_one(z, gp(base))  # keeps ceil(6 / 2) = 3
         for c in (0.5, 2.0, 173.25):
-            scaled, _, _ = gpool_one(z, gp(c * base), k=3)
+            scaled, _, _ = gpool_one(z, gp(c * base))
             assert np.array_equal(scaled, reference)
             order_ref = np.argsort(channel_scores(Tensor(z[None]), gp(base)).data[0],
                                    kind="stable")
@@ -112,26 +116,25 @@ class TestGPool:
     def test_gates_strictly_attenuate(self):
         rng = np.random.default_rng(2)
         z = rng.standard_normal((5, 4))
-        idx, gates, emb = gpool_one(z, gp(rng.standard_normal(4)), k=3)
+        idx, gates, emb = gpool_one(z, gp(rng.standard_normal(4)))  # keeps 3 of 5
         assert np.all(gates > 0.0) and np.all(gates < 1.0)
         assert np.allclose(emb, (z[idx] * gates[:, None]).mean(axis=0), atol=1e-12)
 
     def test_matches_full_sort_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
-            c = int(rng.integers(2, 9))
+            c = int(rng.integers(1, 17))
             z = rng.standard_normal((c, 6))
             p = rng.standard_normal(6)
-            k = int(rng.integers(1, c + 1))
-            idx, _, _ = gpool_one(z, gp(p), k=k)
+            idx, _, _ = gpool_one(z, gp(p))
             q = z @ (p / np.linalg.norm(p))
-            oracle = sorted(sorted(range(c), key=lambda i: (-q[i], i))[:k])
+            oracle = sorted(sorted(range(c), key=lambda i: (-q[i], i))[:half(c)])
             assert idx.tolist() == oracle
 
     def test_zero_projection_rejected(self):
         z = np.zeros((2, 3))
         with pytest.raises(DegenerateProjectionError):
-            gpool_one(z, gp([0.0, 0.0, 0.0]), k=1)
+            gpool_one(z, gp([0.0, 0.0, 0.0]))
 
     def test_non_vector_projection_rejected(self):
         z = Tensor(np.zeros((1, 2, 3)))
@@ -139,38 +142,36 @@ class TestGPool:
             with pytest.raises(dc.ShapeError, match="vector"):
                 channel_scores(z, gp(bad))
             with pytest.raises(dc.ShapeError, match="vector"):
-                gpool_weights(z, gp(bad), 1, all_own(z))
-
-    def test_k_out_of_range(self):
-        z = np.zeros((2, 3))
-        params = gp([1.0, 0.0, 0.0])
-        for bad in (0, 3):
-            with pytest.raises(ValueError):
-                gpool_one(z, params, k=bad)
+                gpool_weights(z, gp(bad), all_own(z))
 
     def test_padded_channels_never_kept(self):
         # Rows of 4, 2 and 1 own channels; the padding scores highest.  The
-        # default budget is ceil(C_i / 2) of each row's own channels.
+        # budget is ceil(C_i / 2) of each row's own channels.
         z = np.array([[[1.0], [3.0], [2.0], [0.0]], [[1.0], [2.0], [9.0], [9.0]],
                       [[-1.0], [9.0], [9.0], [9.0]]])
         valid = np.arange(4) < np.array([[4], [2], [1]])
-        keep, _ = gpool_weights(Tensor(z), gp([1.0]), None, valid)
+        keep, _ = gpool_weights(Tensor(z), gp([1.0]), valid)
         assert keep.tolist() == [[False, True, True, False], [False, True, False, False],
                                  [True, False, False, False]]
-        keep, _ = gpool_weights(Tensor(z), gp([1.0]), 1, valid)
-        assert keep.tolist() == [[False, True, False, False], [False, True, False, False],
-                                 [True, False, False, False]]
-        with pytest.raises(ChannelBudgetError, match=r"k=2 .* utterance 2 .* C=1"):
-            gpool_weights(Tensor(z), gp([1.0]), 2, valid)
 
-    def test_k_over_channel_count_names_both(self):
-        z = Tensor(np.zeros((3, 2, 3)))
-        with pytest.raises(ChannelBudgetError, match=r"k=4 .* C=2"):
-            gpool_weights(z, gp([1.0, 0.0, 0.0]), 4, all_own(z))
+    def test_padded_batch_keeps_half_of_each_array(self):
+        # One batch of arrays of 1 to 16 channels, padded to 16; the padding
+        # scores above every own channel.
+        rng = np.random.default_rng(15)
+        own = rng.permutation(np.arange(1, 17))
+        valid = np.arange(16) < own[:, None]
+        z = np.where(valid[..., None], -1.0 - rng.random((16, 16, 3)), 5.0)
+        p = gp([1.0, 0.5, 0.25])
+        keep, _ = gpool_weights(Tensor(z), p, valid)
+        q = channel_scores(Tensor(z), p).data
+        for i, c in enumerate(own):
+            assert not keep[i, c:].any()
+            oracle = sorted(sorted(range(c), key=lambda j: (-q[i, j], j))[:half(c)])
+            assert np.flatnonzero(keep[i]).tolist() == oracle
 
     def test_gradients_at_stable_topk(self):
         rng = np.random.default_rng(4)
-        c, d, k = 4, 4, 2
+        c, d, k = 4, 4, 2  # k = ceil(c / 2), the channels gpool keeps
         while True:
             z = rng.standard_normal((c, d))
             p = rng.standard_normal(d)
@@ -181,7 +182,7 @@ class TestGPool:
         params = gp(p)
 
         def fn(zt, pt):
-            keep, gate = gpool_weights(zt, params, k, all_own(zt))
+            keep, gate = gpool_weights(zt, params, all_own(zt))
             return weighted_pool(zt, keep, gate)
 
         err = vjp_check(fn, [z[None], params], rng=rng)
@@ -190,7 +191,7 @@ class TestGPool:
     def test_batched_gradients_at_stable_topk(self):
         # Two utterances scored, chosen and pooled in one batch.
         rng = np.random.default_rng(14)
-        b, c, d, k = 2, 4, 4, 2
+        b, c, d, k = 2, 4, 4, 2  # k = ceil(c / 2)
         while True:
             z = rng.standard_normal((b, c, d))
             p = rng.standard_normal(d)
@@ -203,7 +204,7 @@ class TestGPool:
         params = gp(p)
 
         def fn(zt, pt):
-            keep, gate = gpool_weights(zt, params, k, all_own(zt))
+            keep, gate = gpool_weights(zt, params, all_own(zt))
             return weighted_pool(zt, keep, gate)
 
         err = vjp_check(fn, [z, params], rng=rng)

@@ -230,11 +230,12 @@ class TestConfigErrors:
         (("seed",), "x", "config.seed"),
         (("model",), [1, 2], "config.model must be an object"),
         (("model", "selection"), "gpool", "config.model.selection must be an object"),
-        (("model", "selection", "k"), 2.5, "gpool k must be a positive channel count, got 2.5"),
+        # gpool's fixed budget k is a removed setting, whatever its value.
+        (("model", "selection", "k"), 2.5, "unknown keys in config.model.selection: ['k']"),
         (("sim", "room"), "big", "config.sim.room must be an object"),
         (("sim", "n_train"), "x", "config.sim.n_train"),
         # Keys of removed settings, the orientation prior and the noise switch
-        # (t60_bool below is another).
+        # (t60_bool and gpool_k_bool below are others).
         (("model", "selection", "orientation"), "false",
          "unknown keys in config.model.selection: ['orientation']"),
         (("model", "selection", "noise"), "no",
@@ -249,7 +250,7 @@ class TestConfigErrors:
         (("sim", "n_test"), 2.9, "config.sim.n_test"),
         (("train", "lr"), True, "config.train.lr"),
         (("sim", "t60"), [True, 0.5], "unknown keys in config.sim: ['t60']"),  # removed
-        (("model", "selection", "k"), True, "gpool k must be a positive channel count, got True"),
+        (("model", "selection", "k"), True, "unknown keys in config.model.selection: ['k']"),
         (("train", "channels"), True, "config.train.channels"),
         (("train", "lr"), float("nan"), "config.train.lr"),
         (("sim", "snr_db"), [float("nan"), 5.0], "config.sim.snr_db.low"),
@@ -266,9 +267,10 @@ class TestConfigErrors:
         (("train", "momentum"), -0.5, "momentum=-0.5 must lie in [0, 1)"),
     ], ids=["epochs_zero", "batch_size_zero", "lr_string", "train_channels_zero",
             "train_channels_string", "eval_channels_zero", "eval_channels_string", "heads_zero",
-            "n_blocks_negative", "mechanism_mean", "seed_string", "model_list", "selection_string", "gpool_k_fraction",
-            "room_string", "n_train_string", "orientation_string", "noise_string",
-            "noise_source_string", "shared_scene_string", "heads_fraction", "heads_bool",
+            "n_blocks_negative", "mechanism_mean", "seed_string", "model_list", "selection_string",
+            "gpool_k_fraction", "room_string", "n_train_string", "orientation_string",
+            "noise_string", "noise_source_string", "shared_scene_string", "heads_fraction",
+            "heads_bool",
             "seed_fraction", "n_train_bool", "n_test_fraction", "lr_bool", "t60_bool",
             "gpool_k_bool", "train_channels_bool", "lr_nan", "snr_db_nan",
             "seed_negative", "snr_db_bool", "rho_noise_over_one", "rho_noise_bool",
@@ -317,11 +319,12 @@ class TestConfigErrors:
                      "--channels", "0", "--quiet"]) == 2
         assert "--channels" in capsys.readouterr().err
 
-    # Keys outside the dataclass fields, the model seed (set by the top-level
-    # seed) and settings the model no longer implements are all refused.
+    # Keys outside the dataclass fields, the model seed and width (set by the
+    # top-level seed and sim.d) and settings the model no longer implements
+    # are all refused.
     @pytest.mark.parametrize("path", [
         ("sim", "typo"), ("sim", "room", "typo"), ("sim", "seed"), ("model", "typo"),
-        ("model", "seed"), ("model", "warm_start"), ("model", "leaky_slope"),
+        ("model", "seed"), ("model", "d"), ("model", "warm_start"), ("model", "leaky_slope"),
         ("model", "selection", "pool_all"),
         ("model", "selection", "typo"), ("model", "temporal_graph", "typo"),
         ("train", "typo"), ("eval", "typo"),
@@ -508,27 +511,6 @@ class TestTrainEval:
                          "--channels", "9", "--quiet"])
         assert too_many == 3
 
-    def test_gpool_budget_over_channel_count_is_data_error(self, tmp_path, dataset, capsys):
-        cfg = json.loads(json.dumps(TINY_CONFIG))
-        cfg["model"]["selection"] = {"kind": "gpool", "k": 4}
-        config = tmp_path / "gpool.json"
-        config.write_text(json.dumps(cfg))
-        run = tmp_path / "run"
-        assert main(["train", "--config", str(config), "--data", dataset,
-                     "--out", str(run), "--quiet"]) == 0
-        capsys.readouterr()
-        assert main(["eval", "--config", str(config), "--ckpt", str(run / "model.ckpt"),
-                     "--data", dataset, "--out", str(tmp_path / "e"), "--channels", "2",
-                     "--quiet"]) == 3
-        err = capsys.readouterr().err
-        assert "k=4" in err and "C=2" in err and "Traceback" not in err
-        cfg["model"]["selection"]["k"] = 9  # the scenes have 4 nodes
-        config.write_text(json.dumps(cfg))
-        assert main(["train", "--config", str(config), "--data", dataset,
-                     "--out", str(tmp_path / "run9"), "--quiet"]) == 3
-        err = capsys.readouterr().err
-        assert "k=9" in err and "C=4" in err
-
     def test_knn_model_evaluates_fewer_channels_than_k(self, tmp_path, dataset, capsys):
         cfg = json.loads(json.dumps(TINY_CONFIG))
         cfg["model"]["spatial_graph"] = {"kind": "knn", "k": 4}  # the scenes have 4 nodes
@@ -586,8 +568,10 @@ class TestTrainEval:
         assert ("data error: node 0: utterance" in err) == per_node
 
     def test_eval_per_node_with_gpool_budget_above_one(self, tmp_path, dataset):
+        # gpool keeps 2 of the 4 channels of a whole array, and the one
+        # channel of each per-node copy.
         cfg = json.loads(json.dumps(TINY_CONFIG))
-        cfg["model"]["selection"] = {"kind": "gpool", "k": 2}
+        cfg["model"]["selection"] = {"kind": "gpool"}
         config = tmp_path / "gpool.json"
         config.write_text(json.dumps(cfg))
         run = tmp_path / "run"
@@ -644,13 +628,16 @@ class TestTrainEval:
         run = tmp_path / "run"
         main(["train", "--config", config_path, "--data", dataset, "--out", str(run), "--quiet"])
         model = load_model(run / "model.ckpt")
-        config = model_config_to_json(model.cfg)
-        config["selection"]["pool_all"] = True
-        save_checkpoint(run / "model.ckpt", model.params,
-                        meta={"config": config, "n_speakers": model.n_speakers})
-        assert main(["eval", "--config", config_path, "--ckpt", str(run / "model.ckpt"),
-                     "--data", dataset, "--out", str(tmp_path / "e"), "--quiet"]) == 3
-        assert "pool_all" in capsys.readouterr().err
+        # pool_all, and gpool's fixed budget k, which older checkpoints hold as null.
+        for key, value in (("pool_all", True), ("k", None)):
+            config = model_config_to_json(model.cfg)
+            config["selection"][key] = value
+            save_checkpoint(run / "model.ckpt", model.params,
+                            meta={"config": config, "n_speakers": model.n_speakers})
+            capsys.readouterr()
+            assert main(["eval", "--config", config_path, "--ckpt", str(run / "model.ckpt"),
+                         "--data", dataset, "--out", str(tmp_path / "e"), "--quiet"]) == 3
+            assert f"unknown keys in config.selection: [{key!r}]" in capsys.readouterr().err
 
     def test_resume_ignores_settings_a_mean_model_never_reads(self, tmp_path, dataset):
         cfg = json.loads(json.dumps(TINY_CONFIG))
@@ -959,6 +946,18 @@ class TestGraphCommand:
         else:
             assert json.loads(captured.out)["spatial"] == {"n": 1, "rows": ["1"]}
 
+    def test_frames_over_the_bound_exit_2_before_building_a_graph(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # 10**6 frames would ask for a 931 GiB graph.
+        def refuse(*args):
+            raise AssertionError("built a graph")
+
+        monkeypatch.setattr(cli, "build_graph", refuse)
+        assert main(["graph", "--config", graph_config(tmp_path), "--scene",
+                     line_scene_file(tmp_path, [1.0]), "--frames", "1000000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --frames 1000000") and "4096" in err
+
     # Every selection kind on complete and knn spatial graphs, for each
     # mechanism and for MEAN: graph prints exactly the channels whose frames
     # the stack reads, and the graphs it reads them with.
@@ -1078,6 +1077,25 @@ class TestClosedStdout:
         finally:
             os.close(write_end)
         assert (result.returncode, result.stderr) == (141, "")
+
+
+def test_training_that_overflows_exits_4_without_a_warning(tmp_path, capsys):
+    # At SNR -40 dB and lr 1e50 the step-1 backward through gcn's kernel
+    # overflows.  The suite turns numpy's RuntimeWarning into an error, so
+    # the typed error must be what ends the run.
+    cfg = {"seed": 1,
+           "sim": {"n_nodes": 8, "t": 20, "d": 8, "n_speakers": 4, "n_train": 16, "n_test": 8,
+                   "snr_db": [-40, -40]},
+           "model": {"mechanism": "gcn", "n_blocks": 2, "heads": 2},
+           "train": {"epochs": 3, "batch_size": 8, "lr": 1e50}}
+    config, data, run = tmp_path / "config.json", tmp_path / "data", tmp_path / "run"
+    config.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(config), "--out", str(data), "--quiet"]) == 0
+    assert main(["train", "--config", str(config), "--data", str(data), "--out", str(run),
+                 "--quiet"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: training diverged at epoch 0, step 1:")
+    assert not (run / "model.ckpt").exists()
 
 
 def test_missing_config_is_config_error(tmp_path):

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from adhocsv import diffcore as dc
 from adhocsv import trainer
-from adhocsv.chansel import ChannelBudgetError
 from adhocsv.diffcore import Parameter, ParamSet, Tensor
 from adhocsv.graphs import build_prior
 from adhocsv.scenesim import FrameTensor, SimConfig, make_codebook, sample_scene, synth_features
@@ -291,16 +290,6 @@ class TestEmbed:
         _, info = embed_with_info(model, FrameTensor(x))
         assert len(info["selected_indices"]) == 3  # ceil(5 / 2)
         assert info["gates"] is not None and len(info["gates"]) == 3
-
-    def test_gpool_budget_over_channel_count_rejected(self):
-        cfg = ModelConfig(mechanism="gcn", n_blocks=1, heads=2, d=8,
-                          selection=SelectionConfig(kind="gpool", k=4), seed=9)
-        model = Model.init(cfg, n_speakers=2)
-        with pytest.raises(ChannelBudgetError, match=r"k=4 .* C=2"):
-            embed(model, FrameTensor(np.zeros((2, 3, 8))))
-        data = toy_dataset(c=3, d=8)
-        with pytest.raises(ChannelBudgetError, match=r"k=4 .* C=3"):
-            train_second_stage(data, cfg, TrainHyper(epochs=1))
 
     def test_mean_mechanism_and_negative_blocks_rejected(self):
         with pytest.raises(ValueError, match="unknown mechanism 'mean'"):
@@ -775,10 +764,6 @@ def test_gpool_never_keeps_a_padded_channel():
         assert not keep[i, c:].any()
         assert keep[i].sum() == -(-c // 2)
         assert np.array_equal(keep[i, :c], forward_alone(model, f, None)[1])
-    short = Model.init(replace(MEAN, d=2, selection=SelectionConfig(kind="gpool", k=2)),
-                       n_speakers=2)
-    with pytest.raises(ChannelBudgetError, match=r"k=2 .* utterance 4 .* C=1"):
-        _forward(short, feats, [None] * len(feats))
 
 
 class TestBatchedEvaluate:
@@ -1289,6 +1274,7 @@ class TestModelIO:
         (None, "head", "cosine"), (None, "head_scale", 30.0), (None, "warm_start", True),
         (None, "leaky_slope", 0.1),
         ("selection", "pool_all", True), ("selection", "orientation", True),
+        ("selection", "k", None), ("selection", "k", 2),
     ])
     def test_removed_setting_rejected(self, tmp_path, section, key, value):
         model = Model.init(ModelConfig(mechanism="gcn", n_blocks=1, heads=2, d=8), n_speakers=2)
@@ -1302,8 +1288,8 @@ class TestModelIO:
 
     @pytest.mark.parametrize("selection", [
         SelectionConfig(), SelectionConfig(kind="prior", rho=0.5, rho_noise=0.2),
-        SelectionConfig(kind="gpool"), SelectionConfig(kind="gpool", k=3),
-    ], ids=["none", "prior", "gpool", "gpool_k3"])
+        SelectionConfig(kind="gpool"),
+    ], ids=["none", "prior", "gpool"])
     @pytest.mark.parametrize("spatial", [GraphSpec(), GraphSpec("knn", k=3)],
                              ids=lambda g: g.kind)
     def test_config_json_round_trip(self, selection, spatial):
@@ -1319,7 +1305,7 @@ class TestModelIO:
                           spatial_graph=GraphSpec("knn", k=3), seed=5)
         expected = {
             "mechanism": "sam", "n_blocks": 3, "heads": 2, "d": 8,
-            "selection": {"kind": "prior", "k": None, "rho": 0.5, "rho_noise": 0.3},
+            "selection": {"kind": "prior", "rho": 0.5, "rho_noise": 0.3},
             "temporal_graph": {"kind": "span", "delta": 2, "k": 4},
             "spatial_graph": {"kind": "knn", "delta": 1, "k": 3},
             "seed": 5,
@@ -1333,13 +1319,12 @@ class TestModelIO:
         (ModelConfig(n_blocks=0), ModelConfig(n_blocks=0, temporal_graph=GraphSpec("span"),
                                               spatial_graph=GraphSpec("knn", k=2))),
         (SelectionConfig(kind="none", rho=0.3), SelectionConfig(rho_noise=0.3)),
-        (SelectionConfig(kind="gpool", k=2), SelectionConfig(kind="gpool", k=2, rho_noise=0.5)),
-        (SelectionConfig(kind="prior"), SelectionConfig(kind="prior", k=3)),
+        (SelectionConfig(kind="gpool"), SelectionConfig(kind="gpool", rho_noise=0.5)),
         (GraphSpec("complete", delta=3), GraphSpec()),
         (GraphSpec("span", delta=2), GraphSpec("span", delta=2, k=1)),
         (GraphSpec("knn", k=2), GraphSpec("knn", delta=0, k=2)),
-    ], ids=["mean_mechanism", "mean_graphs", "none_rho", "gpool_noise", "prior_k",
-            "complete_delta", "span_k", "knn_delta"])
+    ], ids=["mean_mechanism", "mean_graphs", "none_rho", "gpool_noise", "complete_delta",
+            "span_k", "knn_delta"])
     def test_unread_settings_do_not_change_equality(self, config, same):
         assert config == same and hash(config) == hash(same)
 
@@ -1348,10 +1333,9 @@ class TestModelIO:
         (SelectionConfig(kind="prior"), SelectionConfig(kind="prior", rho=0.3)),
         (SelectionConfig(kind="prior", rho_noise=0.2), SelectionConfig(kind="prior",
                                                                        rho_noise=0.5)),
-        (SelectionConfig(kind="gpool"), SelectionConfig(kind="gpool", k=2)),
         (GraphSpec("span"), GraphSpec("span", delta=3)),
         (GraphSpec("knn"), GraphSpec("knn", k=2)),
-    ], ids=["mechanism", "prior_rho", "prior_rho_noise", "gpool_k", "span_delta", "knn_k"])
+    ], ids=["mechanism", "prior_rho", "prior_rho_noise", "span_delta", "knn_k"])
     def test_read_settings_change_equality(self, config, other):
         assert config != other
 
@@ -1372,7 +1356,7 @@ class TestModelIO:
 
     def test_gpool_params_round_trip(self, tmp_path):
         cfg = ModelConfig(mechanism="gcn", n_blocks=1, heads=2, d=8,
-                          selection=SelectionConfig(kind="gpool", k=2), seed=23)
+                          selection=SelectionConfig(kind="gpool"), seed=23)
         model = Model.init(cfg, n_speakers=2)
         path = tmp_path / "model.ckpt"
         save_model(path, model)
@@ -1422,21 +1406,16 @@ class TestChannelOps:
             assert 0.0 <= r["eer"] <= 1.0
             assert np.isfinite(r["distance"])
 
-    @pytest.mark.parametrize("selection", [{"kind": "none"}, {"kind": "prior"},
-                                           {"kind": "gpool"}, {"kind": "gpool", "k": 2}],
-                             ids=["none", "prior", "gpool", "gpool_k2"])
-    def test_per_node_scores_each_channel_without_selection(self, selection):
-        # The reference evaluates single-channel copies with the model itself,
-        # or for k = 2, which a single channel cannot meet, with the same
-        # parameters and k unset, which keeps and gates the one channel.
+    @pytest.mark.parametrize("kind", ["none", "prior", "gpool"])
+    def test_per_node_scores_each_channel_without_selection(self, kind):
+        # The reference evaluates single-channel copies with the model itself.
+        # gpool keeps 2 of a whole array's 3 channels, and the one channel of
+        # each copy, which its gate only scales.
         utts = ragged_utterances([(3, t) for t in (1, 4, 9, 9, 2, 6)], seed=39)
         trials = all_pair_trials(utts)
         cfg = ModelConfig(mechanism="gcn", n_blocks=1, heads=2, d=8,
-                          selection=SelectionConfig(**selection), seed=39)
+                          selection=SelectionConfig(kind=kind), seed=39)
         model = Model.init(cfg, n_speakers=3)
-        reference = Model.init(ModelConfig(mechanism="gcn", n_blocks=1, heads=2, d=8,
-                                           selection=SelectionConfig(kind=selection["kind"]),
-                                           seed=39), n_speakers=3)
         rows = eval_per_node(model, utts, trials)
         assert [r["node"] for r in rows] == [0, 1, 2]
         for node, row in enumerate(rows):
@@ -1444,7 +1423,7 @@ class TestChannelOps:
                                 u.scene.subset([node])) for k, u in utts.items()}
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # prior fallbacks on one channel
-                assert row["eer"] == evaluate(reference, sub, trials).eer
+                assert row["eer"] == evaluate(model, sub, trials).eer
 
     def test_per_node_error_names_its_node(self):
         # Channel 1 of every array is zero, so only its single-channel pass
