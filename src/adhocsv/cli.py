@@ -103,6 +103,10 @@ class EvalSpec:
 
     def __post_init__(self):
         _check_budget(self.channels, "config.eval.channels")
+        for name in ("n_target", "n_nontarget"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"config.eval.{name} must be nonnegative, "
+                                  f"got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

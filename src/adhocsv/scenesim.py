@@ -87,11 +87,10 @@ class Scene:
             object.__setattr__(self, "noise_pos", np.asarray(self.noise_pos, dtype=np.float64))
         if self.node_pos.ndim != 2 or self.node_pos.shape[1] != 3 or self.node_pos.shape[0] < 1:
             raise ValueError("node positions must be a nonempty (C, 3) array")
-        bounds = np.asarray(self.room, dtype=np.float64)
-        points = [self.speaker_pos] + ([self.noise_pos] if self.noise_pos is not None else [])
-        for p in points + [row for row in self.node_pos]:
-            if not (np.all(p > 0.0) and np.all(p < bounds)):
-                raise ValueError("all positions must lie strictly inside the room")
+        sources = [self.speaker_pos] + ([self.noise_pos] if self.noise_pos is not None else [])
+        points = np.vstack(sources + [self.node_pos])
+        if not ((points > 0.0) & (points < np.asarray(self.room, dtype=np.float64))).all():
+            raise ValueError("all positions must lie strictly inside the room")
 
     @property
     def n_nodes(self) -> int:
@@ -133,20 +132,22 @@ class SimConfig:
             raise ValueError("counts must be positive")
 
 
-def _uniform_point(rng: np.random.Generator, room: np.ndarray) -> np.ndarray:
-    return rng.uniform(WALL_MARGIN, room - WALL_MARGIN)
-
-
 def sample_scene(rng: np.random.Generator, cfg: SimConfig) -> Scene:
-    """Draw room dims, sources and node placements uniformly from cfg ranges."""
+    """Draw room dims, sources and node placements uniformly from cfg ranges.
+
+    The draws come in a fixed order: width, length, height, the speaker's
+    x, y, z, the noise source's (when ``cfg.with_noise_source``), every
+    node's x, y, z in one array draw, node by node, then the SNR.  Each
+    point lies at least ``WALL_MARGIN`` from every wall.
+    """
     room = np.array([
         rng.uniform(*cfg.width_range),
         rng.uniform(*cfg.length_range),
         rng.uniform(*cfg.height_range),
     ])
-    speaker = _uniform_point(rng, room)
-    noise = _uniform_point(rng, room) if cfg.with_noise_source else None
-    nodes = np.stack([_uniform_point(rng, room) for _ in range(cfg.n_nodes)])
+    speaker = rng.uniform(WALL_MARGIN, room - WALL_MARGIN)
+    noise = rng.uniform(WALL_MARGIN, room - WALL_MARGIN) if cfg.with_noise_source else None
+    nodes = rng.uniform(WALL_MARGIN, room - WALL_MARGIN, size=(cfg.n_nodes, 3))
     snr = rng.uniform(*cfg.snr_range_db)
     return Scene(
         room=(float(room[0]), float(room[1]), float(room[2])),

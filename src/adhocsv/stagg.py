@@ -280,9 +280,10 @@ def build_graph(spec: GraphSpec, n: int, positions=None) -> np.ndarray:
         raise ValueError(f"a graph needs at least one node, got {n}")
     if spec.kind == "complete":
         return np.ones((n, n), dtype=bool)
-    if spec.kind == "span":
-        idx = np.arange(n)
-        return np.abs(idx[:, None] - idx[None, :]) <= spec.delta
+    if spec.kind == "span":  # j <= i + delta, and-ed with its transpose; no int (n, n) temporary
+        band = np.tri(n, n, min(spec.delta, n), dtype=bool)
+        band &= band.T
+        return band
     if positions is None:
         raise ValueError("knn graph spec needs node positions")
     pos = np.asarray(positions, dtype=np.float64)

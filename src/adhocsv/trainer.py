@@ -628,27 +628,48 @@ def evaluate(model: Model, utterances: dict[str, Utterance], trials: TrialSet) -
 
 def generate_trials(utterances: list[Utterance], n_target: int, n_nontarget: int,
                     rng: np.random.Generator) -> TrialSet:
-    """Sample same-speaker and cross-speaker utterance pairs."""
-    by_speaker: dict[int, list[Utterance]] = {}
+    """Sample same-speaker and cross-speaker utterance pairs, targets first.
+
+    A target trial draws a speaker uniformly from those with two or more
+    utterances, then an ordered pair of two different utterances of it,
+    uniformly.  A nontarget trial draws an ordered pair of two different
+    speakers uniformly, then one utterance of each, uniformly.  Speakers
+    are numbered in sorted order and their utterances in list order.  Each
+    of these draws is one array draw over all trials, so from this version
+    on a seed draws different trials than earlier versions did, from the
+    same distribution.  A negative count is a ``ValueError`` naming it.
+    """
+    for name, count in (("n_target", n_target), ("n_nontarget", n_nontarget)):
+        if count < 0:
+            raise ValueError(f"{name} must be nonnegative, got {count}")
+    by_speaker: dict[int, list[str]] = {}
     for u in utterances:
-        by_speaker.setdefault(u.speaker, []).append(u)
-    multi = [spk for spk, us in by_speaker.items() if len(us) >= 2]
-    if n_target > 0 and not multi:
-        raise ProtocolError("no speaker has two utterances; cannot form target trials")
-    if n_nontarget > 0 and len(by_speaker) < 2:
-        raise ProtocolError("need two speakers for nontarget trials")
-    trials: list[Trial] = []
-    for _ in range(n_target):
-        spk = multi[rng.integers(len(multi))]
-        i, j = rng.choice(len(by_speaker[spk]), size=2, replace=False)
-        trials.append(Trial(by_speaker[spk][i].utt_id, by_speaker[spk][j].utt_id, "target"))
+        by_speaker.setdefault(u.speaker, []).append(u.utt_id)
     speakers = sorted(by_speaker)
-    for _ in range(n_nontarget):
-        si, sj = rng.choice(len(speakers), size=2, replace=False)
-        u1 = by_speaker[speakers[si]][rng.integers(len(by_speaker[speakers[si]]))]
-        u2 = by_speaker[speakers[sj]][rng.integers(len(by_speaker[speakers[sj]]))]
-        trials.append(Trial(u1.utt_id, u2.utt_id, "nontarget"))
-    return TrialSet(trials=trials)
+    ids = [utt_id for spk in speakers for utt_id in by_speaker[spk]]
+    sizes = np.array([len(by_speaker[spk]) for spk in speakers], dtype=np.int64)
+    first = np.cumsum(sizes) - sizes  # index in ids of each speaker's first utterance
+    multi = np.flatnonzero(sizes >= 2)
+    if n_target > 0 and not multi.size:
+        raise ProtocolError("no speaker has two utterances; cannot form target trials")
+    if n_nontarget > 0 and len(speakers) < 2:
+        raise ProtocolError("need two speakers for nontarget trials")
+
+    def distinct_pair(n, size=None):
+        """Ordered pairs (i, j) with i != j, uniform over [0, n)^2 off the diagonal."""
+        i = rng.integers(n, size=size)
+        j = rng.integers(n - 1, size=size)
+        return i, j + (j >= i)
+
+    spk = multi[rng.integers(multi.size, size=n_target)]
+    i, j = distinct_pair(sizes[spk])
+    enroll, test = first[spk] + i, first[spk] + j
+    si, sj = distinct_pair(len(speakers), size=n_nontarget)
+    enroll = np.concatenate([enroll, first[si] + rng.integers(sizes[si])])
+    test = np.concatenate([test, first[sj] + rng.integers(sizes[sj])])
+    labels = ["target"] * n_target + ["nontarget"] * n_nontarget
+    return TrialSet(trials=[Trial(ids[e], ids[t], label)
+                            for e, t, label in zip(enroll.tolist(), test.tolist(), labels)])
 
 
 def write_trials_csv(path, trials: TrialSet) -> None:
