@@ -40,6 +40,7 @@ import csv
 import ctypes
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -646,9 +647,9 @@ def generate_trials(utterances: list[Utterance], n_target: int, n_nontarget: int
     for u in utterances:
         by_speaker.setdefault(u.speaker, []).append(u.utt_id)
     speakers = sorted(by_speaker)
-    ids = [utt_id for spk in speakers for utt_id in by_speaker[spk]]
+    names = np.array([utt_id for spk in speakers for utt_id in by_speaker[spk]], dtype=object)
     sizes = np.array([len(by_speaker[spk]) for spk in speakers], dtype=np.int64)
-    first = np.cumsum(sizes) - sizes  # index in ids of each speaker's first utterance
+    first = np.cumsum(sizes) - sizes  # index in names of each speaker's first utterance
     multi = np.flatnonzero(sizes >= 2)
     if n_target > 0 and not multi.size:
         raise ProtocolError("no speaker has two utterances; cannot form target trials")
@@ -661,15 +662,16 @@ def generate_trials(utterances: list[Utterance], n_target: int, n_nontarget: int
         j = rng.integers(n - 1, size=size)
         return i, j + (j >= i)
 
+    def labelled(enroll, test, label):
+        return list(map(Trial, names[enroll], names[test], repeat(label)))
+
     spk = multi[rng.integers(multi.size, size=n_target)]
     i, j = distinct_pair(sizes[spk])
-    enroll, test = first[spk] + i, first[spk] + j
+    trials = labelled(first[spk] + i, first[spk] + j, "target")
     si, sj = distinct_pair(len(speakers), size=n_nontarget)
-    enroll = np.concatenate([enroll, first[si] + rng.integers(sizes[si])])
-    test = np.concatenate([test, first[sj] + rng.integers(sizes[sj])])
-    labels = ["target"] * n_target + ["nontarget"] * n_nontarget
-    return TrialSet(trials=[Trial(ids[e], ids[t], label)
-                            for e, t, label in zip(enroll.tolist(), test.tolist(), labels)])
+    trials += labelled(first[si] + rng.integers(sizes[si]), first[sj] + rng.integers(sizes[sj]),
+                       "nontarget")
+    return TrialSet(trials=trials)
 
 
 def write_trials_csv(path, trials: TrialSet) -> None:
