@@ -88,6 +88,8 @@ class Scene:
         if self.node_pos.ndim != 2 or self.node_pos.shape[1] != 3 or self.node_pos.shape[0] < 1:
             raise ValueError("node positions must be a nonempty (C, 3) array")
         sources = [self.speaker_pos] + ([self.noise_pos] if self.noise_pos is not None else [])
+        if any(p.shape != (3,) for p in sources):
+            raise ValueError("speaker and noise positions must be (3,) arrays")
         points = np.vstack(sources + [self.node_pos])
         if not ((points > 0.0) & (points < np.asarray(self.room, dtype=np.float64))).all():
             raise ValueError("all positions must lie strictly inside the room")

@@ -313,6 +313,20 @@ class TestConfigErrors:
         with pytest.raises(ConfigError, match="config.sim.n_test must be nonnegative, got -2"):
             load_experiment_config(config)
 
+    @pytest.mark.parametrize("key", ["n_target", "n_nontarget"])
+    def test_negative_trial_counts_exit_2(self, tmp_path, capsys, key):
+        # Not exit 3 from an EER over too few trials: the count is refused
+        # before the checkpoint or data are read.
+        config = edited_config(tmp_path, ("eval", key), -2)
+        assert main(["eval", "--config", str(config), "--ckpt", str(tmp_path / "absent.ckpt"),
+                     "--data", str(tmp_path / "absent"), "--out", str(tmp_path / "e"),
+                     "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert f"config.eval.{key} must be nonnegative, got -2" in err
+        with pytest.raises(ConfigError, match=f"config.eval.{key} must be nonnegative"):
+            EvalSpec(**{key: -1})
+
     def test_channels_flag_below_one_exits_2(self, tmp_path, config_path, capsys):
         assert main(["eval", "--config", config_path, "--ckpt", str(tmp_path / "absent.ckpt"),
                      "--data", str(tmp_path / "absent"), "--out", str(tmp_path / "e"),

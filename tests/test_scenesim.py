@@ -1,5 +1,6 @@
 """Scene sampling bounds, determinism, and feature-corruption behavior."""
 
+import hashlib
 import re
 import struct
 
@@ -74,6 +75,114 @@ class TestSampleScene:
     def test_noise_source_optional(self):
         cfg = SimConfig(n_nodes=2, with_noise_source=False)
         assert sample_scene(np.random.default_rng(3), cfg).noise_pos is None
+
+
+def sha256_f8(a) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
+
+
+def hexes(a) -> tuple:
+    return tuple(float(x).hex() for x in np.ravel(a))
+
+
+# sample_scene's draws as the per-node loop made them before the nodes were
+# drawn as one array: seed, noise source, node count, speaker, noise source,
+# node 0, SNR (float.hex) and the sha256 of every node position.
+PINNED_SCENES = [
+    (5, True, 1, ("0x1.650ad19095ba0p+1", "0x1.a5a5737ab5de6p-1", "0x1.918ca6fb503a7p+0"),
+     ("0x1.f8cc5114bc2eep+1", "0x1.6a3133fe8a5b2p-1", "0x1.25a8068de685ep-2"),
+     ("0x1.301275100853ep+3", "0x1.1b44755e79892p+3", "0x1.ff24af9f67ab9p-1"),
+     "0x1.77ea8473c3944p+2", "d0bf7c0616fce8197ae400c8c85ebf66d07d9e5a7996be88b75e820f2adc58f3"),
+    (5, True, 40, ("0x1.650ad19095ba0p+1", "0x1.a5a5737ab5de6p-1", "0x1.918ca6fb503a7p+0"),
+     ("0x1.f8cc5114bc2eep+1", "0x1.6a3133fe8a5b2p-1", "0x1.25a8068de685ep-2"),
+     ("0x1.301275100853ep+3", "0x1.1b44755e79892p+3", "0x1.ff24af9f67ab9p-1"),
+     "-0x1.36dc150b6bd83p+2", "a85edce16e8d642feeb9938a86071f45cbb437fd9925f2e3c5ac8bc9963c650d"),
+    (5, False, 1, ("0x1.650ad19095ba0p+1", "0x1.a5a5737ab5de6p-1", "0x1.918ca6fb503a7p+0"),
+     None,
+     ("0x1.f8cc5114bc2eep+1", "0x1.6a3133fe8a5b2p-1", "0x1.25a8068de685ep-2"),
+     "0x1.3faba259cb86ap+4", "b195ae7e6e84ac068cef4250e12d5e125d20e82c522cfd8c92b2a7dd05254f07"),
+    (5, False, 40, ("0x1.650ad19095ba0p+1", "0x1.a5a5737ab5de6p-1", "0x1.918ca6fb503a7p+0"),
+     None,
+     ("0x1.f8cc5114bc2eep+1", "0x1.6a3133fe8a5b2p-1", "0x1.25a8068de685ep-2"),
+     "0x1.e22be932a8deap+2", "9761407bd9c98c1cdd1cc44afc24d05ce22a340228edcf445a1617d35529c639"),
+    (2026, True, 1, ("0x1.8fadea830bab4p+1", "0x1.2f8123e6d4adap+2", "0x1.86af20c3bdcfdp+1"),
+     ("0x1.defa999d4fa98p+2", "0x1.35ba5562e3f57p+1", "0x1.44d83b5490622p+1"),
+     ("0x1.444a38ea36278p+1", "0x1.97ed239dbe257p+3", "0x1.c481e6c448686p+1"),
+     "0x1.5cb2573761ffcp+3", "57b5b359bedaa7ded6586168d76d8736263b130707e2d64d87f29116a4a1bbda"),
+    (2026, True, 40, ("0x1.8fadea830bab4p+1", "0x1.2f8123e6d4adap+2", "0x1.86af20c3bdcfdp+1"),
+     ("0x1.defa999d4fa98p+2", "0x1.35ba5562e3f57p+1", "0x1.44d83b5490622p+1"),
+     ("0x1.444a38ea36278p+1", "0x1.97ed239dbe257p+3", "0x1.c481e6c448686p+1"),
+     "0x1.1ea34e90acc0cp+3", "660be3a3ed2ddcf2eb26fde57ec85cf7028d36874cdb865ebdc89e1da424d3a4"),
+    (2026, False, 1, ("0x1.8fadea830bab4p+1", "0x1.2f8123e6d4adap+2", "0x1.86af20c3bdcfdp+1"),
+     None,
+     ("0x1.defa999d4fa98p+2", "0x1.35ba5562e3f57p+1", "0x1.44d83b5490622p+1"),
+     "0x1.3a91a0843b17ap+1", "17bdb239d9efac44e8d8a9156495451d7107c020ad2db011c5349e0abe30bed6"),
+    (2026, False, 40, ("0x1.8fadea830bab4p+1", "0x1.2f8123e6d4adap+2", "0x1.86af20c3bdcfdp+1"),
+     None,
+     ("0x1.defa999d4fa98p+2", "0x1.35ba5562e3f57p+1", "0x1.44d83b5490622p+1"),
+     "0x1.728bf3fd2b5acp+3", "abec62593fbadafdee6f59af967446a847abd2457635b24b1904375a3814737e"),
+]
+
+
+class TestPinnedDraws:
+    """Drawing the nodes as one array moves no scene and no feature array."""
+
+    @pytest.mark.parametrize("seed, noise, n, speaker, noise_pos, node0, snr, nodes_sha",
+                             PINNED_SCENES)
+    def test_scene_draws_are_pinned(self, seed, noise, n, speaker, noise_pos, node0, snr,
+                                    nodes_sha):
+        scene = sample_scene(np.random.default_rng(seed),
+                             SimConfig(n_nodes=n, with_noise_source=noise))
+        assert hexes(scene.speaker_pos) == speaker
+        assert (None if scene.noise_pos is None else hexes(scene.noise_pos)) == noise_pos
+        assert hexes(scene.node_pos[0]) == node0
+        assert scene.snr_db.hex() == snr
+        assert scene.node_pos.shape == (n, 3) and sha256_f8(scene.node_pos) == nodes_sha
+
+    @pytest.mark.parametrize("noise", [True, False])
+    def test_nodes_match_a_per_node_draw(self, noise):
+        for seed in range(20):
+            for n in (1, 7, 40):
+                cfg = SimConfig(n_nodes=n, with_noise_source=noise)
+                scene = sample_scene(np.random.default_rng(seed), cfg)
+                rng = np.random.default_rng(seed)
+                room = np.array([rng.uniform(*cfg.width_range), rng.uniform(*cfg.length_range),
+                                 rng.uniform(*cfg.height_range)])
+                points = [rng.uniform(WALL_MARGIN, room - WALL_MARGIN)
+                          for _ in range(1 + noise + n)]
+                assert np.array_equal(scene.node_pos, np.stack(points[1 + noise:]))
+                assert scene.snr_db == rng.uniform(*cfg.snr_range_db)
+
+    def test_feature_array_is_pinned(self):
+        cfg = SimConfig(n_nodes=6, d=8, t=5, n_speakers=4)
+        scene = sample_scene(np.random.default_rng(17), cfg)
+        ft = synth_features(scene, 2, make_codebook(4, 8, seed=0), np.random.default_rng(18), cfg)
+        expected = "01ed7a973dd69efcf09a37e4bf82bafde9c80d265243b7486ffd49988688d383"
+        assert sha256_f8(ft.data) == expected
+
+
+class TestSceneBounds:
+    @pytest.mark.parametrize("field", ["speaker_pos", "noise_pos", "node_pos"])
+    @pytest.mark.parametrize("coord, value", [(0, 0.0), (1, 14.0), (2, -1.0), (0, 10.5),
+                                              (1, np.nan)],
+                             ids=["on_low_wall", "on_high_wall", "below", "beyond", "nan"])
+    def test_point_not_strictly_inside_is_refused(self, field, coord, value):
+        points = {"speaker_pos": np.array([1.0, 2.0, 1.5]), "noise_pos": np.array([3.0, 3.0, 1.0]),
+                  "node_pos": np.array([[2.0, 2.0, 1.0], [4.0, 5.0, 2.0]])}
+        Scene(room=(10.0, 14.0, 5.0), snr_db=0.0, **points)  # inside: accepted
+        target = points[field]
+        (target[-1] if target.ndim == 2 else target)[coord] = value
+        with pytest.raises(ValueError, match="^all positions must lie strictly inside the room$"):
+            Scene(room=(10.0, 14.0, 5.0), snr_db=0.0, **points)
+
+    @pytest.mark.parametrize("field", ["speaker_pos", "noise_pos"])
+    @pytest.mark.parametrize("value", [5.0, [1.0, 2.0], [[1.0, 2.0, 1.5]]],
+                             ids=["scalar", "two_coords", "row"])
+    def test_misshapen_source_point_is_refused(self, field, value):
+        points = {"speaker_pos": [1.0, 2.0, 1.5], "noise_pos": [3.0, 3.0, 1.0], field: value}
+        message = r"^speaker and noise positions must be \(3,\) arrays$"
+        with pytest.raises(ValueError, match=message):
+            Scene(room=(10.0, 14.0, 5.0), node_pos=[[2.0, 2.0, 1.0]], snr_db=0.0, **points)
 
 
 class TestDistances:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -732,6 +733,25 @@ class TestGraphSpec:
         for spec in (GraphSpec(), GraphSpec("span"), GraphSpec("knn")):
             with pytest.raises(ValueError, match="at least one node"):
                 build_graph(spec, 0, np.zeros((0, 3)))
+
+    def test_span_graph_is_the_band_for_every_small_size(self):
+        for n in range(1, 41):
+            idx = np.arange(n)
+            for delta in range(n + 1):
+                graph = build_graph(GraphSpec("span", delta=delta), n)
+                assert graph.dtype == np.bool_
+                assert np.array_equal(graph, np.abs(idx[:, None] - idx[None, :]) <= delta)
+        assert build_graph(GraphSpec("span", delta=10**30), 3).all()
+
+    def test_span_graph_allocates_no_int_temporary(self):
+        # An (n, n) int64 |i - j| array alone would be 8x the bool graph.
+        tracemalloc.start()
+        try:
+            graph = build_graph(GraphSpec("span", delta=5), 2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * graph.nbytes
 
     def test_restrict_broadcasts_a_node_array_over_a_graph(self):
         # One span graph, restricted to each row's nodes: an edge stays iff

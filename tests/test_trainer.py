@@ -5,6 +5,7 @@ import platform
 import re
 import tracemalloc
 import warnings
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -1142,15 +1143,61 @@ class TestTrials:
         utts = toy_dataset(n_speakers=3, per_speaker=3, c=2, t=2, d=8)
         trials = generate_trials(utts, n_target=10, n_nontarget=15,
                                  rng=np.random.default_rng(21))
-        labels = [t.label for t in trials.trials]
-        assert labels.count("target") == 10
-        assert labels.count("nontarget") == 15
+        assert [t.label for t in trials.trials] == ["target"] * 10 + ["nontarget"] * 15
         by_id = {u.utt_id: u for u in utts}
         for t in trials.trials:
             same = by_id[t.enroll_id].speaker == by_id[t.test_id].speaker
             assert same == (t.label == "target")
+            assert t.enroll_id != t.test_id
+
+    def test_generate_pairs_only_pairable_utterances(self):
+        # Speaker 2 has one utterance: it is never a target speaker, but it
+        # is a nontarget speaker; utterance lists are not grouped by speaker.
+        utts = [Utterance(f"x{i}", spk, FrameTensor(np.ones((1, 1, 2))))
+                for i, spk in enumerate([7, 2, 7, 0, 0, 7, 0])]
+        trials = generate_trials(utts, n_target=200, n_nontarget=200,
+                                 rng=np.random.default_rng(4))
+        speaker = {u.utt_id: u.speaker for u in utts}
+        targets = [t for t in trials.trials if t.label == "target"]
+        assert all(speaker[t.enroll_id] == speaker[t.test_id] != 2 for t in targets)
+        assert all(t.enroll_id != t.test_id for t in targets)
+        nontargets = [t for t in trials.trials if t.label == "nontarget"]
+        assert all(speaker[t.enroll_id] != speaker[t.test_id] for t in nontargets)
+        assert any("x1" in (t.enroll_id, t.test_id) for t in nontargets)
+
+    def test_generate_is_seeded(self):
+        utts = toy_dataset(n_speakers=4, per_speaker=3, c=1, t=1, d=4)
+        a, b, c = (generate_trials(utts, 20, 30, np.random.default_rng(seed))
+                   for seed in (8, 8, 9))
+        assert a == b and a != c
+
+    def test_generate_draws_uniform_pairs(self):
+        # 15000 + 15000 trials on 3 speakers x 3 utterances: each ordered
+        # pair of one speaker's utterances is expected 15000 / 18 times,
+        # each ordered pair of speakers 15000 / 6 times.
+        utts = toy_dataset(n_speakers=3, per_speaker=3, c=1, t=1, d=4)
+        trials = generate_trials(utts, 15000, 15000, np.random.default_rng(2026))
+        speaker = {u.utt_id: u.speaker for u in utts}
+        targets, nontargets = Counter(), Counter()
+        for t in trials.trials:
             if t.label == "target":
-                assert t.enroll_id != t.test_id
+                targets[t.enroll_id, t.test_id] += 1
+            else:
+                nontargets[speaker[t.enroll_id], speaker[t.test_id]] += 1
+        assert sorted(targets) == sorted((a.utt_id, b.utt_id) for a in utts for b in utts
+                                         if a.speaker == b.speaker and a is not b)
+        assert sorted(nontargets) == [(i, j) for i in range(3) for j in range(3) if i != j]
+        for count in targets.values():
+            assert abs(count - 15000 / 18) <= 0.15 * 15000 / 18
+        for count in nontargets.values():
+            assert abs(count - 15000 / 6) <= 0.15 * 15000 / 6
+
+    @pytest.mark.parametrize("n_target, n_nontarget, name", [(-2, 3, "n_target"),
+                                                              (3, -1, "n_nontarget")])
+    def test_generate_refuses_negative_counts(self, n_target, n_nontarget, name):
+        utts = toy_dataset(n_speakers=2, per_speaker=2, c=1, t=1, d=4)
+        with pytest.raises(ValueError, match=f"{name} must be nonnegative, got -"):
+            generate_trials(utts, n_target, n_nontarget, np.random.default_rng(0))
 
     def test_generate_requires_pairable_speakers(self):
         utts = toy_dataset(n_speakers=2, per_speaker=1, c=2, t=2, d=8)
